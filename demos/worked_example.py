@@ -13,7 +13,7 @@ Run:  python demos/worked_example.py
 
 import time
 
-from tflkit import (augment_with_dt, derived_flag, lift_system, run_tfl,
+from tflkit import (derived_flag, lift_system, run_tfl,
                     vector_relative_degree)
 from tflkit.conditions import compute_closures, evaluate_conditions
 from tflkit.expr import VariableSpace, parse_expr

@@ -17,11 +17,10 @@ import numpy as np
 from .errors import (CertificateMismatch, CompletionFailed,
                      IndependenceViolation)
 from .expr import Expr, Point, Zeroness
-from .forms import d_of_function
+from .forms import coordinate_form, d_of_function
 from .lift import ControlSystem, LiftedSystem, lift_system
-from .pfaffian import (Membership, augment_with_dt, derived_flag,
-                       ideal_membership)
-from .conditions import (ConditionReport, compute_closures,
+from .pfaffian import Membership, derived_flag, ideal_membership
+from .conditions import (ConditionReport, _newton_project, compute_closures,
                          evaluate_conditions)
 from .integrate import (adapt_subordinate, adapt_to_L,
                         frobenius_integrate)
@@ -152,10 +151,9 @@ def dual_rd_check(ls: LiftedSystem, flag, closures, h, kappa1: int) -> bool:
     for hi in h:
         if ideal_membership(d_of_function(hi), closure) != Membership.MEMBER:
             return False
-    raw = augment_with_dt(flag.entry(kappa1))
+    raw = flag.augmented(kappa1)
     dh_rows = np.array([d_of_function(hi).at(ls.p0) for hi in h])
     span = raw.at(ls.p0)
-    from .forms import coordinate_form
     dt_row = coordinate_form(ls.vars, 0).at(ls.p0)
     span = np.vstack([span, dt_row[None, :]]) if span.size else dt_row[None, :]
     return numlin.intersection_dim(dh_rows, span) == 0
@@ -190,8 +188,9 @@ def _z_equals_n(sys: ControlSystem, z_defs, samples, warnings):
             warnings.append(
                 f"vanishing of '{phi}' on N certified by samples only")
     # reverse containment at sample points of Z^(1)
-    z_samples = _newton_samples_for(sys, z_defs, count=4)
-    if z_samples is None:
+    z_samples = _newton_project(sys, z_defs, count=4, seed=3, radius=0.05,
+                                max_attempts=160)
+    if len(z_samples) < 4:
         warnings.append("could not sample Z^(1); reverse containment "
                         "checked at x0 only")
         z_samples = [sys.x0_point()]
@@ -200,36 +199,6 @@ def _z_equals_n(sys: ControlSystem, z_defs, samples, warnings):
             if abs(float(phi.eval(p))) > 1e-8:
                 return False
     return True
-
-
-def _newton_samples_for(sys: ControlSystem, defs, count=4, seed=3,
-                        radius=0.05):
-    import random
-    rng = random.Random(seed)
-    state_idx = list(sys.vars.state_indices())
-    grads = [[phi.diff(i) for i in state_idx] for phi in defs]
-    x0 = np.array([float(v) for v in sys.x0])
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 40 * count:
-        attempts += 1
-        x = x0 + np.array([rng.gauss(0.0, radius) for _ in range(len(x0))])
-        ok = None
-        for _ in range(50):
-            vals_pt = [0.0] * sys.vars.total
-            for i, xi in enumerate(x):
-                vals_pt[1 + sys.vars.m + i] = float(xi)
-            p = Point(sys.vars, vals_pt)
-            vals = np.array([float(phi.eval(p)) for phi in defs])
-            if np.max(np.abs(vals)) <= 1e-12:
-                ok = p
-                break
-            J = np.array([[float(g.eval(p)) for g in row] for row in grads])
-            step, *_ = np.linalg.lstsq(J, vals, rcond=None)
-            x = x - step
-        if ok is not None:
-            out.append(ok)
-    return out if len(out) == count else None
 
 
 def normal_form(sys: ControlSystem, h, kappa) -> NormalFormData:

@@ -8,6 +8,11 @@ intersection dimensions to be the same at sampled points of L as at p0.
 The last two are certified at p0 plus a finite sample set, which is a
 documented soundness gap: pointwise conditions on an open set are not
 finitely decidable.
+
+The dt-augmented ideals <I^(k), dt> and their closures come from the
+flag's memo (`Flag.augmented`, `Flag.closure`), so each is built once per
+distinct flag entry; `evaluate_conditions` builds the dimension table once
+and reads (Dim) off it.
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ from .errors import SamplingFailed
 from .expr import Point
 from .forms import coordinate_form
 from .lift import ControlSystem, LiftedSystem, ann_tangent_L
-from .pfaffian import PfaffianIdeal, Flag, augment_with_dt, differential_closure
+from .pfaffian import PfaffianIdeal, Flag
 from . import numlin
 
 __all__ = [
     "IndexProfile",
     "ConditionReport",
     "sample_on_N",
-    "sample_points_on_L",
     "intersection_dimension",
     "compute_closures",
     "rho_indices",
@@ -78,36 +82,39 @@ def sample_on_N(sys: ControlSystem, count: int, radius: float = 0.1,
         raise ValueError("count must be >= 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rng = random.Random(seed)
-    n = sys.vars.n
-    state_idx = list(sys.vars.state_indices())
-    x0 = np.array([float(v) for v in sys.x0])
-    phis = sys.N_defs
-    grads = [[phi.diff(i) for i in state_idx] for phi in phis]
-
-    def newton(x):
-        for _ in range(50):
-            p = _state_point(sys, x)
-            vals = np.array([float(phi.eval(p)) for phi in phis])
-            if np.max(np.abs(vals)) <= 1e-12:
-                return x
-            J = np.array([[float(g.eval(p)) for g in row] for row in grads])
-            step, *_ = np.linalg.lstsq(J, vals, rcond=None)
-            x = x - step
-        return None
-
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < max_attempts_factor * count:
-        attempts += 1
-        x = x0 + np.array([rng.gauss(0.0, radius) for _ in range(n)])
-        got = newton(x)
-        if got is None:
-            continue
-        out.append(_state_point(sys, got))
+    out = _newton_project(sys, sys.N_defs, count, seed, radius,
+                          max_attempts_factor * count)
     if len(out) < count:
         raise SamplingFailed(
             f"Newton projection produced {len(out)}/{count} points on N")
+    return out
+
+
+def _newton_project(sys: ControlSystem, defs, count, seed, radius,
+                    max_attempts):
+    """Up to `count` points of M (t = 0, u = u*(x)) on the zero set of the
+    state functions `defs`, projected by Newton steps from Gaussian
+    perturbations of x0.  Deterministic under a fixed seed; an attempt that
+    does not drive every function below 1e-12 within 50 steps is
+    discarded, and at most `max_attempts` are made."""
+    rng = random.Random(seed)
+    state_idx = list(sys.vars.state_indices())
+    x0 = np.array([float(v) for v in sys.x0])
+    grads = [[phi.diff(i) for i in state_idx] for phi in defs]
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < max_attempts:
+        attempts += 1
+        x = x0 + np.array([rng.gauss(0.0, radius) for _ in range(len(x0))])
+        for _ in range(50):
+            p = _state_point(sys, x)
+            vals = np.array([float(phi.eval(p)) for phi in defs])
+            if np.max(np.abs(vals)) <= 1e-12:
+                out.append(p)
+                break
+            J = np.array([[float(g.eval(p)) for g in row] for row in grads])
+            step, *_ = np.linalg.lstsq(J, vals, rcond=None)
+            x = x - step
     return out
 
 
@@ -122,11 +129,6 @@ def _state_point(sys: ControlSystem, x):
     return Point(sys.vars, vals)
 
 
-def sample_points_on_L(sys: ControlSystem, count: int, radius: float = 0.1,
-                       seed: int = 0):
-    return sample_on_N(sys, count, radius, seed)
-
-
 def intersection_dimension(ls: LiftedSystem, ideal: PfaffianIdeal,
                            p: Point) -> int:
     """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} )."""
@@ -138,17 +140,10 @@ def intersection_dimension(ls: LiftedSystem, ideal: PfaffianIdeal,
 
 
 def compute_closures(ls: LiftedSystem, flag: Flag, up_to: int):
-    """Differential closures of <I^(k), dt> for k = 0..up_to; entries past
-    the flag's terminal index reuse the terminal closure."""
-    closures = []
-    cache = {}
-    for k in range(up_to + 1):
-        key = min(k, flag.terminal_index)
-        if key not in cache:
-            cache[key] = differential_closure(
-                augment_with_dt(flag.entry(key), f"I({key})+dt"))
-        closures.append(cache[key])
-    return closures
+    """Differential closures of <I^(k), dt> for k = 0..up_to, from the
+    flag's memo; entries past the terminal index share the terminal
+    closure."""
+    return [flag.closure(k) for k in range(up_to + 1)]
 
 
 def _intersection_dims_at(ls, ideals, p):
@@ -164,7 +159,7 @@ def rho_indices(ls: LiftedSystem, flag: Flag, closures=None) -> IndexProfile:
     """
     nn = ls.vars.n - ls.base.n_star
     if closures is None:
-        ideals = [augment_with_dt(flag.entry(k)) for k in range(nn + 1)]
+        ideals = [flag.augmented(k) for k in range(nn + 1)]
     else:
         ideals = closures
     dims = _intersection_dims_at(ls, ideals, ls.p0)
@@ -180,11 +175,7 @@ def rho_indices(ls: LiftedSystem, flag: Flag, closures=None) -> IndexProfile:
 def check_con(ls: LiftedSystem, flag: Flag, closures=None) -> bool:
     """Terminal intersection is the dt line only."""
     nn = ls.vars.n - ls.base.n_star
-    if closures is not None:
-        terminal = closures[nn]
-    else:
-        terminal = differential_closure(
-            augment_with_dt(flag.entry(nn), f"I({nn})+dt"))
+    terminal = closures[nn] if closures is not None else flag.closure(nn)
     if intersection_dimension(ls, terminal, ls.p0) != 1:
         return False
     ann = ann_tangent_L(ls, ls.p0)
@@ -205,18 +196,19 @@ def check_dim(ls: LiftedSystem, flag: Flag, samples) -> bool:
     for each level of the raw dt-augmented flag."""
     if not samples:
         raise ValueError("check_dim needs at least one sample")
-    nn = ls.vars.n - ls.base.n_star
-    ideals = [augment_with_dt(flag.entry(k)) for k in range(nn + 1)]
-    base = _intersection_dims_at(ls, ideals, ls.p0)
-    for p in samples:
-        if _intersection_dims_at(ls, ideals, p) != base:
-            return False
-    return True
+    return _dims_constant(dim_table(ls, flag, samples))
+
+
+def _dims_constant(table):
+    """(Dim) read off a dimension table: every row equals the p0 row."""
+    return all(row == table["p0"] for row in table.values())
 
 
 def dim_table(ls: LiftedSystem, flag: Flag, samples):
+    """dim(Ann(T_pL) cap <I^(k), dt>_p) for k = 0..n-n*, one row at p0
+    and one at each sample."""
     nn = ls.vars.n - ls.base.n_star
-    ideals = [augment_with_dt(flag.entry(k)) for k in range(nn + 1)]
+    ideals = [flag.augmented(k) for k in range(nn + 1)]
     table = {"p0": _intersection_dims_at(ls, ideals, ls.p0)}
     for i, p in enumerate(samples):
         table[f"sample{i}"] = _intersection_dims_at(ls, ideals, p)
@@ -231,7 +223,7 @@ def check_inv(ls: LiftedSystem, flag: Flag, closures, samples,
     nn = ls.vars.n - ls.base.n_star
     ok = True
     for k in range(nn + 1):
-        raw = augment_with_dt(flag.entry(k))
+        raw = flag.augmented(k)
         closure = closures[k]
         if len(closure) == len(raw):
             # closure equals the ideal: containment is trivial
@@ -265,7 +257,7 @@ def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
     con = check_con(ls, flag, closures)
     inv_detail = {}
     inv = check_inv(ls, flag, closures, samples, detail=inv_detail)
-    dim = check_dim(ls, flag, samples)
+    table = dim_table(ls, flag, samples)
     if inv:
         indices = rho_indices(ls, flag, closures)
     else:
@@ -277,7 +269,7 @@ def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
         warnings.append(
             f"controllability holds but sum(rho) = {sum(indices.rho)} != "
             f"{nn}; regularity of the flag is suspect")
-    return ConditionReport(con=con, inv=inv, dim=dim, indices=indices,
-                           dim_table=dim_table(ls, flag, samples),
+    return ConditionReport(con=con, inv=inv, dim=_dims_constant(table),
+                           indices=indices, dim_table=table,
                            inv_detail=inv_detail, samples_used=samples,
                            warnings=warnings)

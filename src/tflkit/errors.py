@@ -57,6 +57,12 @@ class PointNotOnL(TflError):
     lifted manifold's defining functions."""
 
 
+class NotOnN(TflError, ValueError):
+    """The base point, or the supplied parametrization, does not satisfy
+    the defining functions of the target manifold.  Also a ValueError,
+    since it rejects an invalid argument."""
+
+
 class SamplingFailed(TflError):
     """Newton projection could not produce the requested number of points."""
 
@@ -85,12 +91,6 @@ class SubsumptionFailed(TflError):
 
 class IndependenceViolation(TflError):
     """Differentials expected to be linearly independent are not."""
-
-
-class ConditionsFailed(TflError):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class CertificateMismatch(TflError):

@@ -93,9 +93,6 @@ class VariableSpace:
     def state_indices(self):
         return range(1 + self.m, self.total)
 
-    def input_indices(self):
-        return range(1, 1 + self.m)
-
     def __eq__(self, other):
         return isinstance(other, VariableSpace) and self.names == other.names
 
@@ -156,10 +153,6 @@ class Point:
 _ONE = Fraction(1)
 
 
-def _p_zero():
-    return {}
-
-
 def _p_const(c):
     c = Fraction(c)
     return {(): c} if c else {}
@@ -217,13 +210,6 @@ def _p_add(A, B):
 
 def _p_neg(A):
     return {m: -c for m, c in A.items()}
-
-
-def _p_scale(A, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: co * c for m, co in A.items()}
 
 
 def _p_mul(A, B):
@@ -372,15 +358,6 @@ def _from_univariate(U, atom):
                 mm = m
             out[mm] = out.get(mm, 0) + c
     return {m: c for m, c in out.items() if c}
-
-
-def _p_gcd_list(polys):
-    g = {}
-    for p in polys:
-        g = _p_gcd(g, p)
-        if g == _p_const(1):
-            return g
-    return g
 
 
 # GCD internals run on integer-coefficient dicts for speed; Fractions only

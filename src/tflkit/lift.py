@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvarianceViolation, PointNotOnL, RankDeficientN,
-                     RegularityViolation)
+from .errors import (InvarianceViolation, NotOnN, PointNotOnL,
+                     RankDeficientN, RegularityViolation)
 from .expr import Expr, Point, VariableSpace, Zeroness
 from .forms import (VectorField, coordinate_field, coordinate_form,
                     contract, d_of_function, lie_bracket)
@@ -127,10 +127,6 @@ class ControlSystem:
             self._reduction = self._build_reduction()
         return self._reduction
 
-    def restrict_to_N(self, e: Expr) -> Expr:
-        bindings, _ = self.reduction()
-        return e.substitute(bindings) if bindings else e
-
     def vanishes_on_N(self, e: Expr, samples=None):
         """Zero / NonZero / Inconclusive verdict for vanishing on N.
 
@@ -191,7 +187,7 @@ class ControlSystem:
         for phi in self.N_defs:
             v = float(phi.eval(p))
             if abs(v) > _VANISH_TOL:
-                raise ValueError(f"x0 is not on N: |{phi}| = {v:g} there")
+                raise NotOnN(f"x0 is not on N: |{phi}| = {v:g} there")
         jac = np.array([self.grad_at_x0(phi) for phi in self.N_defs])
         if len(self.N_defs) == 0 or len(self.N_defs) > self.vars.n:
             raise RankDeficientN(
@@ -204,7 +200,7 @@ class ControlSystem:
                    for i, pe in enumerate(self.parametrization)}
             for phi in self.N_defs:
                 if phi.substitute(par).zeroness() != Zeroness.ZERO:
-                    raise ValueError(
+                    raise NotOnN(
                         "parametrization does not satisfy the defining "
                         f"functions: {phi}")
         # invariance of N under the closed loop f + g u*
@@ -292,13 +288,6 @@ def reduce_fields(fields, p0):
     vars0 = fields[0].vars
     rows, _ = rref_function_field(_field_rows(fields), p0)
     return [VectorField(vars0, r) for r in rows]
-
-
-def generic_field_rank(fields, p0):
-    if not fields:
-        return 0
-    rows, _ = rref_function_field(_field_rows(fields), p0)
-    return len(rows)
 
 
 def s_module(ls: LiftedSystem, k: int):

@@ -391,9 +391,6 @@ class PfaffianIdeal:
             return np.zeros((0, self.vars.total))
         return np.array([g.at(p) for g in self.generators])
 
-    def contains_form(self, a: KForm):
-        return ideal_membership(a, self)
-
     def same_span(self, other: "PfaffianIdeal"):
         """Symbolic two-way membership plus equal generator count."""
         if len(self) != len(other):
@@ -731,21 +728,47 @@ def _certify_rank(matrix, p0, n_points=8, seed=1, include_base=True):
 class Flag:
     """Descending chain of ideals from I^(0) to the terminal differential
     ideal; `terminal_verified` records that one more derived step reproduced
-    the terminal span."""
+    the terminal span.
+
+    The flag also owns the dt-augmented entries <I^(k), dt> and their
+    differential closures.  Both are pure functions of an entry, so each is
+    built on first request and memoized by min(k, terminal_index): every
+    consumer shares one copy per distinct entry."""
 
     def __init__(self, entries, terminal_verified=True):
         self.entries = list(entries)
         self.terminal_verified = terminal_verified
+        self._augmented = {}
+        self._closures = {}
 
     @property
     def terminal_index(self):
         return len(self.entries) - 1
 
-    def entry(self, k):
-        """I^(k), with entries frozen past the terminal index."""
+    def _key(self, k):
         if k < 0:
             raise ValueError("flag index must be >= 0")
-        return self.entries[min(k, self.terminal_index)]
+        return min(k, self.terminal_index)
+
+    def entry(self, k):
+        """I^(k), with entries frozen past the terminal index."""
+        return self.entries[self._key(k)]
+
+    def augmented(self, k):
+        """<I^(k), dt>, built once per distinct entry."""
+        key = self._key(k)
+        if key not in self._augmented:
+            self._augmented[key] = augment_with_dt(self.entries[key],
+                                                   f"I({key})+dt")
+        return self._augmented[key]
+
+    def closure(self, k):
+        """Differential closure of <I^(k), dt>, built once per distinct
+        entry."""
+        key = self._key(k)
+        if key not in self._closures:
+            self._closures[key] = differential_closure(self.augmented(key))
+        return self._closures[key]
 
     def generator_counts(self):
         return tuple(len(e) for e in self.entries)

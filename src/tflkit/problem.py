@@ -277,6 +277,9 @@ def _run(problem: ProblemFile, conditions_only: bool, overrides=None):
     options = dict(problem.options)
     if overrides:
         options.update({k: v for k, v in overrides.items() if v is not None})
+    if options["samples"] < 1:
+        raise ProblemFormatError(
+            f"option 'samples' must be at least 1, got {options['samples']}")
     mode = "check" if conditions_only else "solve"
     try:
         report = run_tfl(problem.to_control_system(), hints=problem.hints,

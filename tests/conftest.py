@@ -3,6 +3,7 @@ and seeded random generators for the property suites."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,11 @@ from tflkit.forms import KForm, VectorField, coordinate_form
 from tflkit.lift import ControlSystem, lift_system
 from tflkit.pfaffian import PfaffianIdeal, derived_flag
 from tflkit.conditions import compute_closures
+from tflkit.algorithm import run_tfl
+from tflkit.problem import cmd_solve, load_problem
+
+SEC5_FILE = Path(__file__).resolve().parent.parent / "problems" \
+    / "paper-sec5.tfl"
 
 
 def make_sec5_system():
@@ -43,6 +49,19 @@ def sec5_flag(sec5_lifted):
 @pytest.fixture(scope="session")
 def sec5_closures(sec5_lifted, sec5_flag):
     return compute_closures(sec5_lifted, sec5_flag, 5)
+
+
+@pytest.fixture(scope="session")
+def sec5_report(sec5):
+    """One run_tfl solve of the worked system, shared by the tests that
+    only read its report."""
+    return run_tfl(sec5)
+
+
+@pytest.fixture(scope="session")
+def sec5_solved():
+    """One cmd_solve of problems/paper-sec5.tfl: (report, tree, code)."""
+    return cmd_solve(load_problem(SEC5_FILE))
 
 
 def make_double_integrator():

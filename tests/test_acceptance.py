@@ -107,8 +107,8 @@ class TestCriterion3:
 
 
 class TestCriterion4:
-    def test_end_to_end_construction(self, sec5):
-        rep = run_tfl(sec5)
+    def test_end_to_end_construction(self, sec5, sec5_report):
+        rep = sec5_report
         h = rep.output.components if rep.output else []
         two = len(h) == 2
         rd = vector_relative_degree(sec5, h) if two else None

@@ -93,8 +93,8 @@ class TestZeroDynamics:
 
 
 class TestRunTfl:
-    def test_worked_end_to_end(self, sec5):
-        rep = run_tfl(sec5)
+    def test_worked_end_to_end(self, sec5, sec5_report):
+        rep = sec5_report
         assert rep.success
         assert rep.conditions.indices.rho == [2, 2, 1, 0]
         assert rep.conditions.indices.kappa == [3, 2]
@@ -152,6 +152,30 @@ class TestRunTfl:
         assert rep.success
         assert calls == [2]
 
+    def test_augmented_ideals_and_closures_built_once(self, chain3,
+                                                      monkeypatch):
+        """A solve builds each <I^(k), dt> and its differential closure
+        once per distinct flag entry, however many stages read them."""
+        import tflkit.pfaffian as pfaffian
+        inputs = {"augment_with_dt": [], "differential_closure": []}
+
+        def counting(name, original):
+            def wrapper(ideal, *args, **kwargs):
+                inputs[name].append(ideal)
+                return original(ideal, *args, **kwargs)
+            return wrapper
+
+        for name in inputs:
+            monkeypatch.setattr(pfaffian, name,
+                                counting(name, getattr(pfaffian, name)))
+        rep = run_tfl(chain3)
+        assert rep.success
+        nn = chain3.vars.n - chain3.n_star
+        distinct = min(nn, len(rep.flag_counts) - 1) + 1
+        for name, seen in inputs.items():
+            assert len(seen) == distinct, name
+            assert len({id(ideal) for ideal in seen}) == distinct, name
+
     def test_failing_conditions_short_circuit(self):
         vs = VariableSpace.canonical(4, 2)
         Ep = lambda s: parse_expr(s, vs)
@@ -167,8 +191,8 @@ class TestRunTfl:
 
 
 class TestNormalForm:
-    def test_worked_shapes(self, sec5):
-        rep = run_tfl(sec5)
+    def test_worked_shapes(self, sec5_report):
+        rep = sec5_report
         nf = rep.normal_form
         assert [len(t) for t in nf.xi] == [3, 2]
         assert len(nf.eta) == 2
@@ -183,8 +207,8 @@ class TestNormalForm:
         assert nf.eta == []
         assert nf.beta.tolist() == [[1.0]]
 
-    def test_xi_vanishes_on_n(self, sec5):
-        rep = run_tfl(sec5)
+    def test_xi_vanishes_on_n(self, sec5, sec5_report):
+        rep = sec5_report
         for tower in rep.normal_form.xi:
             for c in tower:
                 assert sec5.vanishes_on_N(c) == Zeroness.ZERO

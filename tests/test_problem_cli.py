@@ -125,9 +125,8 @@ class TestCommands:
         _, tree, code = cmd_check(pb)
         assert code == EXIT_OK
 
-    def test_solve_worked_example(self):
-        pb = load_problem(SEC5)
-        report, tree, code = cmd_solve(pb)
+    def test_solve_worked_example(self, sec5_solved):
+        report, tree, code = sec5_solved
         assert code == EXIT_OK
         assert len(tree["output"]["components"]) == 2
         assert tree["output"]["kappa"] == [3, 2]
@@ -160,13 +159,16 @@ class TestCommands:
 
     @pytest.mark.parametrize("stem", ["paper-sec5", "double-integrator",
                                       "brunovsky-chain"])
-    def test_bundled_expected_reports(self, stem):
+    def test_bundled_expected_reports(self, stem, request):
         """Fresh solves agree with the bundled expectation files on the
         certificate-bearing fields."""
         expected = json.loads(
             (ROOT / "problems" / f"{stem}.expected.json").read_text())
-        pb = load_problem(ROOT / "problems" / f"{stem}.tfl")
-        _, tree, code = cmd_solve(pb)
+        if stem == "paper-sec5":
+            _, tree, code = request.getfixturevalue("sec5_solved")
+        else:
+            pb = load_problem(ROOT / "problems" / f"{stem}.tfl")
+            _, tree, code = cmd_solve(pb)
         assert code == expected["exit_code"]
         for key in ("verdicts", "indices", "flag", "output",
                     "zero_dynamics"):
@@ -206,6 +208,25 @@ class TestCli:
         bad.write_text("[system]\nstates = x1\n")
         code, _, err = self.run_cli("check", str(bad))
         assert code == 1
+
+    def test_x0_off_manifold(self, tmp_path):
+        bad = tmp_path / "off.tfl"
+        bad.write_text(DOUBLE.read_text().replace("x0 = 1, 0", "x0 = 1, 1"))
+        code, _, err = self.run_cli("solve", str(bad))
+        assert code == 1
+        assert err.startswith("error: x0 is not on N")
+
+    def test_zero_samples_override(self):
+        code, _, err = self.run_cli("check", str(DOUBLE), "--samples", "0")
+        assert code == 1
+        assert err.startswith("error: option 'samples' must be at least 1")
+
+    def test_zero_samples_option(self, tmp_path):
+        bad = tmp_path / "nosamples.tfl"
+        bad.write_text(DOUBLE.read_text() + "\n[options]\nsamples = 0\n")
+        code, _, err = self.run_cli("solve", str(bad))
+        assert code == 1
+        assert err.startswith("error: option 'samples' must be at least 1")
 
     def test_json_file_written_and_deterministic(self, tmp_path):
         out1 = tmp_path / "a.json"
