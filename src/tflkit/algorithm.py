@@ -17,11 +17,11 @@ import numpy as np
 from .errors import (CertificateMismatch, CompletionFailed,
                      IndependenceViolation)
 from .expr import Expr, Point, Zeroness
-from .forms import coordinate_form, d_of_function
+from .forms import d_of_function
 from .lift import ControlSystem, LiftedSystem, lift_system
 from .pfaffian import Membership, derived_flag, ideal_membership
-from .conditions import (ConditionReport, _newton_project, compute_closures,
-                         evaluate_conditions)
+from .conditions import (ConditionReport, _newton_project, _span_with_dt,
+                         compute_closures, evaluate_conditions)
 from .integrate import (adapt_subordinate, adapt_to_L,
                         frobenius_integrate)
 from . import numlin
@@ -151,11 +151,8 @@ def dual_rd_check(ls: LiftedSystem, flag, closures, h, kappa1: int) -> bool:
     for hi in h:
         if ideal_membership(d_of_function(hi), closure) != Membership.MEMBER:
             return False
-    raw = flag.augmented(kappa1)
     dh_rows = np.array([d_of_function(hi).at(ls.p0) for hi in h])
-    span = raw.at(ls.p0)
-    dt_row = coordinate_form(ls.vars, 0).at(ls.p0)
-    span = np.vstack([span, dt_row[None, :]]) if span.size else dt_row[None, :]
+    span = _span_with_dt(flag.augmented(kappa1), ls.p0)
     return numlin.intersection_dim(dh_rows, span) == 0
 
 
@@ -223,7 +220,7 @@ def normal_form(sys: ControlSystem, h, kappa) -> NormalFormData:
             break
         cand = Expr.var_index(vars0, 1 + vars0.m + i)
         row = sys.grad_at_x0(cand)
-        if numlin.rank(np.vstack(rows + [row])) > len(rows):
+        if numlin.extends_span(rows, row):
             eta.append(cand)
             rows.append(row)
     if len(rows) != vars0.n:

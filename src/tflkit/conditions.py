@@ -12,7 +12,9 @@ finitely decidable.
 The dt-augmented ideals <I^(k), dt> and their closures come from the
 flag's memo (`Flag.augmented`, `Flag.closure`), so each is built once per
 distinct flag entry; `evaluate_conditions` builds the dimension table once
-and reads (Dim) off it.
+and reads (Dim) off it.  Pointwise, Ann(T_pL) is built once per point and
+each distinct ideal is intersected with it once: the levels past the
+terminal index share the terminal entry and copy its dimension.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from .errors import SamplingFailed
 from .expr import Point
-from .forms import coordinate_form
 from .lift import ControlSystem, LiftedSystem, ann_tangent_L
 from .pfaffian import PfaffianIdeal, Flag
 from . import numlin
@@ -129,14 +130,19 @@ def _state_point(sys: ControlSystem, x):
     return Point(sys.vars, vals)
 
 
+def _span_with_dt(ideal: PfaffianIdeal, p: Point):
+    """Rows spanning span{ideal_p, dt_p}; dt is the unit covector of the
+    time coordinate (index 0) at every point."""
+    rows = ideal.at(p)
+    dt_row = np.zeros((1, rows.shape[1]))
+    dt_row[0, 0] = 1.0
+    return np.vstack([rows, dt_row])
+
+
 def intersection_dimension(ls: LiftedSystem, ideal: PfaffianIdeal,
                            p: Point) -> int:
     """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} )."""
-    ann = ann_tangent_L(ls, p)
-    dt_row = coordinate_form(ls.vars, 0).at(p)
-    span = np.vstack([ideal.at(p), dt_row[None, :]]) if len(ideal) \
-        else dt_row[None, :]
-    return numlin.intersection_dim(ann, span)
+    return _intersection_dims_at(ls, [ideal], p)[0]
 
 
 def compute_closures(ls: LiftedSystem, flag: Flag, up_to: int):
@@ -147,7 +153,15 @@ def compute_closures(ls: LiftedSystem, flag: Flag, up_to: int):
 
 
 def _intersection_dims_at(ls, ideals, p):
-    return [intersection_dimension(ls, ideal, p) for ideal in ideals]
+    """intersection_dimension for each ideal at p, with Ann(T_pL) built
+    once; an ideal that repeats in `ideals` is intersected once."""
+    ann = ann_tangent_L(ls, p)
+    dims = {}
+    for ideal in ideals:
+        if ideal not in dims:
+            dims[ideal] = numlin.intersection_dim(ann,
+                                                  _span_with_dt(ideal, p))
+    return [dims[ideal] for ideal in ideals]
 
 
 def rho_indices(ls: LiftedSystem, flag: Flag, closures=None) -> IndexProfile:
@@ -162,7 +176,12 @@ def rho_indices(ls: LiftedSystem, flag: Flag, closures=None) -> IndexProfile:
         ideals = [flag.augmented(k) for k in range(nn + 1)]
     else:
         ideals = closures
-    dims = _intersection_dims_at(ls, ideals, ls.p0)
+    return _index_profile(_intersection_dims_at(ls, ideals, ls.p0), nn)
+
+
+def _index_profile(dims, nn):
+    """rho and kappa from the p0 intersection dimensions of levels
+    0..nn."""
     rho_full = [dims[i] - dims[i + 1] for i in range(nn)]
     kappa1 = sum(1 for r in rho_full if r >= 1)
     rho0 = rho_full[0] if rho_full else 0
@@ -176,12 +195,10 @@ def check_con(ls: LiftedSystem, flag: Flag, closures=None) -> bool:
     """Terminal intersection is the dt line only."""
     nn = ls.vars.n - ls.base.n_star
     terminal = closures[nn] if closures is not None else flag.closure(nn)
-    if intersection_dimension(ls, terminal, ls.p0) != 1:
-        return False
     ann = ann_tangent_L(ls, ls.p0)
-    dt_row = coordinate_form(ls.vars, 0).at(ls.p0)
-    span = np.vstack([terminal.at(ls.p0), dt_row[None, :]]) \
-        if len(terminal) else dt_row[None, :]
+    span = _span_with_dt(terminal, ls.p0)
+    if numlin.intersection_dim(ann, span) != 1:
+        return False
     basis = numlin.intersection_basis(ann, span)
     if basis.shape[0] != 1:
         return False
@@ -221,30 +238,26 @@ def check_inv(ls: LiftedSystem, flag: Flag, closures, samples,
     span, at p0 and at every sample.  Levels whose dt-augmented ideal is
     already differential hold trivially and are skipped."""
     nn = ls.vars.n - ls.base.n_star
-    ok = True
-    for k in range(nn + 1):
-        raw = flag.augmented(k)
-        closure = closures[k]
-        if len(closure) == len(raw):
-            # closure equals the ideal: containment is trivial
-            if detail is not None:
-                detail[k] = "differential"
-            continue
-        level_ok = True
-        for p in [ls.p0] + list(samples):
-            ann = ann_tangent_L(ls, p)
-            dt_row = coordinate_form(ls.vars, 0).at(p)
-            raw_span = np.vstack([raw.at(p), dt_row[None, :]])
-            inter = numlin.intersection_basis(ann, raw_span)
-            closure_span = np.vstack([closure.at(p), dt_row[None, :]]) \
-                if len(closure) else dt_row[None, :]
-            if not numlin.contained_in_span(inter, closure_span):
-                level_ok = False
-                break
-        if detail is not None:
-            detail[k] = "holds" if level_ok else "fails"
-        ok = ok and level_ok
-    return ok
+    # closure equal to the ideal makes containment trivial
+    levels = {k: (flag.augmented(k), closures[k]) for k in range(nn + 1)
+              if len(closures[k]) != len(flag.augmented(k))}
+    failed = set()
+    for p in [ls.p0] + list(samples):
+        pending = [k for k in levels if k not in failed]
+        if not pending:
+            break
+        ann = ann_tangent_L(ls, p)
+        for k in pending:
+            raw, closure = levels[k]
+            inter = numlin.intersection_basis(ann, _span_with_dt(raw, p))
+            if not numlin.contained_in_span(inter,
+                                            _span_with_dt(closure, p)):
+                failed.add(k)
+    if detail is not None:
+        for k in range(nn + 1):
+            detail[k] = ("differential" if k not in levels
+                         else "fails" if k in failed else "holds")
+    return not failed
 
 
 def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
@@ -258,13 +271,22 @@ def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
     inv_detail = {}
     inv = check_inv(ls, flag, closures, samples, detail=inv_detail)
     table = dim_table(ls, flag, samples)
+    # the indices read the p0 row, except that under (Inv) they use the
+    # closures; a differential level's closure is its ideal, so only the
+    # other levels need a new intersection
+    dims = list(table["p0"])
     if inv:
-        indices = rho_indices(ls, flag, closures)
+        redo = [k for k, v in inv_detail.items() if v != "differential"]
+        if redo:
+            redone = _intersection_dims_at(ls, [closures[k] for k in redo],
+                                           ls.p0)
+            for k, d in zip(redo, redone):
+                dims[k] = d
     else:
-        indices = rho_indices(ls, flag, None)
         warnings.append(
             "involutivity fails: indices computed from the raw ideals are "
             "advisory only")
+    indices = _index_profile(dims, nn)
     if con and sum(indices.rho) != nn:
         warnings.append(
             f"controllability holds but sum(rho) = {sum(indices.rho)} != "

@@ -63,6 +63,11 @@ class NotOnN(TflError, ValueError):
     since it rejects an invalid argument."""
 
 
+class NotStateOnly(TflError, ValueError):
+    """f, g, u* or a defining function of N involves an input or the time
+    variable.  Also a ValueError, since it rejects an invalid argument."""
+
+
 class SamplingFailed(TflError):
     """Newton projection could not produce the requested number of points."""
 

@@ -242,43 +242,6 @@ def _p0_bindings(vars0, p0: Point):
 # rational linear algebra for the ansatz layers
 # ---------------------------------------------------------------------------
 
-def rational_nullspace(rows, ncols):
-    """Nullspace basis of an exact rational matrix, deterministic: the k-th
-    vector has a 1 in the k-th free column."""
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        pv = pr[col]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(rows[:r], pivots):
-            if row[fc]:
-                vec[pc] = -row[fc] / row[pc]
-        basis.append(vec)
-    return basis
-
-
 def _collect_linear_system(exprs):
     """Rows of rational coefficients for a list of polynomial-in-atoms
     expressions: one column per expression, one row per monomial seen."""
@@ -382,7 +345,7 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
     for j, col in enumerate(cols):
         for i, q in col.items():
             rows[i][j] = q
-    basis = rational_nullspace(rows, len(cols))
+    basis = numlin.rational_nullspace(rows, len(cols))
     out = []
     for vec in basis:
         form = KForm.zero(vars0, 1)
@@ -455,11 +418,7 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
 
     def try_add(comp: Expr, tag):
         row = d_of_function(comp).at(p0)
-        if found_rows:
-            stack = np.vstack(found_rows + [row])
-            if numlin.rank(stack) <= len(found_rows):
-                return False
-        elif numlin.rank(row[None, :]) == 0:
+        if not numlin.extends_span(found_rows, row):
             return False
         found.append((_anchor(comp, p0, bindings), tag))
         found_rows.append(row)
@@ -644,7 +603,7 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
                                                  {(): Fraction(1)}, e.kernels)
             restricted = [e * common for e in restricted]
         rows = _collect_linear_system(restricted)
-        null = rational_nullspace(rows, len(mono_exprs))
+        null = numlin.rational_nullspace(rows, len(mono_exprs))
     else:
         if samples is None:
             raise AdaptationFailed(
@@ -652,14 +611,8 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
                 "provided for the sample-nullspace fallback", k=F.k)
         A = np.array([[float(e.eval(p)) for e in mono_exprs]
                       for p in samples])
-        _, s, vh = np.linalg.svd(A)
-        cut = numlin.RANK_TOL * max(s[0] if len(s) else 1.0, 1.0)
-        rank_a = int(np.sum(s > cut))
-        null_f = vh[rank_a:]
-        null = []
-        for vec in null_f:
-            null.append([Fraction(x).limit_denominator(10 ** 6)
-                         for x in vec])
+        null = [[Fraction(x).limit_denominator(10 ** 6) for x in vec]
+                for vec in numlin.null_basis(A)]
     for vec in null:
         if len(new_comps) == needed:
             break
@@ -680,7 +633,7 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
         row = d_of_function(comb).at(p0)
         existing = [d_of_function(c).at(p0)
                     for c in current.vanishing() + new_comps]
-        if numlin.rank(np.vstack(existing + [row])) <= len(existing):
+        if not numlin.extends_span(existing, row):
             continue
         new_comps.append(comb)
     if len(new_comps) < needed:
@@ -694,10 +647,10 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
     completion = []
     for c, tag in zip(current.non_vanishing(),
                       current.provenance[current.vanish_count:]):
-        stack = np.vstack(rows + [d_of_function(c).at(p0)])
-        if numlin.rank(stack) > len(rows):
+        row = d_of_function(c).at(p0)
+        if numlin.extends_span(rows, row):
             completion.append((c, tag))
-            rows.append(d_of_function(c).at(p0))
+            rows.append(row)
     comps = vanish_block + [c for c, _ in completion]
     if len(comps) != ell or numlin.rank(np.vstack(rows)) != ell:
         raise AdaptationFailed(
@@ -731,10 +684,10 @@ def subsume(F_lower: SmoothMapAdapted, F_higher: SmoothMapAdapted,
     for c, tag in zip(F_lower.components, F_lower.provenance):
         if len(comps) == len(F_lower.components):
             break
-        stack = np.vstack(rows + [d_of_function(c).at(p0)])
-        if numlin.rank(stack) > len(rows):
+        row = d_of_function(c).at(p0)
+        if numlin.extends_span(rows, row):
             comps.append(c)
-            rows.append(d_of_function(c).at(p0))
+            rows.append(row)
             tags.append(tag)
     if len(comps) != len(F_lower.components):
         raise SubsumptionFailed("completion failed to restore the rank")
@@ -775,10 +728,10 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
     for c, tag in zip(F.vanishing(), F.provenance[:F.vanish_count]):
         if c == t_expr or any(c == te for te in towers):
             continue
-        stack = np.vstack(rows + [d_of_function(c).at(p0)])
-        if numlin.rank(stack) > len(rows):
+        row = d_of_function(c).at(p0)
+        if numlin.extends_span(rows, row):
             head.append(c)
-            rows.append(d_of_function(c).at(p0))
+            rows.append(row)
             tags.append(tag)
     comps = head + towers + [t_expr]
     rows = [d_of_function(c).at(p0) for c in comps]
@@ -787,10 +740,10 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
     for c, tag in zip(F.components, F.provenance):
         if len(comps) == len(F.components):
             break
-        stack = np.vstack(rows + [d_of_function(c).at(p0)])
-        if numlin.rank(stack) > len(rows):
+        row = d_of_function(c).at(p0)
+        if numlin.extends_span(rows, row):
             comps.append(c)
-            rows.append(d_of_function(c).at(p0))
+            rows.append(row)
             out_tags.append(tag)
     if len(comps) != len(F.components):
         raise AdaptationFailed(
@@ -803,10 +756,7 @@ def restricted_rank_on_L(F: SmoothMapAdapted, ls: LiftedSystem):
     """Rank of the Jacobian of F restricted to L at p0 (numeric)."""
     from .lift import ann_tangent_L
 
-    ann = ann_tangent_L(ls, ls.p0)
     # tangent basis of L at p0 = nullspace of the annihilator rows
-    _, s, vh = np.linalg.svd(ann)
-    rank_a = int(np.sum(s > numlin.RANK_TOL * max(s[0], 1.0)))
-    tangent = vh[rank_a:]
+    tangent = numlin.null_basis(ann_tangent_L(ls, ls.p0))
     rows = np.array([d.at(ls.p0) for d in F.differentials()])
     return numlin.rank(rows @ tangent.T)

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvarianceViolation, NotOnN, PointNotOnL,
-                     RankDeficientN, RegularityViolation)
+from .errors import (InvarianceViolation, NotOnN, NotStateOnly,
+                     PointNotOnL, RankDeficientN, RegularityViolation)
 from .expr import Expr, Point, VariableSpace, Zeroness
 from .forms import (VectorField, coordinate_field, coordinate_form,
                     contract, d_of_function, lie_bracket)
@@ -37,9 +37,9 @@ _VANISH_TOL = 1e-10
 class ControlSystem:
     """Control-affine plant with target manifold data.
 
-    f and the g_j are given by their state components (expressions over the
-    state variables only); N_defs cut out the target manifold, x0 lies on
-    it, and u_star renders it invariant.
+    f and the g_j are given by their state components; N_defs cut out the
+    target manifold, x0 lies on it, and u_star renders it invariant.  All
+    of them are expressions over the state variables only.
     """
 
     def __init__(self, vars: VariableSpace, f, g, N_defs, x0, u_star,
@@ -61,11 +61,12 @@ class ControlSystem:
             raise ValueError(f"x0 needs {n} coordinates")
         self.x0 = [v if isinstance(v, (Fraction, float)) else Fraction(v)
                    for v in x0]
-        for e in self.f + [c for gj in self.g for c in gj] + self.u_star:
+        for e in (self.f + [c for gj in self.g for c in gj] + self.u_star
+                  + self.N_defs):
             bad = [i for i in e.free_variables()
                    if i not in vars.state_indices()]
             if bad:
-                raise ValueError(
+                raise NotStateOnly(
                     f"state-space data may only involve state variables, "
                     f"got {[vars.names[i] for i in bad]} in '{e}'")
         self._x0_bindings = {

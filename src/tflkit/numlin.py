@@ -1,8 +1,16 @@
-"""Pointwise real linear algebra with a uniform rank policy.
+"""The package's one rank policy, for pointwise linear algebra.
 
-Singular values below RANK_TOL times max(largest singular value, 1) are
-treated as zero everywhere in the package.
+Exact over Q where every entry is rational: a matrix of Fractions is
+reduced by one forward Gauss elimination (`_fraction_echelon`), which gives
+both `exact_rank` and `rational_nullspace`, and no tolerance is involved.
+
+Float otherwise: singular values below RANK_TOL times max(largest singular
+value, 1) are treated as zero (`_sv_cut`).  `rank`, `null_basis`,
+`extends_span` and the span helpers below all decide rank that way, and
+they are the only place in the package that takes an SVD.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -11,6 +19,10 @@ RANK_TOL = 1e-9
 __all__ = [
     "RANK_TOL",
     "rank",
+    "null_basis",
+    "extends_span",
+    "exact_rank",
+    "rational_nullspace",
     "row_reduce",
     "intersection_dim",
     "intersection_basis",
@@ -30,6 +42,70 @@ def rank(A):
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     return int(np.sum(s > _sv_cut(s)))
+
+
+def null_basis(A):
+    """Orthonormal rows spanning {x : A x = 0}."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    _, s, vh = np.linalg.svd(A)
+    return vh[int(np.sum(s > _sv_cut(s))):]
+
+
+def extends_span(rows, row):
+    """Does `row` raise the rank of the independent rows `rows`?"""
+    return rank(np.vstack(list(rows) + [row])) > len(rows)
+
+
+def _fraction_echelon(rows, ncols):
+    """Forward Gauss elimination over Q: (echelon rows, pivot columns).
+    Zero rows are dropped, and the sweep stops once every row holds a
+    pivot, since the columns left are then all free."""
+    rows = [list(r) for r in rows if any(x != 0 for x in r)]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        pv = pr[col]
+        for i in range(r + 1, len(rows)):
+            ci = rows[i][col]
+            if ci:
+                f = ci / pv
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def exact_rank(rows):
+    """Rank over Q of a matrix of rationals."""
+    return len(_fraction_echelon(rows, len(rows[0]) if rows else 0)[1])
+
+
+def rational_nullspace(rows, ncols):
+    """Nullspace basis over Q of a matrix of rationals, deterministic: the
+    k-th vector has a 1 in the k-th free column and 0 in the other free
+    columns, which fixes it uniquely."""
+    echelon, pivots = _fraction_echelon(rows, ncols)
+    # per pivot row, its nonzero entries right of the pivot
+    tails = [[(c, row[c]) for c in range(pc + 1, ncols) if row[c]]
+             for row, pc in zip(echelon, pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc, tail in reversed(list(zip(echelon, pivots, tails))):
+            s = sum((a * vec[c] for c, a in tail if vec[c]), Fraction(0))
+            vec[pc] = -s / row[pc]
+        basis.append(vec)
+    return basis
 
 
 def row_reduce(A, tol=None):
@@ -80,10 +156,7 @@ def intersection_basis(A, B):
     if A.shape[0] == 0 or B.shape[0] == 0:
         return np.zeros((0, A.shape[1] if A.size else B.shape[1]))
     # c_A @ A = c_B @ B  <=>  [A^T | -B^T] [c_A; c_B] = 0
-    M = np.hstack([A.T, -B.T])
-    _, s, vh = np.linalg.svd(M)
-    rank_m = int(np.sum(s > _sv_cut(s)))
-    null_vecs = vh[rank_m:]
+    null_vecs = null_basis(np.hstack([A.T, -B.T]))
     if null_vecs.shape[0] == 0:
         return np.zeros((0, A.shape[1]))
     vecs = null_vecs[:, :A.shape[0]] @ A

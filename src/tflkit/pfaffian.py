@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InconclusiveZeroTest, NoTermination, RegularityViolation)
+from .errors import (DomainError, InconclusiveZeroTest, NoTermination,
+                     RegularityViolation)
 from .expr import Expr, Point, Zeroness
 from .forms import KForm, coordinate_form, exterior_derivative, wedge
 from . import numlin
@@ -90,7 +91,7 @@ def _pivot_in_column(rows, col, start, p0, require_p0):
         if require_p0 and p0 is not None:
             try:
                 val = abs(float(c.eval(p0)))
-            except Exception:
+            except DomainError:
                 val = 0.0
             if val <= numlin.RANK_TOL:
                 continue
@@ -579,30 +580,29 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
             matrix[pair_index[idx]][col] = c
     # rows are linear conditions; scaling a row is free
     matrix = [_row_primitive(_clear_denominators_row(row)) for row in matrix]
-    pts = [ideal.p0] + perturbed_points(ideal.p0)
-    exact_ranks = _exact_ranks(matrix, pts)
-    if any(r == n_gens for r in exact_ranks):
-        # the conditions have full column rank at an exactly evaluated
-        # rational point, hence generically: the derived system is zero
-        return PfaffianIdeal([], ideal.p0, "derived-from", _normalized=True)
+    exact = _is_exact(matrix, ideal.p0)
+    ranks = []
+    for perturbed, r in _sample_ranks(matrix, ideal.p0, exact):
+        if exact and r == n_gens:
+            # full column rank at an exactly evaluated rational point,
+            # hence generically: the derived system is zero
+            return PfaffianIdeal([], ideal.p0, "derived-from",
+                                 _normalized=True)
+        ranks.append((perturbed, r))
     basis = nullspace_function_field(matrix, ideal.p0)
     sym_rank = n_gens - len(basis)
-    if exact_ranks:
-        # exact point ranks never exceed the generic rank; catching the
-        # converse guards the symbolic elimination itself
-        if max(exact_ranks) > sym_rank:
-            raise RegularityViolation(
-                "exact rank exceeds the generic rank of the derived-step "
-                "conditions")
-        if len(exact_ranks) > 1 and all(r < sym_rank for r in exact_ranks[1:]):
-            raise RegularityViolation(
-                f"generic rank {sym_rank} of the derived-step conditions "
-                "is not attained at any sample point")
-    else:
-        # kernel-bearing coefficients: certify with the float policy; the
-        # coefficient matrix may legitimately drop rank at p0 itself, so
-        # only perturbed points are consulted
-        _certify_rank(matrix, ideal.p0, include_base=False)
+    # point ranks never exceed the generic rank; catching the converse
+    # guards the symbolic elimination itself
+    top = max((r for _, r in ranks), default=0)
+    if top > sym_rank:
+        raise RegularityViolation(
+            f"rank {top} at a sample point exceeds the generic rank "
+            f"{sym_rank} of the derived-step conditions")
+    sampled = [r for perturbed, r in ranks if perturbed]
+    if sampled and all(r < sym_rank for r in sampled):
+        raise RegularityViolation(
+            f"generic rank {sym_rank} of the derived-step conditions is not "
+            "attained at any perturbed point")
     new_gens = []
     for vec in basis:
         g = KForm.zero(vars0, 1)
@@ -620,109 +620,31 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     return out
 
 
-def _exact_ranks(matrix, points):
-    """Exact Fraction ranks of the matrix at the given points; points where
-    some entry does not evaluate to a rational are skipped."""
-    ranks = []
-    for p in points:
-        rows = []
-        ok = True
-        for row in matrix:
-            vals = []
-            for c in row:
-                if c.has_kernels():
-                    ok = False
-                    break
-                try:
-                    v = c.eval(p)
-                except Exception:
-                    ok = False
-                    break
-                if not isinstance(v, Fraction):
-                    ok = False
-                    break
-                vals.append(v)
-            if not ok:
-                break
-            rows.append(vals)
-        if not ok:
+def _is_exact(matrix, p0):
+    """Exact ranks need every entry to evaluate to a rational: no entry may
+    carry kernels, and p0 (hence every perturbed point) must be
+    rational."""
+    return (all(isinstance(v, Fraction) for v in p0.values)
+            and not any(c.has_kernels() for row in matrix for c in row))
+
+
+def _sample_ranks(matrix, p0, exact):
+    """Yield (perturbed, rank) for the conditions matrix at p0 and then at
+    `perturbed_points(p0)`, lazily so the caller can stop early.
+
+    Exact ranks are taken over Q.  Float ranks follow the `numlin` policy
+    and skip p0, where a kernel-bearing coefficient matrix may
+    legitimately drop rank.  Points outside the entries' domain are
+    skipped."""
+    pts = ([p0] if exact else []) + perturbed_points(p0)
+    for p in pts:
+        try:
+            vals = [[c.eval(p) for c in row] for row in matrix]
+        except DomainError:
             continue
-        ranks.append(_fraction_rank(rows))
-    return ranks
-
-
-def _fraction_rank(rows):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        pv = pr[col]
-        for i in range(rank + 1, len(rows)):
-            ci = rows[i][col]
-            if ci:
-                f = ci / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _certify_rank(matrix, p0, n_points=8, seed=1, include_base=True):
-    """Certify the symbolic generic rank numerically.
-
-    A numeric rank above the symbolic one anywhere means the elimination
-    lost rows and is a hard failure.  Numeric rank below the symbolic one is
-    expected on the (measure-zero) degenerate locus, so it only counts as a
-    regularity violation when required at p0 or when no sample point attains
-    the generic rank.
-    """
-    rows, _ = rref_function_field(matrix, p0)
-    sym_rank = len(rows)
-    pts = ([p0] if include_base else []) + perturbed_points(
-        p0, count=n_points, seed=seed)
-    attained = 0
-    evaluable = 0
-    for k, p in enumerate(pts):
-        num = np.zeros((len(matrix), len(matrix[0])))
-        ok = True
-        for i, row in enumerate(matrix):
-            for j, c in enumerate(row):
-                try:
-                    num[i, j] = float(c.eval(p))
-                except Exception:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        evaluable += 1
-        r = numlin.rank(num)
-        if r > sym_rank:
-            raise RegularityViolation(
-                f"numeric rank {r} exceeds generic rank {sym_rank}")
-        if r == sym_rank:
-            attained += 1
-        elif include_base and k == 0:
-            raise RegularityViolation(
-                f"coefficient rank {r} at p0 differs from generic rank "
-                f"{sym_rank}")
-    if evaluable and not attained:
-        raise RegularityViolation(
-            f"generic rank {sym_rank} not attained at any sample point")
-    return sym_rank
+        r = numlin.exact_rank(vals) if exact else numlin.rank(
+            np.array(vals, dtype=float))
+        yield p is not p0, r
 
 
 class Flag:

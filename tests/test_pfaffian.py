@@ -253,3 +253,77 @@ class TestRegularity:
         # x2 vanishes at x0, so x2*dx1 is pointwise zero there
         with pytest.raises(RegularityViolation):
             PfaffianIdeal([DX("x1").scale(E("x2"))], sec5_lifted.p0)
+
+
+class TestDerivedSystemCertification:
+    """derived_system's rank certification on hand-built ideals over
+    (t, u1, x1, x2, x3), p0 = 0.  The conditions matrix of the first pair has
+    rows (u1, x1), (x1, -u1), (u1, 0) up to sign and row scaling: rank 1 at
+    p0, rank 2 wherever u1 or x1 is nonzero."""
+
+    VS3 = VariableSpace.canonical(3, 1)
+
+    def _form(self, s):
+        return parse_expr(s, self.VS3)
+
+    def _dx(self, nm):
+        return coordinate_form(self.VS3, nm)
+
+    def _ideal(self, a="u1^2/2", b="u1*x1"):
+        # omega1 = dx2 - a dx1 - b dt,  omega2 = dx3 - b dx1 + a dt
+        w1 = self._dx("x2") - self._dx("x1").scale(self._form(a)) \
+            - self._dx("t").scale(self._form(b))
+        w2 = self._dx("x3") - self._dx("x1").scale(self._form(b)) \
+            + self._dx("t").scale(self._form(a))
+        return PfaffianIdeal([w1, w2], simple_point(self.VS3))
+
+    def test_full_rank_at_perturbed_point_gives_zero(self, monkeypatch):
+        seen = []
+        exact_rank = numlin.exact_rank
+
+        def spy(rows):
+            seen.append(exact_rank(rows))
+            return seen[-1]
+
+        monkeypatch.setattr(numlin, "exact_rank", spy)
+        out = derived_system(self._ideal())
+        assert len(out) == 0
+        # rank 1 at p0, then full rank at the first perturbed point stops
+        # the evaluation there
+        assert seen == [1, 2]
+
+    def test_generic_rank_never_reached_raises(self, monkeypatch):
+        import tflkit.pfaffian as pfaffian
+        from fractions import Fraction
+
+        def on_degenerate_locus(p0, count=8, seed=1):
+            # u1 = x1 = 0: every sample point keeps rank 1 < 2
+            return [simple_point(self.VS3, t=Fraction(k, 3), x2=k,
+                                 x3=Fraction(-k, 2))
+                    for k in range(1, count + 1)]
+
+        monkeypatch.setattr(pfaffian, "perturbed_points",
+                            on_degenerate_locus)
+        with pytest.raises(RegularityViolation, match="not attained"):
+            derived_system(self._ideal())
+
+    def test_kernel_matrix_takes_float_path(self, monkeypatch):
+        def no_exact(rows):
+            raise AssertionError("kernel-bearing matrix ranked exactly")
+
+        ranked = []
+        rank = numlin.rank
+
+        def spy(a):
+            a = np.atleast_2d(np.asarray(a, dtype=float))
+            if a.shape[1] == 2:  # the two-generator conditions matrix
+                ranked.append(rank(a))
+            return rank(a)
+
+        monkeypatch.setattr(numlin, "exact_rank", no_exact)
+        monkeypatch.setattr(numlin, "rank", spy)
+        out = derived_system(self._ideal(a="1 - cos(u1)", b="sin(u1)*x1"))
+        assert len(out) == 0
+        # float ranks at the eight perturbed points only, never at p0,
+        # where every entry vanishes
+        assert ranked == [2] * 8

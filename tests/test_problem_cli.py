@@ -216,6 +216,23 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: x0 is not on N")
 
+    def test_input_in_drift(self, tmp_path):
+        bad = tmp_path / "fu.tfl"
+        bad.write_text(DOUBLE.read_text().replace("f = x2, 0",
+                                                  "f = x2 + u1, 0"))
+        code, _, err = self.run_cli("check", str(bad))
+        assert code == 1
+        assert err.startswith("error: state-space data may only involve "
+                              "state variables, got ['u1']")
+
+    def test_input_in_target(self, tmp_path):
+        bad = tmp_path / "nu.tfl"
+        bad.write_text(DOUBLE.read_text().replace("N = x2", "N = x2 + u1"))
+        code, _, err = self.run_cli("check", str(bad))
+        assert code == 1
+        assert err.startswith("error: state-space data may only involve "
+                              "state variables, got ['u1']")
+
     def test_zero_samples_override(self):
         code, _, err = self.run_cli("check", str(DOUBLE), "--samples", "0")
         assert code == 1
