@@ -158,13 +158,7 @@ def dual_rd_check(ls: LiftedSystem, flag, closures, h, kappa1: int) -> bool:
 
 def zero_dynamics_manifold(sys: ControlSystem, h, kappa):
     """Defining functions {L_f^j h^i : 0 <= j <= kappa_i - 1}."""
-    defs = []
-    for hi, ki in zip(h, kappa):
-        cur = hi
-        for _ in range(ki):
-            defs.append(cur)
-            cur = sys.lie_f(cur)
-    x0 = sys.x0_point()
+    defs = [e for hi, ki in zip(h, kappa) for e in sys.tower(hi, ki)]
     grads = np.array([sys.grad_at_x0(d) for d in defs])
     if numlin.rank(grads) != len(defs):
         raise IndependenceViolation(
@@ -203,16 +197,10 @@ def normal_form(sys: ControlSystem, h, kappa) -> NormalFormData:
     linearizing feedback data."""
     vars0 = sys.vars
     x0 = sys.x0_point()
-    xi = []
-    alpha = []
-    beta_sym = []
-    for hi, ki in zip(h, kappa):
-        tower = [hi]
-        for _ in range(ki - 1):
-            tower.append(sys.lie_f(tower[-1]))
-        xi.append(tower)
-        alpha.append(sys.lie_f(tower[-1]))
-        beta_sym.append([sys.lie_g(j, tower[-1]) for j in range(vars0.m)])
+    xi = [sys.tower(hi, ki) for hi, ki in zip(h, kappa)]
+    alpha = [sys.lie_f(tower[-1]) for tower in xi]
+    beta_sym = [[sys.lie_g(j, tower[-1]) for j in range(vars0.m)]
+                for tower in xi]
     rows = [sys.grad_at_x0(c) for tower in xi for c in tower]
     eta = []
     for i in range(vars0.n):
@@ -285,8 +273,9 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, radius=0.1,
         target_vanish = 1 + sum(rho_at(i) for i in range(k - 1, nn))
         F = adapt_to_L(F, ls, target_vanish, degree=ansatz_degree,
                        samples=samples, warnings=warnings)
-        new = [c for c in F.vanishing()
-               if c != t_expr and not any(c == te for te in _towers(sys, h, h_kappa, k - 1))]
+        towers = [e for hi, ki in zip(h, h_kappa)
+                  for e in sys.tower(hi, ki - k + 1)]
+        new = [c for c in F.vanishing() if c != t_expr and c not in towers]
         if len(new) != mu:
             raise CertificateMismatch(
                 f"expected {mu} new vanishing components at level {k}, "
@@ -339,12 +328,3 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, radius=0.1,
                      normal_form=nf, verified=verified, warnings=warnings,
                      **base_report)
 
-
-def _towers(sys, h, h_kappa, k):
-    out = []
-    for hi, ki in zip(h, h_kappa):
-        cur = hi
-        for _ in range(ki - k):
-            out.append(cur)
-            cur = sys.lie_f(cur)
-    return out

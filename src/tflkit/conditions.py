@@ -99,9 +99,8 @@ def _newton_project(sys: ControlSystem, defs, count, seed, radius,
     does not drive every function below 1e-12 within 50 steps is
     discarded, and at most `max_attempts` are made."""
     rng = random.Random(seed)
-    state_idx = list(sys.vars.state_indices())
     x0 = np.array([float(v) for v in sys.x0])
-    grads = [[phi.diff(i) for i in state_idx] for phi in defs]
+    grads = [sys.state_grad(phi) for phi in defs]
     out = []
     attempts = 0
     while len(out) < count and attempts < max_attempts:

@@ -25,8 +25,9 @@ from .forms import (KForm, coordinate_field, contract, d_of_function,
                     exterior_derivative, wedge)
 from .lift import ControlSystem, LiftedSystem
 from .pfaffian import (Membership, PfaffianIdeal, ideal_membership,
-                       reduce_against_rows, two_form_membership,
-                       _clear_denominators_row, _row_primitive)
+                       reduce_against_rows, rref_function_field,
+                       two_form_membership, _clear_denominators_row,
+                       _row_primitive)
 from . import numlin
 
 __all__ = [
@@ -424,6 +425,19 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
         found_rows.append(row)
         return True
 
+    def found_echelon():
+        rows = [[d_of_function(c).coefficient((i,))
+                 for i in range(vars0.total)] for c, _ in found]
+        return rref_function_field(rows, p0)
+
+    def residual(g, echelon):
+        """g reduced against the echelon rows, in primitive form."""
+        target_row = [g.coefficient((i,)) for i in range(vars0.total)]
+        rem = reduce_against_rows(target_row, *echelon)
+        rem = _row_primitive(_clear_denominators_row(rem))
+        return KForm(vars0, 1, {(i,): c for i, c in enumerate(rem)
+                                if not c.is_structural_zero()})
+
     # layer: generators that are already exact
     for g in ideal.generators:
         if len(found) == target:
@@ -440,26 +454,17 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
             F = poincare_potential(form)
             if F is not None:
                 try_add(F, "integrated")
-    # layer: integrating factors on the residual generators
+    # layer: integrating factors on the generators' residuals against the
+    # components found before this layer
     if len(found) < target:
-        rref_rows = [[d_of_function(c).coefficient((i,))
-                      for i in range(vars0.total)] for c, _ in found]
+        echelon = found_echelon() if found else None
         for g in ideal.generators:
             if len(found) == target:
                 break
-            if rref_rows:
-                from .pfaffian import rref_function_field
-                rows, pivots = rref_function_field(rref_rows, p0)
-                target_row = [g.coefficient((i,)) for i in range(vars0.total)]
-                rem = reduce_against_rows(target_row, rows, pivots)
-                rem = _row_primitive(_clear_denominators_row(rem))
-                residual = KForm(vars0, 1, {(i,): c for i, c in enumerate(rem)
-                                            if not c.is_structural_zero()})
-            else:
-                residual = g
-            if residual.is_structural_zero():
+            rest = residual(g, echelon) if echelon else g
+            if rest.is_structural_zero():
                 continue
-            candidate = _integrating_factor_candidate(residual)
+            candidate = _integrating_factor_candidate(rest)
             if candidate is None:
                 continue
             F = poincare_potential(candidate)
@@ -482,22 +487,10 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
             warnings.append(f"hint '{hint}' is rank-redundant; skipped")
 
     if len(found) < target:
-        from .pfaffian import rref_function_field
-        rref_rows = [[d_of_function(c).coefficient((i,))
-                      for i in range(vars0.total)] for c, _ in found]
-        residuals = []
-        if rref_rows:
-            rows, pivots = rref_function_field(rref_rows, p0)
-        else:
-            rows, pivots = [], []
-        for g in ideal.generators:
-            target_row = [g.coefficient((i,)) for i in range(vars0.total)]
-            rem = reduce_against_rows(target_row, rows, pivots)
-            rem = _row_primitive(_clear_denominators_row(rem))
-            form = KForm(vars0, 1, {(i,): c for i, c in enumerate(rem)
-                                    if not c.is_structural_zero()})
-            if not form.is_structural_zero():
-                residuals.append(repr(form))
+        echelon = found_echelon()
+        residuals = [repr(form) for form in
+                     (residual(g, echelon) for g in ideal.generators)
+                     if not form.is_structural_zero()]
         raise IntegrationFailed(
             f"integrated {len(found)} of {target} directions; residual "
             f"generators need hints: {residuals}", residual=residuals, k=k)
@@ -542,14 +535,11 @@ def _classify_and_order(comps, tags, ls: LiftedSystem, k, samples=None):
 # adaptation
 # ---------------------------------------------------------------------------
 
-def _component_monomials(comps, degree):
-    """Monomials of total degree <= degree in the given component
-    expressions, constants included; returned with their exponent tags."""
-    out = [((), None)]
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(len(comps)), d):
-            out.append((combo, None))
-    return [c for c, _ in out]
+def _component_monomials(count, degree):
+    """Exponent tuples of the monomials of total degree <= degree in
+    `count` components, the constant () first."""
+    return [combo for d in range(degree + 1)
+            for combo in combinations_with_replacement(range(count), d)]
 
 
 def _monomial_value(comps, combo, vars0):
@@ -570,7 +560,7 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
     restricting to L and solving for the rational nullspace.
     """
     vars0 = ls.vars
-    p0 = ls.base.x0_point()
+    p0 = ls.p0
     sys = ls.base
     ell = len(F.components)
     if target_vanish > ell:
@@ -587,8 +577,8 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
     if needed == 0:
         return current
     pool = current.non_vanishing()
-    monos = _component_monomials(pool, degree)
-    mono_exprs = [_monomial_value(pool, combo, vars0) for combo in monos]
+    mono_exprs = [_monomial_value(pool, combo, vars0)
+                  for combo in _component_monomials(len(pool), degree)]
     bindings, leftovers = sys.reduction()
     new_comps = []
     if not leftovers:
@@ -617,9 +607,9 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
         if len(new_comps) == needed:
             break
         comb = Expr.zero(vars0)
-        for c, combo in zip(vec, monos):
+        for c, mono in zip(vec, mono_exprs):
             if c:
-                comb = comb + _monomial_value(pool, combo, vars0) * c
+                comb = comb + mono * c
         if comb.is_structural_zero() or comb.as_rational() is not None:
             continue
         verdict = component_vanishes_on_L(sys, comb, samples)
@@ -711,10 +701,7 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
             raise AdaptationFailed(
                 f"output component with relative degree {ki} cannot be "
                 f"subordinate at level {k}", k=k)
-        entry = hi
-        for j in range(ki - k):
-            towers.append(entry)
-            entry = sys.lie_f(entry)
+        towers += sys.tower(hi, ki - k)
     span = _span_ideal(F.components, p0)
     for entry in towers:
         if ideal_membership(d_of_function(entry), span) != Membership.MEMBER:

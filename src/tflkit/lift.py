@@ -69,23 +69,26 @@ class ControlSystem:
                 raise NotStateOnly(
                     f"state-space data may only involve state variables, "
                     f"got {[vars.names[i] for i in bad]} in '{e}'")
-        self._x0_bindings = {
+        x0_bindings = {
             1 + m + i: Expr.rational(vars, v) if isinstance(v, Fraction)
             else Expr.rational(vars, Fraction(v).limit_denominator(10**9))
             for i, v in enumerate(self.x0)}
+        vals = [Fraction(0)] * (1 + m) + self.x0
+        for j, us in enumerate(self.u_star):
+            vals[1 + j] = us.substitute(x0_bindings).as_rational()
+        self._x0_point = Point(vars, vals)
         self._reduction = None
+        # memos for the lifetime of this system: state gradients by
+        # expression, Lie derivatives by (field, expression)
+        self._grads = {}
+        self._lie = {}
         self._validate()
 
     # -- geometry of N -------------------------------------------------------
 
     def x0_point(self):
         """x0 extended to a full point of M: t = 0, u = u*(x0)."""
-        vals = [Fraction(0)] * self.vars.total
-        for i, v in enumerate(self.x0):
-            vals[1 + self.vars.m + i] = v
-        for j, us in enumerate(self.u_star):
-            vals[1 + j] = us.substitute(self._x0_bindings).as_rational()
-        return Point(self.vars, vals)
+        return self._x0_point
 
     @property
     def n_star(self):
@@ -105,8 +108,7 @@ class ControlSystem:
             for i in sorted(phi.free_variables()):
                 if i in bindings or i not in self.vars.state_indices():
                     continue
-                dphi = phi.diff(i)
-                c = dphi.as_rational()
+                c = self.state_grad(phi)[i - 1 - self.vars.m].as_rational()
                 if c is None or c == 0:
                     continue
                 rest = phi - Expr.var_index(self.vars, i) * c
@@ -157,29 +159,43 @@ class ControlSystem:
 
     # -- Lie derivatives on the plant ----------------------------------------
 
-    def lie_f(self, h: Expr) -> Expr:
-        out = Expr.zero(self.vars)
-        for i, fi in enumerate(self.f):
-            idx = 1 + self.vars.m + i
-            dh = h.diff(idx)
-            if not dh.is_structural_zero():
-                out = out + fi * dh
+    def state_grad(self, h: Expr):
+        """[dh/dx_1, ..., dh/dx_n], taken once per distinct expression."""
+        grad = self._grads.get(h)
+        if grad is None:
+            grad = self._grads[h] = [h.diff(i)
+                                     for i in self.vars.state_indices()]
+        return grad
+
+    def _lie_derivative(self, j, h: Expr) -> Expr:
+        """L_X h for X = f (j is None) or g_j, computed once per (j, h)."""
+        out = self._lie.get((j, h))
+        if out is None:
+            field = self.f if j is None else self.g[j]
+            out = Expr.zero(self.vars)
+            for xi, dh in zip(field, self.state_grad(h)):
+                if not dh.is_structural_zero():
+                    out = out + xi * dh
+            self._lie[(j, h)] = out
         return out
 
+    def lie_f(self, h: Expr) -> Expr:
+        return self._lie_derivative(None, h)
+
     def lie_g(self, j: int, h: Expr) -> Expr:
-        out = Expr.zero(self.vars)
-        for i, gi in enumerate(self.g[j]):
-            idx = 1 + self.vars.m + i
-            dh = h.diff(idx)
-            if not dh.is_structural_zero():
-                out = out + gi * dh
+        return self._lie_derivative(j, h)
+
+    def tower(self, h: Expr, length: int):
+        """[h, L_f h, ..., L_f^(length-1) h]; empty when length <= 0."""
+        out = [h][:length]
+        while len(out) < length:
+            out.append(self.lie_f(out[-1]))
         return out
 
     def grad_at_x0(self, h: Expr):
         """Row of state-partials of h at x0."""
-        p = self.x0_point()
-        return np.array([float(h.diff(i).eval(p))
-                         for i in self.vars.state_indices()])
+        return np.array([float(d.eval(self._x0_point))
+                         for d in self.state_grad(h)])
 
     # -- validation ----------------------------------------------------------
 

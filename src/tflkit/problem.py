@@ -156,7 +156,7 @@ def loads_problem(text: str) -> ProblemFile:
     for p in parts:
         try:
             x0.append(Fraction(p))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ProblemFormatError(
                 f"[target] x0 entries must be rationals, got '{p}'",
                 x0_line) from None
@@ -280,12 +280,16 @@ def _run(problem: ProblemFile, conditions_only: bool, overrides=None):
     if options["samples"] < 1:
         raise ProblemFormatError(
             f"option 'samples' must be at least 1, got {options['samples']}")
+    for key in ("ansatz_degree", "combo_degree"):
+        if options[key] < 0:
+            raise ProblemFormatError(
+                f"option '{key}' must be at least 0, got {options[key]}")
     mode = "check" if conditions_only else "solve"
     try:
         report = run_tfl(problem.to_control_system(), hints=problem.hints,
                          n_samples=options["samples"], seed=options["seed"],
                          ansatz_degree=options["ansatz_degree"],
-                         combo_degree=options.get("combo_degree", 1),
+                         combo_degree=options["combo_degree"],
                          conditions_only=conditions_only)
     except IntegrationFailed as exc:
         return None, report_to_tree(None, mode, options, EXIT_INTEGRATION,

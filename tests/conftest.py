@@ -1,6 +1,7 @@
 """Shared fixtures: the worked seven-state system, small textbook plants,
 and seeded random generators for the property suites."""
 
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,13 @@ from tflkit.problem import cmd_solve, load_problem
 
 SEC5_FILE = Path(__file__).resolve().parent.parent / "problems" \
     / "paper-sec5.tfl"
+
+# pytest puts src/ on sys.path (pyproject `pythonpath`); the subprocesses
+# that run `python -m tflkit` need it on PYTHONPATH as well
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+              if p and p != _SRC])
 
 
 def make_sec5_system():

@@ -176,6 +176,41 @@ class TestRunTfl:
             assert len(seen) == distinct, name
             assert len({id(ideal) for ideal in seen}) == distinct, name
 
+    def test_state_gradients_and_lie_derivatives_built_once(self,
+                                                          monkeypatch):
+        """A solve takes each state partial of each distinct expression
+        once and L_f of each distinct input once, however many harvest
+        levels, certificates and charts read the towers."""
+        import sys as _sys
+        from collections import Counter, defaultdict
+        tower_modules = {"tflkit.lift", "tflkit.conditions",
+                         "tflkit.algorithm"}
+        partials = Counter()
+        lie_f_results = defaultdict(list)
+        original_diff = Expr.diff
+        original_lie_f = ControlSystem.lie_f
+
+        def diff(self, i):
+            caller = _sys._getframe(1).f_globals.get("__name__")
+            if caller in tower_modules:
+                partials[(self, i)] += 1
+            return original_diff(self, i)
+
+        def lie_f(self, h):
+            out = original_lie_f(self, h)
+            lie_f_results[h].append(out)
+            return out
+
+        monkeypatch.setattr(Expr, "diff", diff)
+        monkeypatch.setattr(ControlSystem, "lie_f", lie_f)
+        rep = run_tfl(make_chain3())  # fresh system: the memo is per instance
+        assert rep.success
+        assert partials and max(partials.values()) == 1
+        calls = sum(len(outs) for outs in lie_f_results.values())
+        assert calls > len(lie_f_results)  # the towers are read repeatedly
+        for h, outs in lie_f_results.items():
+            assert len({id(out) for out in outs}) == 1, h
+
     def test_failing_conditions_short_circuit(self):
         vs = VariableSpace.canonical(4, 2)
         Ep = lambda s: parse_expr(s, vs)

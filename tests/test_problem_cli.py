@@ -245,6 +245,30 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: option 'samples' must be at least 1")
 
+    def test_x0_division_by_zero(self, tmp_path):
+        bad = tmp_path / "x0zero.tfl"
+        bad.write_text(DOUBLE.read_text().replace("x0 = 1, 0", "x0 = 1/0, 0"))
+        code, _, err = self.run_cli("check", str(bad))
+        assert code == 1
+        assert err.startswith("error: [target] x0 entries must be "
+                              "rationals, got '1/0' (line 10)")
+
+    def test_negative_ansatz_degree_override(self):
+        code, _, err = self.run_cli("solve", str(DOUBLE), "--ansatz-degree",
+                                    "-1")
+        assert code == 1
+        assert err.startswith(
+            "error: option 'ansatz_degree' must be at least 0, got -1")
+
+    @pytest.mark.parametrize("key", ["ansatz_degree", "combo_degree"])
+    def test_negative_degree_option(self, tmp_path, key):
+        bad = tmp_path / "negdegree.tfl"
+        bad.write_text(DOUBLE.read_text() + f"\n[options]\n{key} = -2\n")
+        code, _, err = self.run_cli("solve", str(bad))
+        assert code == 1
+        assert err.startswith(f"error: option '{key}' must be at least 0, "
+                              "got -2")
+
     def test_json_file_written_and_deterministic(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
