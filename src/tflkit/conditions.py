@@ -196,8 +196,6 @@ def check_con(ls: LiftedSystem, flag: Flag, closures=None) -> bool:
     terminal = closures[nn] if closures is not None else flag.closure(nn)
     ann = ann_tangent_L(ls, ls.p0)
     span = _span_with_dt(terminal, ls.p0)
-    if numlin.intersection_dim(ann, span) != 1:
-        return False
     basis = numlin.intersection_basis(ann, span)
     if basis.shape[0] != 1:
         return False

@@ -12,7 +12,9 @@ threads; there is no global mutable state.
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -40,8 +42,6 @@ FALSIFIER_TOL = 1e-9
 FALSIFIER_SEED = 0
 _FALSIFIER_DEN = 8
 _FALSIFIER_BOX = 3
-
-_GCD_TERM_CAP = 4000  # skip fraction reduction when polynomials get this big
 
 
 class Zeroness:
@@ -296,31 +296,76 @@ def _mono_divides(m1, m2):
     return tuple(out)
 
 
-def _p_divexact(A, B):
-    """Exact polynomial division A / B, or None when not divisible."""
+def _grlex_key(m):
+    """Sort key under which the grlex-greatest monomial is the smallest."""
+    deg = 0
+    pairs = []
+    for a, e in m:
+        deg += e
+        pairs.append((a, -e))
+    return (-deg, pairs)
+
+
+def _divexact(A, B, quo):
+    """Exact division A / B, or None when B does not divide A.
+
+    `quo(a, b)` divides coefficients and returns None when that is not
+    exact.  The leading terms of the remainder come off a heap of grlex
+    keys, so each step costs a logarithm instead of a scan of the whole
+    remainder; monomials that cancelled are skipped when popped.
+    """
     if not A:
         return {}
     if not B:
         return None
     lb = _p_leading(B)
     cb = B[lb]
+    tail = [(m, c) for m, c in B.items() if m != lb]
     R = dict(A)
+    heap = [(_grlex_key(m), m) for m in R]
+    heapq.heapify(heap)
     Q = {}
-    while R:
-        lr = _p_leading(R)
+    while heap:
+        lr = heapq.heappop(heap)[1]
+        cr = R.pop(lr, None)
+        if cr is None:
+            continue
         q = _mono_divides(lb, lr)
         if q is None:
             return None
-        c = R[lr] / cb
-        Q[q] = Q.get(q, Fraction(0)) + c
-        for m, co in B.items():
+        c = quo(cr, cb)
+        if c is None:
+            return None
+        Q[q] = c
+        for m, co in tail:
             mm = _mono_mul(m, q)
-            s = R.get(mm, Fraction(0)) - co * c
-            if s:
-                R[mm] = s
+            s = R.get(mm)
+            if s is None:
+                R[mm] = -co * c
+                heapq.heappush(heap, (_grlex_key(mm), mm))
             else:
-                R.pop(mm, None)
-    return {m: c for m, c in Q.items() if c}
+                s -= co * c
+                if s:
+                    R[mm] = s
+                else:
+                    del R[mm]
+    return Q
+
+
+def _int_quo(a, b):
+    q, r = divmod(a, b)
+    return None if r else q
+
+
+def _p_divexact(A, B):
+    """Exact polynomial division A / B over Q, or None when not divisible."""
+    return _divexact(A, B, operator.truediv)
+
+
+def _ip_divexact(A, B):
+    """Exact division over Z: also None when a quotient coefficient would
+    not be an integer."""
+    return _divexact(A, B, _int_quo)
 
 
 def _p_atoms(A):
@@ -399,70 +444,120 @@ def _ip_mul(A, B):
     return out
 
 
-def _ip_divexact(A, B):
-    if not A:
-        return {}
-    lb = _p_leading(B)
-    cb = B[lb]
-    R = dict(A)
-    Q = {}
-    while R:
-        lr = _p_leading(R)
-        q = _mono_divides(lb, lr)
-        if q is None:
-            return None
-        c, rem = divmod(R[lr], cb)
-        if rem:
-            return None
-        Q[q] = Q.get(q, 0) + c
-        for m, co in B.items():
-            mm = _mono_mul(m, q)
-            s = R.get(mm, 0) - co * c
-            if s:
-                R[mm] = s
-            else:
-                R.pop(mm, None)
-    return {m: c for m, c in Q.items() if c}
+def _ip_gcd(A, B):
+    """gcd(A, B) in Z[atoms] with a positive grlex leading coefficient.
+
+    Heuristic GCD decides it.  The primitive PRS runs only when the
+    heuristic fails at every evaluation point, and its caps can then leave
+    a proper divisor of the gcd."""
+    g = A or B
+    if A and B:
+        g = _heu_gcd(A, B)
+        if g is None:
+            g = _prs_gcd(A, B)
+    if g and g[_p_leading(g)] < 0:
+        return {m: -c for m, c in g.items()}
+    return dict(g)
+
+
+_HEU_GCD_TRIES = 6  # evaluation points before falling back to the PRS
+
+
+def _heu_gcd(A, B):
+    """Heuristic GCD (Char, Geddes & Gonnet 1989) of nonzero A and B, up to
+    sign, or None when every evaluation point fails.
+
+    The largest atom is set to an integer xi, the gcd of the two images is
+    taken recursively, and its coefficients are read as digits in symmetric
+    base xi.  With xi >= 2 min(|A|, |B|) + 2 (max norms, common content
+    removed) the primitive part of that reading is the gcd exactly when it
+    divides both inputs, which is checked."""
+    if (() in A and len(A) == 1) or (() in B and len(B) == 1):
+        return {(): math.gcd(_int_content(A), _int_content(B))}
+    cont = math.gcd(_int_content(A), _int_content(B))
+    if cont > 1:
+        A = {m: c // cont for m, c in A.items()}
+        B = {m: c // cont for m, c in B.items()}
+    atom = max(m[-1][0] for P in (A, B) for m in P if m)
+    xi = 2 * min(max(map(abs, A.values())), max(map(abs, B.values()))) + 2
+    for _ in range(_HEU_GCD_TRIES):
+        a = _ip_evaluate(A, atom, xi)
+        b = _ip_evaluate(B, atom, xi)
+        h = _heu_gcd(a, b) if a and b else None
+        if h is not None:
+            h = _int_primitive(_ip_interpolate(h, atom, xi))
+            if (_ip_divexact(A, h) is not None
+                    and _ip_divexact(B, h) is not None):
+                return {m: c * cont for m, c in h.items()}
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _ip_evaluate(A, atom, xi):
+    """A with `atom` set to xi; `atom` is the largest atom, so it comes last
+    in every monomial that has it."""
+    out = {}
+    pows = {}
+    for m, c in A.items():
+        if m and m[-1][0] == atom:
+            e = m[-1][1]
+            p = pows.get(e)
+            if p is None:
+                p = pows[e] = xi ** e
+            c *= p
+            m = m[:-1]
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ip_interpolate(h, atom, xi):
+    """Read each coefficient of h in symmetric base xi; digit i becomes the
+    coefficient of atom^i (atom exceeds every atom of h)."""
+    out = {}
+    half = xi // 2
+    for m, c in h.items():
+        i = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m + ((atom, i),) if i else m] = d
+            c = (c - d) // xi
+            i += 1
+    return out
 
 
 _GCD_PRS_CAP = 240  # above this many combined terms, settle for the content
 
 
-def _ip_gcd(A, B, depth=0):
-    """Primitive PRS gcd of integer-coefficient polynomials; falls back to
-    the integer content for large inputs (a smaller-than-true gcd keeps all
-    callers correct, they just reduce less)."""
-    if not A:
-        return _int_primitive(B)
-    if not B:
-        return _int_primitive(A)
-    if (() in A and len(A) == 1) or (() in B and len(B) == 1):
-        return {(): math.gcd(_int_content(A), _int_content(B))}
+def _prs_gcd(A, B):
+    """Primitive PRS gcd of nonconstant A and B, the heuristic's fallback.
+    It settles for the integer content, a divisor of the gcd, above
+    _GCD_PRS_CAP combined terms or when _iuni_prem gives up."""
+    cont = {(): math.gcd(_int_content(A), _int_content(B))}
     if len(A) + len(B) > _GCD_PRS_CAP:
-        return {(): math.gcd(_int_content(A), _int_content(B))}
-    atoms = _p_atoms(A) | _p_atoms(B)
-    if not atoms:
-        return {(): math.gcd(_int_content(A), _int_content(B))}
-    atom = max(atoms)
+        return cont
+    atom = max(_p_atoms(A) | _p_atoms(B))
     ua = _as_univariate(A, atom)
     ub = _as_univariate(B, atom)
     ca = {}
     for p in ua.values():
-        ca = _ip_gcd(ca, p, depth + 1)
+        ca = _ip_gcd(ca, p)
         if ca == {(): 1}:
             break
     cb = {}
     for p in ub.values():
-        cb = _ip_gcd(cb, p, depth + 1)
+        cb = _ip_gcd(cb, p)
         if cb == {(): 1}:
             break
-    cont = _ip_gcd(ca, cb, depth + 1)
     pa = {d: _ip_divexact(p, ca) for d, p in ua.items()}
     pb = {d: _ip_divexact(p, cb) for d, p in ub.items()}
     g = _iuni_gcd(pa, pb)
     if g is None:
-        return {(): 1}
-    return _int_primitive(_ip_mul(cont, _from_univariate(g, atom)))
+        return cont
+    g = _ip_mul(_ip_gcd(ca, cb), _from_univariate(g, atom))
+    return _ip_mul(cont, _int_primitive(g))
 
 
 def _uni_deg(U):
@@ -500,7 +595,7 @@ def _iuni_gcd(A, B):
 def _iuni_prem(A, B):
     da, db = _uni_deg(A), _uni_deg(B)
     if da - db + 1 > 40:
-        return None  # give up; caller treats gcd as 1
+        return None  # give up; the caller settles for the content
     lb = B[db]
     R = dict(A)
     while R and _uni_deg(R) >= db:
@@ -529,20 +624,16 @@ def _iuni_prem(A, B):
 
 
 def _p_gcd(A, B):
-    """GCD over Q[atoms] up to a rational unit, returned with integer
-    primitive coefficients.  Bails out to 1 on large inputs (reduction is
-    then simply skipped by the caller, which stays correct)."""
+    """GCD over Q[atoms] up to a rational unit: integer primitive
+    coefficients with a positive grlex leading coefficient (monic when one
+    input is zero).  It divides both inputs."""
     if not A and not B:
         return {}
     if not A:
         return _p_monic(B)
     if not B:
         return _p_monic(A)
-    if (() in A and len(A) == 1) or (() in B and len(B) == 1):
-        return _p_const(1)
-    if len(A) + len(B) > _GCD_TERM_CAP:
-        return _p_const(1)
-    g = _ip_gcd(_to_int_poly(A), _to_int_poly(B))
+    g = _int_primitive(_ip_gcd(_to_int_poly(A), _to_int_poly(B)))
     return {m: Fraction(c) for m, c in g.items()}
 
 
@@ -593,15 +684,13 @@ class Expr:
             den = {m: c / lc for m, c in den.items()}
         if den != _p_const(1):
             g = _p_gcd(num, den)
-            if g and g != _p_const(1):
-                qn = _p_divexact(num, g)
-                qd = _p_divexact(den, g)
-                if qn is not None and qd is not None:
-                    num, den = qn, qd
-                    lc = den[_p_leading(den)]
-                    if lc != 1:
-                        num = {m: c / lc for m, c in num.items()}
-                        den = {m: c / lc for m, c in den.items()}
+            if g != _p_const(1):
+                num = _p_divexact(num, g)
+                den = _p_divexact(den, g)
+                lc = den[_p_leading(den)]
+                if lc != 1:
+                    num = {m: c / lc for m, c in num.items()}
+                    den = {m: c / lc for m, c in den.items()}
         used = _p_atoms(num) | _p_atoms(den)
         kernels = {a: e for a, e in kernels.items() if a in used}
         return Expr(vars, num, den, kernels, _internal=True)
@@ -953,7 +1042,7 @@ class Expr:
         return f"Expr({self})"
 
     def _poly_str(self, poly):
-        monos = sorted(poly, key=_cmp_key_grlex, reverse=True)
+        monos = sorted(poly, key=_grlex_key)
         parts = []
         for m in monos:
             c = poly[m]
@@ -982,23 +1071,6 @@ class Expr:
         if atom[0] == 0:
             return self.vars.names[atom[1]]
         return f"{atom[1]}({self.kernels[atom]})"
-
-
-class _GrlexKey:
-    __slots__ = ("m",)
-
-    def __init__(self, m):
-        self.m = m
-
-    def __lt__(self, other):
-        return _grlex_greater(other.m, self.m)
-
-    def __eq__(self, other):
-        return self.m == other.m
-
-
-def _cmp_key_grlex(m):
-    return _GrlexKey(m)
 
 
 # ---------------------------------------------------------------------------

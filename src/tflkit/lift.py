@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (InvarianceViolation, NotOnN, NotStateOnly,
                      PointNotOnL, RankDeficientN, RegularityViolation)
 from .expr import Expr, Point, VariableSpace, Zeroness
-from .forms import (VectorField, coordinate_field, coordinate_form,
-                    contract, d_of_function, lie_bracket)
+from .forms import (KForm, VectorField, coordinate_field, coordinate_form,
+                    contract, lie_bracket)
 from .pfaffian import PfaffianIdeal, rref_function_field
 from . import numlin
 
@@ -262,6 +262,12 @@ class LiftedSystem:
         self.I0 = PfaffianIdeal(omegas, self.p0, "system")
         self.U_module = [coordinate_field(vars0, 1 + j) for j in range(m)]
         self.L_defs = [Expr.var_index(vars0, 0)] + list(base.N_defs)
+        # d(phi) for each phi in L_defs: dt, then the state gradients of N's
+        # defining functions (state functions, checked by ControlSystem)
+        self.L_diffs = [dt] + [
+            KForm(vars0, 1, {(i,): d for i, d in zip(vars0.state_indices(),
+                                                      base.state_grad(phi))})
+            for phi in base.N_defs]
 
     def on_L(self, p: Point, tol=_VANISH_TOL):
         return all(abs(float(phi.eval(p))) <= tol for phi in self.L_defs)
@@ -276,7 +282,7 @@ def ann_tangent_L(ls: LiftedSystem, p: Point):
     the lifted manifold, evaluated at p."""
     if not ls.on_L(p):
         raise PointNotOnL("point does not satisfy the defining functions of L")
-    rows = np.array([d_of_function(phi).at(p) for phi in ls.L_defs])
+    rows = np.array([w.at(p) for w in ls.L_diffs])
     if numlin.rank(rows) != len(ls.L_defs):
         raise RankDeficientN("Ann(T_pL) rows drop rank at the point")
     return rows

@@ -116,11 +116,7 @@ def _clear_denominators_row(row):
     for c in row:
         if c.den == {(): Fraction(1)}:
             continue
-        g = _p_gcd(lcm, c.den)
-        q = _p_divexact(c.den, g)
-        if q is None:
-            q = c.den
-        lcm = _p_mul(lcm, q)
+        lcm = _p_mul(lcm, _p_divexact(c.den, _p_gcd(lcm, c.den)))
         kernels.update(c.kernels)
     if lcm == _p_const(1):
         return list(row)
@@ -146,10 +142,8 @@ def _row_primitive(row):
         if c.is_structural_zero():
             out.append(c)
             continue
-        q = _p_divexact(c.num, g)
-        if q is None:
-            return row  # shared factor was estimated too optimistically
-        out.append(Expr._make(c.vars, q, c.den, c.kernels))
+        out.append(Expr._make(c.vars, _p_divexact(c.num, g), c.den,
+                              c.kernels))
     return out
 
 

@@ -122,6 +122,17 @@ class TestCon:
         closures = compute_closures(ls, flag, 2)
         assert check_con(ls, flag, closures) is False
 
+    def test_decided_from_one_intersection(self, sec5_lifted, sec5_flag,
+                                           sec5_closures, monkeypatch):
+        calls = []
+        basis = numlin.intersection_basis
+        monkeypatch.setattr(numlin, "intersection_dim",
+                            lambda *a: calls.append("dim"))
+        monkeypatch.setattr(numlin, "intersection_basis",
+                            lambda *a: calls.append("basis") or basis(*a))
+        assert check_con(sec5_lifted, sec5_flag, sec5_closures) is True
+        assert calls == ["basis"]
+
 
 class TestDim:
     def test_worked_holds(self, sec5_lifted, sec5_flag, sec5):

@@ -9,7 +9,7 @@ import pytest
 import tflkit.numlin as numlin
 from tflkit.errors import InvarianceViolation, PointNotOnL, RankDeficientN
 from tflkit.expr import Expr, Point, VariableSpace, parse_expr
-from tflkit.forms import contract, coordinate_form
+from tflkit.forms import contract, coordinate_form, d_of_function
 from tflkit.lift import (ControlSystem, ann_tangent_L, g_module,
                          involutive_closure, lift_system, s_module,
                          reduce_fields)
@@ -102,6 +102,20 @@ class TestAnnTangentL:
         expect[0, 0] = 1.0   # dt
         expect[1, 3] = 1.0   # dx2
         assert np.allclose(rows, expect)
+
+    def test_differentials_built_once(self, sec5_lifted, monkeypatch):
+        # the rows are d(phi) at each point, and no point takes a derivative
+        ls = sec5_lifted
+        points = [ls.p0, ls.p0.replace(x1=1, x2=2, x3=5, u1=3)]
+        want = [np.array([d_of_function(phi).at(p) for phi in ls.L_defs])
+                for p in points]
+        taken = []
+        diff = Expr.diff
+        monkeypatch.setattr(
+            Expr, "diff", lambda self, v: taken.append(v) or diff(self, v))
+        for p, w in zip(points, want):
+            assert np.array_equal(ann_tangent_L(ls, p), w)
+        assert taken == []
 
     def test_point_off_l(self, sec5_lifted):
         p = sec5_lifted.p0.replace(x4=1)
