@@ -191,18 +191,14 @@ def _index_profile(dims, nn):
 
 
 def check_con(ls: LiftedSystem, flag: Flag, closures=None) -> bool:
-    """Terminal intersection is the dt line only."""
+    """Terminal intersection is the dt line only.  Both sides hold the dt
+    row itself (Ann(T_pL) as the differential of t, the span as its added
+    row), so the intersection always contains the dt line, and (Con) is
+    its dimension being 1: the same SVD rank decision as (Dim) and the
+    index profile."""
     nn = ls.vars.n - ls.base.n_star
     terminal = closures[nn] if closures is not None else flag.closure(nn)
-    ann = ann_tangent_L(ls, ls.p0)
-    span = _span_with_dt(terminal, ls.p0)
-    basis = numlin.intersection_basis(ann, span)
-    if basis.shape[0] != 1:
-        return False
-    direction = numlin.row_reduce(basis)[0]
-    off_dt = np.abs(direction).copy()
-    off_dt[0] = 0.0
-    return bool(np.max(off_dt) <= numlin.RANK_TOL * max(1.0, np.abs(direction[0])))
+    return intersection_dimension(ls, terminal, ls.p0) == 1
 
 
 def check_dim(ls: LiftedSystem, flag: Flag, samples) -> bool:

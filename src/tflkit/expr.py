@@ -376,35 +376,6 @@ def _p_atoms(A):
     return out
 
 
-def _as_univariate(A, atom):
-    """View A as a polynomial in `atom` with polynomial coefficients."""
-    out = {}
-    for m, c in A.items():
-        deg = 0
-        rest = []
-        for a, e in m:
-            if a == atom:
-                deg = e
-            else:
-                rest.append((a, e))
-        coeff = out.setdefault(deg, {})
-        rest = tuple(rest)
-        coeff[rest] = coeff.get(rest, 0) + c
-    return {d: {m: c for m, c in p.items() if c} for d, p in out.items() if p}
-
-
-def _from_univariate(U, atom):
-    out = {}
-    for d, p in U.items():
-        for m, c in p.items():
-            if d:
-                mm = _mono_mul(m, ((atom, d),))
-            else:
-                mm = m
-            out[mm] = out.get(mm, 0) + c
-    return {m: c for m, c in out.items() if c}
-
-
 # GCD internals run on integer-coefficient dicts for speed; Fractions only
 # at the boundary.
 
@@ -431,47 +402,35 @@ def _int_primitive(A):
     return dict(A)
 
 
-def _ip_mul(A, B):
-    out = {}
-    for ma, ca in A.items():
-        for mb, cb in B.items():
-            m = _mono_mul(ma, mb)
-            s = out.get(m, 0) + ca * cb
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
 def _ip_gcd(A, B):
     """gcd(A, B) in Z[atoms] with a positive grlex leading coefficient.
 
-    Heuristic GCD decides it.  The primitive PRS runs only when the
-    heuristic fails at every evaluation point, and its caps can then leave
-    a proper divisor of the gcd."""
+    Heuristic GCD decides it.  When the heuristic gives up, the common
+    integer content stands in: a divisor of the gcd, not the gcd."""
     g = A or B
     if A and B:
         g = _heu_gcd(A, B)
         if g is None:
-            g = _prs_gcd(A, B)
+            g = {(): math.gcd(_int_content(A), _int_content(B))}
     if g and g[_p_leading(g)] < 0:
         return {m: -c for m, c in g.items()}
     return dict(g)
 
 
-_HEU_GCD_TRIES = 6  # evaluation points before falling back to the PRS
+_HEU_GCD_TRIES = 6  # evaluation points per atom before giving up
 
 
 def _heu_gcd(A, B):
     """Heuristic GCD (Char, Geddes & Gonnet 1989) of nonzero A and B, up to
-    sign, or None when every evaluation point fails.
+    sign, or None when it gives up.
 
     The largest atom is set to an integer xi, the gcd of the two images is
     taken recursively, and its coefficients are read as digits in symmetric
     base xi.  With xi >= 2 min(|A|, |B|) + 2 (max norms, common content
     removed) the primitive part of that reading is the gcd exactly when it
-    divides both inputs, which is checked."""
+    divides both inputs, which is checked.  A failed point moves on to a
+    larger xi, at most _HEU_GCD_TRIES points in all; a failed image gcd
+    gives up at once, so no level retries for the levels below it."""
     if (() in A and len(A) == 1) or (() in B and len(B) == 1):
         return {(): math.gcd(_int_content(A), _int_content(B))}
     cont = math.gcd(_int_content(A), _int_content(B))
@@ -483,8 +442,10 @@ def _heu_gcd(A, B):
     for _ in range(_HEU_GCD_TRIES):
         a = _ip_evaluate(A, atom, xi)
         b = _ip_evaluate(B, atom, xi)
-        h = _heu_gcd(a, b) if a and b else None
-        if h is not None:
+        if a and b:
+            h = _heu_gcd(a, b)
+            if h is None:
+                return None
             h = _int_primitive(_ip_interpolate(h, atom, xi))
             if (_ip_divexact(A, h) is not None
                     and _ip_divexact(B, h) is not None):
@@ -528,105 +489,11 @@ def _ip_interpolate(h, atom, xi):
     return out
 
 
-_GCD_PRS_CAP = 240  # above this many combined terms, settle for the content
-
-
-def _prs_gcd(A, B):
-    """Primitive PRS gcd of nonconstant A and B, the heuristic's fallback.
-    It settles for the integer content, a divisor of the gcd, above
-    _GCD_PRS_CAP combined terms or when _iuni_prem gives up."""
-    cont = {(): math.gcd(_int_content(A), _int_content(B))}
-    if len(A) + len(B) > _GCD_PRS_CAP:
-        return cont
-    atom = max(_p_atoms(A) | _p_atoms(B))
-    ua = _as_univariate(A, atom)
-    ub = _as_univariate(B, atom)
-    ca = {}
-    for p in ua.values():
-        ca = _ip_gcd(ca, p)
-        if ca == {(): 1}:
-            break
-    cb = {}
-    for p in ub.values():
-        cb = _ip_gcd(cb, p)
-        if cb == {(): 1}:
-            break
-    pa = {d: _ip_divexact(p, ca) for d, p in ua.items()}
-    pb = {d: _ip_divexact(p, cb) for d, p in ub.items()}
-    g = _iuni_gcd(pa, pb)
-    if g is None:
-        return cont
-    g = _ip_mul(_ip_gcd(ca, cb), _from_univariate(g, atom))
-    return _ip_mul(cont, _int_primitive(g))
-
-
-def _uni_deg(U):
-    return max(U) if U else -1
-
-
-def _iuni_gcd(A, B):
-    while B:
-        if _uni_deg(A) < _uni_deg(B):
-            A, B = B, A
-            continue
-        R = _iuni_prem(A, B)
-        if R is None:
-            return None
-        if R:
-            cont = {}
-            for p in R.values():
-                cont = _ip_gcd(cont, p)
-                if cont == {(): 1}:
-                    break
-            if cont and cont != {(): 1}:
-                R = {d: _ip_divexact(p, cont) for d, p in R.items()}
-        A, B = B, R
-    if A:
-        cont = {}
-        for p in A.values():
-            cont = _ip_gcd(cont, p)
-            if cont == {(): 1}:
-                break
-        if cont and cont != {(): 1}:
-            A = {d: _ip_divexact(p, cont) for d, p in A.items()}
-    return A
-
-
-def _iuni_prem(A, B):
-    da, db = _uni_deg(A), _uni_deg(B)
-    if da - db + 1 > 40:
-        return None  # give up; the caller settles for the content
-    lb = B[db]
-    R = dict(A)
-    while R and _uni_deg(R) >= db:
-        if sum(len(p) for p in R.values()) > 600:
-            return None  # intermediate swell; give up
-        dr = _uni_deg(R)
-        lr = R[dr]
-        R = {d: _ip_mul(p, lb) for d, p in R.items()}
-        for d, p in B.items():
-            dd = d + dr - db
-            cur = R.get(dd, {})
-            neg = _ip_mul(p, lr)
-            out = dict(cur)
-            for m, c in neg.items():
-                s = out.get(m, 0) - c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-            if out:
-                R[dd] = out
-            else:
-                R.pop(dd, None)
-        R = {d: p for d, p in R.items() if p}
-    return R
-
-
 def _p_gcd(A, B):
     """GCD over Q[atoms] up to a rational unit: integer primitive
     coefficients with a positive grlex leading coefficient (monic when one
-    input is zero).  It divides both inputs."""
+    input is zero).  It divides both inputs; it is 1 when the heuristic
+    gives up (see _ip_gcd)."""
     if not A and not B:
         return {}
     if not A:

@@ -6,9 +6,9 @@ import pytest
 import tflkit.numlin as numlin
 from tflkit.errors import PointNotOnL
 from tflkit.expr import Expr, VariableSpace, parse_expr
-from tflkit.lift import ControlSystem, lift_system
+from tflkit.lift import ControlSystem, ann_tangent_L, lift_system
 from tflkit.pfaffian import augment_with_dt, derived_flag
-from tflkit.conditions import (check_con, check_dim, check_inv,
+from tflkit.conditions import (_span_with_dt, check_con, check_dim, check_inv,
                                compute_closures, evaluate_conditions,
                                intersection_dimension, rho_indices,
                                sample_on_N)
@@ -125,13 +125,23 @@ class TestCon:
     def test_decided_from_one_intersection(self, sec5_lifted, sec5_flag,
                                            sec5_closures, monkeypatch):
         calls = []
-        basis = numlin.intersection_basis
+        dim = numlin.intersection_dim
         monkeypatch.setattr(numlin, "intersection_dim",
-                            lambda *a: calls.append("dim"))
+                            lambda *a: calls.append("dim") or dim(*a))
         monkeypatch.setattr(numlin, "intersection_basis",
-                            lambda *a: calls.append("basis") or basis(*a))
+                            lambda *a: calls.append("basis"))
         assert check_con(sec5_lifted, sec5_flag, sec5_closures) is True
-        assert calls == ["basis"]
+        assert calls == ["dim"]
+
+    def test_dt_row_on_both_sides(self, sec5_lifted, sec5_closures):
+        # the intersection always holds the dt line, so dimension 1 means
+        # the dt line only
+        ls = sec5_lifted
+        dt = np.zeros(ls.vars.total)
+        dt[0] = 1.0
+        assert np.array_equal(ann_tangent_L(ls, ls.p0)[0], dt)
+        terminal = sec5_closures[ls.vars.n - ls.base.n_star]
+        assert np.array_equal(_span_with_dt(terminal, ls.p0)[-1], dt)
 
 
 class TestDim:

@@ -171,22 +171,59 @@ class TestCanonicalFormsPastTheOldCap:
         assert num / den == Q / R
 
 
-class TestNoFallbackOnSec5:
-    def test_prs_fallback_not_reached(self, monkeypatch):
-        calls = {"heu": 0, "prs": 0}
-        heu, prs = expr._heu_gcd, expr._prs_gcd
+class TestGiveUp:
+    @pytest.mark.parametrize("tries", [1, 3, 6])
+    def test_failed_image_gcd_gives_up_at_once(self, monkeypatch, tries):
+        # every point fails its division check, so the innermost level (x1,
+        # whose images are integers) gives up after `tries` points, and the
+        # two levels above it give up at their first point instead of
+        # retrying with larger xi
+        A = E("(x1 + x2 + x3)*(x1 - 2*x2 + x3 + 1)").num
+        B = E("(x1 + x2 + x3)*(x2 + 3*x3 + 3)").num
+        iA, iB = expr._to_int_poly(A), expr._to_int_poly(B)
+        evaluations = []
+        evaluate = expr._ip_evaluate
+        monkeypatch.setattr(expr, "_HEU_GCD_TRIES", tries)
+        monkeypatch.setattr(expr, "_ip_divexact", lambda A, B: None)
+        monkeypatch.setattr(expr, "_ip_evaluate", lambda *a: evaluations.append(
+            a[1]) or evaluate(*a))
+        assert expr._heu_gcd(iA, iB) is None
+        assert len(evaluations) == 2 + 2 + 2 * tries
+        assert evaluations[-1] == VAR_ATOMS[0]
+        assert expr._ip_gcd(iA, iB) == {(): 1}
+
+    def test_common_content_when_the_heuristic_gives_up(self, monkeypatch):
+        divexact = expr._ip_divexact
+        rng = random.Random(12)
+        P, Q, R = (_random_poly(rng, VAR_ATOMS, 6, 3) for _ in range(3))
+        A = expr._to_int_poly({m: 6 * c for m, c in expr._p_mul(P, Q).items()})
+        B = expr._to_int_poly({m: 4 * c for m, c in expr._p_mul(P, R).items()})
+        monkeypatch.setattr(expr, "_heu_gcd", lambda A, B: None)
+        g = expr._ip_gcd(A, B)
+        assert g == {(): 2 * expr._int_content(expr._to_int_poly(P))}
+        assert divexact(A, g) is not None and divexact(B, g) is not None
+        # a fraction whose gcd falls back keeps its value
+        point = expr.Point(VS, [Fraction(i + 2, 3) for i in range(VS.total)])
+        num = Expr._make(VS, expr._p_mul(P, Q), expr._p_const(1), {})
+        den = Expr._make(VS, expr._p_mul(P, R), expr._p_const(1), {})
+        q = Expr._make(VS, Q, expr._p_const(1), {})
+        r = Expr._make(VS, R, expr._p_const(1), {})
+        assert (num / den).eval(point) == (q / r).eval(point)
+
+
+class TestNoGiveUpOnSec5:
+    def test_heuristic_complete_on_the_derived_flag(self, monkeypatch):
+        calls = {"heu": 0, "none": 0}
+        heu = expr._heu_gcd
 
         def heu_spy(A, B):
             calls["heu"] += 1
-            return heu(A, B)
-
-        def prs_spy(A, B):
-            calls["prs"] += 1
-            return prs(A, B)
+            g = heu(A, B)
+            calls["none"] += g is None
+            return g
 
         monkeypatch.setattr(expr, "_heu_gcd", heu_spy)
-        monkeypatch.setattr(expr, "_prs_gcd", prs_spy)
         flag = derived_flag(lift_system(make_sec5_system()).I0)
         assert [len(flag.entry(k)) for k in range(4)] == [7, 5, 3, 0]
         assert calls["heu"] > 0
-        assert calls["prs"] == 0
+        assert calls["none"] == 0
