@@ -115,6 +115,7 @@ class Point:
         self.values = tuple(
             v if isinstance(v, (Fraction, float)) else Fraction(v)
             for v in values)
+        self._integers = None  # integer_form(), False for a float point
 
     @classmethod
     def from_map(cls, vars, mapping):
@@ -131,6 +132,21 @@ class Point:
         for nm, v in kw.items():
             vals[self.vars.index(nm)] = v
         return Point(self.vars, vals)
+
+    def integer_form(self):
+        """(d, numerators, powers) with the values equal to numerators / d
+        for one common denominator d, or None when a value is a float.
+        `powers` caches numerators[i] ** e under (i, e).  Built once per
+        point."""
+        if self._integers is None:
+            self._integers = False
+            if all(isinstance(v, Fraction) for v in self.values):
+                d = 1
+                for v in self.values:
+                    d = d * v.denominator // math.gcd(d, v.denominator)
+                self._integers = (d, [v.numerator * (d // v.denominator)
+                                      for v in self.values], {})
+        return self._integers or None
 
     def as_float_tuple(self):
         return tuple(float(v) for v in self.values)
@@ -212,9 +228,17 @@ def _p_neg(A):
     return {m: -c for m, c in A.items()}
 
 
+def _is_unit(A):
+    return len(A) == 1 and A.get(()) == 1
+
+
 def _p_mul(A, B):
     if not A or not B:
         return {}
+    if _is_unit(A):
+        return B
+    if _is_unit(B):
+        return A
     out = {}
     for ma, ca in A.items():
         for mb, cb in B.items():
@@ -379,11 +403,18 @@ def _p_atoms(A):
 # GCD internals run on integer-coefficient dicts for speed; Fractions only
 # at the boundary.
 
-def _to_int_poly(A):
+def _common_den(A):
     den = 1
     for c in A.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in A.items()}
+        if c.denominator != 1:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    return den
+
+
+def _to_int_poly(A, den=None):
+    if den is None:
+        den = _common_den(A)
+    return {m: c.numerator * (den // c.denominator) for m, c in A.items()}
 
 
 def _int_content(A):
@@ -395,26 +426,43 @@ def _int_content(A):
     return g or 1
 
 
+def _int_divide(A, c):
+    return {m: v // c for m, v in A.items()}
+
+
 def _int_primitive(A):
     g = _int_content(A)
     if g > 1:
-        return {m: c // g for m, c in A.items()}
+        return _int_divide(A, g)
     return dict(A)
 
 
-def _ip_gcd(A, B):
-    """gcd(A, B) in Z[atoms] with a positive grlex leading coefficient.
+def _content_cofactors(A, B):
+    """(c, A/c, B/c) for the common integer content c of A and B."""
+    c = math.gcd(_int_content(A), _int_content(B))
+    return {(): c}, _int_divide(A, c), _int_divide(B, c)
 
-    Heuristic GCD decides it.  When the heuristic gives up, the common
-    integer content stands in: a divisor of the gcd, not the gcd."""
-    g = A or B
-    if A and B:
-        g = _heu_gcd(A, B)
-        if g is None:
-            g = {(): math.gcd(_int_content(A), _int_content(B))}
-    if g and g[_p_leading(g)] < 0:
-        return {m: -c for m, c in g.items()}
-    return dict(g)
+
+def _ip_gcd(A, B):
+    """gcd(A, B) of nonzero A and B in Z[atoms] with a positive grlex
+    leading coefficient (see _ip_cofactors)."""
+    return _ip_cofactors(A, B)[0]
+
+
+def _ip_cofactors(A, B):
+    """(g, A/g, B/g) for nonzero A and B, where g is gcd(A, B) in Z[atoms]
+    with a positive grlex leading coefficient.
+
+    Heuristic GCD decides it, and the quotients are those of its own
+    division check.  When the heuristic gives up, the common integer
+    content stands in: a divisor of the gcd, not the gcd."""
+    found = _heu_gcd(A, B)
+    if found is None:
+        found = _content_cofactors(A, B)
+    g = found[0]
+    if g[_p_leading(g)] < 0:
+        return tuple(_p_neg(P) for P in found)
+    return found
 
 
 _HEU_GCD_TRIES = 6  # evaluation points per atom before giving up
@@ -422,21 +470,22 @@ _HEU_GCD_TRIES = 6  # evaluation points per atom before giving up
 
 def _heu_gcd(A, B):
     """Heuristic GCD (Char, Geddes & Gonnet 1989) of nonzero A and B, up to
-    sign, or None when it gives up.
+    sign, as (g, A/g, B/g), or None when it gives up.
 
     The largest atom is set to an integer xi, the gcd of the two images is
     taken recursively, and its coefficients are read as digits in symmetric
     base xi.  With xi >= 2 min(|A|, |B|) + 2 (max norms, common content
     removed) the primitive part of that reading is the gcd exactly when it
-    divides both inputs, which is checked.  A failed point moves on to a
-    larger xi, at most _HEU_GCD_TRIES points in all; a failed image gcd
-    gives up at once, so no level retries for the levels below it."""
+    divides both inputs, which is checked; the quotients of that check are
+    the cofactors.  A failed point moves on to a larger xi, at most
+    _HEU_GCD_TRIES points in all; a failed image gcd gives up at once, so
+    no level retries for the levels below it."""
     if (() in A and len(A) == 1) or (() in B and len(B) == 1):
-        return {(): math.gcd(_int_content(A), _int_content(B))}
+        return _content_cofactors(A, B)
     cont = math.gcd(_int_content(A), _int_content(B))
     if cont > 1:
-        A = {m: c // cont for m, c in A.items()}
-        B = {m: c // cont for m, c in B.items()}
+        A = _int_divide(A, cont)
+        B = _int_divide(B, cont)
     atom = max(m[-1][0] for P in (A, B) for m in P if m)
     xi = 2 * min(max(map(abs, A.values())), max(map(abs, B.values()))) + 2
     for _ in range(_HEU_GCD_TRIES):
@@ -446,10 +495,12 @@ def _heu_gcd(A, B):
             h = _heu_gcd(a, b)
             if h is None:
                 return None
-            h = _int_primitive(_ip_interpolate(h, atom, xi))
-            if (_ip_divexact(A, h) is not None
-                    and _ip_divexact(B, h) is not None):
-                return {m: c * cont for m, c in h.items()}
+            h = _int_primitive(_ip_interpolate(h[0], atom, xi))
+            qa = _ip_divexact(A, h)
+            if qa is not None:
+                qb = _ip_divexact(B, h)
+                if qb is not None:
+                    return {m: c * cont for m, c in h.items()}, qa, qb
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
@@ -493,15 +544,67 @@ def _p_gcd(A, B):
     """GCD over Q[atoms] up to a rational unit: integer primitive
     coefficients with a positive grlex leading coefficient (monic when one
     input is zero).  It divides both inputs; it is 1 when the heuristic
-    gives up (see _ip_gcd)."""
-    if not A and not B:
-        return {}
-    if not A:
-        return _p_monic(B)
-    if not B:
-        return _p_monic(A)
-    g = _int_primitive(_ip_gcd(_to_int_poly(A), _to_int_poly(B)))
-    return {m: Fraction(c) for m, c in g.items()}
+    gives up (see _ip_cofactors)."""
+    return _p_cofactors(A, B)[0]
+
+
+def _p_cofactors(A, B):
+    """(g, A/g, B/g) over Q[atoms] with g = _p_gcd(A, B).  The quotients
+    come from the gcd's own division check; when g is 1 they are A and B
+    themselves."""
+    if not A or not B:
+        if not A and not B:
+            return {}, {}, {}
+        g = _p_monic(A or B)
+        lc = {(): (A or B)[_p_leading(g)]}
+        return (g, {}, lc) if not A else (g, lc, {})
+    den_a, den_b = _common_den(A), _common_den(B)
+    g, qa, qb = _ip_cofactors(_to_int_poly(A, den_a), _to_int_poly(B, den_b))
+    if len(g) == 1 and () in g:  # a constant: the gcd over Q is 1
+        return {(): _ONE}, A, B
+    cont = _int_content(g)
+    g = {m: Fraction(c // cont) for m, c in g.items()}
+    # A = g * qa * cont / den_a, and likewise for B
+    return g, _p_scale(qa, cont, den_a), _p_scale(qb, cont, den_b)
+
+
+def _p_scale(Q, num, den):
+    """The integer-coefficient dict Q times num/den, as Fractions."""
+    if num == den:
+        return {m: Fraction(c) for m, c in Q.items()}
+    s = Fraction(num, den)
+    return {m: c * s for m, c in Q.items()}
+
+
+def _p_eval_int(P, d, nums, powers):
+    """A kernel-free P at the point nums / d, as integers (n, q) with
+    P = n / q.  Terms are summed in integers per total degree k, and the
+    sums are brought over the one denominator den(P) * d^K."""
+    den = _common_den(P)
+    by_degree = {}
+    for m, c in P.items():
+        v = c.numerator * (den // c.denominator)
+        k = 0
+        for (_, i), e in m:
+            x = nums[i]
+            if not x:
+                v = 0
+                break
+            if e != 1:
+                x = powers.get((i, e))
+                if x is None:
+                    x = powers[(i, e)] = nums[i] ** e
+            v *= x
+            k += e
+        if v:
+            by_degree[k] = by_degree.get(k, 0) + v
+    if not by_degree:
+        return 0, den
+    top = max(by_degree)
+    if d == 1:
+        return sum(by_degree.values()), den
+    return (sum(s * d ** (top - k) for k, s in by_degree.items()),
+            den * d ** top)
 
 
 def _p_monic(A):
@@ -549,11 +652,10 @@ class Expr:
         if lc != 1:
             num = {m: c / lc for m, c in num.items()}
             den = {m: c / lc for m, c in den.items()}
-        if den != _p_const(1):
-            g = _p_gcd(num, den)
-            if g != _p_const(1):
-                num = _p_divexact(num, g)
-                den = _p_divexact(den, g)
+        if not _is_unit(den):
+            g, num_g, den_g = _p_cofactors(num, den)
+            if not _is_unit(g):
+                num, den = num_g, den_g
                 lc = den[_p_leading(den)]
                 if lc != 1:
                     num = {m: c / lc for m, c in num.items()}
@@ -807,6 +909,14 @@ class Expr:
     def eval(self, point: Point):
         """Exact Fraction when no kernels are hit and the point is rational;
         float otherwise."""
+        ints = None if self.kernels else point.integer_form()
+        if ints is not None:
+            # in integers, with one Fraction at the end
+            num_n, num_q = _p_eval_int(self.num, *ints)
+            den_n, den_q = _p_eval_int(self.den, *ints)
+            if not den_n:
+                raise DomainError("denominator vanishes at the point")
+            return Fraction(num_n * den_q, num_q * den_n)
         num = self._poly_eval(self.num, point)
         den = self._poly_eval(self.den, point)
         if isinstance(num, Fraction) and isinstance(den, Fraction):

@@ -41,11 +41,6 @@ class VectorField:
         self.components = components
 
     @classmethod
-    def zero(cls, vars):
-        z = Expr.zero(vars)
-        return cls(vars, [z] * vars.total)
-
-    @classmethod
     def from_state_components(cls, vars, state_components):
         """Lift a field on R^n: zero d/dt and d/du parts."""
         z = Expr.zero(vars)

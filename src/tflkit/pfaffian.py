@@ -108,7 +108,7 @@ def _pivot_in_column(rows, col, start, p0, require_p0):
 
 def _clear_denominators_row(row):
     """Multiply a vector by the least common multiple of its denominators."""
-    from .expr import _p_gcd, _p_divexact, _p_mul, _p_const
+    from .expr import _p_cofactors, _p_mul, _p_const
 
     vars0 = row[0].vars
     lcm = _p_const(1)
@@ -116,7 +116,7 @@ def _clear_denominators_row(row):
     for c in row:
         if c.den == {(): Fraction(1)}:
             continue
-        lcm = _p_mul(lcm, _p_divexact(c.den, _p_gcd(lcm, c.den)))
+        lcm = _p_mul(lcm, _p_cofactors(lcm, c.den)[2])
         kernels.update(c.kernels)
     if lcm == _p_const(1):
         return list(row)
@@ -126,25 +126,25 @@ def _clear_denominators_row(row):
 
 def _row_primitive(row):
     """Divide a denominator-free row by the polynomial gcd of its entries."""
-    from .expr import _p_gcd, _p_divexact, _p_const
+    from .expr import _p_cofactors, _p_mul, _p_const
 
+    one = _p_const(1)
     g = {}
-    for c in row:
+    quotients = {}  # entry index -> entry / g
+    for i, c in enumerate(row):
         if c.is_structural_zero():
             continue
-        g = _p_gcd(g, c.num)
-        if g == _p_const(1):
+        g, shrink, q = _p_cofactors(g, c.num)
+        if g == one:
             return row
-    if not g or g == _p_const(1):
+        if quotients and shrink != one:
+            # the running gcd lost the factor `shrink`
+            quotients = {j: _p_mul(p, shrink) for j, p in quotients.items()}
+        quotients[i] = q
+    if not g:
         return row
-    out = []
-    for c in row:
-        if c.is_structural_zero():
-            out.append(c)
-            continue
-        out.append(Expr._make(c.vars, _p_divexact(c.num, g), c.den,
-                              c.kernels))
-    return out
+    return [Expr._make(c.vars, quotients[i], c.den, c.kernels)
+            if i in quotients else c for i, c in enumerate(row)]
 
 
 def _normalize_row(row):
@@ -572,18 +572,35 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     for col, r in enumerate(reduced):
         for idx, c in r.terms.items():
             matrix[pair_index[idx]][col] = c
-    # rows are linear conditions; scaling a row is free
-    matrix = [_row_primitive(_clear_denominators_row(row)) for row in matrix]
+    # rows are linear conditions; scaling a row is free.  A cleared row is
+    # its primitive row times a polynomial, so wherever it does not vanish
+    # it spans the same line as the primitive row: the exact ranks make a
+    # row primitive only where it vanishes, once, and the nullspace takes
+    # every row primitive
+    matrix = [_clear_denominators_row(row) for row in matrix]
+    primitive = {}
+
+    def primitive_row(i):
+        if i not in primitive:
+            primitive[i] = _row_primitive(matrix[i])
+        return primitive[i]
+
     exact = _is_exact(matrix, ideal.p0)
+    if not exact:
+        # float ranks read the primitive rows, which may shed a kernel
+        matrix = [primitive_row(i) for i in range(len(matrix))]
+        exact = _is_exact(matrix, ideal.p0)
     ranks = []
-    for perturbed, r in _sample_ranks(matrix, ideal.p0, exact):
+    for perturbed, r in _sample_ranks(matrix, ideal.p0, exact,
+                                      primitive_row):
         if exact and r == n_gens:
             # full column rank at an exactly evaluated rational point,
             # hence generically: the derived system is zero
             return PfaffianIdeal([], ideal.p0, "derived-from",
                                  _normalized=True)
         ranks.append((perturbed, r))
-    basis = nullspace_function_field(matrix, ideal.p0)
+    basis = nullspace_function_field(
+        [primitive_row(i) for i in range(len(matrix))], ideal.p0)
     sym_rank = n_gens - len(basis)
     # point ranks never exceed the generic rank; catching the converse
     # guards the symbolic elimination itself
@@ -622,18 +639,24 @@ def _is_exact(matrix, p0):
             and not any(c.has_kernels() for row in matrix for c in row))
 
 
-def _sample_ranks(matrix, p0, exact):
+def _sample_ranks(matrix, p0, exact, primitive_row):
     """Yield (perturbed, rank) for the conditions matrix at p0 and then at
     `perturbed_points(p0)`, lazily so the caller can stop early.
 
-    Exact ranks are taken over Q.  Float ranks follow the `numlin` policy
-    and skip p0, where a kernel-bearing coefficient matrix may
-    legitimately drop rank.  Points outside the entries' domain are
-    skipped."""
+    Exact ranks are taken over Q, of the primitive rows: a row that
+    vanishes at a point is replaced there by `primitive_row(i)`, and every
+    other row spans the same line as its primitive row.  Float ranks follow
+    the `numlin` policy and skip p0, where a kernel-bearing coefficient
+    matrix may legitimately drop rank.  Points outside the entries' domain
+    are skipped."""
     pts = ([p0] if exact else []) + perturbed_points(p0)
     for p in pts:
         try:
             vals = [[c.eval(p) for c in row] for row in matrix]
+            if exact:
+                for i, v in enumerate(vals):
+                    if not any(v):
+                        vals[i] = [c.eval(p) for c in primitive_row(i)]
         except DomainError:
             continue
         r = numlin.exact_rank(vals) if exact else numlin.rank(
@@ -688,12 +711,6 @@ class Flag:
 
     def generator_counts(self):
         return tuple(len(e) for e in self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:

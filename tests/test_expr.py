@@ -1,5 +1,6 @@
 """Expression engine: parsing, calculus, evaluation, zero testing."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -157,6 +158,73 @@ class TestEval:
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
             eval_at(E("1/x2"), X0)
+
+
+def _fraction_eval(poly, point):
+    """Reference: a plain Fraction sum over the terms of a kernel-free
+    polynomial."""
+    total = Fraction(0)
+    for mono, c in poly.items():
+        v = Fraction(c)
+        for (_, i), e in mono:
+            v *= point.value(i) ** e
+        total += v
+    return total
+
+
+class TestIntegerEval:
+    """Exact evaluation at rational points runs in integers; it must agree
+    with plain Fraction arithmetic."""
+
+    def _points(self, rng):
+        pts = [X0, Point(VS, [0] * VS.total)]
+        for _ in range(6):
+            p = random_point(rng, VS)
+            vals = list(p.values)
+            vals[rng.randrange(VS.total)] = Fraction(0)
+            vals[rng.randrange(VS.total)] = Fraction(-rng.randint(1, 9),
+                                                     rng.choice([1, 7, 12]))
+            pts.append(Point(VS, vals))
+        return pts
+
+    def test_random_rational_functions(self):
+        rng = random.Random(31)
+        points = self._points(rng)
+        for _ in range(60):
+            e = random_polynomial(rng, VS, degree=3, terms=5)
+            if rng.random() < 0.5:
+                e = e / random_polynomial(rng, VS, degree=2, terms=3)
+            for p in points:
+                den = _fraction_eval(e.den, p)
+                if den == 0:
+                    with pytest.raises(DomainError):
+                        e.eval(p)
+                    continue
+                v = e.eval(p)
+                assert isinstance(v, Fraction)
+                assert v == _fraction_eval(e.num, p) / den
+
+    def test_empty_and_constant(self):
+        for p in self._points(random.Random(32)):
+            assert E("0").eval(p) == 0
+            assert E("-7/3").eval(p) == Fraction(-7, 3)
+            assert E("x1 - x1").eval(p) == 0
+
+    def test_vanishing_denominator(self):
+        p = X0.replace(x2=Fraction(1, 3), x4=Fraction(-1, 3))
+        with pytest.raises(DomainError):
+            E("x1/(x2 + x4)").eval(p)
+        with pytest.raises(DomainError):
+            E("1/(x1^2 - 4)").eval(X0)
+
+    def test_kernel_and_float_points_take_the_float_path(self):
+        p = X0.replace(x4=Fraction(1, 2))
+        assert E("x3*exp(-x4) - 4").eval(p) == 4 * math.exp(-0.5) - 4
+        q = X0.replace(x1=0.5)
+        v = E("x1^2/3 + x3").eval(q)
+        assert isinstance(v, float) and v == 0.25 / 3 + 4
+        # a float bound only to a variable the expression lacks
+        assert E("x2 + 1/3").eval(q) == Fraction(1, 3)
 
 
 class TestIsZero:

@@ -227,3 +227,91 @@ class TestNoGiveUpOnSec5:
         assert [len(flag.entry(k)) for k in range(4)] == [7, 5, 3, 0]
         assert calls["heu"] > 0
         assert calls["none"] == 0
+
+
+def _divexact_cofactors(A, B):
+    g = expr._p_gcd(A, B)
+    return g, expr._p_divexact(A, g), expr._p_divexact(B, g)
+
+
+class TestCofactors:
+    """The quotients of the gcd's own division check equal a second exact
+    division by the gcd."""
+
+    def test_planted_and_rational(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            A, B = _planted(rng, VAR_ATOMS, 4, 3)
+            if rng.random() < 0.5:
+                B = {m: c / rng.choice([3, 4, 7]) for m, c in B.items()}
+            if rng.random() < 0.5:
+                A = {m: c * Fraction(5, 6) for m, c in A.items()}
+            assert expr._p_cofactors(A, B) == _divexact_cofactors(A, B)
+
+    def test_kernel_atoms(self):
+        rng = random.Random(22)
+        for _ in range(20):
+            A, B = _planted(rng, VAR_ATOMS[:4] + KERNEL_ATOMS, 5, 3)
+            assert expr._p_cofactors(A, B) == _divexact_cofactors(A, B)
+
+    def test_constants_and_zero(self):
+        P = E("3/2*x1*x2 - 3*x3 + 6").num
+        for A, B in [(P, {(): Fraction(4)}), ({(): Fraction(-2, 3)}, P),
+                     ({(): Fraction(6)}, {(): Fraction(9, 4)}), (P, {}),
+                     ({}, P), ({}, {}), (P, P)]:
+            assert expr._p_cofactors(A, B) == _divexact_cofactors(A, B)
+
+    def test_unit_gcd_returns_the_inputs(self):
+        A, B = E("x1 + 1").num, E("x2 - 1/3").num
+        g, qa, qb = expr._p_cofactors(A, B)
+        assert g == {(): 1} and qa is A and qb is B
+
+    def test_integer_cofactors(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            A, B = (expr._to_int_poly(P)
+                    for P in _planted(rng, VAR_ATOMS, 4, 3))
+            g, qa, qb = expr._ip_cofactors(A, B)
+            assert g == expr._ip_gcd(A, B)
+            assert qa == expr._ip_divexact(A, g)
+            assert qb == expr._ip_divexact(B, g)
+
+    def test_give_up_returns_content_and_divided_inputs(self, monkeypatch):
+        rng = random.Random(24)
+        P, Q, R = (_random_poly(rng, VAR_ATOMS, 5, 3) for _ in range(3))
+        A = expr._to_int_poly({m: 6 * c for m, c in expr._p_mul(P, Q).items()})
+        B = expr._to_int_poly({m: 4 * c for m, c in expr._p_mul(P, R).items()})
+        monkeypatch.setattr(expr, "_heu_gcd", lambda A, B: None)
+        c = 2 * expr._int_content(expr._to_int_poly(P))
+        assert expr._ip_cofactors(A, B) == (
+            {(): c}, {m: v // c for m, v in A.items()},
+            {m: v // c for m, v in B.items()})
+        # over Q the content is a unit: the inputs stand in as cofactors
+        FA, FB = ({m: Fraction(v, 5) for m, v in X.items()} for X in (A, B))
+        assert expr._p_cofactors(FA, FB) == ({(): 1}, FA, FB)
+        assert expr._p_cofactors(FA, FB) == _divexact_cofactors(FA, FB)
+
+
+class TestNoSecondDivision:
+    def test_canonical_forms_and_rows_without_divexact(self, monkeypatch):
+        from tflkit import pfaffian
+
+        def no_divexact(A, B):
+            raise AssertionError("exact division after a gcd")
+
+        num, den = E("(x1 - x2)*(x3 + 2)"), E("(x1 - x2)*(3*x4 - 1)")
+        row = [num / den, E("x1 - x2") / E("x4 + 1"), E("0")]
+        monkeypatch.setattr(expr, "_p_divexact", no_divexact)
+        q = num / den
+        assert q == E("(x3 + 2)/(3*x4 - 1)")
+        cleared = pfaffian._clear_denominators_row(row)
+        # denominators are monic, so the multiplier is (x4 - 1/3)*(x4 + 1)
+        assert cleared == [E("(x3 + 2)*(x4 + 1)/3"),
+                           E("(x1 - x2)*(x4 - 1/3)"), E("0")]
+        assert pfaffian._row_primitive(cleared) == cleared
+        # the running gcd shrinks from the first entry to x1 - x2, and the
+        # first quotients take up the factor it lost
+        shared = [E("(x1 - x2)*(x3 + 2)*x4"), E("2*(x1 - x2)*x4^2"),
+                  E("(x1 - x2)*(x2 + 5)")]
+        assert pfaffian._row_primitive(shared) == [
+            E("(x3 + 2)*x4"), E("2*x4^2"), E("x2 + 5")]

@@ -255,6 +255,46 @@ class TestRegularity:
             PfaffianIdeal([DX("x1").scale(E("x2"))], sec5_lifted.p0)
 
 
+class TestRankBeforeNormalising:
+    def test_sec5_last_step(self, monkeypatch, sec5_flag):
+        """The exact ranks of sec5's last derived step read the
+        denominator-cleared rows and make primitive only the rows that
+        vanish at p0; each rank equals the fully primitive matrix's."""
+        import tflkit.pfaffian as pfaffian
+
+        row_primitive = pfaffian._row_primitive
+        sample_ranks = pfaffian._sample_ranks
+        made, seen = [], []
+
+        def primitive_spy(row):
+            made.append(row)
+            return row_primitive(row)
+
+        def ranks_spy(matrix, p0, exact, primitive_row):
+            seen.append((matrix, p0, exact, []))
+            for perturbed, r in sample_ranks(matrix, p0, exact,
+                                             primitive_row):
+                seen[-1][3].append(r)
+                yield perturbed, r
+
+        monkeypatch.setattr(pfaffian, "_row_primitive", primitive_spy)
+        monkeypatch.setattr(pfaffian, "_sample_ranks", ranks_spy)
+        ideal = sec5_flag.entry(2)
+        assert len(derived_system(ideal)) == 0
+        (matrix, p0, exact, ranks), = seen
+        assert exact and ranks == [2, 3]
+        vanishing = [row for row in matrix
+                     if all(c.eval(p0) == 0 for c in row)]
+        # once each, and only the rows that vanish at p0: 5 of 10
+        assert len(made) == len(vanishing) == 5 and len(matrix) == 10
+        assert {id(r) for r in made} == {id(r) for r in vanishing}
+        primitive = [row_primitive(row) for row in matrix]
+        points = [p0] + pfaffian.perturbed_points(p0)
+        for p, r in zip(points, ranks):
+            assert r == numlin.exact_rank(
+                [[c.eval(p) for c in row] for row in primitive])
+
+
 class TestDerivedSystemCertification:
     """derived_system's rank certification on hand-built ideals over
     (t, u1, x1, x2, x3), p0 = 0.  The conditions matrix of the first pair has
