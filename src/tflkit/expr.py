@@ -1,12 +1,12 @@
 """Exact scalar expressions over time, control, and state variables.
 
 An expression is stored as a fraction of two multivariate polynomials with
-exact rational coefficients.  The indeterminates ("atoms") are the problem
-variables plus kernel terms exp(a), sin(a), cos(a), ln(a) whose arguments are
-themselves expressions in canonical form; kernels with distinct canonical
-arguments are independent atoms, so structural equality of canonical forms is
-decidable while identities that mix kernels (sin^2 + cos^2 = 1) are left
-alone.  Expressions are immutable values and may be shared freely across
+integer coefficients, in lowest terms.  The indeterminates ("atoms") are the
+problem variables plus kernel terms exp(a), sin(a), cos(a), ln(a) whose
+arguments are themselves expressions in canonical form; kernels with
+distinct canonical arguments are independent atoms, so structural equality
+of canonical forms is decidable while identities that mix kernels
+(sin^2 + cos^2 = 1) are left alone.  Expressions are immutable values and may be shared freely across
 threads; there is no global mutable state.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -30,6 +29,9 @@ __all__ = [
     "substitute",
     "eval_at",
     "is_zero",
+    "denominator_lcm",
+    "divide_by_gcd",
+    "exact_quotient",
 ]
 
 KERNEL_NAMES = ("exp", "sin", "cos", "ln")
@@ -157,29 +159,34 @@ class Point:
 
 
 # ---------------------------------------------------------------------------
-# polynomial layer: dict {monomial: Fraction}
+# polynomial layer: dict {monomial: int}
 #
 # A monomial is a tuple of (atom, exponent) pairs sorted by atom; atoms are
 # (0, var_index) for variables and (1, kind, fingerprint) for kernels, where
 # the fingerprint is the canonical key of the kernel's argument.  That makes
 # atoms directly comparable and the canonical form independent of the order
-# in which subexpressions were constructed.
+# in which subexpressions were constructed.  Coefficients are integers:
+# rational scalars live in an expression's denominator.  Polynomials are
+# never changed in place, so they may be shared.
 # ---------------------------------------------------------------------------
 
-_ONE = Fraction(1)
-
-
-def _p_const(c):
-    c = Fraction(c)
-    return {(): c} if c else {}
+_ONE = {(): 1}
 
 
 def _p_var(i):
-    return {(((0, i), 1),): _ONE}
+    return {(((0, i), 1),): 1}
 
 
 def _p_atom(atom):
-    return {((atom, 1),): _ONE}
+    return {((atom, 1),): 1}
+
+
+def _is_const(A):
+    return len(A) == 1 and () in A
+
+
+def _is_unit(A):
+    return len(A) == 1 and A.get(()) == 1
 
 
 def _mono_mul(a, b):
@@ -207,9 +214,9 @@ def _mono_mul(a, b):
 
 def _p_add(A, B):
     if not A:
-        return dict(B)
+        return B
     if not B:
-        return dict(A)
+        return A
     out = dict(A)
     for m, c in B.items():
         s = out.get(m)
@@ -226,10 +233,6 @@ def _p_add(A, B):
 
 def _p_neg(A):
     return {m: -c for m, c in A.items()}
-
-
-def _is_unit(A):
-    return len(A) == 1 and A.get(()) == 1
 
 
 def _p_mul(A, B):
@@ -257,13 +260,13 @@ def _p_mul(A, B):
 
 
 def _p_pow(A, k):
-    out = _p_const(1)
+    out = _ONE
     base = A
     while k:
         if k & 1:
             out = _p_mul(out, base)
-        base_sq = base if k == 1 else _p_mul(base, base)
-        base = base_sq
+        if k > 1:
+            base = _p_mul(base, base)
         k >>= 1
     return out
 
@@ -330,13 +333,13 @@ def _grlex_key(m):
     return (-deg, pairs)
 
 
-def _divexact(A, B, quo):
-    """Exact division A / B, or None when B does not divide A.
+def _ip_divexact(A, B):
+    """Exact division A / B in Z[atoms], or None when B does not divide A
+    or a quotient coefficient would not be an integer.
 
-    `quo(a, b)` divides coefficients and returns None when that is not
-    exact.  The leading terms of the remainder come off a heap of grlex
-    keys, so each step costs a logarithm instead of a scan of the whole
-    remainder; monomials that cancelled are skipped when popped.
+    The leading terms of the remainder come off a heap of grlex keys, so
+    each step costs a logarithm instead of a scan of the whole remainder;
+    monomials that cancelled are skipped when popped.
     """
     if not A:
         return {}
@@ -357,8 +360,8 @@ def _divexact(A, B, quo):
         q = _mono_divides(lb, lr)
         if q is None:
             return None
-        c = quo(cr, cb)
-        if c is None:
+        c, r = divmod(cr, cb)
+        if r:
             return None
         Q[q] = c
         for m, co in tail:
@@ -376,45 +379,12 @@ def _divexact(A, B, quo):
     return Q
 
 
-def _int_quo(a, b):
-    q, r = divmod(a, b)
-    return None if r else q
-
-
-def _p_divexact(A, B):
-    """Exact polynomial division A / B over Q, or None when not divisible."""
-    return _divexact(A, B, operator.truediv)
-
-
-def _ip_divexact(A, B):
-    """Exact division over Z: also None when a quotient coefficient would
-    not be an integer."""
-    return _divexact(A, B, _int_quo)
-
-
 def _p_atoms(A):
     out = set()
     for m in A:
         for a, _ in m:
             out.add(a)
     return out
-
-
-# GCD internals run on integer-coefficient dicts for speed; Fractions only
-# at the boundary.
-
-def _common_den(A):
-    den = 1
-    for c in A.values():
-        if c.denominator != 1:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return den
-
-
-def _to_int_poly(A, den=None):
-    if den is None:
-        den = _common_den(A)
-    return {m: c.numerator * (den // c.denominator) for m, c in A.items()}
 
 
 def _int_content(A):
@@ -427,26 +397,21 @@ def _int_content(A):
 
 
 def _int_divide(A, c):
-    return {m: v // c for m, v in A.items()}
+    return A if c == 1 else {m: v // c for m, v in A.items()}
+
+
+def _int_multiply(A, c):
+    return A if c == 1 else {m: v * c for m, v in A.items()}
 
 
 def _int_primitive(A):
-    g = _int_content(A)
-    if g > 1:
-        return _int_divide(A, g)
-    return dict(A)
+    return _int_divide(A, _int_content(A))
 
 
 def _content_cofactors(A, B):
     """(c, A/c, B/c) for the common integer content c of A and B."""
     c = math.gcd(_int_content(A), _int_content(B))
     return {(): c}, _int_divide(A, c), _int_divide(B, c)
-
-
-def _ip_gcd(A, B):
-    """gcd(A, B) of nonzero A and B in Z[atoms] with a positive grlex
-    leading coefficient (see _ip_cofactors)."""
-    return _ip_cofactors(A, B)[0]
 
 
 def _ip_cofactors(A, B):
@@ -477,15 +442,14 @@ def _heu_gcd(A, B):
     base xi.  With xi >= 2 min(|A|, |B|) + 2 (max norms, common content
     removed) the primitive part of that reading is the gcd exactly when it
     divides both inputs, which is checked; the quotients of that check are
-    the cofactors.  A failed point moves on to a larger xi, at most
-    _HEU_GCD_TRIES points in all; a failed image gcd gives up at once, so
-    no level retries for the levels below it."""
-    if (() in A and len(A) == 1) or (() in B and len(B) == 1):
+    the cofactors, and a primitive part 1 needs no check.  A failed point
+    moves on to a larger xi, at most _HEU_GCD_TRIES points in all; a failed
+    image gcd gives up at once, so no level retries for the levels below
+    it."""
+    if _is_const(A) or _is_const(B):
         return _content_cofactors(A, B)
     cont = math.gcd(_int_content(A), _int_content(B))
-    if cont > 1:
-        A = _int_divide(A, cont)
-        B = _int_divide(B, cont)
+    A, B = _int_divide(A, cont), _int_divide(B, cont)
     atom = max(m[-1][0] for P in (A, B) for m in P if m)
     xi = 2 * min(max(map(abs, A.values())), max(map(abs, B.values()))) + 2
     for _ in range(_HEU_GCD_TRIES):
@@ -496,11 +460,13 @@ def _heu_gcd(A, B):
             if h is None:
                 return None
             h = _int_primitive(_ip_interpolate(h[0], atom, xi))
+            if _is_unit(h):
+                return {(): cont}, A, B
             qa = _ip_divexact(A, h)
             if qa is not None:
                 qb = _ip_divexact(B, h)
                 if qb is not None:
-                    return {m: c * cont for m, c in h.items()}, qa, qb
+                    return _int_multiply(h, cont), qa, qb
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
@@ -540,50 +506,13 @@ def _ip_interpolate(h, atom, xi):
     return out
 
 
-def _p_gcd(A, B):
-    """GCD over Q[atoms] up to a rational unit: integer primitive
-    coefficients with a positive grlex leading coefficient (monic when one
-    input is zero).  It divides both inputs; it is 1 when the heuristic
-    gives up (see _ip_cofactors)."""
-    return _p_cofactors(A, B)[0]
-
-
-def _p_cofactors(A, B):
-    """(g, A/g, B/g) over Q[atoms] with g = _p_gcd(A, B).  The quotients
-    come from the gcd's own division check; when g is 1 they are A and B
-    themselves."""
-    if not A or not B:
-        if not A and not B:
-            return {}, {}, {}
-        g = _p_monic(A or B)
-        lc = {(): (A or B)[_p_leading(g)]}
-        return (g, {}, lc) if not A else (g, lc, {})
-    den_a, den_b = _common_den(A), _common_den(B)
-    g, qa, qb = _ip_cofactors(_to_int_poly(A, den_a), _to_int_poly(B, den_b))
-    if len(g) == 1 and () in g:  # a constant: the gcd over Q is 1
-        return {(): _ONE}, A, B
-    cont = _int_content(g)
-    g = {m: Fraction(c // cont) for m, c in g.items()}
-    # A = g * qa * cont / den_a, and likewise for B
-    return g, _p_scale(qa, cont, den_a), _p_scale(qb, cont, den_b)
-
-
-def _p_scale(Q, num, den):
-    """The integer-coefficient dict Q times num/den, as Fractions."""
-    if num == den:
-        return {m: Fraction(c) for m, c in Q.items()}
-    s = Fraction(num, den)
-    return {m: c * s for m, c in Q.items()}
-
-
 def _p_eval_int(P, d, nums, powers):
-    """A kernel-free P at the point nums / d, as integers (n, q) with
-    P = n / q.  Terms are summed in integers per total degree k, and the
-    sums are brought over the one denominator den(P) * d^K."""
-    den = _common_den(P)
+    """P at the point nums / d, as integers (n, q) with P = n / q.  Terms
+    are summed in integers per total degree k, and the sums are brought
+    over the one denominator d^K."""
     by_degree = {}
     for m, c in P.items():
-        v = c.numerator * (den // c.denominator)
+        v = c
         k = 0
         for (_, i), e in m:
             x = nums[i]
@@ -599,25 +528,24 @@ def _p_eval_int(P, d, nums, powers):
         if v:
             by_degree[k] = by_degree.get(k, 0) + v
     if not by_degree:
-        return 0, den
+        return 0, 1
     top = max(by_degree)
     if d == 1:
-        return sum(by_degree.values()), den
+        return sum(by_degree.values()), 1
     return (sum(s * d ** (top - k) for k, s in by_degree.items()),
-            den * d ** top)
+            d ** top)
 
 
-def _p_monic(A):
-    if not A:
-        return {}
-    lc = A[_p_leading(A)]
+def _p_key(A, lc):
+    """A / lc for lc > 0, as sorted (monomial, (numerator, denominator))
+    pairs in lowest terms."""
     if lc == 1:
-        return dict(A)
-    return {m: c / lc for m, c in A.items()}
-
-
-def _p_key(A):
-    return tuple(sorted((m, (c.numerator, c.denominator)) for m, c in A.items()))
+        return tuple(sorted((m, (c, 1)) for m, c in A.items()))
+    out = []
+    for m, c in A.items():
+        g = math.gcd(c, lc)
+        out.append((m, (c // g, lc // g)))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +553,10 @@ def _p_key(A):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Immutable exact expression in canonical fraction form."""
+    """Immutable exact expression in canonical fraction form: num / den
+    with num and den in Z[atoms], gcd(num, den) = 1 (contents included) and
+    den with a positive grlex leading coefficient.  So x/2 is num = x,
+    den = 2, and a polynomial is an expression whose den is a constant."""
 
     __slots__ = ("vars", "num", "den", "kernels", "_key", "_zero", "_str")
 
@@ -647,26 +578,23 @@ class Expr:
         if not den:
             raise DomainError("division by zero expression")
         if not num:
-            return Expr(vars, {}, _p_const(1), {}, _internal=True)
-        lc = den[_p_leading(den)]
-        if lc != 1:
-            num = {m: c / lc for m, c in num.items()}
-            den = {m: c / lc for m, c in den.items()}
+            return Expr(vars, {}, _ONE, {}, _internal=True)
         if not _is_unit(den):
-            g, num_g, den_g = _p_cofactors(num, den)
-            if not _is_unit(g):
-                num, den = num_g, den_g
-                lc = den[_p_leading(den)]
-                if lc != 1:
-                    num = {m: c / lc for m, c in num.items()}
-                    den = {m: c / lc for m, c in den.items()}
-        used = _p_atoms(num) | _p_atoms(den)
-        kernels = {a: e for a, e in kernels.items() if a in used}
+            _, num, den = _ip_cofactors(num, den)
+            if den[_p_leading(den)] < 0:
+                num, den = _p_neg(num), _p_neg(den)
+        if kernels:
+            used = _p_atoms(num) | _p_atoms(den)
+            kernels = {a: e for a, e in kernels.items() if a in used}
         return Expr(vars, num, den, kernels, _internal=True)
 
     @staticmethod
     def rational(vars, c):
-        return Expr._make(vars, _p_const(c), _p_const(1), {})
+        if isinstance(c, int):
+            return Expr(vars, {(): c} if c else {}, _ONE, {}, _internal=True)
+        c = Fraction(c)
+        return Expr(vars, {(): c.numerator} if c else {}, {(): c.denominator},
+                    {}, _internal=True)
 
     @staticmethod
     def zero(vars):
@@ -678,11 +606,11 @@ class Expr:
 
     @staticmethod
     def var(vars, name):
-        return Expr._make(vars, _p_var(vars.index(name)), _p_const(1), {})
+        return Expr.var_index(vars, vars.index(name))
 
     @staticmethod
     def var_index(vars, i):
-        return Expr._make(vars, _p_var(i), _p_const(1), {})
+        return Expr(vars, _p_var(i), _ONE, {}, _internal=True)
 
     @staticmethod
     def kernel(kind, arg: "Expr"):
@@ -699,26 +627,60 @@ class Expr:
             if kind == "ln" and c == 1:
                 return Expr.zero(arg.vars)
         atom = (1, kind, arg.key())
-        kernels = dict(arg.kernels)
-        kernels[atom] = arg
-        return Expr._make(arg.vars, _p_atom(atom), _p_const(1), kernels)
+        return Expr(arg.vars, _p_atom(atom), _ONE, {atom: arg},
+                    _internal=True)
 
     # -- inspection ----------------------------------------------------------
 
     def key(self):
+        """The canonical form as sorted (monomial, (p, q)) pairs of num and
+        den scaled to a monic den; kernel atoms are ordered by the keys of
+        their arguments."""
         if self._key is None:
-            self._key = (_p_key(self.num), _p_key(self.den))
+            lc = self.den[_p_leading(self.den)]
+            self._key = (_p_key(self.num, lc), _p_key(self.den, lc))
         return self._key
 
     def is_structural_zero(self):
         return not self.num
 
+    def is_polynomial(self):
+        """Is the denominator a constant?"""
+        return _is_const(self.den)
+
     def as_rational(self):
         """The exact rational value, or None when not a constant."""
         if not self.num:
             return Fraction(0)
-        if set(self.num) <= {()} and set(self.den) <= {()}:
-            return self.num[()] / self.den[()]
+        if _is_const(self.num) and _is_const(self.den):
+            return Fraction(self.num[()], self.den[()])
+        return None
+
+    def numerator(self):
+        """num / lc(den): the numerator when the denominator is made monic."""
+        return self._poly_expr(self.num, self.den[_p_leading(self.den)])
+
+    def denominator(self):
+        """den / lc(den): the monic denominator."""
+        return self._poly_expr(self.den, self.den[_p_leading(self.den)])
+
+    def terms(self):
+        """The terms of a polynomial, as (coefficient, factors) pairs: a
+        Fraction and a tuple of (base, exponent) with each base a variable
+        or a kernel."""
+        if not self.is_polynomial():
+            raise ValueError("terms of a rational function")
+        d = self.den[()]
+        return [(Fraction(c, d), tuple((self._atom_expr(a), e) for a, e in m))
+                for m, c in self.num.items()]
+
+    def as_kernel(self):
+        """(kind, argument) when the expression is one kernel, else None."""
+        if _is_unit(self.den) and len(self.num) == 1:
+            (m, c), = self.num.items()
+            if c == 1 and len(m) == 1 and m[0][1] == 1 and m[0][0][0] == 1:
+                atom = m[0][0]
+                return atom[1], self.kernels[atom]
         return None
 
     def has_kernels(self):
@@ -749,10 +711,20 @@ class Expr:
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
-        return self.vars == other.vars and self.key() == other.key()
+        return (self.vars == other.vars and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
         return hash((self.vars, self.key()))
+
+    def _poly_expr(self, poly, d=1):
+        return Expr._make(self.vars, poly, {(): d}, self.kernels)
+
+    def _atom_expr(self, atom):
+        if atom[0] == 0:
+            return Expr.var_index(self.vars, atom[1])
+        return Expr(self.vars, _p_atom(atom), _ONE,
+                    {atom: self.kernels[atom]}, _internal=True)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -778,14 +750,18 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _p_add(_p_mul(self.num, o.den), _p_mul(o.num, self.den))
-        return Expr._make(self.vars, num, _p_mul(self.den, o.den),
-                          self._merge_kernels(o))
+        if self.den == o.den:
+            num, den = _p_add(self.num, o.num), self.den
+        else:
+            num = _p_add(_p_mul(self.num, o.den), _p_mul(o.num, self.den))
+            den = _p_mul(self.den, o.den)
+        return Expr._make(self.vars, num, den, self._merge_kernels(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr._make(self.vars, _p_neg(self.num), self.den, self.kernels)
+        return Expr(self.vars, _p_neg(self.num), self.den, self.kernels,
+                    _internal=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -832,15 +808,16 @@ class Expr:
     def diff(self, name_or_index):
         i = (name_or_index if isinstance(name_or_index, int)
              else self.vars.index(name_or_index))
+        if self.is_polynomial():
+            return self._poly_diff(self.num, i, self.den[()])
         dn = self._poly_diff(self.num, i)
-        if self.den == _p_const(1):
-            return dn
         dd = self._poly_diff(self.den, i)
-        den_e = Expr._make(self.vars, self.den, _p_const(1), self.kernels)
-        num_e = Expr._make(self.vars, self.num, _p_const(1), self.kernels)
+        den_e = self._poly_expr(self.den)
+        num_e = self._poly_expr(self.num)
         return (dn * den_e - num_e * dd) / (den_e * den_e)
 
-    def _poly_diff(self, poly, i):
+    def _poly_diff(self, poly, i, d=1):
+        """The derivative of poly / d for a constant d."""
         out = Expr.zero(self.vars)
         for mono, c in poly.items():
             for pos, (atom, e) in enumerate(mono):
@@ -852,8 +829,7 @@ class Expr:
                     rest.pop(pos)
                 else:
                     rest[pos] = (atom, e - 1)
-                term = Expr._make(self.vars, {tuple(rest): c * e},
-                                  _p_const(1), self.kernels)
+                term = self._poly_expr({tuple(rest): c * e}, d)
                 out = out + term * da
         return out
 
@@ -919,17 +895,18 @@ class Expr:
             return Fraction(num_n * den_q, num_q * den_n)
         num = self._poly_eval(self.num, point)
         den = self._poly_eval(self.den, point)
-        if isinstance(num, Fraction) and isinstance(den, Fraction):
+        if not isinstance(num, float) and not isinstance(den, float):
             if den == 0:
                 raise DomainError("denominator vanishes at the point")
-            return num / den
+            return Fraction(num, den)
         den_f = float(den)
         if den_f == 0.0:
             raise DomainError("denominator vanishes at the point")
         return float(num) / den_f
 
     def _poly_eval(self, poly, point):
-        total = Fraction(0)
+        """Exact (int or Fraction) until a float value is met."""
+        total = 0
         for mono, c in poly.items():
             v = c
             for atom, e in mono:
@@ -937,14 +914,14 @@ class Expr:
                     base = point.value(atom[1])
                 else:
                     base = self._kernel_eval(atom, point)
-                if isinstance(base, Fraction) and isinstance(v, Fraction):
-                    v = v * base ** e
-                else:
+                if isinstance(base, float) or isinstance(v, float):
                     v = float(v) * float(base) ** e
-            if isinstance(total, Fraction) and isinstance(v, Fraction):
-                total = total + v
-            else:
+                else:
+                    v = v * base ** e
+            if isinstance(total, float) or isinstance(v, float):
                 total = float(total) + float(v)
+            else:
+                total = total + v
         return total
 
     def _kernel_eval(self, atom, point):
@@ -1005,20 +982,23 @@ class Expr:
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
+        """num / lc(den) over den / lc(den), or the former alone when den
+        is a constant."""
         if self._str is None:
+            lc = self.den[_p_leading(self.den)]
             if not self.num:
                 self._str = "0"
-            elif self.den == _p_const(1):
-                self._str = self._poly_str(self.num)
+            elif self.is_polynomial():
+                self._str = self._poly_str(self.num, lc)
             else:
-                self._str = (f"({self._poly_str(self.num)})"
-                             f"/({self._poly_str(self.den)})")
+                self._str = (f"({self._poly_str(self.num, lc)})"
+                             f"/({self._poly_str(self.den, lc)})")
         return self._str
 
     def __repr__(self):
         return f"Expr({self})"
 
-    def _poly_str(self, poly):
+    def _poly_str(self, poly, lc):
         monos = sorted(poly, key=_grlex_key)
         parts = []
         for m in monos:
@@ -1028,7 +1008,7 @@ class Expr:
                 s = self._atom_str(atom)
                 factors.append(s if e == 1 else f"{s}^{e}")
             body = "*".join(factors)
-            coeff = abs(c)
+            coeff = Fraction(abs(c), lc) if lc != 1 else abs(c)
             if not body:
                 text = str(coeff)
             elif coeff == 1:
@@ -1229,3 +1209,76 @@ def eval_at(e: Expr, p: Point) -> float:
 
 def is_zero(e: Expr, seed=FALSIFIER_SEED) -> str:
     return e.zeroness(seed)
+
+
+# ---------------------------------------------------------------------------
+# row scalings for fraction-free elimination over the function field
+# ---------------------------------------------------------------------------
+
+def denominator_lcm(exprs) -> Expr:
+    """The least common multiple of the monic denominators of `exprs`, built
+    left to right as lcm * (den / g) with g the content-free gcd of the two;
+    one when every expression is a polynomial."""
+    exprs = list(exprs)
+    L, scale_n, scale_d = _ONE, 1, 1  # the lcm is L * scale_n / scale_d
+    kernels = {}
+    for e in exprs:
+        if not e.is_polynomial():
+            g, _, q = _ip_cofactors(L, e.den)
+            L = _p_mul(L, q)
+            scale_n *= _int_content(g)
+            scale_d *= e.den[_p_leading(e.den)]
+            kernels.update(e.kernels)
+    return Expr._make(exprs[0].vars, _int_multiply(L, scale_n),
+                      {(): scale_d}, kernels)
+
+
+def divide_by_gcd(exprs):
+    """Polynomials `exprs` divided by the gcd of their numerators, taken
+    content-free with a positive grlex leading coefficient; an entry that
+    alone is nonzero is divided by its monic part, leaving its leading
+    coefficient.  The list itself when the gcd is a constant."""
+    g = None
+    quotients = {}  # entry index -> numerator / g
+    for i, e in enumerate(exprs):
+        if not e.num:
+            continue
+        if g is None:
+            if _is_const(e.num):
+                return exprs
+            g, quotients[i] = e.num, _ONE
+            continue
+        g, shrink, q = _ip_cofactors(g, e.num)
+        if _is_const(g):
+            return exprs
+        if not _is_unit(shrink):
+            # the running gcd lost the factor `shrink`
+            quotients = {j: _p_mul(p, shrink) for j, p in quotients.items()}
+        quotients[i] = q
+    if g is None:
+        return exprs
+    if len(quotients) == 1:
+        (i, _), = quotients.items()
+        lead = {(): g[_p_leading(g)]}
+        return [Expr._make(e.vars, lead, e.den, {}) if j == i else e
+                for j, e in enumerate(exprs)]
+    c = _int_content(g)
+    return [Expr._make(e.vars, _int_multiply(quotients[i], c), e.den,
+                       e.kernels) if i in quotients else e
+            for i, e in enumerate(exprs)]
+
+
+def exact_quotient(e: Expr, d: Expr) -> Expr:
+    """e / d for polynomials e and d, by one exact division of their
+    primitive parts when d divides e, as it does in fraction-free
+    elimination."""
+    if not e.num:
+        return e
+    q = _ip_divexact(_int_primitive(e.num), _int_primitive(d.num))
+    if q is None:
+        return e / d
+    # q is primitive, so reducing the scalar makes the form canonical
+    return Expr._make(e.vars,
+                      _int_multiply(q, _int_content(e.num) * d.den[()]),
+                      {(): _int_content(d.num) * e.den[()]},
+                      {**e.kernels, **d.kernels})

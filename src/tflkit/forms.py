@@ -51,10 +51,6 @@ class VectorField:
         return VectorField(self.vars,
                            [a + b for a, b in zip(self.components, other.components)])
 
-    def __sub__(self, other):
-        return VectorField(self.vars,
-                           [a - b for a, b in zip(self.components, other.components)])
-
     def scale(self, e):
         return VectorField(self.vars, [e * c for c in self.components])
 
@@ -63,13 +59,6 @@ class VectorField:
 
     def is_structural_zero(self):
         return all(c.is_structural_zero() for c in self.components)
-
-    def __eq__(self, other):
-        return (isinstance(other, VectorField)
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __repr__(self):
         terms = [f"({c})*d/d{self.vars.names[i]}"
@@ -123,23 +112,12 @@ class KForm:
     def __sub__(self, other):
         return self + other.scale(Expr.rational(self.vars, -1))
 
-    def __neg__(self):
-        return self.scale(Expr.rational(self.vars, -1))
-
     def scale(self, e: Expr):
         return KForm(self.vars, self.degree,
                      {idx: e * c for idx, c in self.terms.items()})
 
     def is_structural_zero(self):
         return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, KForm) or self.degree != other.degree:
-            return NotImplemented
-        return (self - other).is_structural_zero()
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted((i, c.key()) for i, c in self.terms.items()))))
 
     def at(self, p: Point):
         """One-forms only: the covector as a float row vector."""

@@ -126,71 +126,51 @@ def antiderivative(e: Expr, v) -> Expr | None:
         v = vars0.index(v)
     if not e.depends_on(v):
         return e * Expr.var_index(vars0, v)
-    num, den = e.num, e.den
-    den_expr = Expr._make(vars0, den, {(): Fraction(1)}, e.kernels)
-    den_dep = den_expr.depends_on(v)
-    v_atom = (0, v)
+    vexp = Expr.var_index(vars0, v)
+    den = e.denominator()
     out = Expr.zero(vars0)
-    if den_dep:
+    if den.depends_on(v):
         # only simple poles: den = c * v^k with everything else v-free
-        uni = {}
-        rest_den = {}
-        for mono, c in den.items():
-            k = 0
-            rest = []
-            for atom, ex in mono:
-                if atom == v_atom:
-                    k = ex
-                else:
-                    rest.append((atom, ex))
-            uni.setdefault(k, {})[tuple(rest)] = c
-        if len(uni) != 1:
+        powers = {dict(factors).get(vexp, 0) for _, factors in den.terms()}
+        if len(powers) != 1:
             return None
-        k = next(iter(uni))
-        rest_den = uni[k]
-        rest_expr = Expr._make(vars0, rest_den, {(): Fraction(1)}, e.kernels)
-        if rest_expr.depends_on(v):
+        k = powers.pop()
+        rest_den = den / vexp ** k
+        if rest_den.depends_on(v):
             return None
-        for mono, c in num.items():
-            a = 0
-            others = []
-            for atom, ex in mono:
-                if atom == v_atom:
-                    a = ex
-                else:
-                    others.append((atom, ex))
-            rest = Expr._make(vars0, {tuple(others): c}, {(): Fraction(1)},
-                              e.kernels) / rest_expr
+        for c, factors in e.numerator().terms():
+            a = dict(factors).get(vexp, 0)
+            rest = Expr.rational(vars0, c)
+            for base, ex in factors:
+                if base != vexp:
+                    rest = rest * base ** ex
+            rest = rest / rest_den
             if rest.depends_on(v):
                 return None
             p = a - k
-            vexp = Expr.var_index(vars0, v)
             if p == -1:
                 out = out + rest * Expr.kernel("ln", vexp)
             else:
                 out = out + rest * vexp ** (p + 1) / (p + 1)
         return out
-    for mono, c in num.items():
+    for c, factors in e.numerator().terms():
         a = 0
         kernel_factors = []
-        others = []
-        for atom, ex in mono:
-            if atom == v_atom:
+        rest = Expr.rational(vars0, c)
+        for base, ex in factors:
+            if base == vexp:
                 a = ex
-            elif atom[0] == 1 and e.kernels[atom].depends_on(v):
-                kernel_factors.append((atom, ex))
+            elif base.depends_on(v):
+                kernel_factors.append((base, ex))
             else:
-                others.append((atom, ex))
-        rest = Expr._make(vars0, {tuple(others): c}, {(): Fraction(1)},
-                          e.kernels) / den_expr
+                rest = rest * base ** ex
+        rest = rest / den
         if not kernel_factors:
-            vexp = Expr.var_index(vars0, v)
             out = out + rest * vexp ** (a + 1) / (a + 1)
             continue
         if len(kernel_factors) > 1 or kernel_factors[0][1] != 1:
             return None
-        atom, _ = kernel_factors[0]
-        kind, arg = atom[1], e.kernels[atom]
+        kind, arg = kernel_factors[0][0].as_kernel()
         lin = _kernel_linear_in(arg, v)
         if lin is None:
             return None
@@ -249,14 +229,13 @@ def _collect_linear_system(exprs):
     index = {}
     cols = []
     for e in exprs:
-        if e.den != {(): Fraction(1)}:
+        if not e.is_polynomial():
             raise ValueError("linear collection expects cleared denominators")
         col = {}
-        for mono, c in e.num.items():
-            key = mono
-            if key not in index:
-                index[key] = len(index)
-            col[index[key]] = c
+        for c, mono in e.terms():
+            if mono not in index:
+                index[mono] = len(index)
+            col[index[mono]] = c
         cols.append(col)
     rows = [[Fraction(0)] * len(cols) for _ in range(len(index))]
     for j, col in enumerate(cols):
@@ -333,10 +312,10 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
     for w in two_forms:
         col = {}
         for pair, c in w.terms.items():
-            if c.den != {(): Fraction(1)}:
+            if not c.is_polynomial():
                 raise ValueError("closed-combination ansatz expects "
                                  "denominator-free generators")
-            for mono, q in c.num.items():
+            for q, mono in c.terms():
                 key = (pair, mono)
                 if key not in index:
                     index[key] = len(index)
@@ -585,12 +564,11 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
         restricted = [e.substitute({0: 0}).substitute(bindings)
                       for e in mono_exprs]
         # one shared multiplier keeps the vanishing conditions equivalent
-        if any(e.den != {(): Fraction(1)} for e in restricted):
+        if not all(e.is_polynomial() for e in restricted):
             common = Expr.one(vars0)
             for e in restricted:
-                if e.den != {(): Fraction(1)}:
-                    common = common * Expr._make(vars0, e.den,
-                                                 {(): Fraction(1)}, e.kernels)
+                if not e.is_polynomial():
+                    common = common * e.denominator()
             restricted = [e * common for e in restricted]
         rows = _collect_linear_system(restricted)
         null = numlin.rational_nullspace(rows, len(mono_exprs))

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (DomainError, InconclusiveZeroTest, NoTermination,
                      RegularityViolation)
-from .expr import Expr, Point, Zeroness
+from .expr import (Expr, Point, Zeroness, denominator_lcm, divide_by_gcd,
+                   exact_quotient)
 from .forms import KForm, coordinate_form, exterior_derivative, wedge
 from . import numlin
 
@@ -108,43 +109,15 @@ def _pivot_in_column(rows, col, start, p0, require_p0):
 
 def _clear_denominators_row(row):
     """Multiply a vector by the least common multiple of its denominators."""
-    from .expr import _p_cofactors, _p_mul, _p_const
-
-    vars0 = row[0].vars
-    lcm = _p_const(1)
-    kernels = {}
-    for c in row:
-        if c.den == {(): Fraction(1)}:
-            continue
-        lcm = _p_mul(lcm, _p_cofactors(lcm, c.den)[2])
-        kernels.update(c.kernels)
-    if lcm == _p_const(1):
+    if all(c.is_polynomial() for c in row):
         return list(row)
-    mult = Expr._make(vars0, lcm, _p_const(1), kernels)
+    mult = denominator_lcm(row)
     return [c * mult for c in row]
 
 
 def _row_primitive(row):
     """Divide a denominator-free row by the polynomial gcd of its entries."""
-    from .expr import _p_cofactors, _p_mul, _p_const
-
-    one = _p_const(1)
-    g = {}
-    quotients = {}  # entry index -> entry / g
-    for i, c in enumerate(row):
-        if c.is_structural_zero():
-            continue
-        g, shrink, q = _p_cofactors(g, c.num)
-        if g == one:
-            return row
-        if quotients and shrink != one:
-            # the running gcd lost the factor `shrink`
-            quotients = {j: _p_mul(p, shrink) for j, p in quotients.items()}
-        quotients[i] = q
-    if not g:
-        return row
-    return [Expr._make(c.vars, quotients[i], c.den, c.kernels)
-            if i in quotients else c for i, c in enumerate(row)]
+    return divide_by_gcd(row)
 
 
 def _normalize_row(row):
@@ -163,19 +136,6 @@ def _normalize_row(row):
         inv = Expr.rational(lead.vars, Fraction(1, 1) / r)
         row = [c * inv for c in row]
     return row
-
-
-def _exact_div(e, d):
-    """Divide the denominator-free Expr e by the denominator-free Expr d,
-    exactly when possible (Bareiss divisions always are)."""
-    from .expr import _p_divexact
-
-    if e.is_structural_zero():
-        return e
-    q = _p_divexact(e.num, d.num)
-    if q is not None:
-        return Expr._make(e.vars, q, e.den, {**e.kernels, **d.kernels})
-    return e / d
 
 
 def rref_function_field(rows, p0=None):
@@ -208,7 +168,7 @@ def rref_function_field(rows, p0=None):
             else:
                 new = [pc * a - ci * b for a, b in zip(rows[i], rows[r])]
             if prev is not None:
-                new = [_exact_div(x, prev) for x in new]
+                new = [exact_quotient(x, prev) for x in new]
             rows[i] = new
         prev = pc
 

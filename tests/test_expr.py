@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import tflkit.expr as expr
 from tflkit.errors import DomainError, ExprSyntaxError, UnknownVariable
-from tflkit.expr import (Expr, Point, VariableSpace, Zeroness, diff, eval_at,
+from tflkit.expr import (Expr, Point, VariableSpace, Zeroness,
+                         denominator_lcm, diff, eval_at, exact_quotient,
                          is_zero, parse_expr, substitute)
 from conftest import random_polynomial, random_point, random_rational
 
@@ -270,3 +272,101 @@ class TestCanonicalForm:
         a = E("x1/(x2*x3)")
         b = E("(x1*x4)/(x2*x3*x4)")
         assert is_zero(a - b) == Zeroness.ZERO
+
+
+
+def _random_quotients(rng, count):
+    out = []
+    while len(out) < count:
+        den = random_polynomial(rng, VS, degree=2, terms=3)
+        if not den.is_structural_zero():
+            out.append(random_polynomial(rng, VS, degree=3, terms=4,
+                                         kernels=True) / den)
+    return out
+
+
+class TestIntegerForm:
+    """num and den are integer polynomials, coprime with contents, and den
+    has a positive grlex leading coefficient."""
+
+    def test_scalars_live_in_the_denominator(self):
+        e = E("x1/2")
+        assert e.num == E("x1").num and e.den == {(): 2}
+        assert e.is_polynomial()
+        q = E("(2*x1 + 2)/(4*x2 - 6)")
+        assert q.num == E("x1 + 1").num and q.den == E("2*x2 - 3").num
+        s = E("x1/(1 - 2*x2)")
+        assert s.num == E("-x1").num and s.den == E("2*x2 - 1").num
+        assert not s.is_polynomial()
+
+    def test_random_forms_and_keys(self):
+        rng = random.Random(71)
+        for e in _random_quotients(rng, 60):
+            coeffs = list(e.num.values()) + list(e.den.values())
+            assert all(type(c) is int for c in coeffs)
+            content = 0
+            for c in coeffs:
+                content = math.gcd(content, c)
+            assert content == 1
+            lc = e.den[expr._p_leading(e.den)]
+            assert lc > 0
+            # key() holds the Fraction coefficients over a monic denominator
+            assert e.key() == tuple(
+                tuple(sorted((m, (Fraction(c, lc).numerator,
+                                  Fraction(c, lc).denominator))
+                             for m, c in P.items()))
+                for P in (e.num, e.den))
+
+    def test_numerator_and_denominator(self):
+        rng = random.Random(72)
+        for e in _random_quotients(rng, 30):
+            num, den = e.numerator(), e.denominator()
+            assert num.is_polynomial() and den.is_polynomial()
+            assert num / den == e
+            assert den.num[expr._p_leading(den.num)] == den.den[()]
+        assert E("3*x1/(2*x2 + 4)").denominator() == E("x2 + 2")
+        assert E("3*x1/(2*x2 + 4)").numerator() == E("3/2*x1")
+        assert E("x1/3").denominator() == E("1")
+
+    def test_terms_rebuild_the_polynomial(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            e = random_polynomial(rng, VS, degree=3, terms=4, kernels=True)
+            total = Expr.zero(VS)
+            for c, factors in e.terms():
+                term = Expr.rational(VS, c)
+                for base, k in factors:
+                    assert (base.as_kernel() is not None
+                            or base == E(str(base)))
+                    term = term * base ** k
+                total = total + term
+            assert total == e
+        with pytest.raises(ValueError):
+            E("1/x1").terms()
+
+    def test_as_kernel(self):
+        assert E("sin(x1 + 1)").as_kernel() == ("sin", E("x1 + 1"))
+        assert E("2*sin(x1)").as_kernel() is None
+        assert E("sin(x1)^2").as_kernel() is None
+        assert E("x1").as_kernel() is None
+
+    def test_exact_quotient(self):
+        rng = random.Random(74)
+        for _ in range(40):
+            d = random_polynomial(rng, VS, degree=2, terms=3)
+            q = random_polynomial(rng, VS, degree=2, terms=3)
+            if d.is_structural_zero():
+                continue
+            assert exact_quotient(q * d, d) == q
+            r = q + E("x1^5 + 1")
+            assert exact_quotient(r, d) == r / d
+        assert exact_quotient(E("0"), E("x1")) == E("0")
+
+    def test_denominator_lcm_of_monic_denominators(self):
+        # lcm * (den / g) with g content-free: (x1 + 1/3) * ((x2 + 1)/3)
+        assert denominator_lcm([E("1/(3*x1 + 1)"),
+                                E("1/((3*x1 + 1)*(x2 + 1))")]) \
+            == E("(x1 + 1/3)*(x2 + 1)/3")
+        assert denominator_lcm([E("1/(2*x1 + 2)"), E("x2/(x1 + 1)^2")]) \
+            == E("(x1 + 1)^2")
+        assert denominator_lcm([E("x1/2"), E("3")]) == E("1")

@@ -1,6 +1,6 @@
-"""The polynomial gcd and exact division behind canonical forms: heuristic
-gcd against sympy, its sign convention, heap-ordered exact division, and
-fraction reduction past sizes the old PRS gave up on."""
+"""The integer polynomial gcd and exact division behind canonical forms:
+heuristic gcd against sympy, its sign convention, heap-ordered exact
+division, and fraction reduction past sizes the old PRS gave up on."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import tflkit.expr as expr
-from tflkit.expr import Expr, VariableSpace, parse_expr
+from tflkit.expr import Expr, VariableSpace, divide_by_gcd, exact_quotient, \
+    parse_expr
 from tflkit.lift import lift_system
 from tflkit.pfaffian import derived_flag
 from conftest import make_sec5_system
@@ -21,7 +22,7 @@ KERNEL_ATOMS = [next(iter(E(s).num))[0][0] for s in ("sin(x1)", "cos(x2)")]
 
 
 def _random_poly(rng, atoms, terms, degree, box=9):
-    """Integer-valued Fraction dict with `terms` distinct monomials of total
+    """Integer coefficient dict with `terms` distinct monomials of total
     degree at most `degree` over `atoms`."""
     P = {}
     while len(P) < terms:
@@ -29,8 +30,8 @@ def _random_poly(rng, atoms, terms, degree, box=9):
         for _ in range(rng.randint(0, degree)):
             a = rng.choice(atoms)
             exps[a] = exps.get(a, 0) + 1
-        P[tuple(sorted(exps.items()))] = Fraction(rng.choice([-1, 1])
-                                                  * rng.randint(1, box))
+        P[tuple(sorted(exps.items()))] = (rng.choice([-1, 1])
+                                          * rng.randint(1, box))
     return P
 
 
@@ -41,8 +42,8 @@ def _planted(rng, atoms, terms, degree):
 
 
 def _sympy_gcd(sympy, A, B):
-    """sympy's gcd of A and B, primitive with a positive grlex leading
-    coefficient, as a tflkit coefficient dict."""
+    """sympy's gcd of A and B in Z[atoms], content included, with a positive
+    grlex leading coefficient, as a tflkit coefficient dict."""
     atoms = sorted(expr._p_atoms(A) | expr._p_atoms(B))
     gens = sympy.symbols(f"a0:{len(atoms) + 1}")[:max(len(atoms), 1)]
 
@@ -50,16 +51,18 @@ def _sympy_gcd(sympy, A, B):
         terms = {}
         for m, c in P.items():
             exps = dict(m)
-            terms[tuple(exps.get(a, 0) for a in atoms) or (0,)] = \
-                sympy.Rational(c.numerator, c.denominator)
-        return sympy.Poly.from_dict(terms, *gens)
+            terms[tuple(exps.get(a, 0) for a in atoms) or (0,)] = c
+        return sympy.Poly.from_dict(terms, *gens, domain="ZZ")
 
     g = to_poly(A).gcd(to_poly(B))
-    g = g.primitive()[1]
     if g.LC(order="grlex") < 0:
         g = -g
-    return {tuple((a, e) for a, e in zip(atoms, monom) if e): Fraction(int(c))
+    return {tuple((a, e) for a, e in zip(atoms, monom) if e): int(c)
             for monom, c in g.terms()}
+
+
+def _gcd(A, B):
+    return expr._ip_cofactors(A, B)[0]
 
 
 class TestGcdAgainstSympy:
@@ -69,8 +72,8 @@ class TestGcdAgainstSympy:
         for _ in range(40):
             A, B = _planted(rng, VAR_ATOMS, 4, 3)
             if rng.random() < 0.5:
-                B = {m: c / 3 for m, c in B.items()}
-            assert expr._p_gcd(A, B) == _sympy_gcd(sympy, A, B)
+                B = {m: c * 3 for m, c in B.items()}
+            assert _gcd(A, B) == _sympy_gcd(sympy, A, B)
 
     def test_past_the_old_prs_cap(self):
         # the PRS settled for the integer content above 240 combined terms
@@ -80,7 +83,7 @@ class TestGcdAgainstSympy:
         for _ in range(3):
             A, B = _planted(rng, VAR_ATOMS, 16, 4)
             sizes.append(len(A) + len(B))
-            g = expr._p_gcd(A, B)
+            g = _gcd(A, B)
             assert g == _sympy_gcd(sympy, A, B)
             assert len(g) > 1
         assert min(sizes) > 240
@@ -91,28 +94,27 @@ class TestGcdAgainstSympy:
         atoms = VAR_ATOMS[:4] + KERNEL_ATOMS
         for _ in range(20):
             A, B = _planted(rng, atoms, 5, 3)
-            assert expr._p_gcd(A, B) == _sympy_gcd(sympy, A, B)
+            assert _gcd(A, B) == _sympy_gcd(sympy, A, B)
         A, B = _planted(rng, atoms, 16, 4)
         assert len(A) + len(B) > 240
-        assert expr._p_gcd(A, B) == _sympy_gcd(sympy, A, B)
+        assert _gcd(A, B) == _sympy_gcd(sympy, A, B)
 
 
 class TestSignConvention:
     def test_positive_grlex_leading_coefficient(self):
         A = expr._p_mul(E("x2 - x1").num, E("x3 + 1").num)
         B = expr._p_mul(E("x2 - x1").num, E("-x4").num)
-        assert expr._p_gcd(A, B) == E("x1 - x2").num
+        assert _gcd(A, B) == E("x1 - x2").num
 
     def test_invariant_under_negation(self):
         rng = random.Random(3)
         for _ in range(30):
             A, B = _planted(rng, VAR_ATOMS, 3, 2)
-            g = expr._p_gcd(A, B)
+            g = _gcd(A, B)
             assert g[expr._p_leading(g)] > 0
-            assert expr._p_gcd(expr._p_neg(A), B) == g
-            assert expr._p_gcd(A, expr._p_neg(B)) == g
-            ig = expr._ip_gcd(expr._to_int_poly(A), expr._to_int_poly(B))
-            assert ig[expr._p_leading(ig)] > 0
+            assert _gcd(expr._p_neg(A), B) == g
+            assert _gcd(A, expr._p_neg(B)) == g
+            assert _gcd(expr._p_neg(A), expr._p_neg(B)) == g
 
 
 class TestExactDivision:
@@ -132,10 +134,8 @@ class TestExactDivision:
             B = _random_poly(rng, VAR_ATOMS + KERNEL_ATOMS, 5, 3)
             Q = _random_poly(rng, VAR_ATOMS + KERNEL_ATOMS, 6, 3)
             A = expr._p_mul(Q, B)
-            assert expr._p_divexact(A, B) == Q
-            iA, iB, iQ = ({m: int(c) for m, c in P.items()} for P in (A, B, Q))
-            assert expr._ip_divexact(iA, iB) == iQ
-            assert expr._p_mul(expr._p_divexact(A, B), B) == A
+            assert expr._ip_divexact(A, B) == Q
+            assert expr._p_mul(expr._ip_divexact(A, B), B) == A
 
     def test_not_divisible(self):
         rng = random.Random(6)
@@ -143,17 +143,16 @@ class TestExactDivision:
             B = _random_poly(rng, VAR_ATOMS, 4, 3)
             A = expr._p_add(expr._p_mul(_random_poly(rng, VAR_ATOMS, 4, 2), B),
                             E("x1^5 + 1").num)
-            assert expr._p_divexact(A, B) is None
-            assert expr._ip_divexact(expr._to_int_poly(A),
-                                     expr._to_int_poly(B)) is None
+            assert expr._ip_divexact(A, B) is None
 
     def test_integer_division_needs_integer_quotient(self):
         A, B = E("3*x1*x2 + 3").num, E("2*x1*x2 + 2").num
-        assert expr._p_divexact(A, B) == {(): Fraction(3, 2)}
-        assert expr._ip_divexact(expr._to_int_poly(A),
-                                 expr._to_int_poly(B)) is None
-        assert expr._p_divexact(A, {}) is None
-        assert expr._p_divexact({}, B) == {}
+        # over Q the quotient is 3/2, which division of primitive parts finds
+        assert exact_quotient(E("3*x1*x2 + 3"), E("2*x1*x2 + 2")) \
+            == E("3/2")
+        assert expr._ip_divexact(A, B) is None
+        assert expr._ip_divexact(A, {}) is None
+        assert expr._ip_divexact({}, B) == {}
 
 
 class TestCanonicalFormsPastTheOldCap:
@@ -162,7 +161,7 @@ class TestCanonicalFormsPastTheOldCap:
 
         def random_expr(terms):
             return Expr._make(VS, _random_poly(rng, VAR_ATOMS, terms, 3),
-                              expr._p_const(1), {})
+                              {(): 1}, {})
 
         P, Q, R = random_expr(16), random_expr(16), random_expr(16)
         num, den = P * Q, P * R
@@ -178,9 +177,8 @@ class TestGiveUp:
         # whose images are integers) gives up after `tries` points, and the
         # two levels above it give up at their first point instead of
         # retrying with larger xi
-        A = E("(x1 + x2 + x3)*(x1 - 2*x2 + x3 + 1)").num
-        B = E("(x1 + x2 + x3)*(x2 + 3*x3 + 3)").num
-        iA, iB = expr._to_int_poly(A), expr._to_int_poly(B)
+        iA = E("(x1 + x2 + x3)*(x1 - 2*x2 + x3 + 1)").num
+        iB = E("(x1 + x2 + x3)*(x2 + 3*x3 + 3)").num
         evaluations = []
         evaluate = expr._ip_evaluate
         monkeypatch.setattr(expr, "_HEU_GCD_TRIES", tries)
@@ -190,24 +188,24 @@ class TestGiveUp:
         assert expr._heu_gcd(iA, iB) is None
         assert len(evaluations) == 2 + 2 + 2 * tries
         assert evaluations[-1] == VAR_ATOMS[0]
-        assert expr._ip_gcd(iA, iB) == {(): 1}
+        assert _gcd(iA, iB) == {(): 1}
 
     def test_common_content_when_the_heuristic_gives_up(self, monkeypatch):
         divexact = expr._ip_divexact
         rng = random.Random(12)
         P, Q, R = (_random_poly(rng, VAR_ATOMS, 6, 3) for _ in range(3))
-        A = expr._to_int_poly({m: 6 * c for m, c in expr._p_mul(P, Q).items()})
-        B = expr._to_int_poly({m: 4 * c for m, c in expr._p_mul(P, R).items()})
+        A = {m: 6 * c for m, c in expr._p_mul(P, Q).items()}
+        B = {m: 4 * c for m, c in expr._p_mul(P, R).items()}
         monkeypatch.setattr(expr, "_heu_gcd", lambda A, B: None)
-        g = expr._ip_gcd(A, B)
-        assert g == {(): 2 * expr._int_content(expr._to_int_poly(P))}
+        g = _gcd(A, B)
+        assert g == {(): 2 * expr._int_content(P)}
         assert divexact(A, g) is not None and divexact(B, g) is not None
         # a fraction whose gcd falls back keeps its value
         point = expr.Point(VS, [Fraction(i + 2, 3) for i in range(VS.total)])
-        num = Expr._make(VS, expr._p_mul(P, Q), expr._p_const(1), {})
-        den = Expr._make(VS, expr._p_mul(P, R), expr._p_const(1), {})
-        q = Expr._make(VS, Q, expr._p_const(1), {})
-        r = Expr._make(VS, R, expr._p_const(1), {})
+        num = Expr._make(VS, expr._p_mul(P, Q), {(): 1}, {})
+        den = Expr._make(VS, expr._p_mul(P, R), {(): 1}, {})
+        q = Expr._make(VS, Q, {(): 1}, {})
+        r = Expr._make(VS, R, {(): 1}, {})
         assert (num / den).eval(point) == (q / r).eval(point)
 
 
@@ -230,8 +228,8 @@ class TestNoGiveUpOnSec5:
 
 
 def _divexact_cofactors(A, B):
-    g = expr._p_gcd(A, B)
-    return g, expr._p_divexact(A, g), expr._p_divexact(B, g)
+    g = _gcd(A, B)
+    return g, expr._ip_divexact(A, g), expr._ip_divexact(B, g)
 
 
 class TestCofactors:
@@ -239,69 +237,91 @@ class TestCofactors:
     division by the gcd."""
 
     def test_planted_and_rational(self):
+        # scaled inputs: the integer forms of rational multiples
         rng = random.Random(21)
         for _ in range(40):
             A, B = _planted(rng, VAR_ATOMS, 4, 3)
             if rng.random() < 0.5:
-                B = {m: c / rng.choice([3, 4, 7]) for m, c in B.items()}
+                B = {m: c * rng.choice([3, 4, 7]) for m, c in B.items()}
             if rng.random() < 0.5:
-                A = {m: c * Fraction(5, 6) for m, c in A.items()}
-            assert expr._p_cofactors(A, B) == _divexact_cofactors(A, B)
+                A = {m: c * 5 for m, c in A.items()}
+            assert expr._ip_cofactors(A, B) == _divexact_cofactors(A, B)
 
     def test_kernel_atoms(self):
         rng = random.Random(22)
         for _ in range(20):
             A, B = _planted(rng, VAR_ATOMS[:4] + KERNEL_ATOMS, 5, 3)
-            assert expr._p_cofactors(A, B) == _divexact_cofactors(A, B)
+            assert expr._ip_cofactors(A, B) == _divexact_cofactors(A, B)
 
     def test_constants_and_zero(self):
         P = E("3/2*x1*x2 - 3*x3 + 6").num
-        for A, B in [(P, {(): Fraction(4)}), ({(): Fraction(-2, 3)}, P),
-                     ({(): Fraction(6)}, {(): Fraction(9, 4)}), (P, {}),
-                     ({}, P), ({}, {}), (P, P)]:
-            assert expr._p_cofactors(A, B) == _divexact_cofactors(A, B)
+        for A, B in [(P, {(): 4}), ({(): -2}, P), ({(): 6}, {(): 9}),
+                     (P, P)]:
+            assert expr._ip_cofactors(A, B) == _divexact_cofactors(A, B)
+        # the integer gcd takes nonzero inputs; zero entries of a row are
+        # skipped, and one nonzero entry alone is made monic
+        zero, p = E("0"), E("3/2*x1*x2 - 3*x3 + 6")
+        assert divide_by_gcd([p, zero]) == [E("3/2"), zero]
+        assert divide_by_gcd([zero, p]) == [zero, E("3/2")]
+        row = [zero, zero]
+        assert divide_by_gcd(row) is row
+        # the gcd is content-free: x1*x2 - 2*x3 + 4
+        assert divide_by_gcd([p, p]) == [E("3/2"), E("3/2")]
 
     def test_unit_gcd_returns_the_inputs(self):
         A, B = E("x1 + 1").num, E("x2 - 1/3").num
-        g, qa, qb = expr._p_cofactors(A, B)
+        g, qa, qb = expr._ip_cofactors(A, B)
         assert g == {(): 1} and qa is A and qb is B
 
     def test_integer_cofactors(self):
         rng = random.Random(23)
         for _ in range(20):
-            A, B = (expr._to_int_poly(P)
-                    for P in _planted(rng, VAR_ATOMS, 4, 3))
+            A, B = _planted(rng, VAR_ATOMS, 4, 3)
             g, qa, qb = expr._ip_cofactors(A, B)
-            assert g == expr._ip_gcd(A, B)
+            assert g[expr._p_leading(g)] > 0
             assert qa == expr._ip_divexact(A, g)
             assert qb == expr._ip_divexact(B, g)
 
     def test_give_up_returns_content_and_divided_inputs(self, monkeypatch):
         rng = random.Random(24)
         P, Q, R = (_random_poly(rng, VAR_ATOMS, 5, 3) for _ in range(3))
-        A = expr._to_int_poly({m: 6 * c for m, c in expr._p_mul(P, Q).items()})
-        B = expr._to_int_poly({m: 4 * c for m, c in expr._p_mul(P, R).items()})
+        A = {m: 6 * c for m, c in expr._p_mul(P, Q).items()}
+        B = {m: 4 * c for m, c in expr._p_mul(P, R).items()}
         monkeypatch.setattr(expr, "_heu_gcd", lambda A, B: None)
-        c = 2 * expr._int_content(expr._to_int_poly(P))
+        c = 2 * expr._int_content(P)
         assert expr._ip_cofactors(A, B) == (
             {(): c}, {m: v // c for m, v in A.items()},
             {m: v // c for m, v in B.items()})
-        # over Q the content is a unit: the inputs stand in as cofactors
-        FA, FB = ({m: Fraction(v, 5) for m, v in X.items()} for X in (A, B))
-        assert expr._p_cofactors(FA, FB) == ({(): 1}, FA, FB)
-        assert expr._p_cofactors(FA, FB) == _divexact_cofactors(FA, FB)
+        assert expr._ip_cofactors(A, B) == _divexact_cofactors(A, B)
+        # a constant gcd leaves a row as it is
+        row = [Expr._make(VS, X, {(): 5}, {}) for X in (A, B)]
+        assert divide_by_gcd(row) is row
 
 
 class TestNoSecondDivision:
     def test_canonical_forms_and_rows_without_divexact(self, monkeypatch):
+        # every exact division happens inside the gcd, as its own check
         from tflkit import pfaffian
 
+        depth = [0]
+        heu, divexact = expr._heu_gcd, expr._ip_divexact
+
+        def heu_spy(A, B):
+            depth[0] += 1
+            try:
+                return heu(A, B)
+            finally:
+                depth[0] -= 1
+
         def no_divexact(A, B):
-            raise AssertionError("exact division after a gcd")
+            if not depth[0]:
+                raise AssertionError("exact division after a gcd")
+            return divexact(A, B)
 
         num, den = E("(x1 - x2)*(x3 + 2)"), E("(x1 - x2)*(3*x4 - 1)")
         row = [num / den, E("x1 - x2") / E("x4 + 1"), E("0")]
-        monkeypatch.setattr(expr, "_p_divexact", no_divexact)
+        monkeypatch.setattr(expr, "_heu_gcd", heu_spy)
+        monkeypatch.setattr(expr, "_ip_divexact", no_divexact)
         q = num / den
         assert q == E("(x3 + 2)/(3*x4 - 1)")
         cleared = pfaffian._clear_denominators_row(row)
