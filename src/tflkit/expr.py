@@ -32,6 +32,7 @@ __all__ = [
     "denominator_lcm",
     "divide_by_gcd",
     "exact_quotient",
+    "coprime_factor_base",
 ]
 
 KERNEL_NAMES = ("exp", "sin", "cos", "ln")
@@ -1282,3 +1283,75 @@ def exact_quotient(e: Expr, d: Expr) -> Expr:
                       _int_multiply(q, _int_content(e.num) * d.den[()]),
                       {(): _int_content(d.num) * e.den[()]},
                       {**e.kernels, **d.kernels})
+
+
+def coprime_factor_base(exprs):
+    """Factor refinement (Bach, Driscoll & Shallit, J. Algorithms 15, 1993)
+    of nonzero polynomials `exprs`.
+
+    Returns (base, factored).  `base` is a list of pairwise coprime
+    non-constant polynomials, each content-free with a positive grlex
+    leading coefficient, sorted by their terms, so the base does not depend
+    on the order of the inputs.  factored[i] is (unit, powers),
+    a Fraction and a dict {base element: exponent}, with exprs[i] equal to
+    unit times the product of the powers.  So associates (f, -f, 3f) share
+    one base element, and constants have no factors.  Two elements are
+    split by their gcd until no pair has a non-constant gcd; when the
+    heuristic gcd gives up on a pair, the pair stays as it is, so the
+    product stays exact but the two need not be coprime."""
+    exprs = list(exprs)
+    units, counts = [], []
+    for e in exprs:
+        if not e.num or not e.is_polynomial():
+            raise ValueError("factor refinement takes nonzero polynomials")
+        c = _int_content(e.num)
+        if e.num[_p_leading(e.num)] < 0:
+            c = -c
+        units.append(Fraction(c, e.den[()]))
+        p = _int_divide(e.num, c)
+        counts.append({} if _is_const(p) else {_p_sorted(p): 1})
+    coprime = set()  # pairs of keys whose gcd is a constant
+    while (found := _split_pair(counts, coprime)) is not None:
+        counts = [_substitute_factors(fac, found) for fac in counts]
+    keys = sorted({k for fac in counts for k in fac})
+    kernels = {}
+    for e in exprs:
+        kernels.update(e.kernels)
+    base = {k: Expr._make(exprs[0].vars, dict(k), _ONE, kernels)
+            for k in keys}
+    return ([base[k] for k in keys],
+            [(u, {base[k]: m for k, m in sorted(fac.items())})
+             for u, fac in zip(units, counts)])
+
+
+def _p_sorted(A):
+    """A polynomial as sorted (monomial, coefficient) pairs: hashable, and
+    ordered the same way on every run."""
+    return tuple(sorted(A.items()))
+
+
+def _split_pair(counts, coprime):
+    """{a: (g, a/g), b: (g, b/g)} for the first two keys a < b of the factor
+    counts whose gcd g is not a constant, or None when there are none."""
+    keys = sorted({k for fac in counts for k in fac})
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            if (a, b) in coprime:
+                continue
+            g, qa, qb = _ip_cofactors(dict(a), dict(b))
+            if not _is_const(g):
+                return {a: (g, qa), b: (g, qb)}
+            coprime.add((a, b))
+    return None
+
+
+def _substitute_factors(fac, split):
+    """The factor count `fac` with each split key replaced by its two
+    parts; a part that is a constant is one."""
+    out = {}
+    for k, m in fac.items():
+        for part in split.get(k, (dict(k),)):
+            if not _is_const(part):
+                pk = _p_sorted(part)
+                out[pk] = out.get(pk, 0) + m
+    return out

@@ -11,14 +11,15 @@ wrong flag.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (DomainError, InconclusiveZeroTest, NoTermination,
                      RegularityViolation)
-from .expr import (Expr, Point, Zeroness, denominator_lcm, divide_by_gcd,
-                   exact_quotient)
+from .expr import (Expr, Point, Zeroness, coprime_factor_base,
+                   denominator_lcm, divide_by_gcd, exact_quotient)
 from .forms import KForm, coordinate_form, exterior_derivative, wedge
 from . import numlin
 
@@ -392,38 +393,8 @@ def ideal_membership(a: KForm, ideal: PfaffianIdeal) -> str:
 
 def _factor_product(vars0, factors):
     out = Expr.one(vars0)
-    for e, mult in factors.values():
-        for _ in range(mult):
-            out = out * e
-    return out
-
-
-def _factor_sum(a, b):
-    out = {k: (e, m) for k, (e, m) in a.items()}
-    for k, (e, m) in b.items():
-        if k in out:
-            out[k] = (e, out[k][1] + m)
-        else:
-            out[k] = (e, m)
-    return out
-
-
-def _factor_max(a, b):
-    out = {k: (e, m) for k, (e, m) in a.items()}
-    for k, (e, m) in b.items():
-        if k in out:
-            out[k] = (e, max(out[k][1], m))
-        else:
-            out[k] = (e, m)
-    return out
-
-
-def _factor_diff(a, b):
-    out = {}
-    for k, (e, m) in a.items():
-        mm = m - b.get(k, (None, 0))[1]
-        if mm > 0:
-            out[k] = (e, mm)
+    for e, mult in factors.items():
+        out = out * e ** mult
     return out
 
 
@@ -431,19 +402,24 @@ def _complement_substitution(ideal: PfaffianIdeal):
     """For each pivot coordinate of the echelon generators, a fraction-free
     replacement dv_pivot === form/den mod I with the numerator form supported
     on complement coordinates only.  Denominators are kept as factor
-    multisets so later products never need polynomial division or gcd.
-    Pivots are solved in reverse assignment order."""
+    multisets (Counters) over one pairwise coprime base of the pivot
+    entries, so associated pivots share their factors, the maximum of two
+    multisets is their least common multiple, and later products never need
+    polynomial division or gcd.  Pivots are solved in reverse assignment
+    order."""
     rows, pivots = ideal.rows()
     vars0 = ideal.vars
+    _, factored = coprime_factor_base(row[pc]
+                                      for row, pc in zip(rows, pivots))
     subs = {}  # pivot col -> (KForm numerator, factor multiset)
-    for row, pc in reversed(list(zip(rows, pivots))):
-        cp = row[pc]
+    for row, pc, (unit, powers) in reversed(list(zip(rows, pivots,
+                                                     factored))):
         # common denominator over the resolved pivots this row references
-        common = {}
+        common = Counter()
         for c in range(vars0.total):
             if c == pc or row[c].is_structural_zero() or c not in subs:
                 continue
-            common = _factor_max(common, subs[c][1])
+            common |= subs[c][1]
         q_common = _factor_product(vars0, common)
         acc = KForm.zero(vars0, 1)
         for c in range(vars0.total):
@@ -451,23 +427,23 @@ def _complement_substitution(ideal: PfaffianIdeal):
                 continue
             if c in subs:
                 form_c, den_c = subs[c]
-                scale = _factor_product(vars0, _factor_diff(common, den_c))
+                scale = _factor_product(vars0, common - den_c)
                 acc = acc + form_c.scale(row[c] * scale)
             else:
                 acc = acc + coordinate_form(vars0, c).scale(row[c] * q_common)
-        den = _factor_sum({cp.key(): (cp, 1)} if cp.as_rational() != 1 else {},
-                          common)
-        subs[pc] = (acc.scale(Expr.rational(vars0, -1)), den)
-    return subs, pivots
+        # the pivot entry is unit * powers; the unit joins the numerator
+        subs[pc] = (acc.scale(Expr.rational(vars0, -1 / unit)),
+                    Counter(powers) + common)
+    return subs
 
 
 def _reduce_pieces(w: KForm, subs):
     """Substitution terms of a 2-form and the denominator multiset they
     need; assembled later against a shared denominator."""
     vars0 = w.vars
-    empty = {}
+    empty = Counter()
     pieces = []
-    need = {}
+    need = Counter()
     for (i, j), c in w.terms.items():
         fi, di = subs.get(i, (None, empty))
         fj, dj = subs.get(j, (None, empty))
@@ -475,16 +451,16 @@ def _reduce_pieces(w: KForm, subs):
             fi = coordinate_form(vars0, i)
         if fj is None:
             fj = coordinate_form(vars0, j)
-        den = _factor_sum(di, dj)
+        den = di + dj
         pieces.append((c, fi, fj, den))
-        need = _factor_max(need, den)
+        need |= den
     return pieces, need
 
 
 def _assemble_pieces(vars0, pieces, need):
     out = KForm.zero(vars0, 2)
     for c, fi, fj, den in pieces:
-        scale = _factor_product(vars0, _factor_diff(need, den))
+        scale = _factor_product(vars0, need - den)
         out = out + wedge(fi, fj).scale(c * scale)
     return out
 
@@ -506,15 +482,15 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     vars0 = ideal.vars
     if not ideal.generators:
         return PfaffianIdeal([], ideal.p0, "derived-from", _normalized=True)
-    subs, pivots = _complement_substitution(ideal)
+    subs = _complement_substitution(ideal)
     # one shared denominator scale across all generators so the nullspace of
     # the scaled conditions is the nullspace of the true ones
     all_pieces = []
-    need = {}
+    need = Counter()
     for g in ideal.generators:
         pieces, n = _reduce_pieces(exterior_derivative(g), subs)
         all_pieces.append(pieces)
-        need = _factor_max(need, n)
+        need |= n
     reduced = []
     pair_index = {}
     for pieces in all_pieces:
@@ -714,8 +690,7 @@ def two_form_membership(w: KForm, ideal: PfaffianIdeal) -> str:
         return Membership.MEMBER
     if not ideal.generators:
         return Membership.NON_MEMBER
-    subs, _ = _complement_substitution(ideal)
-    r = _reduce_two_form(w, subs)
+    r = _reduce_two_form(w, _complement_substitution(ideal))
     verdict = Membership.MEMBER
     for c in r.terms.values():
         z = c.zeroness()

@@ -1,6 +1,7 @@
 """The integer polynomial gcd and exact division behind canonical forms:
 heuristic gcd against sympy, its sign convention, heap-ordered exact
-division, and fraction reduction past sizes the old PRS gave up on."""
+division, fraction reduction past sizes the old PRS gave up on, and the
+coprime factor base built from the gcd."""
 
 import random
 from fractions import Fraction
@@ -8,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 import tflkit.expr as expr
-from tflkit.expr import Expr, VariableSpace, divide_by_gcd, exact_quotient, \
-    parse_expr
+from tflkit.expr import Expr, VariableSpace, coprime_factor_base, \
+    divide_by_gcd, exact_quotient, parse_expr
 from tflkit.lift import lift_system
 from tflkit.pfaffian import derived_flag
-from conftest import make_sec5_system
+from conftest import make_sec5_system, random_polynomial, random_rational
 
 VS = VariableSpace.canonical(6, 1)
 E = lambda s: parse_expr(s, VS)
@@ -335,3 +336,127 @@ class TestNoSecondDivision:
                   E("(x1 - x2)*(x2 + 5)")]
         assert pfaffian._row_primitive(shared) == [
             E("(x3 + 2)*x4"), E("2*x4^2"), E("x2 + 5")]
+
+
+class TestCoprimeFactorBase:
+    """Factor refinement: every input is its unit times a product of base
+    powers, and the base is pairwise coprime, content-free, has positive
+    leading coefficients and an order fixed by the inputs' values alone."""
+
+    F = "x1*x5 + x4^2 + 2"
+
+    def _check(self, inputs):
+        base, factored = coprime_factor_base(inputs)
+        assert len(factored) == len(inputs)
+        for e, (unit, powers) in zip(inputs, factored):
+            assert isinstance(unit, Fraction) and unit != 0
+            product = Expr.rational(VS, unit)
+            for b, m in powers.items():
+                assert m >= 1 and any(b is x for x in base)
+                product = product * b ** m
+            assert product == e
+        for b in base:
+            assert expr._is_unit(b.den) and not expr._is_const(b.num)
+            assert expr._int_content(b.num) == 1
+            assert b.num[expr._p_leading(b.num)] > 0
+        for i, a in enumerate(base):
+            for b in base[i + 1:]:
+                assert _gcd(a.num, b.num) == {(): 1}
+        return base, factored
+
+    def _powers(self, factored):
+        return [(unit, {str(b): m for b, m in powers.items()})
+                for unit, powers in factored]
+
+    def test_associates_share_one_element(self):
+        f = E(self.F)
+        base, factored = self._check([f, -f, 3 * f, f / 2, E("-2/3") * f])
+        assert base == [f]
+        assert self._powers(factored) == [
+            (u, {self.F: 1}) for u in (1, -1, 3, Fraction(1, 2),
+                                       Fraction(-2, 3))]
+
+    def test_nested_factors_split(self):
+        f = E(self.F)
+        base, factored = self._check([E("x1") * f, -f, E("x1^2") * f ** 3])
+        assert sorted(map(str, base)) == sorted(["x1", self.F])
+        assert self._powers(factored) == [
+            (1, {"x1": 1, self.F: 1}), (-1, {self.F: 1}),
+            (1, {"x1": 2, self.F: 3})]
+
+    def test_constants_are_units(self):
+        f = E(self.F)
+        base, factored = self._check([E("-1"), E("2"), E("1/3"), -2 * f])
+        assert base == [f]
+        assert self._powers(factored) == [
+            (-1, {}), (2, {}), (Fraction(1, 3), {}), (-2, {self.F: 1})]
+        assert coprime_factor_base([E("-1"), E("7")]) == (
+            [], [(-1, {}), (7, {})])
+
+    def test_kernel_atoms(self):
+        f, h = E(self.F), E("exp(x3) + x1")
+        base, factored = self._check([
+            E("sin(x1)") * f, E("-cos(x2)*sin(x1)"), h ** 2 * f, 2 * h])
+        assert sorted(map(str, base)) == sorted(
+            ["sin(x1)", "cos(x2)", str(h), self.F])
+        assert self._powers(factored)[3] == (2, {str(h): 1})
+
+    def test_seeded_products(self):
+        rng = random.Random(9)
+        for _ in range(12):
+            parts = [random_polynomial(rng, VS, degree=2, terms=3,
+                                       kernels=True) for _ in range(3)]
+            parts = [p for p in parts if p.as_rational() is None]
+            inputs = []
+            for _ in range(5):
+                e = Expr.rational(VS, random_rational(rng) or 1)
+                for p in parts:
+                    e = e * p ** rng.randint(0, 2)
+                inputs.append(e)
+            self._check(inputs)
+
+    def test_coprime_under_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(10)
+        f, h = E(self.F), E("exp(x3) + x1")
+        cases = [[E("sin(x1)") * f, E("-cos(x2)*sin(x1)"), h ** 2 * f, 2 * h]]
+        for _ in range(6):
+            A, B = _planted(rng, VAR_ATOMS, 3, 2)
+            cases.append([Expr._make(VS, P, {(): 1}, {}) for P in (A, B)
+                          if not expr._is_const(P)])
+        for inputs in cases:
+            base, _ = self._check(inputs)
+            assert len(base) >= 2
+            for i, a in enumerate(base):
+                for b in base[i + 1:]:
+                    assert _sympy_gcd(sympy, a.num, b.num) == {(): 1}
+
+    def test_order_is_deterministic(self):
+        rng = random.Random(11)
+        f, g = E(self.F), E("x2 - x3 + 1")
+        inputs = [E("x1") * f, g * f ** 2, -g, E("sin(x1)") * g, E("3")]
+        first, _ = coprime_factor_base(inputs)
+        assert len(first) == 4
+        for _ in range(5):
+            rng.shuffle(inputs)
+            base, factored = self._check(inputs)
+            assert base == first
+            assert [list(p) for _, p in factored] == [
+                [b for b in first if b in p] for _, p in factored]
+
+    def test_exact_when_the_heuristic_gives_up(self, monkeypatch):
+        f = E(self.F)
+        monkeypatch.setattr(expr, "_heu_gcd", lambda A, B: None)
+        inputs = [E("x1") * f, -f, 3 * f]
+        base, factored = coprime_factor_base(inputs)
+        for e, (unit, powers) in zip(inputs, factored):
+            product = Expr.rational(VS, unit)
+            for b, m in powers.items():
+                product = product * b ** m
+            assert product == e
+
+    def test_rejects_zero_and_quotients(self):
+        with pytest.raises(ValueError):
+            coprime_factor_base([E("x1"), E("0")])
+        with pytest.raises(ValueError):
+            coprime_factor_base([E("x1/x2")])

@@ -10,7 +10,8 @@ import pytest
 import tflkit.numlin as numlin
 from tflkit.errors import RegularityViolation
 from tflkit.expr import Point, VariableSpace, parse_expr
-from tflkit.forms import coordinate_form, d_of_function, exterior_derivative
+from tflkit.forms import (coordinate_form, d_of_function, exterior_derivative,
+                          wedge)
 from tflkit.lift import g_module, s_module
 from tflkit.pfaffian import (Flag, Membership, PfaffianIdeal, augment_with_dt,
                              derived_flag, derived_system,
@@ -293,6 +294,122 @@ class TestRankBeforeNormalising:
         for p, r in zip(points, ranks):
             assert r == numlin.exact_rank(
                 [[c.eval(p) for c in row] for row in primitive])
+
+
+class TestCoprimeDenominators:
+    def test_sec5_last_step(self, monkeypatch, sec5_flag):
+        """The pivot entries of sec5's last derived step are associates of
+        one 7-term f and of x1*f.  Keyed by a coprime base, the shared
+        denominator of the conditions is x1*f^2, and the cleared rows stay
+        within about 4.5x of their primitive parts (455 terms)."""
+        import tflkit.expr as expr
+        import tflkit.pfaffian as pfaffian
+
+        assemble = pfaffian._assemble_pieces
+        sample_ranks = pfaffian._sample_ranks
+        needs, matrices = [], []
+
+        def assemble_spy(vars0, pieces, need):
+            needs.append(need)
+            return assemble(vars0, pieces, need)
+
+        def ranks_spy(matrix, p0, exact, primitive_row):
+            matrices.append(matrix)
+            yield from sample_ranks(matrix, p0, exact, primitive_row)
+
+        monkeypatch.setattr(pfaffian, "_assemble_pieces", assemble_spy)
+        monkeypatch.setattr(pfaffian, "_sample_ranks", ranks_spy)
+        ideal = sec5_flag.entry(2)
+        assert len(derived_system(ideal)) == 0
+        need = needs[0]
+        assert all(n == need for n in needs)
+        (x1, one), (f, two) = sorted(need.items(), key=lambda kv: kv[1])
+        assert (x1, one, two) == (E("x1"), 1, 2)
+        assert len(f.num) == 7
+        assert expr._ip_cofactors(x1.num, f.num)[0] == {(): 1}
+        rows, pivots = ideal.rows()
+        assert {row[pc] / f for row, pc in zip(rows, pivots)} \
+            <= {E("1"), E("-1"), E("x1"), E("-x1")}
+        (matrix,) = matrices
+        assert len(matrix) == 10
+        assert sum(len(c.num) for row in matrix for c in row) <= 2100
+
+
+class TestTwoFormMembershipAssociates:
+    """two_form_membership, the closure check of frobenius_integrate, keys
+    its denominators by the same coprime base.  The pivot entries of this
+    ideal over (t, u1, x1..x5), p0 at x1 = 1, are -2, 4f, 8f and 16*x1*f
+    for f = x1*x5 + x4^2 + 2.  The verdicts were recorded while each pivot
+    entry was still a factor of its own."""
+
+    VS5 = VariableSpace.canonical(5, 1)
+    F = "x1*x5 + x4^2 + 2"
+    # name -> (verdict, shared denominator as {printed factor: multiplicity})
+    EXPECTED = {
+        "dw0": ("non-member", {F: 1}),
+        "dw1": ("non-member", {F: 1}),
+        "dw2": ("non-member", {F: 2}),
+        "dw3": ("non-member", {"x1": 1, F: 2}),
+        "w1^w2": ("member", {F: 2}),
+        "w2^dx4": ("member", {F: 1}),
+        "w1^x2dx5 + w3^dt": ("member", {"x1": 1, F: 1}),
+        "w0^dx1": ("member", {F: 1}),
+        "dx1^dx2": ("member", {F: 2}),
+        "dx1^dx3": ("non-member", {"x1": 1, F: 2}),
+        "dx4^dx5": ("non-member", {}),
+        "du1^dx2": ("non-member", {F: 1}),
+        "du1^dx5": ("non-member", {}),
+    }
+
+    def test_verdicts_and_denominators(self, monkeypatch):
+        import tflkit.pfaffian as pfaffian
+
+        E5 = lambda s: parse_expr(s, self.VS5)
+        dx = lambda nm: coordinate_form(self.VS5, nm)
+        w0 = dx("t").scale(E5("x2")) - dx("u1").scale(E5("2"))
+        w1 = dx("x1").scale(E5(self.F)) + dx("x4").scale(E5("x5"))
+        w2 = dx("x2").scale(E5(f"-({self.F})")) \
+            + dx("x4").scale(E5("x1 + 1"))
+        w3 = dx("x3").scale(E5(f"x1*({self.F})")) \
+            + dx("x5").scale(E5("x4 - 3"))
+        ideal = PfaffianIdeal([w0, w1, w2, w3],
+                              simple_point(self.VS5, x1=1))
+        rows, pivots = ideal.rows()
+        assert [str(row[pc]) for row, pc in zip(rows, pivots)] == [
+            "-2", "4*x1*x5 + 4*x4^2 + 8", "8*x1*x5 + 8*x4^2 + 16",
+            "16*x1^2*x5 + 16*x1*x4^2 + 32*x1"]
+        cases = {
+            "dw0": exterior_derivative(w0),
+            "dw1": exterior_derivative(w1),
+            "dw2": exterior_derivative(w2),
+            "dw3": exterior_derivative(w3),
+            "w1^w2": wedge(w1, w2),
+            "w2^dx4": wedge(w2, dx("x4")),
+            "w1^x2dx5 + w3^dt": wedge(w1, dx("x5").scale(E5("x2")))
+            + wedge(w3, dx("t")),
+            "w0^dx1": wedge(w0, dx("x1")),
+            "dx1^dx2": wedge(dx("x1"), dx("x2")),
+            "dx1^dx3": wedge(dx("x1"), dx("x3")),
+            "dx4^dx5": wedge(dx("x4"), dx("x5")),
+            "du1^dx2": wedge(dx("u1"), dx("x2")),
+            "du1^dx5": wedge(dx("u1"), dx("x5")),
+        }
+        assemble = pfaffian._assemble_pieces
+        needs = []
+
+        def spy(vars0, pieces, need):
+            needs.append(need)
+            return assemble(vars0, pieces, need)
+
+        monkeypatch.setattr(pfaffian, "_assemble_pieces", spy)
+        seen = {}
+        for name, w in cases.items():
+            verdict = two_form_membership(w, ideal)
+            seen[name] = (verdict, {str(e): m for e, m in needs[-1].items()})
+            # no constant is ever a factor: -2 is a unit of its numerator
+            assert all(e.as_rational() is None for e in needs[-1])
+        assert len(needs) == len(cases)
+        assert seen == self.EXPECTED
 
 
 class TestDerivedSystemCertification:
