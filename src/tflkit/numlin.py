@@ -1,8 +1,9 @@
 """The package's one rank policy, for pointwise linear algebra.
 
-Exact over Q where every entry is rational: a matrix of Fractions is
-reduced by one forward Gauss elimination (`_fraction_echelon`), which gives
-both `exact_rank` and `rational_nullspace`, and no tolerance is involved.
+Exact over Q where every entry is rational: a matrix of rationals is
+reduced by one forward Gauss elimination over sparse rows
+(`_fraction_echelon`), which gives both `exact_rank` and
+`rational_nullspace`, and no tolerance is involved.
 
 Float otherwise: singular values below RANK_TOL times max(largest singular
 value, 1) are treated as zero (`_sv_cut`).  `rank`, `null_basis`,
@@ -56,55 +57,61 @@ def extends_span(rows, row):
     return rank(np.vstack(list(rows) + [row])) > len(rows)
 
 
-def _fraction_echelon(rows, ncols):
-    """Forward Gauss elimination over Q: (echelon rows, pivot columns).
-    Zero rows are dropped, and the sweep stops once every row holds a
-    pivot, since the columns left are then all free."""
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
+def _fraction_echelon(rows):
+    """Forward Gauss elimination over Q on sparse rows {column: Fraction}:
+    (echelon rows, pivot columns).  Each column, left to right, takes its
+    pivot from the first remaining row that holds it.  Zero rows are
+    dropped, and the sweep stops once every row holds a pivot, since the
+    columns left are then all free."""
+    rows = [{c: Fraction(x) for c, x in enumerate(r) if x} for r in rows]
+    rows = [r for r in rows if r]
+    ncols = max((max(r) for r in rows), default=-1) + 1
     pivots = []
     for col in range(ncols):
         r = len(pivots)
         if r == len(rows):
             break
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0),
-                   None)
+        piv = next((i for i in range(r, len(rows)) if col in rows[i]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pr = rows[r]
         pv = pr[col]
         for i in range(r + 1, len(rows)):
-            ci = rows[i][col]
-            if ci:
-                f = ci / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+            row = rows[i]
+            if col in row:
+                f = row[col] / pv
+                for c, b in pr.items():
+                    v = row.get(c, 0) - f * b
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
         pivots.append(col)
     return rows[:len(pivots)], pivots
 
 
 def exact_rank(rows):
     """Rank over Q of a matrix of rationals."""
-    return len(_fraction_echelon(rows, len(rows[0]) if rows else 0)[1])
+    return len(_fraction_echelon(rows)[1])
 
 
 def rational_nullspace(rows, ncols):
     """Nullspace basis over Q of a matrix of rationals, deterministic: the
     k-th vector has a 1 in the k-th free column and 0 in the other free
     columns, which fixes it uniquely."""
-    echelon, pivots = _fraction_echelon(rows, ncols)
-    # per pivot row, its nonzero entries right of the pivot
-    tails = [[(c, row[c]) for c in range(pc + 1, ncols) if row[c]]
-             for row, pc in zip(echelon, pivots)]
+    echelon, pivots = _fraction_echelon(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
+    zero = Fraction(0)
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc, tail in reversed(list(zip(echelon, pivots, tails))):
-            s = sum((a * vec[c] for c, a in tail if vec[c]), Fraction(0))
-            vec[pc] = -s / row[pc]
-        basis.append(vec)
+        vec = {fc: Fraction(1)}
+        for row, pc in zip(reversed(echelon), reversed(pivots)):
+            s = sum((a * vec[c] for c, a in row.items() if c in vec), zero)
+            if s:
+                vec[pc] = -s / row[pc]
+        basis.append([vec.get(c, zero) for c in range(ncols)])
     return basis
 
 

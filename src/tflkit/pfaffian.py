@@ -10,6 +10,7 @@ wrong flag.
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,7 +28,6 @@ __all__ = [
     "PfaffianIdeal",
     "Flag",
     "Membership",
-    "echelonize_forms",
     "ideal_membership",
     "derived_system",
     "derived_flag",
@@ -290,57 +290,52 @@ def _rows_to_forms(rows, vars0):
     return out
 
 
-def echelonize_forms(forms, p0=None):
-    if not forms:
-        return []
-    rows, _ = rref_function_field(_forms_to_rows(forms), p0)
-    return _rows_to_forms(rows, forms[0].vars)
-
-
 class PfaffianIdeal:
     """Finitely generated ideal of forms, represented by one-form generators.
 
-    Generators are echelon-normalized and pointwise independent at the base
-    point; both the supplied generators and the normalized basis are
-    validated on construction.  Internal callers whose rows carry artifact
-    scalings (cleared nullspace vectors) skip the raw check via
-    `_validate_raw=False`; the normalized basis is still checked.
+    The generators are echelonized once, on construction: the echelon rows
+    and pivots are the ideal's `rows()`, and the generators are those rows
+    as forms.  Both the supplied generators and the echelon basis are
+    checked for pointwise independence at the base point.  Internal callers
+    whose rows carry artifact scalings (cleared nullspace vectors) skip the
+    raw check via `_validate_raw=False`; the echelon basis is still
+    checked.  An ideal with another's generators is `_relabelled`, sharing
+    its rows, so nothing is echelonized or checked twice.
     """
 
     def __init__(self, generators, p0: Point, provenance="system",
-                 _normalized=False, _validate_raw=True):
+                 _validate_raw=True):
         generators = list(generators)
-        if generators and not _normalized and _validate_raw:
+        self.p0 = p0
+        self.provenance = provenance
+        self.vars = p0.vars
+        self.generators, self._rows, self._pivots = [], [], []
+        if not generators:
+            return
+        if _validate_raw:
             raw = np.array([g.at(p0) for g in generators])
             if numlin.rank(raw) != len(generators):
                 raise RegularityViolation(
                     "supplied generators are pointwise dependent at the "
                     "base point")
-        if generators and not _normalized:
-            generators = echelonize_forms(generators, p0)
-        self.generators = list(generators)
-        self.p0 = p0
-        self.provenance = provenance
-        self.vars = p0.vars
-        self._reduced_rows = None
-        self._pivots = None
-        if self.generators:
-            m = np.array([g.at(p0) for g in self.generators])
-            if numlin.rank(m) != len(self.generators):
-                raise RegularityViolation(
-                    "generators are pointwise dependent at the base point")
+        self._rows, self._pivots = rref_function_field(
+            _forms_to_rows(generators), p0)
+        self.generators = _rows_to_forms(self._rows, self.vars)
+        if numlin.rank(self.at(p0)) != len(self.generators):
+            raise RegularityViolation(
+                "generators are pointwise dependent at the base point")
+
+    def _relabelled(self, provenance):
+        """The same ideal under another provenance, sharing its echelon."""
+        out = copy.copy(self)
+        out.provenance = provenance
+        return out
 
     def __len__(self):
         return len(self.generators)
 
     def rows(self):
-        if self._reduced_rows is None:
-            if self.generators:
-                self._reduced_rows, self._pivots = rref_function_field(
-                    _forms_to_rows(self.generators), self.p0)
-            else:
-                self._reduced_rows, self._pivots = [], []
-        return self._reduced_rows, self._pivots
+        return self._rows, self._pivots
 
     def at(self, p: Point):
         if not self.generators:
@@ -481,7 +476,7 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     """
     vars0 = ideal.vars
     if not ideal.generators:
-        return PfaffianIdeal([], ideal.p0, "derived-from", _normalized=True)
+        return PfaffianIdeal([], ideal.p0, "derived-from")
     subs = _complement_substitution(ideal)
     # one shared denominator scale across all generators so the nullspace of
     # the scaled conditions is the nullspace of the true ones
@@ -501,8 +496,7 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     n_gens = len(ideal.generators)
     if not pair_index:
         # every d(generator) already reduces to zero: differential ideal
-        return PfaffianIdeal(list(ideal.generators), ideal.p0,
-                             "derived-from", _normalized=True)
+        return ideal._relabelled("derived-from")
     matrix = [[Expr.zero(vars0) for _ in range(n_gens)]
               for _ in range(len(pair_index))]
     for col, r in enumerate(reduced):
@@ -532,8 +526,7 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
         if exact and r == n_gens:
             # full column rank at an exactly evaluated rational point,
             # hence generically: the derived system is zero
-            return PfaffianIdeal([], ideal.p0, "derived-from",
-                                 _normalized=True)
+            return PfaffianIdeal([], ideal.p0, "derived-from")
         ranks.append((perturbed, r))
     basis = nullspace_function_field(
         [primitive_row(i) for i in range(len(matrix))], ideal.p0)
@@ -675,10 +668,8 @@ def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:
 def differential_closure(ideal: PfaffianIdeal) -> PfaffianIdeal:
     """Terminal ideal of the derived flag; the largest differential ideal
     inside `ideal` under the regularity assumption."""
-    flag = derived_flag(ideal)
-    out = flag.entries[-1]
-    return PfaffianIdeal(list(out.generators), out.p0,
-                         f"closure-of {ideal.provenance}", _normalized=True)
+    return derived_flag(ideal).entries[-1]._relabelled(
+        f"closure-of {ideal.provenance}")
 
 
 def two_form_membership(w: KForm, ideal: PfaffianIdeal) -> str:

@@ -63,6 +63,75 @@ class TestExactAgainstSympy:
         assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def _ansatz_like(rng):
+    """A sparse matrix shaped like the closed-combination ansatz: 80-160
+    rows over 66 columns, each row holding 1-3 small nonzeros inside one
+    block of 1-3 columns, in shuffled order.  About half the blocks of two
+    or three columns carry a hidden kernel vector that all their rows
+    annihilate, so the nullspace has basis vectors with several nonzeros;
+    integral entries are `int` about half the time."""
+    cols = list(range(66))
+    rng.shuffle(cols)
+    blocks = []
+    while cols:
+        size = min(rng.randint(1, 3), len(cols))
+        blocks.append((cols[:size], rng.random() < 0.5 and size > 1))
+        cols = cols[size:]
+    rows = []
+    target = rng.randint(80, 160)
+    while len(rows) < target:
+        block, has_kernel = rng.choice(blocks)
+        support = rng.sample(block, rng.randint(1, len(block)))
+        vals = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                         rng.randint(1, 3)) for _ in support]
+        if has_kernel:
+            if len(support) == 1:
+                continue
+            # the hidden kernel vector is 1, 2, 3 on the block's columns
+            weight = {c: k + 1 for k, c in enumerate(block)}
+            vals[-1] = -sum((v * weight[c] for v, c in
+                             zip(vals[:-1], support)), Fraction(0)) \
+                / weight[support[-1]]
+            if not vals[-1]:
+                continue
+        row = [0] * 66
+        for c, v in zip(support, vals):
+            row[c] = (int(v) if v.denominator == 1 and rng.random() < 0.5
+                      else v)
+        rows.append(row)
+    return rows
+
+
+class TestSparseAnsatzShapes:
+    """`_fraction_echelon` works on sparse rows; these matrices are as
+    large and as sparse as the ones `integrate` hands it."""
+
+    def test_exact_rank(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(17)
+        for _ in range(4):
+            m = _ansatz_like(rng)
+            assert numlin.exact_rank(m) == sympy.Matrix(m).rank()
+
+    def test_rational_nullspace(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(19)
+        supports = []
+        for _ in range(4):
+            m = _ansatz_like(rng)
+            got = numlin.rational_nullspace(m, 66)
+            want = sympy.Matrix(m).nullspace()
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert all(isinstance(x, Fraction) for x in g)
+                assert [sympy.Rational(x.numerator, x.denominator)
+                        for x in g] == list(w)
+            supports.append(max((sum(1 for x in g if x) for g in got),
+                            default=0))
+        # some basis vectors combine several columns
+        assert max(supports) >= 3
+
+
 class TestFloatPolicy:
     def test_null_basis_spans_kernel(self):
         rng = np.random.default_rng(5)

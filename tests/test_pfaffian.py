@@ -338,8 +338,9 @@ class TestCoprimeDenominators:
 class TestTwoFormMembershipAssociates:
     """two_form_membership, the closure check of frobenius_integrate, keys
     its denominators by the same coprime base.  The pivot entries of this
-    ideal over (t, u1, x1..x5), p0 at x1 = 1, are -2, 4f, 8f and 16*x1*f
-    for f = x1*x5 + x4^2 + 2.  The verdicts were recorded while each pivot
+    ideal over (t, u1, x1..x5), p0 at x1 = 1, are -2, -2f, 2f and 2*x1*f
+    for f = x1*x5 + x4^2 + 2: one elimination, whose Bareiss factor 2 comes
+    from the first pivot -2.  The verdicts were recorded while each pivot
     entry was still a factor of its own."""
 
     VS5 = VariableSpace.canonical(5, 1)
@@ -376,8 +377,8 @@ class TestTwoFormMembershipAssociates:
                               simple_point(self.VS5, x1=1))
         rows, pivots = ideal.rows()
         assert [str(row[pc]) for row, pc in zip(rows, pivots)] == [
-            "-2", "4*x1*x5 + 4*x4^2 + 8", "8*x1*x5 + 8*x4^2 + 16",
-            "16*x1^2*x5 + 16*x1*x4^2 + 32*x1"]
+            "-2", "-2*x1*x5 - 2*x4^2 - 4", "2*x1*x5 + 2*x4^2 + 4",
+            "2*x1^2*x5 + 2*x1*x4^2 + 4*x1"]
         cases = {
             "dw0": exterior_derivative(w0),
             "dw1": exterior_derivative(w1),
@@ -410,6 +411,61 @@ class TestTwoFormMembershipAssociates:
             assert all(e.as_rational() is None for e in needs[-1])
         assert len(needs) == len(cases)
         assert seen == self.EXPECTED
+
+
+class TestOneEchelonPerIdeal:
+    """An ideal is echelonized once, when it is built: `rows()` reads that
+    echelon, whose rows are the generators, and an ideal with another's
+    generators (an unchanged derived step, a closure) shares its rows."""
+
+    def test_rows_read_the_construction_echelon(self, monkeypatch,
+                                                sec5_flag):
+        import tflkit.pfaffian as pfaffian
+
+        ideals = []
+        for k in range(sec5_flag.terminal_index + 1):
+            ideals += [sec5_flag.entry(k), sec5_flag.augmented(k),
+                       sec5_flag.closure(k)]
+        rref = pfaffian.rref_function_field
+        calls = []
+
+        def spy(rows, p0=None):
+            calls.append(len(rows))
+            return rref(rows, p0)
+
+        monkeypatch.setattr(pfaffian, "rref_function_field", spy)
+        for ideal in ideals:
+            rows, pivots = ideal.rows()
+            assert len(rows) == len(pivots) == len(ideal)
+            assert rows == [[g.coefficient((i,)) for i in range(VS.total)]
+                            for g in ideal.generators]
+        assert calls == []
+
+    def test_relabelled_ideals_share_rows(self, monkeypatch, sec5_flag):
+        import tflkit.pfaffian as pfaffian
+
+        derived_flag_ = pfaffian.derived_flag
+        flags = []
+
+        def spy(ideal, max_steps=None):
+            flags.append(derived_flag_(ideal, max_steps))
+            return flags[-1]
+
+        def assert_shared(ideal, source):
+            rows, pivots = ideal.rows()
+            src_rows, src_pivots = source.rows()
+            assert pivots is src_pivots and len(rows) == len(src_rows)
+            assert all(a is b for a, b in zip(rows, src_rows))
+
+        monkeypatch.setattr(pfaffian, "derived_flag", spy)
+        for k in range(sec5_flag.terminal_index + 1):
+            closure = differential_closure(sec5_flag.augmented(k))
+            assert closure.provenance == f"closure-of I({k})+dt"
+            assert_shared(closure, flags[-1].entries[-1])
+            # a closure is differential, so its derived step is unchanged
+            derived = derived_system(closure)
+            assert derived.provenance == "derived-from"
+            assert_shared(derived, closure)
 
 
 class TestDerivedSystemCertification:
