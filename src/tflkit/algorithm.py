@@ -20,7 +20,7 @@ from .expr import Expr, Point, Zeroness
 from .forms import d_of_function
 from .lift import ControlSystem, LiftedSystem, lift_system
 from .pfaffian import Membership, derived_flag, ideal_membership
-from .conditions import (ConditionReport, _newton_project, _span_with_dt,
+from .conditions import (ConditionReport, _span_with_dt,
                          compute_closures, evaluate_conditions)
 from .integrate import (adapt_subordinate, adapt_to_L,
                         frobenius_integrate)
@@ -167,8 +167,15 @@ def zero_dynamics_manifold(sys: ControlSystem, h, kappa):
 
 
 def _z_equals_n(sys: ControlSystem, z_defs, samples, warnings):
-    """Local set equality of Z^(1) and N: equal codimension at x0 plus
-    mutual vanishing (reduction when exact, samples otherwise)."""
+    """Local set equality of Z^(1) and N near x0.
+
+    Checked here: the two have equal codimension, and every defining
+    function of Z^(1) vanishes on N (by reduction when exact, at samples
+    otherwise).  Checked before: N's defining functions have full rank at x0
+    (`ControlSystem._validate`) and those of Z^(1) are independent at x0
+    (`zero_dynamics_manifold`).  So N and Z^(1) are embedded submanifolds of
+    equal dimension near x0 with N inside Z^(1); by invariance of domain N
+    is open in Z^(1), and the two agree on a neighbourhood of x0."""
     if len(z_defs) != len(sys.N_defs):
         return False
     for phi in z_defs:
@@ -178,17 +185,6 @@ def _z_equals_n(sys: ControlSystem, z_defs, samples, warnings):
         if v == Zeroness.INCONCLUSIVE:
             warnings.append(
                 f"vanishing of '{phi}' on N certified by samples only")
-    # reverse containment at sample points of Z^(1)
-    z_samples = _newton_project(sys, z_defs, count=4, seed=3, radius=0.05,
-                                max_attempts=160)
-    if len(z_samples) < 4:
-        warnings.append("could not sample Z^(1); reverse containment "
-                        "checked at x0 only")
-        z_samples = [sys.x0_point()]
-    for p in z_samples:
-        for phi in sys.N_defs:
-            if abs(float(phi.eval(p))) > 1e-8:
-                return False
     return True
 
 

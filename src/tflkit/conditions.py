@@ -73,48 +73,37 @@ class ConditionReport:
 
 def sample_on_N(sys: ControlSystem, count: int, radius: float = 0.1,
                 seed: int = 0, max_attempts_factor: int = 25):
-    """Points on N near x0 by Newton projection of random perturbations.
+    """Points of M (t = 0, u = u*(x)) on N near x0, by Newton projection of
+    Gaussian perturbations of x0.
 
-    Deterministic under a fixed seed; the Newton iteration drives the
-    defining functions below 1e-12 within 50 steps or the attempt is
-    discarded.
+    Deterministic under a fixed seed; an attempt that does not drive every
+    defining function below 1e-12 within 50 steps is discarded, and at most
+    `max_attempts_factor * count` are made.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    out = _newton_project(sys, sys.N_defs, count, seed, radius,
-                          max_attempts_factor * count)
-    if len(out) < count:
-        raise SamplingFailed(
-            f"Newton projection produced {len(out)}/{count} points on N")
-    return out
-
-
-def _newton_project(sys: ControlSystem, defs, count, seed, radius,
-                    max_attempts):
-    """Up to `count` points of M (t = 0, u = u*(x)) on the zero set of the
-    state functions `defs`, projected by Newton steps from Gaussian
-    perturbations of x0.  Deterministic under a fixed seed; an attempt that
-    does not drive every function below 1e-12 within 50 steps is
-    discarded, and at most `max_attempts` are made."""
     rng = random.Random(seed)
     x0 = np.array([float(v) for v in sys.x0])
-    grads = [sys.state_grad(phi) for phi in defs]
+    grads = [sys.state_grad(phi) for phi in sys.N_defs]
     out = []
     attempts = 0
-    while len(out) < count and attempts < max_attempts:
+    while len(out) < count and attempts < max_attempts_factor * count:
         attempts += 1
         x = x0 + np.array([rng.gauss(0.0, radius) for _ in range(len(x0))])
         for _ in range(50):
             p = _state_point(sys, x)
-            vals = np.array([float(phi.eval(p)) for phi in defs])
+            vals = np.array([float(phi.eval(p)) for phi in sys.N_defs])
             if np.max(np.abs(vals)) <= 1e-12:
                 out.append(p)
                 break
             J = np.array([[float(g.eval(p)) for g in row] for row in grads])
             step, *_ = np.linalg.lstsq(J, vals, rcond=None)
             x = x - step
+    if len(out) < count:
+        raise SamplingFailed(
+            f"Newton projection produced {len(out)}/{count} points on N")
     return out
 
 

@@ -8,9 +8,9 @@ from tflkit.errors import IndependenceViolation
 from tflkit.expr import Expr, VariableSpace, Zeroness, parse_expr
 from tflkit.forms import d_of_function
 from tflkit.lift import ControlSystem, lift_system
-from tflkit.algorithm import (NoRelativeDegree, RelativeDegree, dual_rd_check,
-                              normal_form, run_tfl, vector_relative_degree,
-                              zero_dynamics_manifold)
+from tflkit.algorithm import (NoRelativeDegree, RelativeDegree, _z_equals_n,
+                              dual_rd_check, normal_form, run_tfl,
+                              vector_relative_degree, zero_dynamics_manifold)
 from conftest import make_chain3, make_double_integrator
 
 VS = VariableSpace.canonical(7, 2)
@@ -90,6 +90,43 @@ class TestZeroDynamics:
         vs = chain3.vars
         defs = zero_dynamics_manifold(chain3, [parse_expr("x1", vs)], [3])
         assert [str(d) for d in defs] == ["x1", "x2", "x3"]
+
+
+class TestZEqualsN:
+    """Z^(1) = N near x0 follows from N inside Z^(1), equal codimension and
+    independent defining functions at x0; an output whose Z^(1) differs
+    from N fails one of the three."""
+
+    def _check(self, sys, h, kappa):
+        vs = sys.vars
+        defs = zero_dynamics_manifold(sys, [parse_expr(s, vs) for s in h],
+                                      kappa)
+        warnings = []
+        samples = [sys.x0_point()]
+        return _z_equals_n(sys, defs, samples, warnings), warnings
+
+    def test_equal(self, chain3):
+        assert self._check(chain3, ["x1"], [3]) == (True, [])
+
+    def test_equal_near_x0_only(self, chain3):
+        # Z^(1) = {x1 in {0, 1}, x2 = x3 = 0} has a second branch away
+        # from x0, which the local certificate does not need to exclude
+        assert self._check(chain3, ["x1^2 - x1"], [3]) == (True, [])
+
+    def test_larger_z_rejected_by_count(self, chain3):
+        # Z^(1) = {x1 = x2 = 0} contains N = {x1 = x2 = x3 = 0}
+        assert self._check(chain3, ["x1"], [2]) == (False, [])
+
+    def test_singular_z_rejected_by_independence(self, chain3):
+        # x1^2, 2*x1*x2, ... vanish on N with the right count, but their
+        # differentials vanish at x0
+        with pytest.raises(IndependenceViolation):
+            self._check(chain3, ["x1^2"], [3])
+
+    def test_not_vanishing_on_n_rejected(self, chain3):
+        vs = chain3.vars
+        defs = [parse_expr(s, vs) for s in ("x1 - 1", "x2", "x3")]
+        assert _z_equals_n(chain3, defs, [chain3.x0_point()], []) is False
 
 
 class TestRunTfl:
