@@ -6,8 +6,11 @@ problem variables plus kernel terms exp(a), sin(a), cos(a), ln(a) whose
 arguments are themselves expressions in canonical form; kernels with
 distinct canonical arguments are independent atoms, so structural equality
 of canonical forms is decidable while identities that mix kernels
-(sin^2 + cos^2 = 1) are left alone.  Expressions are immutable values and may be shared freely across
-threads; there is no global mutable state.
+(sin^2 + cos^2 = 1) are left alone.  A monomial of variables is packed into
+one integer whose layout the VariableSpace fixes, so polynomial products
+add integers (see the polynomial layer below).  Expressions are immutable
+values and may be shared freely across threads; there is no global mutable
+state.
 """
 
 from __future__ import annotations
@@ -77,6 +80,15 @@ class VariableSpace:
         self.state_names = tuple(states)
         self.input_names = tuple(inputs)
         self._index = {nm: i for i, nm in enumerate(names)}
+        # the packed monomial layout: the degree field above one field per
+        # variable, t in the highest
+        k = len(names)
+        if k >= _MAX_FIELDS:
+            raise ValueError(f"at most {_MAX_FIELDS - 1} variables, "
+                             f"got {k}")
+        self._degree_unit = 1 << (_W * k)
+        self._units = tuple(self._degree_unit | 1 << (_W * (k - 1 - i))
+                            for i in range(k))
 
     @classmethod
     def canonical(cls, n, m):
@@ -162,39 +174,125 @@ class Point:
 # ---------------------------------------------------------------------------
 # polynomial layer: dict {monomial: int}
 #
-# A monomial is a tuple of (atom, exponent) pairs sorted by atom; atoms are
-# (0, var_index) for variables and (1, kind, fingerprint) for kernels, where
-# the fingerprint is the canonical key of the kernel's argument.  That makes
-# atoms directly comparable and the canonical form independent of the order
-# in which subexpressions were constructed.  Coefficients are integers:
-# rational scalars live in an expression's denominator.  Polynomials are
-# never changed in place, so they may be shared.
+# A monomial of variables is one int of _W-bit fields (Monagan & Pearce,
+# CASC 2007, "Polynomial division using dynamic arrays, heaps, and packed
+# exponent vectors").  The top field holds the total degree, and below it
+# come one field per variable, t in the highest (VariableSpace fixes the
+# layout).  So integer order is graded lexicographic order, "an earlier atom
+# with a larger exponent wins", the constant monomial is 0, and a product of
+# monomials is a sum.  The top bit of each field is a guard: no sum of two
+# monomials carries out of a field, and an exponent or a total degree past
+# _MAX_EXP sets a guard bit, which raises DomainError.  A monomial with
+# kernel atoms is a _KMono, whose variable part and tail of kernel atoms
+# sort after every variable; the degree field counts both.
+#
+# Monomials decode (_mono_pairs) to (atom, exponent) pairs sorted by atom,
+# with atoms (0, var_index) for variables and (1, kind, fingerprint) for
+# kernels, where the fingerprint is the canonical key of the kernel's
+# argument.  Canonical keys, and so hashes and printed forms, are read from
+# that form.  Coefficients are integers: rational scalars live in an
+# expression's denominator.  Polynomials are never changed in place, so
+# they may be shared.
 # ---------------------------------------------------------------------------
 
-_ONE = {(): 1}
+_W = 16                                 # bits per field
+_FIELD = (1 << _W) - 1
+_MAX_EXP = (1 << (_W - 1)) - 1          # the largest exponent and degree
+_MAX_FIELDS = 4096                      # variables + 1 (the degree field)
+_GUARDS = int("8" + "0" * (_W // 4 - 1), 16) * (
+    ((1 << (_W * _MAX_FIELDS)) - 1) // _FIELD)   # each field's top bit
+
+_ONE = {0: 1}
 
 
-def _p_var(i):
-    return {(((0, i), 1),): 1}
+class _KMono:
+    """A monomial with kernel atoms: `v`, the packed variable part whose
+    degree field counts the kernel exponents too, and `k`, the nonempty
+    tuple of (kernel atom, exponent) pairs sorted by atom.  `+` multiplies
+    monomials and `-` divides them (None when the quotient is not a
+    monomial); the order is grlex, with every kernel after every variable.
+    An int and a _KMono are never equal, since their degree fields differ
+    for the same variable part."""
+
+    __slots__ = ("v", "k", "_hash")
+
+    def __init__(self, v, k):
+        self.v = v
+        self.k = k
+        self._hash = None
+
+    def __add__(self, other):
+        if other.__class__ is int:
+            return _KMono(self.v + other, self.k)
+        return _KMono(self.v + other.v, _merge_tails(self.k, other.k))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is int:
+            v, k = self.v - other, self.k
+        else:
+            v, k = self.v - other.v, _divide_tails(self.k, other.k)
+            if k is None:
+                return None
+        if v < 0 or v & _GUARDS:
+            return None
+        return _KMono(v, k) if k else v
+
+    def __rsub__(self, other):
+        return None     # a monomial without kernels has no kernel divisor
+
+    def __neg__(self):
+        return _Negated(self)
+
+    def __eq__(self, other):
+        return (other.__class__ is _KMono and self.v == other.v
+                and self.k == other.k)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.v, self.k))
+        return self._hash
+
+    def __lt__(self, other):
+        if other.__class__ is int:
+            return self.v < other
+        return (self.v, _tail_key(other.k)) < (other.v, _tail_key(self.k))
+
+    def __gt__(self, other):
+        if other.__class__ is int:
+            return self.v > other
+        return (other.v, _tail_key(self.k)) < (self.v, _tail_key(other.k))
+
+    def __repr__(self):
+        return f"_KMono({self.v:#x}, {self.k!r})"
 
 
-def _p_atom(atom):
-    return {((atom, 1),): 1}
+class _Negated:
+    """-m for a _KMono m: ordered against negated monomials in reverse, so
+    that a min-heap of negated monomials pops the grlex-greatest first."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m):
+        self.m = m
+
+    def __neg__(self):
+        return self.m
+
+    def __lt__(self, other):
+        return self.m > -other
+
+    def __gt__(self, other):
+        return self.m < -other
 
 
-def _is_const(A):
-    return len(A) == 1 and () in A
+def _tail_key(k):
+    """Equal total degree: the greater tail has the smaller key."""
+    return tuple((a, -e) for a, e in k)
 
 
-def _is_unit(A):
-    return len(A) == 1 and A.get(()) == 1
-
-
-def _mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
+def _merge_tails(a, b):
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
@@ -211,6 +309,71 @@ def _mono_mul(a, b):
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
+
+
+def _divide_tails(a, b):
+    """The tail a / b, or None when b does not divide a."""
+    out = []
+    j = 0
+    for atom, e in b:
+        while j < len(a) and a[j][0] < atom:
+            out.append(a[j])
+            j += 1
+        if j >= len(a) or a[j][0] != atom or a[j][1] < e:
+            return None
+        if a[j][1] > e:
+            out.append((atom, a[j][1] - e))
+        j += 1
+    out.extend(a[j:])
+    return tuple(out)
+
+
+def _kmono(v, k):
+    return _KMono(v, k) if k else v
+
+
+def _check_fields(m):
+    """Raise DomainError when a field of the monomial m passed its guard
+    bit.  Every exponent is at most the total degree, and sums of valid
+    monomials do not carry, so checking the grlex-greatest monomial of a
+    product checks them all."""
+    if (m if m.__class__ is int else m.v) & _GUARDS:
+        raise DomainError(f"an exponent or a total degree exceeds "
+                          f"{_MAX_EXP}")
+
+
+def _mono_pairs(m):
+    """The monomial as (atom, exponent) pairs sorted by atom, visiting only
+    its nonzero fields."""
+    tail = ()
+    if m.__class__ is not int:
+        m, tail = m.v, m.k
+    if not m:
+        return tail
+    top = (m.bit_length() - 1) >> 4     # the degree field, _W = 16
+    s = top << 4
+    m -= (m >> s) << s
+    pairs = []
+    while m:
+        f = (m.bit_length() - 1) >> 4
+        s = f << 4
+        e = m >> s
+        m -= e << s
+        pairs.append(((0, top - 1 - f), e))
+    return (*pairs, *tail)
+
+
+def _p_atom(vars, atom):
+    """The polynomial of one kernel atom."""
+    return {_KMono(vars._degree_unit, ((atom, 1),)): 1}
+
+
+def _is_const(A):
+    return len(A) == 1 and 0 in A
+
+
+def _is_unit(A):
+    return len(A) == 1 and A.get(0) == 1
 
 
 def _p_add(A, B):
@@ -236,6 +399,9 @@ def _p_neg(A):
     return {m: -c for m, c in A.items()}
 
 
+_p_leading = max    # the grlex-greatest monomial: integer order is grlex
+
+
 def _p_mul(A, B):
     if not A or not B:
         return {}
@@ -243,10 +409,11 @@ def _p_mul(A, B):
         return B
     if _is_unit(B):
         return A
+    _check_fields(max(A) + max(B))
     out = {}
     for ma, ca in A.items():
         for mb, cb in B.items():
-            m = _mono_mul(ma, mb)
+            m = ma + mb
             c = ca * cb
             s = out.get(m)
             if s is None:
@@ -272,89 +439,36 @@ def _p_pow(A, k):
     return out
 
 
-def _mono_deg(m):
-    return sum(e for _, e in m)
-
-
-def _grlex_greater(m1, m2):
-    """Graded lexicographic order; 'earlier atom with a larger exponent wins'."""
-    d1, d2 = _mono_deg(m1), _mono_deg(m2)
-    if d1 != d2:
-        return d1 > d2
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        a1, e1 = m1[i]
-        a2, e2 = m2[j]
-        if a1 == a2:
-            if e1 != e2:
-                return e1 > e2
-            i += 1
-            j += 1
-        elif a1 < a2:
-            return True
-        else:
-            return False
-    return len(m1) > len(m2)
-
-
-def _p_leading(A):
-    it = iter(A)
-    best = next(it)
-    for m in it:
-        if _grlex_greater(m, best):
-            best = m
-    return best
-
-
-def _mono_divides(m1, m2):
-    """Does m1 divide m2?  Returns the quotient monomial or None."""
-    out = []
-    j = 0
-    m2 = list(m2)
-    for a, e in m1:
-        while j < len(m2) and m2[j][0] < a:
-            out.append(m2[j])
-            j += 1
-        if j >= len(m2) or m2[j][0] != a or m2[j][1] < e:
-            return None
-        if m2[j][1] > e:
-            out.append((a, m2[j][1] - e))
-        j += 1
-    out.extend(m2[j:])
-    return tuple(out)
-
-
-def _grlex_key(m):
-    """Sort key under which the grlex-greatest monomial is the smallest."""
-    deg = 0
-    pairs = []
-    for a, e in m:
-        deg += e
-        pairs.append((a, -e))
-    return (-deg, pairs)
+def _mono_divides(a, b):
+    """b / a when the monomial a divides b, else None: a borrow from a
+    field sets its guard bit."""
+    q = b - a
+    if q.__class__ is int and (q < 0 or q & _GUARDS):
+        return None
+    return q
 
 
 def _ip_divexact(A, B):
     """Exact division A / B in Z[atoms], or None when B does not divide A
     or a quotient coefficient would not be an integer.
 
-    The leading terms of the remainder come off a heap of grlex keys, so
-    each step costs a logarithm instead of a scan of the whole remainder;
-    monomials that cancelled are skipped when popped.
+    The leading terms of the remainder come off a min-heap of negated
+    monomials, so each step costs a logarithm instead of a scan of the
+    whole remainder; monomials that cancelled are skipped when popped.
     """
     if not A:
         return {}
     if not B:
         return None
-    lb = _p_leading(B)
+    lb = max(B)
     cb = B[lb]
     tail = [(m, c) for m, c in B.items() if m != lb]
     R = dict(A)
-    heap = [(_grlex_key(m), m) for m in R]
+    heap = [-m for m in R]
     heapq.heapify(heap)
     Q = {}
     while heap:
-        lr = heapq.heappop(heap)[1]
+        lr = -heapq.heappop(heap)
         cr = R.pop(lr, None)
         if cr is None:
             continue
@@ -366,11 +480,11 @@ def _ip_divexact(A, B):
             return None
         Q[q] = c
         for m, co in tail:
-            mm = _mono_mul(m, q)
+            mm = m + q
             s = R.get(mm)
             if s is None:
                 R[mm] = -co * c
-                heapq.heappush(heap, (_grlex_key(mm), mm))
+                heapq.heappush(heap, -mm)
             else:
                 s -= co * c
                 if s:
@@ -381,11 +495,21 @@ def _ip_divexact(A, B):
 
 
 def _p_atoms(A):
+    """The atoms of A, as _mono_pairs gives them."""
+    acc = 0
     out = set()
     for m in A:
-        for a, _ in m:
-            out.add(a)
+        if m.__class__ is int:
+            acc |= m
+        else:
+            acc |= m.v
+            out.update(a for a, _ in m.k)
+    out.update(a for a, _ in _mono_pairs(acc))
     return out
+
+
+def _p_kernel_atoms(A):
+    return {a for m in A if m.__class__ is not int for a, _ in m.k}
 
 
 def _int_content(A):
@@ -412,7 +536,7 @@ def _int_primitive(A):
 def _content_cofactors(A, B):
     """(c, A/c, B/c) for the common integer content c of A and B."""
     c = math.gcd(_int_content(A), _int_content(B))
-    return {(): c}, _int_divide(A, c), _int_divide(B, c)
+    return {0: c}, _int_divide(A, c), _int_divide(B, c)
 
 
 def _ip_cofactors(A, B):
@@ -426,7 +550,7 @@ def _ip_cofactors(A, B):
     if found is None:
         found = _content_cofactors(A, B)
     g = found[0]
-    if g[_p_leading(g)] < 0:
+    if g[max(g)] < 0:
         return tuple(_p_neg(P) for P in found)
     return found
 
@@ -451,7 +575,7 @@ def _heu_gcd(A, B):
         return _content_cofactors(A, B)
     cont = math.gcd(_int_content(A), _int_content(B))
     A, B = _int_divide(A, cont), _int_divide(B, cont)
-    atom = max(m[-1][0] for P in (A, B) for m in P if m)
+    atom = _largest_atom(A, B)
     xi = 2 * min(max(map(abs, A.values())), max(map(abs, B.values()))) + 2
     for _ in range(_HEU_GCD_TRIES):
         a = _ip_evaluate(A, atom, xi)
@@ -462,7 +586,7 @@ def _heu_gcd(A, B):
                 return None
             h = _int_primitive(_ip_interpolate(h[0], atom, xi))
             if _is_unit(h):
-                return {(): cont}, A, B
+                return {0: cont}, A, B
             qa = _ip_divexact(A, h)
             if qa is not None:
                 qb = _ip_divexact(B, h)
@@ -472,19 +596,47 @@ def _heu_gcd(A, B):
     return None
 
 
+def _largest_atom(A, B):
+    """The monomial of the largest atom of A and B: the largest kernel atom
+    when there is one, else the variable of the lowest nonzero field."""
+    acc = 0
+    kernel = None
+    for P in (A, B):
+        for m in P:
+            if m.__class__ is int:
+                acc |= m
+            elif kernel is None or m.k[-1][0] > kernel:
+                kernel, v = m.k[-1][0], m.v
+    if kernel is not None:
+        return _KMono(1 << ((v.bit_length() - 1) & -_W), ((kernel, 1),))
+    return (1 << ((acc.bit_length() - 1) & -_W)
+            | 1 << (((acc & -acc).bit_length() - 1) & -_W))
+
+
 def _ip_evaluate(A, atom, xi):
-    """A with `atom` set to xi; `atom` is the largest atom, so it comes last
-    in every monomial that has it."""
+    """A with `atom`, the monomial of its largest atom, set to xi."""
     out = {}
     pows = {}
+    if atom.__class__ is int:
+        s = (atom & -atom).bit_length() - 1     # the atom's field
+        kernel = None
+    else:
+        kernel, unit = atom.k[0][0], atom.v
     for m, c in A.items():
-        if m and m[-1][0] == atom:
-            e = m[-1][1]
+        if kernel is None:
+            e = ((m if m.__class__ is int else m.v) >> s) & _FIELD
+            if e:
+                m = m - e * atom
+        elif m.__class__ is int or m.k[-1][0] != kernel:
+            e = 0
+        else:
+            e = m.k[-1][1]
+            m = _kmono(m.v - e * unit, m.k[:-1])
+        if e:
             p = pows.get(e)
             if p is None:
                 p = pows[e] = xi ** e
             c *= p
-            m = m[:-1]
         out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
 
@@ -494,6 +646,8 @@ def _ip_interpolate(h, atom, xi):
     coefficient of atom^i (atom exceeds every atom of h)."""
     out = {}
     half = xi // 2
+    if atom.__class__ is not int:
+        kernel, unit = atom.k[0][0], atom.v
     for m, c in h.items():
         i = 0
         while c:
@@ -501,18 +655,28 @@ def _ip_interpolate(h, atom, xi):
             if d > half:
                 d -= xi
             if d:
-                out[m + ((atom, i),) if i else m] = d
+                if not i:
+                    mi = m
+                elif atom.__class__ is int:
+                    mi = m + i * atom
+                elif m.__class__ is int:
+                    mi = _KMono(m + i * unit, ((kernel, i),))
+                else:
+                    mi = _KMono(m.v + i * unit, m.k + ((kernel, i),))
+                out[mi] = d
             c = (c - d) // xi
             i += 1
+        if i > _MAX_EXP:
+            raise DomainError(f"an exponent exceeds {_MAX_EXP}")
     return out
 
 
-def _p_eval_int(P, d, nums, powers):
-    """P at the point nums / d, as integers (n, q) with P = n / q.  Terms
-    are summed in integers per total degree k, and the sums are brought
-    over the one denominator d^K."""
+def _p_eval_int(terms, d, nums, powers):
+    """Decoded terms (see Expr._decoded) at the point nums / d, as integers
+    (n, q) with their sum = n / q.  Terms are summed in integers per total
+    degree k, and the sums are brought over the one denominator d^K."""
     by_degree = {}
-    for m, c in P.items():
+    for m, c in terms:
         v = c
         k = 0
         for (_, i), e in m:
@@ -539,13 +703,13 @@ def _p_eval_int(P, d, nums, powers):
 
 def _p_key(A, lc):
     """A / lc for lc > 0, as sorted (monomial, (numerator, denominator))
-    pairs in lowest terms."""
+    pairs in lowest terms, each monomial as _mono_pairs gives it."""
     if lc == 1:
-        return tuple(sorted((m, (c, 1)) for m, c in A.items()))
+        return tuple(sorted((_mono_pairs(m), (c, 1)) for m, c in A.items()))
     out = []
     for m, c in A.items():
         g = math.gcd(c, lc)
-        out.append((m, (c // g, lc // g)))
+        out.append((_mono_pairs(m), (c // g, lc // g)))
     return tuple(sorted(out))
 
 
@@ -559,7 +723,8 @@ class Expr:
     den with a positive grlex leading coefficient.  So x/2 is num = x,
     den = 2, and a polynomial is an expression whose den is a constant."""
 
-    __slots__ = ("vars", "num", "den", "kernels", "_key", "_zero", "_str")
+    __slots__ = ("vars", "num", "den", "kernels", "_key", "_zero", "_str",
+                 "_terms")
 
     def __init__(self, vars, num, den, kernels, _internal=False):
         if not _internal:
@@ -571,6 +736,7 @@ class Expr:
         self._key = None
         self._zero = None
         self._str = None
+        self._terms = None
 
     # -- construction -------------------------------------------------------
 
@@ -585,16 +751,16 @@ class Expr:
             if den[_p_leading(den)] < 0:
                 num, den = _p_neg(num), _p_neg(den)
         if kernels:
-            used = _p_atoms(num) | _p_atoms(den)
+            used = _p_kernel_atoms(num) | _p_kernel_atoms(den)
             kernels = {a: e for a, e in kernels.items() if a in used}
         return Expr(vars, num, den, kernels, _internal=True)
 
     @staticmethod
     def rational(vars, c):
         if isinstance(c, int):
-            return Expr(vars, {(): c} if c else {}, _ONE, {}, _internal=True)
+            return Expr(vars, {0: c} if c else {}, _ONE, {}, _internal=True)
         c = Fraction(c)
-        return Expr(vars, {(): c.numerator} if c else {}, {(): c.denominator},
+        return Expr(vars, {0: c.numerator} if c else {}, {0: c.denominator},
                     {}, _internal=True)
 
     @staticmethod
@@ -611,7 +777,7 @@ class Expr:
 
     @staticmethod
     def var_index(vars, i):
-        return Expr(vars, _p_var(i), _ONE, {}, _internal=True)
+        return Expr(vars, {vars._units[i]: 1}, _ONE, {}, _internal=True)
 
     @staticmethod
     def kernel(kind, arg: "Expr"):
@@ -628,7 +794,7 @@ class Expr:
             if kind == "ln" and c == 1:
                 return Expr.zero(arg.vars)
         atom = (1, kind, arg.key())
-        return Expr(arg.vars, _p_atom(atom), _ONE, {atom: arg},
+        return Expr(arg.vars, _p_atom(arg.vars, atom), _ONE, {atom: arg},
                     _internal=True)
 
     # -- inspection ----------------------------------------------------------
@@ -654,7 +820,7 @@ class Expr:
         if not self.num:
             return Fraction(0)
         if _is_const(self.num) and _is_const(self.den):
-            return Fraction(self.num[()], self.den[()])
+            return Fraction(self.num[0], self.den[0])
         return None
 
     def numerator(self):
@@ -671,16 +837,18 @@ class Expr:
         or a kernel."""
         if not self.is_polynomial():
             raise ValueError("terms of a rational function")
-        d = self.den[()]
-        return [(Fraction(c, d), tuple((self._atom_expr(a), e) for a, e in m))
+        d = self.den[0]
+        return [(Fraction(c, d), tuple((self._atom_expr(a), e)
+                                       for a, e in _mono_pairs(m)))
                 for m, c in self.num.items()]
 
     def as_kernel(self):
         """(kind, argument) when the expression is one kernel, else None."""
         if _is_unit(self.den) and len(self.num) == 1:
             (m, c), = self.num.items()
-            if c == 1 and len(m) == 1 and m[0][1] == 1 and m[0][0][0] == 1:
-                atom = m[0][0]
+            if (c == 1 and m.__class__ is _KMono and len(m.k) == 1
+                    and m.k[0][1] == 1 and m.v == self.vars._degree_unit):
+                atom = m.k[0][0]
                 return atom[1], self.kernels[atom]
         return None
 
@@ -719,12 +887,12 @@ class Expr:
         return hash((self.vars, self.key()))
 
     def _poly_expr(self, poly, d=1):
-        return Expr._make(self.vars, poly, {(): d}, self.kernels)
+        return Expr._make(self.vars, poly, {0: d}, self.kernels)
 
     def _atom_expr(self, atom):
         if atom[0] == 0:
             return Expr.var_index(self.vars, atom[1])
-        return Expr(self.vars, _p_atom(atom), _ONE,
+        return Expr(self.vars, _p_atom(self.vars, atom), _ONE,
                     {atom: self.kernels[atom]}, _internal=True)
 
     # -- arithmetic ----------------------------------------------------------
@@ -810,7 +978,7 @@ class Expr:
         i = (name_or_index if isinstance(name_or_index, int)
              else self.vars.index(name_or_index))
         if self.is_polynomial():
-            return self._poly_diff(self.num, i, self.den[()])
+            return self._poly_diff(self.num, i, self.den[0])
         dn = self._poly_diff(self.num, i)
         dd = self._poly_diff(self.den, i)
         den_e = self._poly_expr(self.den)
@@ -818,19 +986,24 @@ class Expr:
         return (dn * den_e - num_e * dd) / (den_e * den_e)
 
     def _poly_diff(self, poly, i, d=1):
-        """The derivative of poly / d for a constant d."""
+        """The derivative of poly / d for a constant d: per monomial, the
+        terms of variable i and then of each kernel atom, in atom order."""
         out = Expr.zero(self.vars)
+        unit = self.vars._units[i]
+        s = (unit & -unit).bit_length() - 1
         for mono, c in poly.items():
-            for pos, (atom, e) in enumerate(mono):
+            e = ((mono if mono.__class__ is int else mono.v) >> s) & _FIELD
+            if e:
+                term = self._poly_expr({mono - unit: c * e}, d)
+                out = out + term * Expr.one(self.vars)
+            if mono.__class__ is int:
+                continue
+            for atom, e in mono.k:
                 da = self._atom_diff(atom, i)
                 if da.is_structural_zero():
                     continue
-                rest = list(mono)
-                if e == 1:
-                    rest.pop(pos)
-                else:
-                    rest[pos] = (atom, e - 1)
-                term = self._poly_expr({tuple(rest): c * e}, d)
+                rest = mono - _KMono(self.vars._degree_unit, ((atom, 1),))
+                term = self._poly_expr({rest: c * e}, d)
                 out = out + term * da
         return out
 
@@ -869,7 +1042,7 @@ class Expr:
         out = Expr.zero(self.vars)
         for mono, c in poly.items():
             term = Expr.rational(self.vars, c)
-            for atom, e in mono:
+            for atom, e in _mono_pairs(mono):
                 if atom[0] == 0:
                     i = atom[1]
                     if i in by_index:
@@ -889,13 +1062,15 @@ class Expr:
         ints = None if self.kernels else point.integer_form()
         if ints is not None:
             # in integers, with one Fraction at the end
-            num_n, num_q = _p_eval_int(self.num, *ints)
-            den_n, den_q = _p_eval_int(self.den, *ints)
+            num, den = self._decoded()
+            num_n, num_q = _p_eval_int(num, *ints)
+            den_n, den_q = _p_eval_int(den, *ints)
             if not den_n:
                 raise DomainError("denominator vanishes at the point")
             return Fraction(num_n * den_q, num_q * den_n)
-        num = self._poly_eval(self.num, point)
-        den = self._poly_eval(self.den, point)
+        num, den = self._decoded()
+        num = self._poly_eval(num, point)
+        den = self._poly_eval(den, point)
         if not isinstance(num, float) and not isinstance(den, float):
             if den == 0:
                 raise DomainError("denominator vanishes at the point")
@@ -905,10 +1080,19 @@ class Expr:
             raise DomainError("denominator vanishes at the point")
         return float(num) / den_f
 
-    def _poly_eval(self, poly, point):
-        """Exact (int or Fraction) until a float value is met."""
+    def _decoded(self):
+        """num and den as tuples of (pairs, coefficient) in dict order, each
+        monomial as _mono_pairs gives it; decoded once, for evaluation."""
+        if self._terms is None:
+            self._terms = tuple(tuple((_mono_pairs(m), c) for m, c in P.items())
+                                for P in (self.num, self.den))
+        return self._terms
+
+    def _poly_eval(self, terms, point):
+        """Decoded terms at the point: exact (int or Fraction) until a float
+        value is met."""
         total = 0
-        for mono, c in poly.items():
+        for mono, c in terms:
             v = c
             for atom, e in mono:
                 if atom[0] == 0:
@@ -1000,12 +1184,11 @@ class Expr:
         return f"Expr({self})"
 
     def _poly_str(self, poly, lc):
-        monos = sorted(poly, key=_grlex_key)
         parts = []
-        for m in monos:
+        for m in sorted(poly, reverse=True):
             c = poly[m]
             factors = []
-            for atom, e in m:
+            for atom, e in _mono_pairs(m):
                 s = self._atom_str(atom)
                 factors.append(s if e == 1 else f"{s}^{e}")
             body = "*".join(factors)
@@ -1231,7 +1414,7 @@ def denominator_lcm(exprs) -> Expr:
             scale_d *= e.den[_p_leading(e.den)]
             kernels.update(e.kernels)
     return Expr._make(exprs[0].vars, _int_multiply(L, scale_n),
-                      {(): scale_d}, kernels)
+                      {0: scale_d}, kernels)
 
 
 def divide_by_gcd(exprs):
@@ -1260,7 +1443,7 @@ def divide_by_gcd(exprs):
         return exprs
     if len(quotients) == 1:
         (i, _), = quotients.items()
-        lead = {(): g[_p_leading(g)]}
+        lead = {0: g[_p_leading(g)]}
         return [Expr._make(e.vars, lead, e.den, {}) if j == i else e
                 for j, e in enumerate(exprs)]
     c = _int_content(g)
@@ -1280,8 +1463,8 @@ def exact_quotient(e: Expr, d: Expr) -> Expr:
         return e / d
     # q is primitive, so reducing the scalar makes the form canonical
     return Expr._make(e.vars,
-                      _int_multiply(q, _int_content(e.num) * d.den[()]),
-                      {(): _int_content(d.num) * e.den[()]},
+                      _int_multiply(q, _int_content(e.num) * d.den[0]),
+                      {0: _int_content(d.num) * e.den[0]},
                       {**e.kernels, **d.kernels})
 
 
@@ -1307,7 +1490,7 @@ def coprime_factor_base(exprs):
         c = _int_content(e.num)
         if e.num[_p_leading(e.num)] < 0:
             c = -c
-        units.append(Fraction(c, e.den[()]))
+        units.append(Fraction(c, e.den[0]))
         p = _int_divide(e.num, c)
         counts.append({} if _is_const(p) else {_p_sorted(p): 1})
     coprime = set()  # pairs of keys whose gcd is a constant
@@ -1317,7 +1500,7 @@ def coprime_factor_base(exprs):
     kernels = {}
     for e in exprs:
         kernels.update(e.kernels)
-    base = {k: Expr._make(exprs[0].vars, dict(k), _ONE, kernels)
+    base = {k: Expr._make(exprs[0].vars, _p_unsorted(k), _ONE, kernels)
             for k in keys}
     return ([base[k] for k in keys],
             [(u, {base[k]: m for k, m in sorted(fac.items())})
@@ -1325,9 +1508,15 @@ def coprime_factor_base(exprs):
 
 
 def _p_sorted(A):
-    """A polynomial as sorted (monomial, coefficient) pairs: hashable, and
-    ordered the same way on every run."""
-    return tuple(sorted(A.items()))
+    """A polynomial as sorted (pairs, coefficient, monomial) triples, with
+    the pairs of _mono_pairs: hashable, and ordered the same way on every
+    run."""
+    return tuple(sorted((_mono_pairs(m), c, m) for m, c in A.items()))
+
+
+def _p_unsorted(key):
+    """The polynomial of a _p_sorted key."""
+    return {m: c for _, c, m in key}
 
 
 def _split_pair(counts, coprime):
@@ -1338,7 +1527,7 @@ def _split_pair(counts, coprime):
         for b in keys[i + 1:]:
             if (a, b) in coprime:
                 continue
-            g, qa, qb = _ip_cofactors(dict(a), dict(b))
+            g, qa, qb = _ip_cofactors(_p_unsorted(a), _p_unsorted(b))
             if not _is_const(g):
                 return {a: (g, qa), b: (g, qb)}
             coprime.add((a, b))
@@ -1350,7 +1539,7 @@ def _substitute_factors(fac, split):
     parts; a part that is a constant is one."""
     out = {}
     for k, m in fac.items():
-        for part in split.get(k, (dict(k),)):
+        for part in split.get(k, (_p_unsorted(k),)):
             if not _is_const(part):
                 pk = _p_sorted(part)
                 out[pk] = out.get(pk, 0) + m

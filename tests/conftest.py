@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import tflkit.expr as expr
 from tflkit.expr import Expr, Point, VariableSpace, parse_expr
 from tflkit.forms import KForm, VectorField, coordinate_form
 from tflkit.lift import ControlSystem, lift_system
@@ -95,6 +96,34 @@ def double_integrator():
 @pytest.fixture(scope="session")
 def chain3():
     return make_chain3()
+
+
+# -- the monomial format of expr's integer polynomials --------------------------
+
+def decode(P):
+    """An integer polynomial of expr as {monomial: coefficient}, each
+    monomial a tuple of (atom, exponent) pairs sorted by atom: (0, i) for
+    variable i, then kernel atoms (1, kind, fingerprint)."""
+    return {expr._mono_pairs(m): c for m, c in P.items()}
+
+
+def encode_monomial(vars0, pairs):
+    """The packed monomial of (atom, exponent) pairs over vars0: one field
+    per variable below the total degree, and kernel atoms in a sorted
+    tail."""
+    v, tail = 0, []
+    for atom, e in pairs:
+        v += e * vars0._degree_unit
+        if atom[0] == 0:
+            v += e * (vars0._units[atom[1]] - vars0._degree_unit)
+        else:
+            tail.append((atom, e))
+    return expr._KMono(v, tuple(sorted(tail))) if tail else v
+
+
+def encode(vars0, P):
+    """The inverse of decode over vars0."""
+    return {encode_monomial(vars0, m): c for m, c in P.items()}
 
 
 # -- seeded random generators -------------------------------------------------

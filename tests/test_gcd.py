@@ -13,13 +13,17 @@ from tflkit.expr import Expr, VariableSpace, coprime_factor_base, \
     divide_by_gcd, exact_quotient, parse_expr
 from tflkit.lift import lift_system
 from tflkit.pfaffian import derived_flag
-from conftest import make_sec5_system, random_polynomial, random_rational
+from conftest import decode, encode, make_sec5_system, random_polynomial, \
+    random_rational
 
 VS = VariableSpace.canonical(6, 1)
 E = lambda s: parse_expr(s, VS)
 # atoms of x1..x6 and of sin(x1), cos(x2), read off parsed expressions
-VAR_ATOMS = [next(iter(E(f"x{i}").num))[0][0] for i in range(1, 7)]
-KERNEL_ATOMS = [next(iter(E(s).num))[0][0] for s in ("sin(x1)", "cos(x2)")]
+# in the decoded form
+VAR_ATOMS = [next(iter(decode(E(f"x{i}").num)))[0][0] for i in range(1, 7)]
+KERNEL_ATOMS = [next(iter(decode(E(s).num)))[0][0]
+                for s in ("sin(x1)", "cos(x2)")]
+ONE = encode(VS, {(): 1})
 
 
 def _random_poly(rng, atoms, terms, degree, box=9):
@@ -33,7 +37,21 @@ def _random_poly(rng, atoms, terms, degree, box=9):
             exps[a] = exps.get(a, 0) + 1
         P[tuple(sorted(exps.items()))] = (rng.choice([-1, 1])
                                           * rng.randint(1, box))
-    return P
+    return encode(VS, P)
+
+
+def _grlex_greater(m1, m2):
+    """Reference order on decoded monomials: total degree, then "an earlier
+    atom with a larger exponent wins"."""
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+    if d1 != d2:
+        return d1 > d2
+    for (a1, e1), (a2, e2) in zip(m1, m2):
+        if a1 != a2:
+            return a1 < a2
+        if e1 != e2:
+            return e1 > e2
+    return len(m1) > len(m2)
 
 
 def _planted(rng, atoms, terms, degree):
@@ -50,7 +68,7 @@ def _sympy_gcd(sympy, A, B):
 
     def to_poly(P):
         terms = {}
-        for m, c in P.items():
+        for m, c in decode(P).items():
             exps = dict(m)
             terms[tuple(exps.get(a, 0) for a in atoms) or (0,)] = c
         return sympy.Poly.from_dict(terms, *gens, domain="ZZ")
@@ -58,8 +76,8 @@ def _sympy_gcd(sympy, A, B):
     g = to_poly(A).gcd(to_poly(B))
     if g.LC(order="grlex") < 0:
         g = -g
-    return {tuple((a, e) for a, e in zip(atoms, monom) if e): int(c)
-            for monom, c in g.terms()}
+    return encode(VS, {tuple((a, e) for a, e in zip(atoms, monom) if e):
+                       int(c) for monom, c in g.terms()})
 
 
 def _gcd(A, B):
@@ -120,14 +138,20 @@ class TestSignConvention:
 
 class TestExactDivision:
     def test_heap_key_orders_like_grlex(self):
+        # monomials compare in grlex order, and their negations, the heap
+        # keys of exact division, in reverse
         rng = random.Random(8)
         monos = list(_random_poly(rng, VAR_ATOMS + KERNEL_ATOMS, 60, 4))
         for m1 in monos:
             for m2 in monos:
-                assert (expr._grlex_key(m1) < expr._grlex_key(m2)) \
-                    == expr._grlex_greater(m1, m2)
-        assert min(monos, key=expr._grlex_key) == expr._p_leading(
-            dict.fromkeys(monos))
+                greater = _grlex_greater(expr._mono_pairs(m1),
+                                         expr._mono_pairs(m2))
+                assert (m1 > m2) == (m2 < m1) == greater
+                assert (-m1 < -m2) == (-m2 > -m1) == greater
+        lead = expr._p_leading(dict.fromkeys(monos))
+        assert all(not _grlex_greater(expr._mono_pairs(m),
+                                      expr._mono_pairs(lead))
+                   for m in monos)
 
     def test_round_trip(self):
         rng = random.Random(4)
@@ -162,7 +186,7 @@ class TestCanonicalFormsPastTheOldCap:
 
         def random_expr(terms):
             return Expr._make(VS, _random_poly(rng, VAR_ATOMS, terms, 3),
-                              {(): 1}, {})
+                              ONE, {})
 
         P, Q, R = random_expr(16), random_expr(16), random_expr(16)
         num, den = P * Q, P * R
@@ -188,8 +212,9 @@ class TestGiveUp:
             a[1]) or evaluate(*a))
         assert expr._heu_gcd(iA, iB) is None
         assert len(evaluations) == 2 + 2 + 2 * tries
-        assert evaluations[-1] == VAR_ATOMS[0]
-        assert _gcd(iA, iB) == {(): 1}
+        # the innermost level sets x1, the smallest variable of the three
+        assert evaluations[-1] == next(iter(E("x1").num))
+        assert decode(_gcd(iA, iB)) == {(): 1}
 
     def test_common_content_when_the_heuristic_gives_up(self, monkeypatch):
         divexact = expr._ip_divexact
@@ -199,14 +224,14 @@ class TestGiveUp:
         B = {m: 4 * c for m, c in expr._p_mul(P, R).items()}
         monkeypatch.setattr(expr, "_heu_gcd", lambda A, B: None)
         g = _gcd(A, B)
-        assert g == {(): 2 * expr._int_content(P)}
+        assert decode(g) == {(): 2 * expr._int_content(P)}
         assert divexact(A, g) is not None and divexact(B, g) is not None
         # a fraction whose gcd falls back keeps its value
         point = expr.Point(VS, [Fraction(i + 2, 3) for i in range(VS.total)])
-        num = Expr._make(VS, expr._p_mul(P, Q), {(): 1}, {})
-        den = Expr._make(VS, expr._p_mul(P, R), {(): 1}, {})
-        q = Expr._make(VS, Q, {(): 1}, {})
-        r = Expr._make(VS, R, {(): 1}, {})
+        num = Expr._make(VS, expr._p_mul(P, Q), ONE, {})
+        den = Expr._make(VS, expr._p_mul(P, R), ONE, {})
+        q = Expr._make(VS, Q, ONE, {})
+        r = Expr._make(VS, R, ONE, {})
         assert (num / den).eval(point) == (q / r).eval(point)
 
 
@@ -256,8 +281,9 @@ class TestCofactors:
 
     def test_constants_and_zero(self):
         P = E("3/2*x1*x2 - 3*x3 + 6").num
-        for A, B in [(P, {(): 4}), ({(): -2}, P), ({(): 6}, {(): 9}),
-                     (P, P)]:
+        four, minus_two, six, nine = (encode(VS, {(): c})
+                                      for c in (4, -2, 6, 9))
+        for A, B in [(P, four), (minus_two, P), (six, nine), (P, P)]:
             assert expr._ip_cofactors(A, B) == _divexact_cofactors(A, B)
         # the integer gcd takes nonzero inputs; zero entries of a row are
         # skipped, and one nonzero entry alone is made monic
@@ -272,7 +298,7 @@ class TestCofactors:
     def test_unit_gcd_returns_the_inputs(self):
         A, B = E("x1 + 1").num, E("x2 - 1/3").num
         g, qa, qb = expr._ip_cofactors(A, B)
-        assert g == {(): 1} and qa is A and qb is B
+        assert decode(g) == {(): 1} and qa is A and qb is B
 
     def test_integer_cofactors(self):
         rng = random.Random(23)
@@ -291,11 +317,11 @@ class TestCofactors:
         monkeypatch.setattr(expr, "_heu_gcd", lambda A, B: None)
         c = 2 * expr._int_content(P)
         assert expr._ip_cofactors(A, B) == (
-            {(): c}, {m: v // c for m, v in A.items()},
+            encode(VS, {(): c}), {m: v // c for m, v in A.items()},
             {m: v // c for m, v in B.items()})
         assert expr._ip_cofactors(A, B) == _divexact_cofactors(A, B)
         # a constant gcd leaves a row as it is
-        row = [Expr._make(VS, X, {(): 5}, {}) for X in (A, B)]
+        row = [Expr._make(VS, X, encode(VS, {(): 5}), {}) for X in (A, B)]
         assert divide_by_gcd(row) is row
 
 
@@ -361,7 +387,7 @@ class TestCoprimeFactorBase:
             assert b.num[expr._p_leading(b.num)] > 0
         for i, a in enumerate(base):
             for b in base[i + 1:]:
-                assert _gcd(a.num, b.num) == {(): 1}
+                assert decode(_gcd(a.num, b.num)) == {(): 1}
         return base, factored
 
     def _powers(self, factored):
@@ -422,14 +448,15 @@ class TestCoprimeFactorBase:
         cases = [[E("sin(x1)") * f, E("-cos(x2)*sin(x1)"), h ** 2 * f, 2 * h]]
         for _ in range(6):
             A, B = _planted(rng, VAR_ATOMS, 3, 2)
-            cases.append([Expr._make(VS, P, {(): 1}, {}) for P in (A, B)
+            cases.append([Expr._make(VS, P, ONE, {}) for P in (A, B)
                           if not expr._is_const(P)])
         for inputs in cases:
             base, _ = self._check(inputs)
             assert len(base) >= 2
             for i, a in enumerate(base):
                 for b in base[i + 1:]:
-                    assert _sympy_gcd(sympy, a.num, b.num) == {(): 1}
+                    assert decode(_sympy_gcd(sympy, a.num, b.num)) \
+                        == {(): 1}
 
     def test_order_is_deterministic(self):
         rng = random.Random(11)
