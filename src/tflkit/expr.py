@@ -151,8 +151,9 @@ class Point:
     def integer_form(self):
         """(d, numerators, powers) with the values equal to numerators / d
         for one common denominator d, or None when a value is a float.
-        `powers` caches numerators[i] ** e under (i, e).  Built once per
-        point."""
+        `powers` caches numerators[i] ** e under (i, e), and the degree
+        and the numerator value of each packed monomial evaluated at the
+        point under the monomial.  Built once per point."""
         if self._integers is None:
             self._integers = False
             if all(isinstance(v, Fraction) for v in self.values):
@@ -409,7 +410,7 @@ def _p_mul(A, B):
         return B
     if _is_unit(B):
         return A
-    _check_fields(max(A) + max(B))
+    _check_fields(max(A) + max(B))     # the product of greatest degree
     out = {}
     for ma, ca in A.items():
         for mb, cb in B.items():
@@ -671,27 +672,18 @@ def _ip_interpolate(h, atom, xi):
     return out
 
 
-def _p_eval_int(terms, d, nums, powers):
-    """Decoded terms (see Expr._decoded) at the point nums / d, as integers
-    (n, q) with their sum = n / q.  Terms are summed in integers per total
-    degree k, and the sums are brought over the one denominator d^K."""
+def _p_eval_int(P, d, nums, powers):
+    """Kernel-free P at the point nums / d, as integers (n, q) with
+    P = n / q.  Terms are summed in integers per total degree k, and the
+    sums are brought over the one denominator d^K."""
     by_degree = {}
-    for m, c in terms:
-        v = c
-        k = 0
-        for (_, i), e in m:
-            x = nums[i]
-            if not x:
-                v = 0
-                break
-            if e != 1:
-                x = powers.get((i, e))
-                if x is None:
-                    x = powers[(i, e)] = nums[i] ** e
-            v *= x
-            k += e
+    for m, c in P.items():
+        kv = powers.get(m)
+        if kv is None:
+            kv = powers[m] = _mono_eval_int(m, nums, powers)
+        k, v = kv
         if v:
-            by_degree[k] = by_degree.get(k, 0) + v
+            by_degree[k] = by_degree.get(k, 0) + c * v
     if not by_degree:
         return 0, 1
     top = max(by_degree)
@@ -699,6 +691,21 @@ def _p_eval_int(terms, d, nums, powers):
         return sum(by_degree.values()), 1
     return (sum(s * d ** (top - k) for k, s in by_degree.items()),
             d ** top)
+
+
+def _mono_eval_int(m, nums, powers):
+    """(degree, value) of a packed monomial at the integers nums."""
+    v = 1
+    for (_, i), e in _mono_pairs(m):
+        x = nums[i]
+        if not x:
+            return 0, 0
+        if e != 1:
+            x = powers.get((i, e))
+            if x is None:
+                x = powers[(i, e)] = nums[i] ** e
+        v *= x
+    return m >> ((m.bit_length() - 1) & -_W) if m else 0, v
 
 
 def _p_key(A, lc):
@@ -989,13 +996,14 @@ class Expr:
         """The derivative of poly / d for a constant d: per monomial, the
         terms of variable i and then of each kernel atom, in atom order."""
         out = Expr.zero(self.vars)
+        one = Expr.one(self.vars)       # the derivative of variable i
         unit = self.vars._units[i]
         s = (unit & -unit).bit_length() - 1
         for mono, c in poly.items():
             e = ((mono if mono.__class__ is int else mono.v) >> s) & _FIELD
             if e:
                 term = self._poly_expr({mono - unit: c * e}, d)
-                out = out + term * Expr.one(self.vars)
+                out = out + term * one
             if mono.__class__ is int:
                 continue
             for atom, e in mono.k:
@@ -1062,9 +1070,8 @@ class Expr:
         ints = None if self.kernels else point.integer_form()
         if ints is not None:
             # in integers, with one Fraction at the end
-            num, den = self._decoded()
-            num_n, num_q = _p_eval_int(num, *ints)
-            den_n, den_q = _p_eval_int(den, *ints)
+            num_n, num_q = _p_eval_int(self.num, *ints)
+            den_n, den_q = _p_eval_int(self.den, *ints)
             if not den_n:
                 raise DomainError("denominator vanishes at the point")
             return Fraction(num_n * den_q, num_q * den_n)
@@ -1082,10 +1089,12 @@ class Expr:
 
     def _decoded(self):
         """num and den as tuples of (pairs, coefficient) in dict order, each
-        monomial as _mono_pairs gives it; decoded once, for evaluation."""
+        monomial as _mono_pairs gives it; decoded once, for evaluation with
+        kernels or at float points."""
         if self._terms is None:
-            self._terms = tuple(tuple((_mono_pairs(m), c) for m, c in P.items())
-                                for P in (self.num, self.den))
+            self._terms = tuple(
+                tuple((_mono_pairs(m), c) for m, c in P.items())
+                for P in (self.num, self.den))
         return self._terms
 
     def _poly_eval(self, terms, point):
