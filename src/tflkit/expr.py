@@ -351,16 +351,14 @@ def _mono_pairs(m):
         m, tail = m.v, m.k
     if not m:
         return tail
-    top = (m.bit_length() - 1) >> 4     # the degree field, _W = 16
-    s = top << 4
-    m -= (m >> s) << s
+    top = (m.bit_length() - 1) & -_W    # the shift of the degree field
+    m -= (m >> top) << top
     pairs = []
     while m:
-        f = (m.bit_length() - 1) >> 4
-        s = f << 4
+        s = (m.bit_length() - 1) & -_W
         e = m >> s
         m -= e << s
-        pairs.append(((0, top - 1 - f), e))
+        pairs.append(((0, (top - s) // _W - 1), e))
     return (*pairs, *tail)
 
 
@@ -461,7 +459,7 @@ def _ip_divexact(A, B):
         return {}
     if not B:
         return None
-    lb = max(B)
+    lb = _p_leading(B)
     cb = B[lb]
     tail = [(m, c) for m, c in B.items() if m != lb]
     R = dict(A)
@@ -551,7 +549,7 @@ def _ip_cofactors(A, B):
     if found is None:
         found = _content_cofactors(A, B)
     g = found[0]
-    if g[max(g)] < 0:
+    if g[_p_leading(g)] < 0:
         return tuple(_p_neg(P) for P in found)
     return found
 

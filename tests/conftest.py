@@ -98,7 +98,7 @@ def chain3():
     return make_chain3()
 
 
-# -- the monomial format of expr's integer polynomials --------------------------
+# -- the monomial format of expr's integer polynomials ------------------------
 
 def decode(P):
     """An integer polynomial of expr as {monomial: coefficient}, each

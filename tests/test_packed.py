@@ -236,6 +236,19 @@ class TestFieldOverflow:
                                   (VAR_ATOMS[4], 2767)): 1}
         assert str(E("x1^32767/x1^32766")) == "x1"
 
+    def test_interpolation_past_the_field(self):
+        # a coefficient with more digits than a field holds exponents
+        (x1,) = E("x1").num
+        with pytest.raises(DomainError):
+            expr._ip_interpolate({0: 2 ** 40000}, x1, 2)
+        assert decode(expr._ip_interpolate({0: 5}, x1, 2)) \
+            == {(): 1, ((VAR_ATOMS[3], 2),): 1}
+
+    def test_variable_count_fits_the_layout(self):
+        VariableSpace([f"x{i}" for i in range(1, 4095)], [])
+        with pytest.raises(ValueError):
+            VariableSpace([f"x{i}" for i in range(1, 4096)], [])
+
     def test_cli_reports_an_error(self, tmp_path, capsys):
         tfl = tmp_path / "big.tfl"
         tfl.write_text((Path(__file__).resolve().parent.parent / "problems"
