@@ -200,7 +200,7 @@ _W = 16                                 # bits per field
 _FIELD = (1 << _W) - 1
 _MAX_EXP = (1 << (_W - 1)) - 1          # the largest exponent and degree
 _MAX_FIELDS = 4096                      # variables + 1 (the degree field)
-_GUARDS = int("8" + "0" * (_W // 4 - 1), 16) * (
+_GUARDS = (1 << (_W - 1)) * (
     ((1 << (_W * _MAX_FIELDS)) - 1) // _FIELD)   # each field's top bit
 
 _ONE = {0: 1}
