@@ -265,10 +265,6 @@ class _KMono:
             return self.v > other
         return (other.v, _tail_key(self.k)) < (self.v, _tail_key(other.k))
 
-    def __repr__(self):
-        return f"_KMono({self.v:#x}, {self.k!r})"
-
-
 class _Negated:
     """-m for a _KMono m: ordered against negated monomials in reverse, so
     that a min-heap of negated monomials pops the grlex-greatest first."""
@@ -427,6 +423,13 @@ def _p_mul(A, B):
 
 
 def _p_pow(A, k):
+    if A and k > 1:
+        # the degree of A^k, before any product is multiplied out
+        lead = _p_leading(A)
+        v = lead if lead.__class__ is int else lead.v
+        if v and (v >> ((v.bit_length() - 1) & -_W)) * k > _MAX_EXP:
+            raise DomainError(f"an exponent or a total degree exceeds "
+                              f"{_MAX_EXP}")
     out = _ONE
     base = A
     while k:

@@ -226,7 +226,8 @@ class TestFieldOverflow:
         assert decode(top.diff("x1").num) == {((VAR_ATOMS[3], 32766),): 32767}
         for text in ("x1^32767*x1", "x1^70000*x1", "x1^70000",
                      "x1^20000*x2^20000", "sin(x1)^40000",
-                     "x1^20000*exp(x2)^20000", "(x2 + 1)/x1^40000"):
+                     "x1^20000*exp(x2)^20000", "(x2 + 1)/x1^40000",
+                     "(x1 + x2 + 1)^40000", "(x1 + sin(x2))^33000"):
             with pytest.raises(DomainError):
                 E(text)
 
