@@ -695,18 +695,28 @@ def _p_eval_int(P, d, nums, powers):
 
 
 def _mono_eval_int(m, nums, powers):
-    """(degree, value) of a packed monomial at the integers nums."""
+    """(degree, value) of a packed monomial at the integers nums, visiting
+    only its nonzero fields."""
+    if not m:
+        return 0, 1
+    top = (m.bit_length() - 1) & -_W    # the shift of the degree field
+    k = m >> top
+    m -= k << top
     v = 1
-    for (_, i), e in _mono_pairs(m):
+    while m:
+        s = (m.bit_length() - 1) & -_W
+        e = m >> s
+        m -= e << s
+        i = (top - s) // _W - 1
         x = nums[i]
         if not x:
-            return 0, 0
+            return k, 0
         if e != 1:
             x = powers.get((i, e))
             if x is None:
                 x = powers[(i, e)] = nums[i] ** e
         v *= x
-    return m >> ((m.bit_length() - 1) & -_W) if m else 0, v
+    return k, v
 
 
 def _p_key(A, lc):
