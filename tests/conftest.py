@@ -113,10 +113,10 @@ def encode_monomial(vars0, pairs):
     tail."""
     v, tail = 0, []
     for atom, e in pairs:
-        v += e * vars0._degree_unit
         if atom[0] == 0:
-            v += e * (vars0._units[atom[1]] - vars0._degree_unit)
+            v += e * vars0._units[atom[1]]
         else:
+            v += e * vars0._degree_unit
             tail.append((atom, e))
     return expr._KMono(v, tuple(sorted(tail))) if tail else v
 

@@ -177,7 +177,6 @@ class TestCommands:
                     "zero_dynamics"):
             assert tree[key] == expected[key], key
 
-
     @pytest.mark.parametrize("stem", ["paper-sec5", "double-integrator",
                                       "brunovsky-chain"])
     def test_bundled_reports_byte_for_byte(self, stem, request):
@@ -190,6 +189,7 @@ class TestCommands:
                                                 / f"{stem}.tfl"))
         expected = (ROOT / "problems" / f"{stem}.expected.json").read_bytes()
         assert dumps_report(tree).encode("utf-8") == expected
+
 
 # The dynamic unicycle following the unit circle.  Its second defining
 # function cannot be solved linearly for a state, so the adapted output
@@ -245,6 +245,7 @@ class TestKernelBearingSolve:
             values.update(x1=x1, x2=x2, x3=x3, x4=Fraction(1))
             v = h.eval(Point.from_map(vs, values))
             assert v == 0 if isinstance(v, Fraction) else abs(v) <= 1e-12
+
 
 class TestCli:
     def run_cli(self, *args):
