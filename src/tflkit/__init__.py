@@ -23,7 +23,7 @@ from .conditions import (ConditionReport, IndexProfile, check_con, check_dim,
                          check_inv, evaluate_conditions,
                          intersection_dimension, rho_indices, sample_on_N)
 from .integrate import (SmoothMapAdapted, adapt_subordinate, adapt_to_L,
-                        frobenius_integrate, subsume)
+                        frobenius_integrate)
 from .algorithm import (NoRelativeDegree, NormalFormData, RelativeDegree,
                         TFLReport, TransverseOutput, ZeroDynFlag,
                         dual_rd_check, normal_form, run_tfl,

@@ -178,14 +178,10 @@ def _z_equals_n(sys: ControlSystem, z_defs, samples, warnings):
     is open in Z^(1), and the two agree on a neighbourhood of x0."""
     if len(z_defs) != len(sys.N_defs):
         return False
-    for phi in z_defs:
-        v = sys.vanishes_on_N(phi, samples=samples)
-        if v == Zeroness.NONZERO:
-            return False
-        if v == Zeroness.INCONCLUSIVE:
-            warnings.append(
-                f"vanishing of '{phi}' on N certified by samples only")
-    return True
+    return all(sys.certify_vanishing(
+        phi, samples, warnings,
+        f"vanishing of '{phi}' on N certified by samples only")
+        for phi in z_defs)
 
 
 def normal_form(sys: ControlSystem, h, kappa) -> NormalFormData:
@@ -198,15 +194,9 @@ def normal_form(sys: ControlSystem, h, kappa) -> NormalFormData:
     beta_sym = [[sys.lie_g(j, tower[-1]) for j in range(vars0.m)]
                 for tower in xi]
     rows = [sys.grad_at_x0(c) for tower in xi for c in tower]
-    eta = []
-    for i in range(vars0.n):
-        if len(rows) == vars0.n:
-            break
-        cand = Expr.var_index(vars0, 1 + vars0.m + i)
-        row = sys.grad_at_x0(cand)
-        if numlin.extends_span(rows, row):
-            eta.append(cand)
-            rows.append(row)
+    states = [Expr.var_index(vars0, i) for i in vars0.state_indices()]
+    eta = [states[i] for i in numlin.extend_basis(
+        rows, (sys.grad_at_x0(c) for c in states), limit=vars0.n)]
     if len(rows) != vars0.n:
         raise CompletionFailed(
             "no coordinate completion reaches full rank at x0")
@@ -219,8 +209,8 @@ def normal_form(sys: ControlSystem, h, kappa) -> NormalFormData:
                           beta_sym=beta_sym, jacobian_condition=cond)
 
 
-def run_tfl(sys: ControlSystem, hints=None, n_samples=8, radius=0.1,
-            seed=0, ansatz_degree=2, combo_degree=1,
+def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
+            ansatz_degree=2, combo_degree=1,
             conditions_only=False) -> TFLReport:
     """Execute the full algorithm and re-verify its certificate."""
     hints = {int(k): [e for e in v] for k, v in (hints or {}).items()}
@@ -230,7 +220,7 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, radius=0.1,
     nn = sys.vars.n - sys.n_star
     closures = compute_closures(ls, flag, nn)
     report_cond = evaluate_conditions(ls, flag, n_samples=n_samples,
-                                      radius=radius, seed=seed)
+                                      seed=seed)
     warnings.extend(report_cond.warnings)
     flag_ranks = tuple(int(numlin.rank(e.at(ls.p0))) for e in flag.entries)
     summary = {
@@ -302,12 +292,10 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, radius=0.1,
             f"final relative degree {rd.kappa} does not certify; expected "
             f"{h_kappa} with sum {nn}")
     for hi in h:
-        v = sys.vanishes_on_N(hi, samples=samples)
-        if v == Zeroness.NONZERO:
+        if not sys.certify_vanishing(
+                hi, samples, warnings,
+                f"vanishing of output '{hi}' on N certified by samples only"):
             raise CertificateMismatch(f"output '{hi}' does not vanish on N")
-        if v == Zeroness.INCONCLUSIVE:
-            warnings.append(
-                f"vanishing of output '{hi}' on N certified by samples only")
     for c in sorted(set(h_kappa), reverse=True):
         group = [hi for hi, ki in zip(h, h_kappa) if ki == c]
         if not dual_rd_check(ls, flag, closures, group, c):

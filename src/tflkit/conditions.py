@@ -43,6 +43,8 @@ __all__ = [
     "evaluate_conditions",
 ]
 
+_ATTEMPTS_PER_SAMPLE = 25
+
 
 @dataclass
 class IndexProfile:
@@ -72,13 +74,13 @@ class ConditionReport:
 
 
 def sample_on_N(sys: ControlSystem, count: int, radius: float = 0.1,
-                seed: int = 0, max_attempts_factor: int = 25):
+                seed: int = 0):
     """Points of M (t = 0, u = u*(x)) on N near x0, by Newton projection of
     Gaussian perturbations of x0.
 
     Deterministic under a fixed seed; an attempt that does not drive every
     defining function below 1e-12 within 50 steps is discarded, and at most
-    `max_attempts_factor * count` are made.
+    `_ATTEMPTS_PER_SAMPLE * count` are made.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -89,7 +91,7 @@ def sample_on_N(sys: ControlSystem, count: int, radius: float = 0.1,
     grads = [sys.state_grad(phi) for phi in sys.N_defs]
     out = []
     attempts = 0
-    while len(out) < count and attempts < max_attempts_factor * count:
+    while len(out) < count and attempts < _ATTEMPTS_PER_SAMPLE * count:
         attempts += 1
         x = x0 + np.array([rng.gauss(0.0, radius) for _ in range(len(x0))])
         for _ in range(50):
@@ -243,11 +245,11 @@ def check_inv(ls: LiftedSystem, flag: Flag, closures, samples,
 
 
 def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
-                        radius: float = 0.1, seed: int = 0) -> ConditionReport:
+                        seed: int = 0) -> ConditionReport:
     """Run (Con), (Inv), (Dim) and the index computation in one sweep."""
     nn = ls.vars.n - ls.base.n_star
     closures = compute_closures(ls, flag, nn)
-    samples = sample_on_N(ls.base, n_samples, radius, seed)
+    samples = sample_on_N(ls.base, n_samples, seed=seed)
     warnings = []
     con = check_con(ls, flag, closures)
     inv_detail = {}

@@ -90,10 +90,6 @@ class AdaptationFailed(TflError):
         self.k = k
 
 
-class SubsumptionFailed(TflError):
-    """Span containment between two maps' differentials does not hold."""
-
-
 class IndependenceViolation(TflError):
     """Differentials expected to be linearly independent are not."""
 

@@ -1004,17 +1004,19 @@ class Expr:
         return (dn * den_e - num_e * dd) / (den_e * den_e)
 
     def _poly_diff(self, poly, i, d=1):
-        """The derivative of poly / d for a constant d: per monomial, the
-        terms of variable i and then of each kernel atom, in atom order."""
-        out = Expr.zero(self.vars)
-        one = Expr.one(self.vars)       # the derivative of variable i
+        """The derivative of poly / d for a constant d: the terms of
+        variable i in one pass (mono - unit is injective, so none of them
+        merge), then per monomial those of each kernel atom, in atom
+        order."""
         unit = self.vars._units[i]
         s = (unit & -unit).bit_length() - 1
+        var_part = {}
         for mono, c in poly.items():
             e = ((mono if mono.__class__ is int else mono.v) >> s) & _FIELD
             if e:
-                term = self._poly_expr({mono - unit: c * e}, d)
-                out = out + term * one
+                var_part[mono - unit] = c * e
+        out = self._poly_expr(var_part, d)
+        for mono, c in poly.items():
             if mono.__class__ is int:
                 continue
             for atom, e in mono.k:

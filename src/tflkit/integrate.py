@@ -18,12 +18,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import (AdaptationFailed, HintRejected, IntegrationFailed,
-                     SubsumptionFailed)
+from .errors import AdaptationFailed, HintRejected, IntegrationFailed
 from .expr import Expr, Point, Zeroness
 from .forms import (KForm, coordinate_field, contract, d_of_function,
                     exterior_derivative, wedge)
-from .lift import ControlSystem, LiftedSystem
+from .lift import LiftedSystem
 from .pfaffian import (Membership, PfaffianIdeal, ideal_membership,
                        reduce_against_rows, rref_function_field,
                        two_form_membership, _clear_denominators_row,
@@ -36,7 +35,6 @@ __all__ = [
     "poincare_potential",
     "frobenius_integrate",
     "adapt_to_L",
-    "subsume",
     "adapt_subordinate",
     "restricted_rank_on_L",
 ]
@@ -203,6 +201,11 @@ def poincare_potential(omega: KForm) -> Expr | None:
     return None
 
 
+def _row_at(e: Expr, p0: Point):
+    """The row of dF at p0 for a component F."""
+    return d_of_function(e).at(p0)
+
+
 def _anchor(e: Expr, p0: Point, bindings):
     """Subtract the value at p0 so components vanish there."""
     c = e.substitute(bindings)
@@ -223,19 +226,19 @@ def _p0_bindings(vars0, p0: Point):
 # rational linear algebra for the ansatz layers
 # ---------------------------------------------------------------------------
 
-def _collect_linear_system(exprs):
-    """Rows of rational coefficients for a list of polynomial-in-atoms
-    expressions: one column per expression, one row per monomial seen."""
+def _collect_linear_system(columns):
+    """Rows of rational coefficients for a linear system whose columns are
+    given as (key, polynomial-in-atoms expression) pairs: one row per
+    (key, monomial) seen."""
     index = {}
     cols = []
-    for e in exprs:
-        if not e.is_polynomial():
-            raise ValueError("linear collection expects cleared denominators")
+    for pairs in columns:
         col = {}
-        for c, mono in e.terms():
-            if mono not in index:
-                index[mono] = len(index)
-            col[index[mono]] = c
+        for key, e in pairs:
+            if not e.is_polynomial():
+                raise ValueError("ansatz expects cleared denominators")
+            for c, mono in e.terms():
+                col[index.setdefault((key, mono), len(index))] = c
         cols.append(col)
     rows = [[Fraction(0)] * len(cols) for _ in range(len(index))]
     for j, col in enumerate(cols):
@@ -307,25 +310,8 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
             two_forms.append(w)
     # linear conditions: every coefficient of every 2-form basis pair is 0;
     # everything above is denominator-free
-    index = {}
-    cols = []
-    for w in two_forms:
-        col = {}
-        for pair, c in w.terms.items():
-            if not c.is_polynomial():
-                raise ValueError("closed-combination ansatz expects "
-                                 "denominator-free generators")
-            for q, mono in c.terms():
-                key = (pair, mono)
-                if key not in index:
-                    index[key] = len(index)
-                col[index[key]] = q
-        cols.append(col)
-    rows = [[Fraction(0)] * len(cols) for _ in range(len(index))]
-    for j, col in enumerate(cols):
-        for i, q in col.items():
-            rows[i][j] = q
-    basis = numlin.rational_nullspace(rows, len(cols))
+    rows = _collect_linear_system(w.terms.items() for w in two_forms)
+    basis = numlin.rational_nullspace(rows, len(two_forms))
     out = []
     for vec in basis:
         form = KForm.zero(vars0, 1)
@@ -397,11 +383,9 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
     found_rows = []     # numeric dF rows at p0
 
     def try_add(comp: Expr, tag):
-        row = d_of_function(comp).at(p0)
-        if not numlin.extends_span(found_rows, row):
+        if not numlin.extend_basis(found_rows, [_row_at(comp, p0)]):
             return False
         found.append((_anchor(comp, p0, bindings), tag))
-        found_rows.append(row)
         return True
 
     def found_echelon():
@@ -452,8 +436,7 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
     # layer: user hints
     for hint in hints:
         if len(found) == target:
-            if warnings is not None:
-                warnings.append(f"hint '{hint}' unused: span already complete")
+            warnings.append(f"hint '{hint}' unused: span already complete")
             continue
         m = ideal_membership(d_of_function(hint), ideal)
         if m == Membership.NON_MEMBER:
@@ -482,11 +465,6 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
                             provenance=list(tags))
 
 
-def component_vanishes_on_L(sys: ControlSystem, e: Expr, samples=None):
-    restricted = e.substitute({0: 0})
-    return sys.vanishes_on_N(restricted, samples=samples)
-
-
 def _classify_and_order(comps, tags, ls: LiftedSystem, k, samples=None):
     """Order components [vanishing-on-L (t last)] ++ [rest]."""
     t_expr = Expr.var_index(ls.vars, 0)
@@ -496,7 +474,9 @@ def _classify_and_order(comps, tags, ls: LiftedSystem, k, samples=None):
         if c == t_expr:
             t_present = True
             continue
-        if component_vanishes_on_L(ls.base, c, samples) == Zeroness.ZERO:
+        # c vanishes on L when its restriction to t = 0 vanishes on N
+        if (ls.base.vanishes_on_N(c.substitute({0: 0}), samples=samples)
+                == Zeroness.ZERO):
             van.append(c)
             van_tags.append(tag)
         else:
@@ -541,6 +521,7 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
     vars0 = ls.vars
     p0 = ls.p0
     sys = ls.base
+    warnings = warnings if warnings is not None else []
     ell = len(F.components)
     if target_vanish > ell:
         raise AdaptationFailed(
@@ -559,7 +540,6 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
     mono_exprs = [_monomial_value(pool, combo, vars0)
                   for combo in _component_monomials(len(pool), degree)]
     bindings, leftovers = sys.reduction()
-    new_comps = []
     if not leftovers:
         restricted = [e.substitute({0: 0}).substitute(bindings)
                       for e in mono_exprs]
@@ -570,7 +550,7 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
                 if not e.is_polynomial():
                     common = common * e.denominator()
             restricted = [e * common for e in restricted]
-        rows = _collect_linear_system(restricted)
+        rows = _collect_linear_system([((), e)] for e in restricted)
         null = numlin.rational_nullspace(rows, len(mono_exprs))
     else:
         if samples is None:
@@ -581,29 +561,26 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
                       for p in samples])
         null = [[Fraction(x).limit_denominator(10 ** 6) for x in vec]
                 for vec in numlin.null_basis(A)]
-    for vec in null:
-        if len(new_comps) == needed:
-            break
-        comb = Expr.zero(vars0)
-        for c, mono in zip(vec, mono_exprs):
-            if c:
-                comb = comb + mono * c
-        if comb.is_structural_zero() or comb.as_rational() is not None:
-            continue
-        verdict = component_vanishes_on_L(sys, comb, samples)
-        if verdict == Zeroness.NONZERO:
-            continue
-        if verdict == Zeroness.INCONCLUSIVE:
-            if warnings is not None:
-                warnings.append(
+    vanishing = []  # the combinations read so far that vanish on L
+
+    def vanishing_rows():
+        for vec in null:
+            comb = Expr.zero(vars0)
+            for c, mono in zip(vec, mono_exprs):
+                if c:
+                    comb = comb + mono * c
+            if comb.is_structural_zero() or comb.as_rational() is not None:
+                continue
+            if sys.certify_vanishing(
+                    comb.substitute({0: 0}), samples, warnings,
                     f"vanishing of adapted component '{comb}' rests on "
-                    "samples only")
-        row = d_of_function(comb).at(p0)
-        existing = [d_of_function(c).at(p0)
-                    for c in current.vanishing() + new_comps]
-        if not numlin.extends_span(existing, row):
-            continue
-        new_comps.append(comb)
+                    "samples only"):
+                vanishing.append(comb)
+                yield _row_at(comb, p0)
+
+    rows = [_row_at(c, p0) for c in current.vanishing()]
+    new_comps = [vanishing[i] for i in numlin.extend_basis(
+        rows, vanishing_rows(), limit=have + needed)]
     if len(new_comps) < needed:
         raise AdaptationFailed(
             f"no degree-<={degree} combination closes the vanishing block "
@@ -611,56 +588,19 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
             "or supply hints", k=F.k)
     # completion: keep enough old non-vanishing components for full rank
     vanish_block = new_comps + current.vanishing()
-    rows = [d_of_function(c).at(p0) for c in vanish_block]
-    completion = []
-    for c, tag in zip(current.non_vanishing(),
-                      current.provenance[current.vanish_count:]):
-        row = d_of_function(c).at(p0)
-        if numlin.extends_span(rows, row):
-            completion.append((c, tag))
-            rows.append(row)
+    rows = rows[have:] + rows[:have]        # in vanish_block order
+    rest = list(zip(pool, current.provenance[have:]))
+    completion = [rest[i] for i in numlin.extend_basis(
+        rows, (_row_at(c, p0) for c, _ in rest))]
     comps = vanish_block + [c for c, _ in completion]
     if len(comps) != ell or numlin.rank(np.vstack(rows)) != ell:
         raise AdaptationFailed(
             "adapted map lost rank; the combination consumed more "
             "directions than it added", k=F.k)
     tags = (["adapted"] * len(new_comps)
-            + current.provenance[:current.vanish_count]
+            + current.provenance[:have]
             + [t for _, t in completion])
     return SmoothMapAdapted(comps, target_vanish, F.k, provenance=tags)
-
-
-def _span_ideal(components, p0):
-    forms = [d_of_function(c) for c in components]
-    return PfaffianIdeal(forms, p0, "map-span")
-
-
-def subsume(F_lower: SmoothMapAdapted, F_higher: SmoothMapAdapted,
-            p0: Point) -> SmoothMapAdapted:
-    """Rewrite F_lower so its leading components are exactly F_higher's,
-    completed by differentially independent components of F_lower."""
-    if F_higher.k < F_lower.k:
-        raise SubsumptionFailed("subsume expects k_lower <= k_higher")
-    lower_ideal = _span_ideal(F_lower.components, p0)
-    for c in F_higher.components:
-        if ideal_membership(d_of_function(c), lower_ideal) != Membership.MEMBER:
-            raise SubsumptionFailed(
-                f"dF of component '{c}' is not in the span of the lower map")
-    comps = list(F_higher.components)
-    rows = [d_of_function(c).at(p0) for c in comps]
-    tags = ["subsumed"] * len(comps)
-    for c, tag in zip(F_lower.components, F_lower.provenance):
-        if len(comps) == len(F_lower.components):
-            break
-        row = d_of_function(c).at(p0)
-        if numlin.extends_span(rows, row):
-            comps.append(c)
-            rows.append(row)
-            tags.append(tag)
-    if len(comps) != len(F_lower.components):
-        raise SubsumptionFailed("completion failed to restore the rank")
-    return SmoothMapAdapted(comps, F_lower.vanish_count, F_lower.k,
-                            provenance=tags)
 
 
 def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
@@ -680,36 +620,29 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
                 f"output component with relative degree {ki} cannot be "
                 f"subordinate at level {k}", k=k)
         towers += sys.tower(hi, ki - k)
-    span = _span_ideal(F.components, p0)
+    span = PfaffianIdeal([d_of_function(c) for c in F.components], p0,
+                         "map-span")
     for entry in towers:
         if ideal_membership(d_of_function(entry), span) != Membership.MEMBER:
             raise AdaptationFailed(
                 f"tower entry '{entry}' has differential outside the map "
                 "span; flag data corrupted", k=k)
     t_expr = Expr.var_index(vars0, 0)
-    head = []  # vanishing non-tower components that stay independent
-    rows = [d_of_function(c).at(p0) for c in towers]
-    tags = []
-    for c, tag in zip(F.vanishing(), F.provenance[:F.vanish_count]):
-        if c == t_expr or any(c == te for te in towers):
-            continue
-        row = d_of_function(c).at(p0)
-        if numlin.extends_span(rows, row):
-            head.append(c)
-            rows.append(row)
-            tags.append(tag)
-    comps = head + towers + [t_expr]
-    rows = [d_of_function(c).at(p0) for c in comps]
-    out_tags = tags + ["tower"] * len(towers) + ["time"]
+    # vanishing non-tower components that stay independent of the towers
+    others = [(c, tag) for c, tag in zip(F.vanishing(),
+                                         F.provenance[:F.vanish_count])
+              if c != t_expr and c not in towers]
+    rows = [_row_at(c, p0) for c in towers]
+    head = [others[i] for i in numlin.extend_basis(
+        rows, (_row_at(c, p0) for c, _ in others))]
+    comps = [c for c, _ in head] + towers + [t_expr]
+    out_tags = [t for _, t in head] + ["tower"] * len(towers) + ["time"]
     vanish_count = len(comps)
-    for c, tag in zip(F.components, F.provenance):
-        if len(comps) == len(F.components):
-            break
-        row = d_of_function(c).at(p0)
-        if numlin.extends_span(rows, row):
-            comps.append(c)
-            rows.append(row)
-            out_tags.append(tag)
+    rows = rows[len(towers):] + rows[:len(towers)] + [_row_at(t_expr, p0)]
+    for i in numlin.extend_basis(rows, (_row_at(c, p0) for c in F.components),
+                                 limit=len(F.components)):
+        comps.append(F.components[i])
+        out_tags.append(F.provenance[i])
     if len(comps) != len(F.components):
         raise AdaptationFailed(
             "subordination lost rank while rebuilding the component list",

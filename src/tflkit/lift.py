@@ -157,6 +157,18 @@ class ControlSystem:
             return Zeroness.NONZERO
         return Zeroness.INCONCLUSIVE
 
+    def certify_vanishing(self, e: Expr, samples, warnings, message):
+        """Does e vanish on N?  False on a NONZERO verdict; otherwise True,
+        and `message` goes to `warnings` when the verdict rests on samples
+        (INCONCLUSIVE).  The one place a sampled verdict becomes a
+        warning."""
+        v = self.vanishes_on_N(e, samples=samples)
+        if v == Zeroness.NONZERO:
+            return False
+        if v == Zeroness.INCONCLUSIVE:
+            warnings.append(message)
+        return True
+
     # -- Lie derivatives on the plant ----------------------------------------
 
     def state_grad(self, h: Expr):

@@ -8,7 +8,8 @@ reduced by one forward Gauss elimination over sparse rows
 Float otherwise: singular values below RANK_TOL times max(largest singular
 value, 1) are treated as zero (`_sv_cut`).  `rank`, `null_basis`,
 `extends_span` and the span helpers below all decide rank that way, and
-they are the only place in the package that takes an SVD.
+they are the only place in the package that takes an SVD.  `extend_basis`
+is the package's one keep-if-independent step.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ __all__ = [
     "rank",
     "null_basis",
     "extends_span",
+    "extend_basis",
     "exact_rank",
     "rational_nullspace",
     "row_reduce",
@@ -55,6 +57,23 @@ def null_basis(A):
 def extends_span(rows, row):
     """Does `row` raise the rank of the independent rows `rows`?"""
     return rank(np.vstack(list(rows) + [row])) > len(rows)
+
+
+def extend_basis(rows, candidates, limit=None):
+    """Append to the independent rows `rows` (a list) each candidate row
+    that raises their rank, in order, until `rows` holds `limit` rows;
+    return the indices of the candidates taken.  `candidates` is read
+    lazily, so no candidate is read once the limit is reached."""
+    taken = []
+    if limit is not None and len(rows) >= limit:
+        return taken
+    for i, row in enumerate(candidates):
+        if extends_span(rows, row):
+            rows.append(row)
+            taken.append(i)
+            if len(rows) == limit:
+                break
+    return taken
 
 
 def _fraction_echelon(rows):

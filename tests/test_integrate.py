@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 import tflkit.numlin as numlin
-from tflkit.errors import (AdaptationFailed, HintRejected, IntegrationFailed,
-                           SubsumptionFailed)
+from tflkit.errors import AdaptationFailed, HintRejected, IntegrationFailed
 from tflkit.expr import Expr, Point, VariableSpace, Zeroness, parse_expr
 from tflkit.forms import coordinate_form, d_of_function, exterior_derivative
 from tflkit.lift import ControlSystem, lift_system
 from tflkit.pfaffian import (Membership, PfaffianIdeal, ideal_membership)
-from tflkit.integrate import (SmoothMapAdapted, adapt_subordinate, adapt_to_L,
-                              antiderivative, frobenius_integrate,
-                              poincare_potential, restricted_rank_on_L,
-                              subsume)
+from tflkit.integrate import (adapt_subordinate, adapt_to_L, antiderivative,
+                              frobenius_integrate, poincare_potential,
+                              restricted_rank_on_L)
 from conftest import make_chain3
 
 VS = VariableSpace.canonical(7, 2)
@@ -181,39 +179,6 @@ class TestAdaptToL:
             F = adapt_to_L(F, sec5_lifted, target_vanish=vanish)
             assert len(F.components) == ell
             assert restricted_rank_on_L(F, sec5_lifted) == ell - vanish
-
-
-class TestSubsume:
-    def test_worked_pair(self, sec5_lifted, sec5_closures):
-        F2 = frobenius_integrate(sec5_closures[2], sec5_lifted, k=2)
-        F1 = frobenius_integrate(sec5_closures[1], sec5_lifted, k=1)
-        out = subsume(F1, F2, sec5_lifted.p0)
-        assert [str(c) for c in out.components[:2]] \
-            == [str(c) for c in F2.components]
-        assert len(out.components) == 6
-        assert out.rank_at(sec5_lifted.p0) == 6
-
-    def test_idempotent(self, sec5_lifted, sec5_closures):
-        F2 = frobenius_integrate(sec5_closures[2], sec5_lifted, k=2)
-        out = subsume(F2, F2, sec5_lifted.p0)
-        assert [str(c) for c in out.components] \
-            == [str(c) for c in F2.components]
-
-    def test_chain_completion(self, chain3):
-        ls = lift_system(chain3)
-        vs = chain3.vars
-        Ep = lambda s: parse_expr(s, vs)
-        dd = lambda s: d_of_function(Ep(s))
-        F0 = SmoothMapAdapted([Ep("x1"), Ep("x2"), Ep("t"), Ep("x3")], 3, 0)
-        F1 = SmoothMapAdapted([Ep("x1"), Ep("x2"), Ep("t")], 3, 1)
-        out = subsume(F0, F1, ls.p0)
-        assert [str(c) for c in out.components] == ["x1", "x2", "t", "x3"]
-
-    def test_containment_violation(self, sec5_lifted):
-        A = SmoothMapAdapted([E("x1"), E("t")], 1, 1)
-        B = SmoothMapAdapted([E("x2"), E("t")], 1, 2)
-        with pytest.raises(SubsumptionFailed):
-            subsume(A, B, sec5_lifted.p0)
 
 
 class TestAdaptSubordinate:

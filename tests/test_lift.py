@@ -14,6 +14,7 @@ from tflkit.lift import (ControlSystem, ann_tangent_L, g_module,
                          involutive_closure, lift_system, s_module,
                          reduce_fields)
 from tflkit.pfaffian import augment_with_dt
+from tflkit.conditions import sample_on_N
 from conftest import make_double_integrator
 
 
@@ -54,6 +55,35 @@ class TestControlSystemValidation:
         sys = ControlSystem(vs, [E("x2"), E("x1")], [[E("0"), E("1")]],
                             [E("x2")], [1, 0], [E("-x1")])
         assert sys.x0_point().of("u1") == -1
+
+
+class TestCertifyVanishing:
+    def test_exact_zero_without_warning(self, chain3):
+        E = lambda s: parse_expr(s, chain3.vars)
+        warnings = []
+        assert chain3.certify_vanishing(E("x1 + x2*x3"), None, warnings,
+                                        "sampled")
+        assert warnings == []
+
+    def test_nonzero_without_warning(self, chain3):
+        E = lambda s: parse_expr(s, chain3.vars)
+        warnings = []
+        assert not chain3.certify_vanishing(E("x1 + 1"), None, warnings,
+                                            "sampled")
+        assert warnings == []
+
+    def test_sampled_verdict_warns(self):
+        # the unit circle has no linearly solvable defining function, so
+        # the verdict on N rests on samples
+        vs = VariableSpace.canonical(2, 1)
+        E = lambda s: parse_expr(s, vs)
+        sys = ControlSystem(vs, [E("-x2"), E("x1")], [[E("x1"), E("x2")]],
+                            [E("x1^2 + x2^2 - 1")], [1, 0], [E("0")])
+        samples = sample_on_N(sys, 3)
+        warnings = []
+        assert sys.certify_vanishing(E("2*x1^2 + 2*x2^2 - 2"), samples,
+                                     warnings, "sampled")
+        assert warnings == ["sampled"]
 
 
 class TestLiftSystem:

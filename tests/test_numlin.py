@@ -146,3 +146,36 @@ class TestFloatPolicy:
         assert not numlin.extends_span(rows, np.array([3.0, -1.0, 0.0]))
         assert numlin.extends_span([], np.array([0.0, 1.0, 0.0]))
         assert not numlin.extends_span([], np.zeros(3))
+
+
+class TestExtendBasis:
+    def test_skips_a_dependent_row(self):
+        rows = [np.array([1.0, 0.0, 0.0])]
+        cands = [np.array([2.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                 np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 3.0])]
+        assert numlin.extend_basis(rows, cands) == [1, 3]
+        assert len(rows) == 3
+        assert rows[1] is cands[1] and rows[2] is cands[3]
+
+    def test_stops_at_the_limit(self):
+        rows = []
+        cands = [np.eye(4)[i] for i in range(4)]
+        assert numlin.extend_basis(rows, cands, limit=2) == [0, 1]
+        assert len(rows) == 2
+        assert numlin.extend_basis(rows, cands, limit=2) == []
+
+    def test_reads_no_candidate_after_the_limit(self):
+        read = []
+
+        def candidates():
+            for i in range(3):
+                read.append(i)
+                yield np.eye(3)[i]
+            raise AssertionError("candidate read after the limit")
+
+        rows = [np.array([1.0, 0.0, 0.0])]
+        assert numlin.extend_basis(rows, candidates(), limit=2) == [1]
+        assert read == [0, 1]
+        full = [np.eye(3)[i] for i in range(3)]
+        assert numlin.extend_basis(full, candidates(), limit=3) == []
+        assert read == [0, 1]
