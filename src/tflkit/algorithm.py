@@ -255,7 +255,7 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
         F = frobenius_integrate(closures[k - 1], ls,
                                 hints=hints.get(k - 1, ()), k=k - 1,
                                 combo_degree=combo_degree, warnings=warnings)
-        F = adapt_subordinate(F, h, h_kappa, ls, k - 1, samples=samples)
+        F = adapt_subordinate(F, h, h_kappa, ls, k - 1)
         target_vanish = 1 + sum(rho_at(i) for i in range(k - 1, nn))
         F = adapt_to_L(F, ls, target_vanish, degree=ansatz_degree,
                        samples=samples, warnings=warnings)

@@ -7,7 +7,9 @@ differential closure; the constant-dimensionality condition asks the
 intersection dimensions to be the same at sampled points of L as at p0.
 The last two are certified at p0 plus a finite sample set, which is a
 documented soundness gap: pointwise conditions on an open set are not
-finitely decidable.
+finitely decidable.  Each closure is a sub-ideal of its ideal, so (Inv)
+is the two intersections having equal dimension: every condition and the
+indices are decided from `numlin.intersection_dim`.
 
 The dt-augmented ideals <I^(k), dt> and their closures come from the
 flag's memo (`Flag.augmented`, `Flag.closure`), so each is built once per
@@ -220,7 +222,14 @@ def check_inv(ls: LiftedSystem, flag: Flag, closures, samples,
               detail=None) -> bool:
     """Each intersection with the raw ideal span lies inside the closure's
     span, at p0 and at every sample.  Levels whose dt-augmented ideal is
-    already differential hold trivially and are skipped."""
+    already differential hold trivially and are skipped.
+
+    Decided by dimension.  The closure of <I^(k), dt> is a sub-ideal of it
+    (each derived step checks that its generators stay in the parent), so
+    span(closure_p) lies in span(raw_p), and Ann(T_pL) cap span(closure_p)
+    in Ann(T_pL) cap span(raw_p).  The latter lies in Ann(T_pL), so it lies
+    inside span(closure_p) exactly when it lies inside the former; given
+    that inclusion, exactly when the two have equal dimension."""
     nn = ls.vars.n - ls.base.n_star
     # closure equal to the ideal makes containment trivial
     levels = {k: (flag.augmented(k), closures[k]) for k in range(nn + 1)
@@ -230,13 +239,11 @@ def check_inv(ls: LiftedSystem, flag: Flag, closures, samples,
         pending = [k for k in levels if k not in failed]
         if not pending:
             break
-        ann = ann_tangent_L(ls, p)
-        for k in pending:
-            raw, closure = levels[k]
-            inter = numlin.intersection_basis(ann, _span_with_dt(raw, p))
-            if not numlin.contained_in_span(inter,
-                                            _span_with_dt(closure, p)):
-                failed.add(k)
+        # the raw ideals, then their closures, in one call
+        dims = _intersection_dims_at(
+            ls, [levels[k][j] for j in (0, 1) for k in pending], p)
+        failed.update(k for i, k in enumerate(pending)
+                      if dims[i] != dims[len(pending) + i])
     if detail is not None:
         for k in range(nn + 1):
             detail[k] = ("differential" if k not in levels
@@ -255,22 +262,13 @@ def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
     inv_detail = {}
     inv = check_inv(ls, flag, closures, samples, detail=inv_detail)
     table = dim_table(ls, flag, samples)
-    # the indices read the p0 row, except that under (Inv) they use the
-    # closures; a differential level's closure is its ideal, so only the
-    # other levels need a new intersection
-    dims = list(table["p0"])
-    if inv:
-        redo = [k for k, v in inv_detail.items() if v != "differential"]
-        if redo:
-            redone = _intersection_dims_at(ls, [closures[k] for k in redo],
-                                           ls.p0)
-            for k, d in zip(redo, redone):
-                dims[k] = d
-    else:
+    # under (Inv) the closures meet Ann(T_p0 L) in the dimensions of the
+    # raw ideals, which check_inv has just compared, so the p0 row serves
+    if not inv:
         warnings.append(
             "involutivity fails: indices computed from the raw ideals are "
             "advisory only")
-    indices = _index_profile(dims, nn)
+    indices = _index_profile(table["p0"], nn)
     if con and sum(indices.rho) != nn:
         warnings.append(
             f"controllability holds but sum(rho) = {sum(indices.rho)} != "

@@ -206,8 +206,9 @@ def _row_at(e: Expr, p0: Point):
     return d_of_function(e).at(p0)
 
 
-def _anchor(e: Expr, p0: Point, bindings):
-    """Subtract the value at p0 so components vanish there."""
+def _anchor(e: Expr, bindings):
+    """Subtract the value at p0 (`bindings`, from `_p0_bindings`) so
+    components vanish there."""
     c = e.substitute(bindings)
     return e - c
 
@@ -251,15 +252,16 @@ def _collect_linear_system(columns):
 # the integrator
 # ---------------------------------------------------------------------------
 
-def _variable_monomials(vars0, degree):
-    """1, v_i, v_i v_j, ... up to total degree `degree`."""
-    out = [Expr.one(vars0)]
-    idxs = list(range(vars0.total))
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(idxs, d):
-            m = Expr.one(vars0)
-            for i in combo:
-                m = m * Expr.var_index(vars0, i)
+def _monomials(factors, degree):
+    """Products of up to `degree` entries of the non-empty list `factors`,
+    one per multiset, the constant 1 first: 1, f_i, f_i f_j, ..."""
+    one = Expr.one(factors[0].vars)
+    out = []
+    for d in range(degree + 1):
+        for combo in combinations_with_replacement(factors, d):
+            m = one
+            for f in combo:
+                m = m * f
             out.append(m)
     return out
 
@@ -296,7 +298,8 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
     q_is_one = Q.as_rational() == 1
     if not plain and q_is_one:
         return []  # identical to the plain pass
-    monos = _variable_monomials(vars0, degree)
+    monos = _monomials([Expr.var_index(vars0, i)
+                        for i in range(vars0.total)], degree)
     columns = []  # (i, mono)
     two_forms = []
     for i, g in enumerate(gens):
@@ -385,7 +388,7 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
     def try_add(comp: Expr, tag):
         if not numlin.extend_basis(found_rows, [_row_at(comp, p0)]):
             return False
-        found.append((_anchor(comp, p0, bindings), tag))
+        found.append((_anchor(comp, bindings), tag))
         return True
 
     def found_echelon():
@@ -465,7 +468,7 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
                             provenance=list(tags))
 
 
-def _classify_and_order(comps, tags, ls: LiftedSystem, k, samples=None):
+def _classify_and_order(comps, tags, ls: LiftedSystem, k):
     """Order components [vanishing-on-L (t last)] ++ [rest]."""
     t_expr = Expr.var_index(ls.vars, 0)
     van, van_tags, rest, rest_tags = [], [], [], []
@@ -475,8 +478,7 @@ def _classify_and_order(comps, tags, ls: LiftedSystem, k, samples=None):
             t_present = True
             continue
         # c vanishes on L when its restriction to t = 0 vanishes on N
-        if (ls.base.vanishes_on_N(c.substitute({0: 0}), samples=samples)
-                == Zeroness.ZERO):
+        if ls.base.vanishes_on_N(c.substitute({0: 0})) == Zeroness.ZERO:
             van.append(c)
             van_tags.append(tag)
         else:
@@ -494,26 +496,14 @@ def _classify_and_order(comps, tags, ls: LiftedSystem, k, samples=None):
 # adaptation
 # ---------------------------------------------------------------------------
 
-def _component_monomials(count, degree):
-    """Exponent tuples of the monomials of total degree <= degree in
-    `count` components, the constant () first."""
-    return [combo for d in range(degree + 1)
-            for combo in combinations_with_replacement(range(count), d)]
-
-
-def _monomial_value(comps, combo, vars0):
-    m = Expr.one(vars0)
-    for i in combo:
-        m = m * comps[i]
-    return m
-
-
 def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
                degree: int = 2, samples=None,
                warnings=None) -> SmoothMapAdapted:
     """Rewrite the map so exactly `target_vanish` leading components vanish
     on L, preserving the span of the differentials.
 
+    F's leading `vanish_count` components are those that vanish on L, as
+    `frobenius_integrate` (given `ls`) and `adapt_subordinate` leave them.
     New vanishing components are polynomial combinations (total degree <=
     `degree`, constants allowed) of the non-vanishing components, found by
     restricting to L and solving for the rational nullspace.
@@ -527,18 +517,16 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
         raise AdaptationFailed(
             f"target vanish count {target_vanish} exceeds the component "
             f"count {ell}", k=F.k)
-    current = _classify_and_order(F.components, F.provenance, ls, F.k, samples)
-    have = current.vanish_count
+    have = F.vanish_count
     if have > target_vanish:
         raise AdaptationFailed(
             f"{have} components already vanish on L, more than the expected "
             f"{target_vanish}; the rank data is inconsistent", k=F.k)
     needed = target_vanish - have
     if needed == 0:
-        return current
-    pool = current.non_vanishing()
-    mono_exprs = [_monomial_value(pool, combo, vars0)
-                  for combo in _component_monomials(len(pool), degree)]
+        return F
+    pool = F.non_vanishing()
+    mono_exprs = _monomials(pool, degree)
     bindings, leftovers = sys.reduction()
     if not leftovers:
         restricted = [e.substitute({0: 0}).substitute(bindings)
@@ -578,7 +566,7 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
                 vanishing.append(comb)
                 yield _row_at(comb, p0)
 
-    rows = [_row_at(c, p0) for c in current.vanishing()]
+    rows = [_row_at(c, p0) for c in F.vanishing()]
     new_comps = [vanishing[i] for i in numlin.extend_basis(
         rows, vanishing_rows(), limit=have + needed)]
     if len(new_comps) < needed:
@@ -587,9 +575,9 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
             f"({len(new_comps)} of {needed} found); raise the ansatz degree "
             "or supply hints", k=F.k)
     # completion: keep enough old non-vanishing components for full rank
-    vanish_block = new_comps + current.vanishing()
+    vanish_block = new_comps + F.vanishing()
     rows = rows[have:] + rows[:have]        # in vanish_block order
-    rest = list(zip(pool, current.provenance[have:]))
+    rest = list(zip(pool, F.provenance[have:]))
     completion = [rest[i] for i in numlin.extend_basis(
         rows, (_row_at(c, p0) for c, _ in rest))]
     comps = vanish_block + [c for c, _ in completion]
@@ -598,13 +586,13 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
             "adapted map lost rank; the combination consumed more "
             "directions than it added", k=F.k)
     tags = (["adapted"] * len(new_comps)
-            + current.provenance[:have]
+            + F.provenance[:have]
             + [t for _, t in completion])
     return SmoothMapAdapted(comps, target_vanish, F.k, provenance=tags)
 
 
 def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
-                      k: int, samples=None) -> SmoothMapAdapted:
+                      k: int) -> SmoothMapAdapted:
     """Rewrite F so each h^i and its Lie derivatives L_f^j h^i with
     kappa_i - j > k appear verbatim in the vanishing block, keeping the span
     of the differentials."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvarianceViolation, NotOnN, NotStateOnly,
+from .errors import (DomainError, InvarianceViolation, NotOnN, NotStateOnly,
                      PointNotOnL, RankDeficientN, RegularityViolation)
 from .expr import Expr, Point, VariableSpace, Zeroness
 from .forms import (KForm, VectorField, coordinate_field, coordinate_form,
@@ -76,6 +76,10 @@ class ControlSystem:
         vals = [Fraction(0)] * (1 + m) + self.x0
         for j, us in enumerate(self.u_star):
             vals[1 + j] = us.substitute(x0_bindings).as_rational()
+            if vals[1 + j] is None:
+                raise DomainError(
+                    f"u_star must be rational at x0, but its "
+                    f"{vars.input_names[j]} component '{us}' is not")
         self._x0_point = Point(vars, vals)
         self._reduction = None
         # memos for the lifetime of this system: state gradients by
@@ -281,8 +285,9 @@ class LiftedSystem:
                                                       base.state_grad(phi))})
             for phi in base.N_defs]
 
-    def on_L(self, p: Point, tol=_VANISH_TOL):
-        return all(abs(float(phi.eval(p))) <= tol for phi in self.L_defs)
+    def on_L(self, p: Point):
+        return all(abs(float(phi.eval(p))) <= _VANISH_TOL
+                   for phi in self.L_defs)
 
 
 def lift_system(sys: ControlSystem) -> LiftedSystem:

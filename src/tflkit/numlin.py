@@ -7,9 +7,9 @@ reduced by one forward Gauss elimination over sparse rows
 
 Float otherwise: singular values below RANK_TOL times max(largest singular
 value, 1) are treated as zero (`_sv_cut`).  `rank`, `null_basis`,
-`extends_span` and the span helpers below all decide rank that way, and
-they are the only place in the package that takes an SVD.  `extend_basis`
-is the package's one keep-if-independent step.
+`extends_span` and `intersection_dim` all decide rank that way, and they
+are the only place in the package that takes an SVD.  `extend_basis` is
+the package's one keep-if-independent step.
 """
 
 from fractions import Fraction
@@ -28,8 +28,6 @@ __all__ = [
     "rational_nullspace",
     "row_reduce",
     "intersection_dim",
-    "intersection_basis",
-    "contained_in_span",
 ]
 
 
@@ -134,14 +132,13 @@ def rational_nullspace(rows, ncols):
     return basis
 
 
-def row_reduce(A, tol=None):
+def row_reduce(A):
     """Row echelon basis of the row space, deterministic pivot order
     (leftmost usable column first)."""
     A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
     if A.size == 0:
         return A.reshape(0, A.shape[1] if A.ndim == 2 else 0)
-    if tol is None:
-        tol = RANK_TOL * max(np.abs(A).max(), 1.0)
+    tol = RANK_TOL * max(np.abs(A).max(), 1.0)
     rows, cols = A.shape
     r = 0
     for c in range(cols):
@@ -173,27 +170,3 @@ def intersection_dim(A, B):
         return 0
     stacked = np.vstack([A, B])
     return ra + rb - rank(stacked)
-
-
-def intersection_basis(A, B):
-    """A row basis of rowspace(A) ∩ rowspace(B)."""
-    A = row_reduce(np.atleast_2d(np.asarray(A, dtype=float)))
-    B = row_reduce(np.atleast_2d(np.asarray(B, dtype=float)))
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, A.shape[1] if A.size else B.shape[1]))
-    # c_A @ A = c_B @ B  <=>  [A^T | -B^T] [c_A; c_B] = 0
-    null_vecs = null_basis(np.hstack([A.T, -B.T]))
-    if null_vecs.shape[0] == 0:
-        return np.zeros((0, A.shape[1]))
-    vecs = null_vecs[:, :A.shape[0]] @ A
-    return row_reduce(vecs)
-
-
-def contained_in_span(vectors, basis):
-    """Is every row of `vectors` inside rowspace(basis)?"""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    if vectors.shape[0] == 0 or rank(vectors) == 0:
-        return True
-    rb = rank(basis)
-    return rank(np.vstack([basis, vectors])) == rb

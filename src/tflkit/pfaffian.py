@@ -595,17 +595,15 @@ def _sample_ranks(matrix, p0, exact, primitive_row):
 
 class Flag:
     """Descending chain of ideals from I^(0) to the terminal differential
-    ideal; `terminal_verified` records that one more derived step reproduced
-    the terminal span.
+    ideal.
 
     The flag also owns the dt-augmented entries <I^(k), dt> and their
     differential closures.  Both are pure functions of an entry, so each is
     built on first request and memoized by min(k, terminal_index): every
     consumer shares one copy per distinct entry."""
 
-    def __init__(self, entries, terminal_verified=True):
+    def __init__(self, entries):
         self.entries = list(entries)
-        self.terminal_verified = terminal_verified
         self._augmented = {}
         self._closures = {}
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tflkit.conditions as conditions
 import tflkit.numlin as numlin
 from tflkit.errors import PointNotOnL
 from tflkit.expr import Expr, VariableSpace, parse_expr
@@ -22,6 +23,19 @@ def build(vs_dims, f_strs, g_cols, n_strs, x0, ustar_strs):
                          [[E(s) for s in col] for col in g_cols],
                          [E(s) for s in n_strs], x0,
                          [E(s) for s in ustar_strs])
+
+
+def nonholonomic():
+    """The chained nonholonomic integrator, lifted: (ls, flag, closures,
+    samples)."""
+    sys = build((4, 2),
+                ["0", "0", "0", "x3"],
+                [["1", "0", "-x2", "0"], ["0", "1", "x1", "0"]],
+                ["x2", "x3"], [1, 0, 0, 0], ["0", "0"])
+    ls = lift_system(sys)
+    flag = derived_flag(ls.I0)
+    return (ls, flag, compute_closures(ls, flag, 2),
+            sample_on_N(sys, 6, seed=0))
 
 
 class TestSampling:
@@ -128,8 +142,6 @@ class TestCon:
         dim = numlin.intersection_dim
         monkeypatch.setattr(numlin, "intersection_dim",
                             lambda *a: calls.append("dim") or dim(*a))
-        monkeypatch.setattr(numlin, "intersection_basis",
-                            lambda *a: calls.append("basis"))
         assert check_con(sec5_lifted, sec5_flag, sec5_closures) is True
         assert calls == ["dim"]
 
@@ -189,6 +201,40 @@ class TestInv:
         assert check_inv(ls, flag, closures, samples, detail=detail) is False
         assert check_con(ls, flag, closures) is True
         assert check_dim(ls, flag, samples) is True
+
+    def test_decided_from_intersection_dimensions(self, monkeypatch):
+        # the one non-differential level fails at p0, so the raw ideal and
+        # its closure are intersected there and no sample is visited
+        ls, flag, closures, samples = nonholonomic()
+        calls = []
+        dim = numlin.intersection_dim
+        monkeypatch.setattr(numlin, "intersection_dim",
+                            lambda *a: calls.append("dim") or dim(*a))
+        assert check_inv(ls, flag, closures, samples) is False
+        assert calls == ["dim", "dim"]
+
+    def test_failing_level_meets_ann_in_fewer_closure_dimensions(self):
+        ls, flag, closures, _ = nonholonomic()
+        detail = {}
+        check_inv(ls, flag, closures, [], detail=detail)
+        [k] = [k for k, v in detail.items() if v == "fails"]
+        assert (intersection_dimension(ls, flag.augmented(k), ls.p0)
+                > intersection_dimension(ls, closures[k], ls.p0))
+
+    def test_one_annihilator_per_point(self, sec5_lifted, sec5_flag,
+                                       sec5_closures, sec5, monkeypatch):
+        # level 2 holds at p0 and at all 8 samples: per point, one
+        # Ann(T_pL) and one dimension each for the raw ideal and its closure
+        samples = sample_on_N(sec5, 8, seed=0)
+        anns, dims = [], []
+        ann, dim = conditions.ann_tangent_L, numlin.intersection_dim
+        monkeypatch.setattr(conditions, "ann_tangent_L",
+                            lambda *a: anns.append(1) or ann(*a))
+        monkeypatch.setattr(numlin, "intersection_dim",
+                            lambda *a: dims.append(1) or dim(*a))
+        assert check_inv(sec5_lifted, sec5_flag, sec5_closures,
+                         samples) is True
+        assert (len(anns), len(dims)) == (9, 18)
 
 
 class TestEvaluateConditions:

@@ -1,8 +1,10 @@
 """Each decision of the integrate/certificate layer has one owner: no
 module but numlin tests a row against a span itself (the others keep
-components through `numlin.extend_basis`), and algorithm reads a verdict
-on N only through `ControlSystem.certify_vanishing`, the one place where a
-sampled verdict becomes a warning."""
+components through `numlin.extend_basis`), algorithm reads a verdict on N
+only through `ControlSystem.certify_vanishing`, the one place where a
+sampled verdict becomes a warning, conditions decides every pointwise
+condition from `numlin.intersection_dim`, and each integrated component is
+classified as vanishing on L or not once, in `frobenius_integrate`."""
 
 import ast
 from pathlib import Path
@@ -19,6 +21,26 @@ def _uses(tree, name):
         elif isinstance(node, ast.ImportFrom):
             if any(alias.name == name for alias in node.names):
                 yield node.lineno
+
+
+def _numlin_names(tree):
+    """numlin names that the module reaches: `numlin.X` and
+    `from .numlin import X`."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "numlin"):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "numlin":
+            yield from (alias.name for alias in node.names)
+
+
+def _callers(tree, name):
+    """Top-level definitions that reference `name` ("<module>" for a
+    reference outside them)."""
+    for node in tree.body:
+        if list(_uses(node, name)):
+            yield getattr(node, "name", "<module>")
 
 
 def _tree(path):
@@ -47,3 +69,28 @@ def test_the_check_sees_each_pattern():
     tree = ast.parse(code)
     assert sorted(_uses(tree, "extends_span")) == [1, 2, 3]
     assert list(_uses(tree, "vanishes_on_N")) == [4]
+
+
+def test_conditions_decides_from_intersection_dimensions():
+    assert set(_numlin_names(_tree(SRC / "conditions.py"))) \
+        == {"intersection_dim"}
+
+
+def test_components_classified_once():
+    found = [(path.name, caller) for path in sorted(SRC.glob("*.py"))
+             for caller in _callers(_tree(path), "_classify_and_order")]
+    assert found == [("integrate.py", "frobenius_integrate")]
+
+
+def test_the_ownership_checks_see_each_pattern():
+    code = ("from .numlin import rank\n"
+            "def f(a, b):\n"
+            "    return numlin.intersection_dim(a, b)\n"
+            "def g(c):\n"
+            "    return _classify_and_order(c)\n"
+            "h = _classify_and_order\n"
+            "def _classify_and_order(c):\n"
+            "    return sys.numlin\n")
+    tree = ast.parse(code)
+    assert sorted(_numlin_names(tree)) == ["intersection_dim", "rank"]
+    assert list(_callers(tree, "_classify_and_order")) == ["g", "<module>"]

@@ -325,6 +325,18 @@ class TestCli:
         assert err.startswith("error: [target] x0 entries must be "
                               "rationals, got '1/0' (line 10)")
 
+    def test_u_star_irrational_at_x0(self, tmp_path):
+        # u*(x0) = cos(1) - 1 is not rational, and the lifted base point
+        # holds it as a coordinate
+        bad = tmp_path / "irrational.tfl"
+        bad.write_text(DOUBLE.read_text()
+                       .replace("f = x2, 0", "f = x2, 1 - cos(x1)")
+                       .replace("u_star = 0", "u_star = cos(x1) - 1"))
+        code, _, err = self.run_cli("solve", str(bad))
+        assert code == 1
+        assert err.startswith("error: u_star must be rational at x0, but "
+                              "its u1 component 'cos(x1) - 1' is not")
+
     def test_negative_ansatz_degree_override(self):
         code, _, err = self.run_cli("solve", str(DOUBLE), "--ansatz-degree",
                                     "-1")
