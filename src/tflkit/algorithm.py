@@ -180,7 +180,7 @@ def _z_equals_n(sys: ControlSystem, z_defs, samples, warnings):
         return False
     return all(sys.certify_vanishing(
         phi, samples, warnings,
-        f"vanishing of '{phi}' on N certified by samples only")
+        lambda: f"vanishing of '{phi}' on N certified by samples only")
         for phi in z_defs)
 
 
@@ -294,7 +294,8 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
     for hi in h:
         if not sys.certify_vanishing(
                 hi, samples, warnings,
-                f"vanishing of output '{hi}' on N certified by samples only"):
+                lambda: f"vanishing of output '{hi}' on N certified by "
+                        "samples only"):
             raise CertificateMismatch(f"output '{hi}' does not vanish on N")
     for c in sorted(set(h_kappa), reverse=True):
         group = [hi for hi, ki in zip(h, h_kappa) if ki == c]

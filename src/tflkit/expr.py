@@ -131,6 +131,7 @@ class Point:
             v if isinstance(v, (Fraction, float)) else Fraction(v)
             for v in values)
         self._integers = None  # integer_form(), False for a float point
+        self._perturbed = None  # pfaffian.perturbed_points of this point
 
     @classmethod
     def from_map(cls, vars, mapping):
@@ -719,6 +720,63 @@ def _mono_eval_int(m, nums, powers):
     return k, v
 
 
+def _p_subst(P, values, vars):
+    """P with its atoms in `values` replaced by their Expr values, as
+    integer polynomials (N, D) with P = N / D.  D is the product of each
+    value's den raised to the greatest exponent its atom has in P, so each
+    term is c * prod(num^e * den^(E - e)) times the term's other atoms;
+    every kernel atom of P is in `values`."""
+    fields = [(a, vars._units[a[1]]) for a in values if a[0] == 0]
+    split = []      # (kept monomial, coefficient, {atom: exponent})
+    top = {}        # atom -> greatest exponent in P
+    for m, c in P.items():
+        if m.__class__ is int:
+            v, tail = m, ()
+        else:
+            v, tail = m.v, m.k
+        es = {}
+        for a, unit in fields:
+            e = (v >> ((unit & -unit).bit_length() - 1)) & _FIELD
+            if e:
+                v -= e * unit
+                es[a] = e
+        for a, e in tail:
+            v -= e * vars._degree_unit
+            es[a] = e
+        for a, e in es.items():
+            if e > top.get(a, 0):
+                top[a] = e
+        split.append((v, c, es))
+    if not top:
+        return P, _ONE
+    den = _ONE
+    for a, E in top.items():
+        den = _p_mul(den, _p_pow(values[a].den, E))
+    pows = {}       # (atom, is_num, exponent) -> power
+
+    def power(a, is_num, e):
+        out = pows.get((a, is_num, e))
+        if out is None:
+            v = values[a]
+            out = pows[(a, is_num, e)] = _p_pow(v.num if is_num else v.den, e)
+        return out
+
+    out = {}
+    for v, c, es in split:
+        T = {v: c}
+        for a, E in top.items():
+            e = es.get(a, 0)
+            if e:
+                T = _p_mul(T, power(a, True, e))
+                if not T:
+                    break
+            if e < E and not _is_unit(values[a].den):
+                T = _p_mul(T, power(a, False, E - e))
+        for m, t in T.items():
+            out[m] = out.get(m, 0) + t
+    return {m: t for m, t in out.items() if t}, den
+
+
 def _p_key(A, lc):
     """A / lc for lc > 0, as sorted (monomial, (numerator, denominator))
     pairs in lowest terms, each monomial as _mono_pairs gives it."""
@@ -1046,7 +1104,10 @@ class Expr:
 
     def substitute(self, bindings):
         """Simultaneous substitution; keys are variable names or indices,
-        values are Expr or exact numbers."""
+        values are Expr or exact numbers.  A kernel atom takes the value of
+        the kernel of its substituted argument.  One pass in Z[atoms]: num
+        and den are each brought over the common denominator of the values
+        they meet, and the quotient is made canonical once."""
         if not bindings:
             return self
         by_index = {}
@@ -1055,27 +1116,16 @@ class Expr:
             if not isinstance(v, Expr):
                 v = Expr.rational(self.vars, v)
             by_index[i] = v
-        num = self._poly_subst(self.num, by_index)
-        den = self._poly_subst(self.den, by_index)
-        return num / den
-
-    def _poly_subst(self, poly, by_index):
-        out = Expr.zero(self.vars)
-        for mono, c in poly.items():
-            term = Expr.rational(self.vars, c)
-            for atom, e in _mono_pairs(mono):
-                if atom[0] == 0:
-                    i = atom[1]
-                    if i in by_index:
-                        base = by_index[i]
-                    else:
-                        base = Expr.var_index(self.vars, i)
-                else:
-                    arg = self.kernels[atom].substitute(by_index)
-                    base = Expr.kernel(atom[1], arg)
-                term = term * base ** e
-            out = out + term
-        return out
+        values = {(0, i): v for i, v in by_index.items()}   # atom -> value
+        for atom in _p_kernel_atoms(self.num) | _p_kernel_atoms(self.den):
+            values[atom] = Expr.kernel(
+                atom[1], self.kernels[atom].substitute(by_index))
+        nn, nd = _p_subst(self.num, values, self.vars)
+        dn, dd = _p_subst(self.den, values, self.vars)
+        kernels = dict(self.kernels)
+        for v in values.values():
+            kernels.update(v.kernels)
+        return Expr._make(self.vars, _p_mul(nn, dd), _p_mul(nd, dn), kernels)
 
     def eval(self, point: Point):
         """Exact Fraction when no kernels are hit and the point is rational;

@@ -300,17 +300,18 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
         return []  # identical to the plain pass
     monos = _monomials([Expr.var_index(vars0, i)
                         for i in range(vars0.total)], degree)
+    d_monos = [d_of_function(mu) for mu in monos]
     columns = []  # (i, mono)
     two_forms = []
     for i, g in enumerate(gens):
+        # Q d(mu g) - dQ ^ (mu g) = mu (Q dg - dQ ^ g) + dmu ^ (Q g)
         dg = exterior_derivative(g)
-        for mu in monos:
-            sigma_term = g.scale(mu)
-            w = (dg.scale(mu) + wedge(d_of_function(mu), g))
-            if not q_is_one:
-                w = w.scale(Q) - wedge(dQ, sigma_term)
+        if not q_is_one:
+            dg = dg.scale(Q) - wedge(dQ, g)
+            g = g.scale(Q)
+        for mu, dmu in zip(monos, d_monos):
             columns.append((i, mu))
-            two_forms.append(w)
+            two_forms.append(dg.scale(mu) + wedge(dmu, g))
     # linear conditions: every coefficient of every 2-form basis pair is 0;
     # everything above is denominator-free
     rows = _collect_linear_system(w.terms.items() for w in two_forms)
@@ -392,8 +393,8 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
         return True
 
     def found_echelon():
-        rows = [[d_of_function(c).coefficient((i,))
-                 for i in range(vars0.total)] for c, _ in found]
+        rows = [[dc.coefficient((i,)) for i in range(vars0.total)]
+                for dc in (d_of_function(c) for c, _ in found)]
         return rref_function_field(rows, p0)
 
     def residual(g, echelon):
@@ -561,8 +562,8 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
                 continue
             if sys.certify_vanishing(
                     comb.substitute({0: 0}), samples, warnings,
-                    f"vanishing of adapted component '{comb}' rests on "
-                    "samples only"):
+                    lambda: f"vanishing of adapted component '{comb}' "
+                            "rests on samples only"):
                 vanishing.append(comb)
                 yield _row_at(comb, p0)
 

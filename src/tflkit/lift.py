@@ -163,14 +163,14 @@ class ControlSystem:
 
     def certify_vanishing(self, e: Expr, samples, warnings, message):
         """Does e vanish on N?  False on a NONZERO verdict; otherwise True,
-        and `message` goes to `warnings` when the verdict rests on samples
-        (INCONCLUSIVE).  The one place a sampled verdict becomes a
-        warning."""
+        and `message()` goes to `warnings` when the verdict rests on samples
+        (INCONCLUSIVE), so the text is built only when it is emitted.  The
+        one place a sampled verdict becomes a warning."""
         v = self.vanishes_on_N(e, samples=samples)
         if v == Zeroness.NONZERO:
             return False
         if v == Zeroness.INCONCLUSIVE:
-            warnings.append(message)
+            warnings.append(message())
         return True
 
     # -- Lie derivatives on the plant ----------------------------------------

@@ -45,20 +45,31 @@ class Membership:
     INCONCLUSIVE = "inconclusive"
 
 
-def perturbed_points(p0: Point, count=8, seed=1, scale=Fraction(1, 4)):
+# perturbed_points: how many points, the seed of their offsets, and the
+# scale of each offset
+_PERTURBED_COUNT = 8
+_PERTURBED_SEED = 1
+_PERTURBED_SCALE = Fraction(1, 4)
+
+
+def perturbed_points(p0: Point):
     """Rational perturbations of the base point, for rank certification.
     Every coordinate moves (offsets are nonzero) so degenerate loci through
-    p0 itself are left behind."""
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        vals = []
-        for v in p0.values:
-            q = rng.randint(1, 8)
-            p = rng.randint(1, 3 * q) * rng.choice((-1, 1))
-            vals.append(v + Fraction(p, q) * scale)
-        pts.append(Point(p0.vars, vals))
-    return pts
+    p0 itself are left behind.  Built once per base point and kept on it,
+    so every derived step and closure of a run shares the points and their
+    cached monomial values; callers must not change the list."""
+    if p0._perturbed is None:
+        rng = random.Random(_PERTURBED_SEED)
+        pts = []
+        for _ in range(_PERTURBED_COUNT):
+            vals = []
+            for v in p0.values:
+                q = rng.randint(1, 8)
+                p = rng.randint(1, 3 * q) * rng.choice((-1, 1))
+                vals.append(v + Fraction(p, q) * _PERTURBED_SCALE)
+            pts.append(Point(p0.vars, vals))
+        p0._perturbed = pts
+    return p0._perturbed
 
 
 # ---------------------------------------------------------------------------
@@ -157,29 +168,59 @@ def rref_function_field(rows, p0=None):
     ncols = len(rows[0])
     r = 0
     pivots = []
-    prev = None  # previous Bareiss pivot
+    # Bareiss pivots in order.  Step k rescales a row whose entry in the
+    # pivot column is structurally zero by p_k / p_(k-1); the factors
+    # telescope, so such a row is left alone and caught up, by p_k / p_j
+    # from the step j it last saw, just before it is read: as a pivot
+    # candidate, when it is eliminated, or at the end.  The values are
+    # those of the eager elimination, and forms are canonical.
+    bareiss = []
+    seen = [0] * len(rows)  # row i is current as of step seen[i]
+
+    def catch_up(i):
+        j, k = seen[i], len(bareiss)
+        if j < k:
+            pk = bareiss[-1]
+            if j:
+                pj = bareiss[j - 1]
+                rows[i] = [a if a.is_structural_zero()
+                           else exact_quotient(a * pk, pj) for a in rows[i]]
+            else:
+                rows[i] = [a * pk for a in rows[i]]
+            seen[i] = k
+
+    def pivot_in_column(col, start, require_p0):
+        for i in range(start, len(rows)):
+            if not rows[i][col].is_structural_zero():
+                catch_up(i)
+        return _pivot_in_column(rows, col, start, p0, require_p0)
+
+    def swap(a, b):
+        rows[a], rows[b] = rows[b], rows[a]
+        seen[a], seen[b] = seen[b], seen[a]
 
     def eliminate_below(r, col):
-        nonlocal prev
         pc = rows[r][col]
+        prev = bareiss[-1] if bareiss else None
         for i in range(r + 1, len(rows)):
+            if rows[i][col].is_structural_zero():
+                continue
+            catch_up(i)
             ci = rows[i][col]
-            if ci.is_structural_zero():
-                new = [pc * a for a in rows[i]]
-            else:
-                new = [pc * a - ci * b for a, b in zip(rows[i], rows[r])]
+            new = [pc * a - ci * b for a, b in zip(rows[i], rows[r])]
             if prev is not None:
                 new = [exact_quotient(x, prev) for x in new]
             rows[i] = new
-        prev = pc
+            seen[i] = len(bareiss) + 1
+        bareiss.append(pc)
 
     deferred = []
     for col in range(ncols):
-        piv = _pivot_in_column(rows, col, r, p0, require_p0=True)
+        piv = pivot_in_column(col, r, require_p0=True)
         if piv is None:
             deferred.append(col)
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        swap(r, piv)
         eliminate_below(r, col)
         pivots.append(col)
         r += 1
@@ -188,10 +229,10 @@ def rref_function_field(rows, p0=None):
     np1 = r  # pivots so far do not vanish at p0
     if r < len(rows):
         for col in deferred:
-            piv = _pivot_in_column(rows, col, r, p0, require_p0=False)
+            piv = pivot_in_column(col, r, require_p0=False)
             if piv is None:
                 continue
-            rows[r], rows[piv] = rows[piv], rows[r]
+            swap(r, piv)
             eliminate_below(r, col)
             pivots.append(col)
             r += 1
@@ -200,6 +241,7 @@ def rref_function_field(rows, p0=None):
     # leftover rows must be structurally zero; NonZero leftovers mean the
     # zero tests could not support a pivot anywhere in them
     for i in range(r, len(rows)):
+        catch_up(i)
         for c in rows[i]:
             if c.zeroness() == Zeroness.INCONCLUSIVE:
                 raise InconclusiveZeroTest(
@@ -343,7 +385,10 @@ class PfaffianIdeal:
         return np.array([g.at(p) for g in self.generators])
 
     def same_span(self, other: "PfaffianIdeal"):
-        """Symbolic two-way membership plus equal generator count."""
+        """Symbolic two-way membership plus equal generator count; an ideal
+        sharing the other's echelon (`_relabelled`) is the same span."""
+        if self._rows is other._rows:
+            return True
         if len(self) != len(other):
             return False
         for g in self.generators:

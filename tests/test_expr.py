@@ -370,3 +370,128 @@ class TestIntegerForm:
         assert denominator_lcm([E("1/(2*x1 + 2)"), E("x2/(x1 + 1)^2")]) \
             == E("(x1 + 1)^2")
         assert denominator_lcm([E("x1/2"), E("3")]) == E("1")
+
+
+# -- substitution against Expr arithmetic ------------------------------------
+
+SVS = VariableSpace.canonical(3, 1)
+SE = lambda s: parse_expr(s, SVS)
+
+
+def _reference_substitute(e, by_index):
+    """Term by term in Expr arithmetic: each factor replaced by its value,
+    a kernel by the kernel of its substituted argument."""
+    def poly(p):
+        out = Expr.zero(SVS)
+        for c, factors in p.terms():
+            term = Expr.rational(SVS, c)
+            for base, k in factors:
+                kernel = base.as_kernel()
+                if kernel is not None:
+                    kind, arg = kernel
+                    base = Expr.kernel(kind,
+                                       _reference_substitute(arg, by_index))
+                else:
+                    (i,) = base.free_variables()
+                    base = by_index.get(i, base)
+                term = term * base ** k
+            out = out + term
+        return out
+    return poly(e.numerator()) / poly(e.denominator())
+
+
+def _random_value(rng, kind):
+    if kind == "zero":
+        return Expr.zero(SVS)
+    if kind == "rational":
+        return Expr.rational(SVS, random_rational(rng))
+    p = random_polynomial(rng, SVS, terms=2, kernels=rng.random() < 0.3)
+    if kind == "rational function":
+        q = random_polynomial(rng, SVS, terms=2)
+        if not q.is_structural_zero():
+            p = p / q
+    return p
+
+
+def _substitution_cases(seed, count):
+    """Seeded (expression, bindings) pairs: rational functions with
+    kernels, bound to zero, rationals, polynomials and rational
+    functions."""
+    rng = random.Random(seed)
+    kinds = ("zero", "rational", "polynomial", "rational function")
+    out = []
+    while len(out) < count:
+        e = random_polynomial(rng, SVS, terms=4, kernels=True)
+        d = random_polynomial(rng, SVS, terms=2, kernels=rng.random() < 0.3)
+        if rng.random() < 0.6 and not d.is_structural_zero():
+            e = e / d
+        names = rng.sample(range(SVS.total), rng.randint(1, 3))
+        out.append((e, {i: _random_value(rng, rng.choice(kinds))
+                        for i in names}))
+    return out
+
+
+def _outcome(f):
+    try:
+        return f()
+    except DomainError as exc:
+        return type(exc)
+
+
+class TestSubstituteDifferential:
+    def test_against_expr_arithmetic(self):
+        raised = 0
+        for e, bindings in _substitution_cases(23, 200):
+            got = _outcome(lambda: substitute(e, bindings))
+            want = _outcome(lambda: _reference_substitute(e, bindings))
+            if got is DomainError:
+                raised += 1
+                assert want is DomainError
+                continue
+            assert got == want
+            assert str(got) == str(want)
+        assert raised < 20
+
+    def test_kernel_argument_values(self):
+        e = SE("x1*sin(x2 + x3) + exp(x1)/(x2 + 1)")
+        for bindings in ({"x2": 0, "x3": 0}, {"x1": 0},
+                         {"x2": SE("x3/(x1 + 2)")}, {"x3": SE("-x2")}):
+            assert substitute(e, bindings) == _reference_substitute(
+                e, {SVS.index(k): v if isinstance(v, Expr)
+                    else Expr.rational(SVS, v)
+                    for k, v in bindings.items()})
+        assert substitute(e, {"x2": 0, "x3": 0}) == SE("exp(x1)")
+        assert substitute(SE("sin(x1)"), {"x1": SE("x2 - x2")}).is_structural_zero()
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(DomainError):
+            substitute(SE("x2/(x1 - 1)"), {"x1": 1})
+        with pytest.raises(DomainError):
+            substitute(SE("1/(x1 + x2)"), {"x1": SE("-x2")})
+
+    def test_field_overflow_raises(self):
+        big = SE("x2")
+        for _ in range(14):
+            big = big * big                      # x2^16384
+        with pytest.raises(DomainError):
+            substitute(SE("x1^2 + 1"), {"x1": big})
+        with pytest.raises(DomainError):
+            substitute(SE("1/(x1^3 + x3)"), {"x1": big})
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        names = {nm: sympy.Symbol(nm) for nm in SVS.names}
+        names.update(exp=sympy.exp, sin=sympy.sin, cos=sympy.cos,
+                     ln=sympy.log)
+        S = lambda e: sympy.sympify(str(e).replace("^", "**"), locals=names)
+        checked = 0
+        for e, bindings in _substitution_cases(29, 60):
+            got = _outcome(lambda: substitute(e, bindings))
+            if got is DomainError:
+                continue
+            want = S(e).subs({names[SVS.names[i]]: S(v)
+                              for i, v in bindings.items()},
+                             simultaneous=True)
+            assert sympy.cancel(S(got) - want) == 0
+            checked += 1
+        assert checked > 40

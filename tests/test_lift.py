@@ -62,14 +62,14 @@ class TestCertifyVanishing:
         E = lambda s: parse_expr(s, chain3.vars)
         warnings = []
         assert chain3.certify_vanishing(E("x1 + x2*x3"), None, warnings,
-                                        "sampled")
+                                        lambda: "sampled")
         assert warnings == []
 
     def test_nonzero_without_warning(self, chain3):
         E = lambda s: parse_expr(s, chain3.vars)
         warnings = []
         assert not chain3.certify_vanishing(E("x1 + 1"), None, warnings,
-                                            "sampled")
+                                            lambda: "sampled")
         assert warnings == []
 
     def test_sampled_verdict_warns(self):
@@ -82,7 +82,7 @@ class TestCertifyVanishing:
         samples = sample_on_N(sys, 3)
         warnings = []
         assert sys.certify_vanishing(E("2*x1^2 + 2*x2^2 - 2"), samples,
-                                     warnings, "sampled")
+                                     warnings, lambda: "sampled")
         assert warnings == ["sampled"]
 
 

@@ -541,3 +541,81 @@ class TestDerivedSystemCertification:
         # float ranks at the eight perturbed points only, never at p0,
         # where every entry vanishes
         assert ranked == [2] * 8
+
+
+def make_chain8():
+    """x_i' = x_(i+1) + c_i x_i^2, x_8' = u1, N = the origin."""
+    from tflkit.lift import ControlSystem
+    vs = VariableSpace.canonical(8, 1)
+    P = lambda s: parse_expr(s, vs)
+    cs = [1, -2, 3, -1, 2, -3, 1]
+    f = [P(f"x{i + 1} + {c}*x{i}^2") for i, c in enumerate(cs, start=1)]
+    g = [[P("0")] * 7 + [P("1")]]
+    return ControlSystem(vs, f + [P("0")], g,
+                         [P(f"x{i}") for i in range(1, 9)], [0] * 8,
+                         [P("0")])
+
+
+class TestNoRepeatedWork:
+    @staticmethod
+    def _membership_spy(monkeypatch):
+        import tflkit.pfaffian as pfaffian
+        calls = []
+        real = pfaffian.ideal_membership
+
+        def spy(a, ideal):
+            calls.append(ideal.provenance)
+            return real(a, ideal)
+
+        monkeypatch.setattr(pfaffian, "ideal_membership", spy)
+        return calls
+
+    def test_differential_ideal_flag_asks_no_membership(
+            self, monkeypatch, sec5_closures, chain3):
+        from tflkit.lift import lift_system
+        chain3_flag = derived_flag(lift_system(chain3).I0)
+        ideals = list(sec5_closures) + [chain3_flag.closure(k)
+                                        for k in range(3)]
+        calls = self._membership_spy(monkeypatch)
+        for ideal in ideals:
+            flag = derived_flag(ideal)
+            # one step, which finds the ideal differential and keeps it
+            assert flag.generator_counts() == (len(ideal),)
+        assert calls == []
+
+    def test_augmenting_an_echelon_divides_once_per_row(self, monkeypatch):
+        import tflkit.pfaffian as pfaffian
+        from tflkit.lift import lift_system
+        flag = derived_flag(lift_system(make_chain8()).I0)
+        calls = []
+        real = pfaffian.exact_quotient
+
+        def spy(e, d):
+            calls.append(1)
+            return real(e, d)
+
+        monkeypatch.setattr(pfaffian, "exact_quotient", spy)
+        counts = []
+        for entry in flag.entries:
+            del calls[:]
+            augment_with_dt(entry)
+            counts.append((len(entry) + 1, len(calls)))
+        assert [rows for rows, _ in counts] == list(range(9, 0, -1))
+        # eager Bareiss scaling rescales every row below each pivot, about
+        # rows^2 * columns / 2 quotients; caught up lazily, each row of the
+        # echelon is divided at most once
+        for rows, n in counts:
+            assert n <= rows
+
+    def test_perturbed_points_built_once_per_point(self):
+        from tflkit.pfaffian import perturbed_points
+        p0 = simple_point(VS, x1=2, x3=4)
+        pts = perturbed_points(p0)
+        assert len(pts) == 8
+        assert perturbed_points(p0) is pts
+        other = Point(VS, p0.values)
+        again = perturbed_points(other)
+        assert again is not pts
+        assert [p.values for p in again] == [p.values for p in pts]
+        assert all(p.values[i] != p0.values[i]
+                   for p in pts for i in range(VS.total))
