@@ -749,29 +749,22 @@ def _p_subst(P, values, vars):
         split.append((v, c, es))
     if not top:
         return P, _ONE
+    # the powers 0..E of each value's num and den
+    pows = {a: ([_ONE], [_ONE]) for a in top}
     den = _ONE
     for a, E in top.items():
-        den = _p_mul(den, _p_pow(values[a].den, E))
-    pows = {}       # (atom, is_num, exponent) -> power
-
-    def power(a, is_num, e):
-        out = pows.get((a, is_num, e))
-        if out is None:
-            v = values[a]
-            out = pows[(a, is_num, e)] = _p_pow(v.num if is_num else v.den, e)
-        return out
-
+        for ps, base in zip(pows[a], (values[a].num, values[a].den)):
+            while len(ps) <= E:
+                ps.append(_p_mul(ps[-1], base))
+        den = _p_mul(den, pows[a][1][E])
+    fractional = [a for a in top if not _is_unit(values[a].den)]
     out = {}
     for v, c, es in split:
         T = {v: c}
-        for a, E in top.items():
-            e = es.get(a, 0)
-            if e:
-                T = _p_mul(T, power(a, True, e))
-                if not T:
-                    break
-            if e < E and not _is_unit(values[a].den):
-                T = _p_mul(T, power(a, False, E - e))
+        for a, e in es.items():
+            T = _p_mul(T, pows[a][0][e])
+        for a in fractional:
+            T = _p_mul(T, pows[a][1][top[a] - es.get(a, 0)])
         for m, t in T.items():
             out[m] = out.get(m, 0) + t
     return {m: t for m, t in out.items() if t}, den
