@@ -172,8 +172,8 @@ def rref_function_field(rows, p0=None):
     # pivot column is structurally zero by p_k / p_(k-1); the factors
     # telescope, so such a row is left alone and caught up, by p_k / p_j
     # from the step j it last saw, just before it is read: as a pivot
-    # candidate, when it is eliminated, or at the end.  The values are
-    # those of the eager elimination, and forms are canonical.
+    # candidate (every row a pivot eliminates was one) or at the end.  The
+    # values are those of the eager elimination, and forms are canonical.
     bareiss = []
     seen = [0] * len(rows)  # row i is current as of step seen[i]
 
@@ -203,10 +203,9 @@ def rref_function_field(rows, p0=None):
         pc = rows[r][col]
         prev = bareiss[-1] if bareiss else None
         for i in range(r + 1, len(rows)):
-            if rows[i][col].is_structural_zero():
+            ci = rows[i][col]   # a candidate for col, so caught up
+            if ci.is_structural_zero():
                 continue
-            catch_up(i)
-            ci = rows[i][col]
             new = [pc * a - ci * b for a, b in zip(rows[i], rows[r])]
             if prev is not None:
                 new = [exact_quotient(x, prev) for x in new]
