@@ -65,8 +65,12 @@ def main(argv=None) -> int:
         if args.json == "-":
             sys.stdout.write(payload)
         else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            try:
+                with open(args.json, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
     if not args.quiet:
         timings = [("total", elapsed)] if args.timings else None
         sys.stdout.write(render_text(tree, timings=timings))

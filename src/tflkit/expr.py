@@ -34,6 +34,7 @@ __all__ = [
     "is_zero",
     "denominator_lcm",
     "divide_by_gcd",
+    "divide_by_factors",
     "exact_quotient",
     "coprime_factor_base",
 ]
@@ -1515,6 +1516,55 @@ def divide_by_gcd(exprs):
     return [Expr._make(e.vars, _int_multiply(quotients[i], c), e.den,
                        e.kernels) if i in quotients else e
             for i, e in enumerate(exprs)]
+
+
+def divide_by_factors(exprs, factors):
+    """Polynomials `exprs` divided by each of `factors`, as often as it
+    divides every entry, so that `divide_by_gcd` of the result is
+    `divide_by_gcd(exprs)` (whenever the heuristic gcd settles both) and
+    its gcd sees only the cofactors.
+
+    A factor counts by its numerator taken content-free with a positive
+    grlex leading coefficient, as the gcd there is taken; constants are
+    skipped.  A row with fewer than two nonzero entries is returned as it
+    is, since `divide_by_gcd` keeps the leading coefficient of a lone
+    entry; so is a row that no factor divides."""
+    nums = [e.num for e in exprs if e.num]
+    if len(nums) < 2:
+        return exprs
+    divided = False
+    for f in factors:
+        F = f.num
+        if not F or _is_const(F):
+            continue
+        c = _int_content(F)
+        F = _int_divide(F, -c if F[_p_leading(F)] < 0 else c)
+        while (quotients := _divide_all(nums, F)) is not None:
+            nums, divided = quotients, True
+    if not divided:
+        return exprs
+    it = iter(nums)
+    return [Expr._make(e.vars, next(it), e.den, e.kernels) if e.num else e
+            for e in exprs]
+
+
+def _divide_all(nums, F):
+    """[P / F for P in nums], or None when F does not divide every P.  The
+    grlex-greatest and -least terms of a product are the products of its
+    factors' ones, so those of each P are checked before any division."""
+    lf, tf = _p_leading(F), min(F)
+    for P in nums:
+        lp, tp = _p_leading(P), min(P)
+        if (_mono_divides(lf, lp) is None or P[lp] % F[lf]
+                or _mono_divides(tf, tp) is None or P[tp] % F[tf]):
+            return None
+    quotients = []
+    for P in nums:
+        q = _ip_divexact(P, F)
+        if q is None:
+            return None
+        quotients.append(q)
+    return quotients
 
 
 def exact_quotient(e: Expr, d: Expr) -> Expr:

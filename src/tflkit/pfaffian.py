@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (DomainError, InconclusiveZeroTest, NoTermination,
                      RegularityViolation)
 from .expr import (Expr, Point, Zeroness, coprime_factor_base,
-                   denominator_lcm, divide_by_gcd, exact_quotient)
+                   denominator_lcm, divide_by_factors, divide_by_gcd,
+                   exact_quotient)
 from .forms import KForm, coordinate_form, exterior_derivative, wedge
 from . import numlin
 
@@ -132,10 +133,12 @@ def _row_primitive(row):
     return divide_by_gcd(row)
 
 
-def _normalize_row(row):
+def _normalize_row(row, factors):
     """Clear denominators, strip the common polynomial factor, and make the
-    leading coefficient monic when it is rational."""
-    row = _row_primitive(_clear_denominators_row(row))
+    leading coefficient monic when it is rational.  The row is divided by
+    the known `factors` first, so the gcd sees only the cofactors."""
+    row = _row_primitive(divide_by_factors(_clear_denominators_row(row),
+                                           factors))
     lead = None
     for c in row:
         if not c.is_structural_zero():
@@ -259,8 +262,8 @@ def rref_function_field(rows, p0=None):
                 continue
             factor = row[pc] / rows[jdx][pc]
             row = [a - factor * b for a, b in zip(row, rows[jdx])]
-        rows[idx] = _normalize_row(row)
-    out = [_normalize_row(rows[k]) for k in range(r)]
+        rows[idx] = _normalize_row(row, bareiss)
+    out = [_normalize_row(rows[k], bareiss) for k in range(r)]
     return out, pivots
 
 
@@ -547,11 +550,13 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
         for idx, c in r.terms.items():
             matrix[pair_index[idx]][col] = c
     # rows are linear conditions; scaling a row is free.  A cleared row is
-    # its primitive row times a polynomial, so wherever it does not vanish
-    # it spans the same line as the primitive row: the exact ranks make a
-    # row primitive only where it vanishes, once, and the nullspace takes
-    # every row primitive
-    matrix = [_clear_denominators_row(row) for row in matrix]
+    # divided by the base elements of `need` that divide it (the shared
+    # denominator may over-clear it), which leaves its primitive row times
+    # a polynomial, so wherever it does not vanish it spans the same line
+    # as the primitive row: the exact ranks make a row primitive only where
+    # it vanishes, once, and the nullspace takes every row primitive
+    matrix = [divide_by_factors(_clear_denominators_row(row), need)
+              for row in matrix]
     primitive = {}
 
     def primitive_row(i):

@@ -64,6 +64,10 @@ class ProblemFile:
                              self.u_star, parametrization=self.parametrization)
 
 
+_SECTIONS = ("system", "target", "hints", "options")
+_TARGET_KEYS = ("n", "x0", "u_star", "param")
+
+
 def _split_list(value):
     return [p.strip() for p in value.split(",") if p.strip()]
 
@@ -77,6 +81,9 @@ def _parse_sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in _SECTIONS:
+                raise ProblemFormatError(f"unknown section [{current}]",
+                                         lineno)
             if current in sections:
                 raise ProblemFormatError(f"duplicate section [{current}]",
                                          lineno)
@@ -115,6 +122,15 @@ def loads_problem(text: str) -> ProblemFile:
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
     n, m = vars0.n, vars0.m
+    extra_g = [k for k in sys_sec if k.startswith("g") and k[1:].isdigit()
+               and int(k[1:]) > m]
+    if extra_g:
+        raise DimensionMismatch(
+            f"[system] declares {m} inputs but defines {sorted(extra_g)}")
+    _reject_unknown_keys(sys_sec, "system",
+                         {"states", "inputs", "f"}
+                         | {f"g{j}" for j in range(1, m + 1)})
+    _reject_unknown_keys(tgt_sec, "target", _TARGET_KEYS)
 
     def parse_list(sec, name, key, expect_len=None):
         value, lineno = want(sec, name, key)
@@ -136,11 +152,6 @@ def loads_problem(text: str) -> ProblemFile:
     g = []
     for j in range(1, m + 1):
         g.append(parse_list(sys_sec, "system", f"g{j}", n))
-    extra_g = [k for k in sys_sec if k.startswith("g") and k[1:].isdigit()
-               and int(k[1:]) > m]
-    if extra_g:
-        raise DimensionMismatch(
-            f"[system] declares {m} inputs but defines {sorted(extra_g)}")
 
     N = parse_list(tgt_sec, "target", "n")
     if not N or len(N) > n:
@@ -195,9 +206,23 @@ def loads_problem(text: str) -> ProblemFile:
                        hints=hints, options=options, vars=vars0)
 
 
+def _reject_unknown_keys(sec, name, known):
+    for key, (_, lineno) in sec.items():
+        if key not in known:
+            raise ProblemFormatError(f"unknown key '{key}' in [{name}]",
+                                     lineno)
+
+
 def load_problem(path) -> ProblemFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_problem(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}",
+            data.count(b"\n", 0, exc.start) + 1) from None
+    return loads_problem(text)
 
 
 # ---------------------------------------------------------------------------

@@ -487,3 +487,146 @@ class TestCoprimeFactorBase:
             coprime_factor_base([E("x1"), E("0")])
         with pytest.raises(ValueError):
             coprime_factor_base([E("x1/x2")])
+
+
+def _to_sympy(sympy, e, names):
+    """A polynomial Expr as a sympy expression, term by term."""
+    out = sympy.Integer(0)
+    for c, factors in e.terms():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for base, k in factors:
+            kernel = base.as_kernel()
+            if kernel is None:
+                term *= names[str(base)] ** k
+            else:
+                kind, arg = kernel
+                term *= getattr(sympy, kind)(_to_sympy(sympy, arg,
+                                                       names)) ** k
+        out += term
+    return out
+
+
+class TestDivideByFactors:
+    """Dividing a row by known factors before its gcd changes no primitive
+    row: divide_by_gcd(divide_by_factors(row, fs)) == divide_by_gcd(row)."""
+
+    VS = VariableSpace.canonical(4, 1)
+
+    def _case(self, rng, kernels):
+        vs = self.VS
+        parts = [random_polynomial(rng, vs, degree=2, terms=3,
+                                   kernels=kernels) for _ in range(3)]
+        parts = [p for p in parts if p.as_rational() is None]
+        common = Expr.one(vs)
+        for p in parts:
+            common = common * p ** rng.randint(0, 2)
+        row = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.25:
+                row.append(Expr.zero(vs))
+                continue
+            scale = random_rational(rng) or Fraction(1)
+            row.append(common * scale * random_polynomial(
+                rng, vs, degree=2, terms=3, kernels=kernels))
+        # associates with negative and non-unit leading coefficients,
+        # powers, factors that do not divide, and constants
+        factors = [p * rng.choice([-3, -1, 2, Fraction(5, 7)])
+                   for p in parts]
+        factors += [p ** 2 for p in parts[:1]]
+        factors += [random_polynomial(rng, vs, kernels=kernels),
+                    Expr.rational(vs, rng.choice([-2, 3]))]
+        rng.shuffle(factors)
+        return row, factors
+
+    def _check(self, row, factors):
+        divided = expr.divide_by_factors(row, factors)
+        assert divide_by_gcd(divided) == divide_by_gcd(row)
+        nonzero = [i for i, e in enumerate(row) if not e.is_structural_zero()]
+        if len(nonzero) < 2:
+            assert divided is row
+            return divided
+        # each factor went as often as it divides every entry
+        for f in factors:
+            F = expr._int_primitive(f.num)
+            if not expr._is_const(F):
+                assert not all(expr._ip_divexact(divided[i].num, F)
+                               is not None for i in nonzero)
+        # the quotients are the entries over one common factor
+        ratios = {divided[i] / row[i] for i in nonzero}
+        assert len(ratios) == 1
+        assert all(divided[i].is_structural_zero()
+                   for i in range(len(row)) if i not in nonzero)
+        return divided
+
+    def test_property(self):
+        rng = random.Random(31)
+        stats = {"divided": 0, "single": 0, "zero": 0}
+        for _ in range(150):
+            row, factors = self._case(rng, kernels=False)
+            divided = self._check(row, factors)
+            stats["divided"] += divided is not row
+            nonzero = sum(not e.is_structural_zero() for e in row)
+            stats["single"] += nonzero == 1
+            stats["zero"] += nonzero < len(row)
+        assert min(stats.values()) >= 10
+
+    def test_kernel_atoms(self):
+        rng = random.Random(32)
+        divided = 0
+        for _ in range(60):
+            row, factors = self._case(rng, kernels=True)
+            divided += self._check(row, factors) is not row
+        s, h = Expr.kernel("sin", E("x1")), E("exp(x2) + x3")
+        row = [s * h ** 2, -3 * s * h * E("x4"), E("0"), s ** 2 * h]
+        out = self._check(row, [h * -2, s, E("cos(x1)")])
+        assert out == [h, -3 * E("x4"), E("0"), s]
+        assert divided >= 10
+
+    def test_single_entry_keeps_its_leading_coefficient(self):
+        f = E("-2*x1 + x2")
+        row = [E("0"), 3 * f ** 2, E("0")]
+        assert expr.divide_by_factors(row, [f]) is row
+        assert divide_by_gcd(row) == [E("0"), E("12"), E("0")]
+
+    def test_associates_and_content(self):
+        # the factor counts content-free with a positive leading
+        # coefficient, so the integer contents of the row stay
+        f = E("-2*x1 + 4*x2 - 6")
+        row = [6 * f * E("x3"), -f ** 2, 4 * f]
+        out = self._check(row, [f])
+        assert out == [-12 * E("x3"), E("-4*x1 + 8*x2 - 12"), E("-8")]
+        assert self._check(row, [E("x1 - 2*x2 + 3"), E("x3")]) == out
+
+    def test_no_factor_divides(self):
+        row = [E("x1^2 + x2"), E("x1*x2 - 1")]
+        assert expr.divide_by_factors(row, [E("x1"), E("x2 + 1"),
+                                            E("7")]) is row
+
+    def test_fails_on_the_leading_term(self, monkeypatch):
+        # x2 + 1 does not divide x1^2 + x2: the leading terms show it, so
+        # no division is tried
+        def no_divexact(A, B):
+            raise AssertionError("division tried")
+
+        monkeypatch.setattr(expr, "_ip_divexact", no_divexact)
+        row = [E("x1^2 + x2"), E("(x2 + 1)*x3")]
+        assert expr.divide_by_factors(row, [E("x2 + 1"), E("x3")]) is row
+
+    def test_primitive_under_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(33)
+        names = {nm: sympy.Symbol(nm) for nm in self.VS.names}
+        checked = 0
+        for _ in range(16):
+            row, factors = self._case(rng, kernels=rng.random() < 0.3)
+            out = divide_by_gcd(expr.divide_by_factors(row, factors))
+            pairs = [(_to_sympy(sympy, a, names), _to_sympy(sympy, b, names))
+                     for a, b in zip(row, out) if not a.is_structural_zero()]
+            if len(pairs) < 2:
+                continue
+            (a0, b0), = pairs[:1]
+            assert all(sympy.expand(b * a0 - b0 * a) == 0 for a, b in pairs)
+            g = sympy.gcd_list([b for _, b in pairs])
+            assert not g.free_symbols and not g.has(sympy.Function)
+            checked += 1
+        assert checked >= 8

@@ -9,7 +9,7 @@ import pytest
 
 import tflkit.numlin as numlin
 from tflkit.errors import RegularityViolation
-from tflkit.expr import Point, VariableSpace, parse_expr
+from tflkit.expr import Point, VariableSpace, divide_by_gcd, parse_expr
 from tflkit.forms import (coordinate_form, d_of_function, exterior_derivative,
                           wedge)
 from tflkit.lift import g_module, s_module
@@ -334,6 +334,90 @@ class TestCoprimeDenominators:
         (matrix,) = matrices
         assert len(matrix) == 10
         assert sum(len(c.num) for row in matrix for c in row) <= 2100
+
+
+class TestKnownFactors:
+    """Rows are divided by the factors the elimination knows before any row
+    gcd: the base elements of a derived step's shared denominator, and the
+    Bareiss pivots."""
+
+    def test_sec5_last_step_rows(self, monkeypatch, sec5_flag):
+        """On sec5's last derived step the shared denominator x1*f^2
+        over-clears every condition row by f.  Divided by x1 and f where
+        they divide, no base element divides a whole row that reaches the
+        rank step, the rows hold 476 terms (2049 cleared) and their
+        primitive rows are those of the cleared rows."""
+        import tflkit.expr as expr
+        import tflkit.pfaffian as pfaffian
+
+        divide = pfaffian.divide_by_factors
+        sample_ranks = pfaffian._sample_ranks
+        cleared, matrices = {}, []
+
+        def divide_spy(row, factors):
+            factors = list(factors)
+            out = divide(row, factors)
+            cleared[id(out)] = (row, factors)
+            return out
+
+        def ranks_spy(matrix, p0, exact, primitive_row):
+            matrices.append(matrix)
+            yield from sample_ranks(matrix, p0, exact, primitive_row)
+
+        monkeypatch.setattr(pfaffian, "divide_by_factors", divide_spy)
+        monkeypatch.setattr(pfaffian, "_sample_ranks", ranks_spy)
+        assert len(derived_system(sec5_flag.entry(2))) == 0
+        (matrix,) = matrices
+        assert len(matrix) == 10
+        for row in matrix:
+            before, factors = cleared[id(row)]
+            assert sorted(len(b.num) for b in factors) == [1, 7]
+            assert divide_by_gcd(row) == divide_by_gcd(before)
+            for b in factors:
+                assert not all(expr._ip_divexact(c.num, b.num) is not None
+                               for c in row)
+        assert sum(len(c.num) for row in matrix for c in row) <= 480
+        assert sum(len(c.num) for row, _ in cleared.values()
+                   for c in row) > 2000
+
+    def test_fewer_row_gcds_in_a_sec5_solve(self, monkeypatch):
+        """The gcds under divide_by_gcd see only cofactors: a sec5 solve
+        makes fewer _ip_cofactors calls there than without the step (82
+        against 105 when this was written), and its report is the same."""
+        import tflkit.expr as expr
+        import tflkit.pfaffian as pfaffian
+        from tflkit.problem import cmd_solve, dumps_report, load_problem
+
+        depth, calls = [0], [0]
+        cofactors, by_gcd = expr._ip_cofactors, pfaffian.divide_by_gcd
+
+        def cofactors_spy(A, B):
+            calls[0] += depth[0] > 0
+            return cofactors(A, B)
+
+        def by_gcd_spy(row):
+            depth[0] += 1
+            try:
+                return by_gcd(row)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(expr, "_ip_cofactors", cofactors_spy)
+        monkeypatch.setattr(pfaffian, "divide_by_gcd", by_gcd_spy)
+
+        def solve():
+            calls[0] = 0
+            _, tree, code = cmd_solve(load_problem(PROBLEMS
+                                                   / "paper-sec5.tfl"))
+            return dumps_report(tree), code, calls[0]
+
+        report, code, with_factors = solve()
+        monkeypatch.setattr(pfaffian, "divide_by_factors",
+                            lambda row, factors: row)
+        report_without, code_without, without = solve()
+        assert (report, code) == (report_without, code_without)
+        assert code == 0
+        assert with_factors < without
 
 
 class TestTwoFormMembershipAssociates:

@@ -107,6 +107,49 @@ class TestLoadProblem:
         pb = loads_problem(text)
         assert 1 in pb.hints and len(pb.hints[1]) == 1
 
+    def test_unknown_section(self):
+        text = SEC5.read_text() + "\n[hint]\nk1 = x3*exp(-x4) - 4\n"
+        line = text.splitlines().index("[hint]") + 1
+        with pytest.raises(ProblemFormatError) as err:
+            loads_problem(text)
+        assert str(err.value) == f"unknown section [hint] (line {line})"
+
+    @pytest.mark.parametrize("section, line, key", [
+        ("[system]", 5, "g0"), ("[system]", 5, "inputz"),
+        ("[target]", 12, "parm"), ("[target]", 12, "u")])
+    def test_unknown_key(self, section, line, key):
+        # a misspelt `param` used to drop the parametrization check silently
+        text = SEC5.read_text().replace(section, f"{section}\n{key} = x1", 1)
+        with pytest.raises(ProblemFormatError) as err:
+            loads_problem(text)
+        assert str(err.value) == (f"unknown key '{key}' in {section} "
+                                  f"(line {line})")
+
+    def test_extra_input_field_is_a_dimension_mismatch(self):
+        text = SEC5.read_text().replace("[system]",
+                                        "[system]\ng3 = 0, 0, 0, 0, 0, 0, 0")
+        with pytest.raises(DimensionMismatch):
+            loads_problem(text)
+
+    def test_every_key_of_the_format_loads(self):
+        text = (DOUBLE.read_text()
+                + "param = x1, 0\n"
+                + "\n[hints]\nk1 = x1\n"
+                + "\n[options]\nseed = 1\nsamples = 3\n"
+                + "ansatz_degree = 1\ncombo_degree = 1\n")
+        pb = loads_problem(text)
+        assert pb.parametrization is not None and 1 in pb.hints
+        assert pb.options == {"seed": 1, "samples": 3, "ansatz_degree": 1,
+                              "combo_degree": 1}
+
+    def test_not_utf8(self, tmp_path):
+        bad = tmp_path / "latin1.tfl"
+        bad.write_bytes(DOUBLE.read_bytes().replace(b"# ", b"# caf\xe9 ", 1))
+        with pytest.raises(ProblemFormatError) as err:
+            load_problem(bad)
+        assert "is not UTF-8 text" in str(err.value)
+        assert err.value.line == 1
+
 
 class TestCommands:
     def test_check_worked_example(self):
@@ -280,6 +323,28 @@ class TestCli:
         bad.write_text("[system]\nstates = x1\n")
         code, _, err = self.run_cli("check", str(bad))
         assert code == 1
+
+    def test_not_utf8_file(self, tmp_path):
+        bad = tmp_path / "latin1.tfl"
+        bad.write_bytes(DOUBLE.read_bytes() + b"# \xff\n")
+        code, out, err = self.run_cli("check", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "is not UTF-8 text" in err
+
+    def test_unwritable_json_path(self, tmp_path):
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = self.run_cli("solve", str(DOUBLE), "--json",
+                                      str(out_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(out_path) in err
+        assert not out_path.exists()
+
+    def test_unknown_key_file(self, tmp_path):
+        bad = tmp_path / "parm.tfl"
+        bad.write_text(DOUBLE.read_text() + "parm = x1, 0\n")
+        code, _, err = self.run_cli("check", str(bad))
+        assert code == 1
+        assert err.startswith("error: unknown key 'parm' in [target]")
 
     def test_x0_off_manifold(self, tmp_path):
         bad = tmp_path / "off.tfl"
