@@ -16,7 +16,7 @@ from .forms import (KForm, VectorField, contract, coordinate_field,
                     lie_bracket, lie_derivative, wedge)
 from .pfaffian import (Flag, Membership, PfaffianIdeal, augment_with_dt,
                        derived_flag, derived_system, differential_closure,
-                       ideal_membership, pointwise_span)
+                       ideal_membership)
 from .lift import (ControlSystem, LiftedSystem, ann_tangent_L, g_module,
                    involutive_closure, lift_system, s_module)
 from .conditions import (ConditionReport, IndexProfile, check_con, check_dim,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .errors import (CertificateMismatch, CompletionFailed,
+from .errors import (CertificateMismatch, CompletionFailed, DomainError,
                      IndependenceViolation)
 from .expr import Expr, Point, Zeroness
 from .forms import d_of_function
@@ -129,7 +129,12 @@ def vector_relative_degree(sys: ControlSystem, h, x0: Point = None):
                     warnings)
             if any(z == Zeroness.NONZERO for z in states):
                 found = r + 1
-                rows.append([float(lg_j.eval(x0)) for lg_j in lg])
+                try:
+                    rows.append([float(lg_j.eval(x0)) for lg_j in lg])
+                except OverflowError:
+                    raise DomainError(
+                        f"L_g L_f^{r} h of output '{hi}' at x0 is beyond "
+                        "float range") from None
                 break
             cur = sys.lie_f(cur)
         if found is None:
@@ -222,7 +227,6 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
     report_cond = evaluate_conditions(ls, flag, n_samples=n_samples,
                                       seed=seed)
     warnings.extend(report_cond.warnings)
-    flag_ranks = tuple(int(numlin.rank(e.at(ls.p0))) for e in flag.entries)
     summary = {
         "n": sys.vars.n, "m": sys.vars.m, "n_star": sys.n_star,
         "states": list(sys.vars.state_names),
@@ -230,7 +234,10 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
     }
     base_report = dict(
         system_summary=summary, conditions=report_cond,
-        flag_counts=flag.generator_counts(), flag_ranks_p0=flag_ranks,
+        flag_counts=flag.generator_counts(),
+        # every entry is built at ls.p0, and PfaffianIdeal.__init__ raises
+        # RegularityViolation unless its rank there is its generator count
+        flag_ranks_p0=flag.generator_counts(),
         closure_counts=tuple(len(c) for c in closures))
     if conditions_only or not report_cond.all_hold:
         return TFLReport(output=None, zero_dynamics=None, normal_form=None,

@@ -14,9 +14,12 @@ indices are decided from `numlin.intersection_dim`.
 The dt-augmented ideals <I^(k), dt> and their closures come from the
 flag's memo (`Flag.augmented`, `Flag.closure`), so each is built once per
 distinct flag entry; `evaluate_conditions` builds the dimension table once
-and reads (Dim) off it.  Pointwise, Ann(T_pL) is built once per point and
-each distinct ideal is intersected with it once: the levels past the
-terminal index share the terminal entry and copy its dimension.
+and reads (Dim) off it.  Pointwise, each distinct point is decided once:
+samples with equal values (all of them on a point target, where Newton
+projection returns x0) share one row, and p0 keeps its own.  At each such
+point Ann(T_pL) is built once and each distinct ideal is intersected with
+it once: the levels past the terminal index share the terminal entry and
+copy its dimension.
 """
 
 from __future__ import annotations
@@ -209,20 +212,33 @@ def _dims_constant(table):
 
 def dim_table(ls: LiftedSystem, flag: Flag, samples):
     """dim(Ann(T_pL) cap <I^(k), dt>_p) for k = 0..n-n*, one row at p0
-    and one at each sample."""
+    and one at each sample; each distinct sample point is decided once."""
     nn = ls.vars.n - ls.base.n_star
     ideals = [flag.augmented(k) for k in range(nn + 1)]
     table = {"p0": _intersection_dims_at(ls, ideals, ls.p0)}
+    rows = {p.values: _intersection_dims_at(ls, ideals, p)
+            for p in _distinct(samples)}
     for i, p in enumerate(samples):
-        table[f"sample{i}"] = _intersection_dims_at(ls, ideals, p)
+        table[f"sample{i}"] = list(rows[p.values])
     return table
+
+
+def _distinct(samples):
+    """The samples without repeats, in order.  Equal values give equal
+    matrices, so a repeated point decides nothing new, and no tolerance is
+    involved.  p0 is never merged with a sample: it is the exact point."""
+    first = {}
+    for p in samples:
+        first.setdefault(p.values, p)
+    return list(first.values())
 
 
 def check_inv(ls: LiftedSystem, flag: Flag, closures, samples,
               detail=None) -> bool:
     """Each intersection with the raw ideal span lies inside the closure's
-    span, at p0 and at every sample.  Levels whose dt-augmented ideal is
-    already differential hold trivially and are skipped.
+    span, at p0 and at every sample, each distinct point once.  Levels
+    whose dt-augmented ideal is already differential hold trivially and
+    are skipped.
 
     Decided by dimension.  The closure of <I^(k), dt> is a sub-ideal of it
     (each derived step checks that its generators stay in the parent), so
@@ -235,7 +251,7 @@ def check_inv(ls: LiftedSystem, flag: Flag, closures, samples,
     levels = {k: (flag.augmented(k), closures[k]) for k in range(nn + 1)
               if len(closures[k]) != len(flag.augmented(k))}
     failed = set()
-    for p in [ls.p0] + list(samples):
+    for p in [ls.p0] + _distinct(samples):
         pending = [k for k in levels if k not in failed]
         if not pending:
             break

@@ -8,7 +8,8 @@ reduced by one forward Gauss elimination over sparse rows
 Float otherwise: singular values below RANK_TOL times max(largest singular
 value, 1) are treated as zero (`_sv_cut`).  `rank`, `null_basis`,
 `extends_span` and `intersection_dim` all decide rank that way, and they
-are the only place in the package that takes an SVD.  `extend_basis` is
+are the only place in the package that takes an SVD: one SVD call per
+intersection, whose three ranks are cut per matrix.  `extend_basis` is
 the package's one keep-if-independent step.
 """
 
@@ -26,7 +27,6 @@ __all__ = [
     "extend_basis",
     "exact_rank",
     "rational_nullspace",
-    "row_reduce",
     "intersection_dim",
 ]
 
@@ -132,41 +132,22 @@ def rational_nullspace(rows, ncols):
     return basis
 
 
-def row_reduce(A):
-    """Row echelon basis of the row space, deterministic pivot order
-    (leftmost usable column first)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
-    if A.size == 0:
-        return A.reshape(0, A.shape[1] if A.ndim == 2 else 0)
-    tol = RANK_TOL * max(np.abs(A).max(), 1.0)
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        best = tol
-        for i in range(r, rows):
-            if abs(A[i, c]) > best:
-                piv = i
-                best = abs(A[i, c])
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] / A[r, c]
-        for i in range(rows):
-            if i != r and abs(A[i, c]) > tol:
-                A[i] = A[i] - A[i, c] * A[r]
-        r += 1
-        if r == rows:
-            break
-    return A[:r]
-
-
 def intersection_dim(A, B):
-    """dim(rowspace(A) ∩ rowspace(B))."""
+    """dim(rowspace(A) ∩ rowspace(B)) = rank A + rank B − rank [A; B],
+    with the three ranks from one SVD call: A and B are zero-padded to the
+    shape of [A; B], which only adds zero singular values, and each matrix
+    keeps its own cut."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    ra, rb = rank(A), rank(B)
-    if ra == 0 or rb == 0:
+    if A.size == 0 or B.size == 0:
         return 0
     stacked = np.vstack([A, B])
-    return ra + rb - rank(stacked)
+    batch = np.zeros((3,) + stacked.shape)
+    batch[0, :len(A)] = A
+    batch[1, :len(B)] = B
+    batch[2] = stacked
+    ra, rb, rab = (int(np.sum(s > _sv_cut(s)))
+                   for s in np.linalg.svd(batch, compute_uv=False))
+    if ra == 0 or rb == 0:
+        return 0
+    return ra + rb - rab

@@ -33,7 +33,6 @@ __all__ = [
     "derived_system",
     "derived_flag",
     "differential_closure",
-    "pointwise_span",
     "augment_with_dt",
     "nullspace_function_field",
     "perturbed_points",
@@ -263,7 +262,10 @@ def rref_function_field(rows, p0=None):
             factor = row[pc] / rows[jdx][pc]
             row = [a - factor * b for a, b in zip(row, rows[jdx])]
         rows[idx] = _normalize_row(row, bareiss)
-    out = [_normalize_row(rows[k], bareiss) for k in range(r)]
+    # the completion has normalized rows 0 .. np1-2 already
+    done = max(np1 - 1, 0)
+    out = rows[:done] + [_normalize_row(rows[k], bareiss)
+                         for k in range(done, r)]
     return out, pivots
 
 
@@ -737,9 +739,3 @@ def two_form_membership(w: KForm, ideal: PfaffianIdeal) -> str:
         if z == Zeroness.INCONCLUSIVE:
             verdict = Membership.INCONCLUSIVE
     return verdict
-
-
-def pointwise_span(ideal: PfaffianIdeal, p: Point):
-    """Row basis of the generators evaluated at p (row-reduced, deterministic
-    pivot order)."""
-    return numlin.row_reduce(ideal.at(p))

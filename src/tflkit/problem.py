@@ -171,6 +171,12 @@ def loads_problem(text: str) -> ProblemFile:
             raise ProblemFormatError(
                 f"[target] x0 entries must be rationals, got '{p}'",
                 x0_line) from None
+        try:
+            float(x0[-1])  # samples and ranks work in floats
+        except OverflowError:
+            raise ProblemFormatError(
+                f"[target] x0 entries must be within float range, got "
+                f"'{p}'", x0_line) from None
     u_star = parse_list(tgt_sec, "target", "u_star", m)
     parametrization = None
     if "param" in tgt_sec:

@@ -237,6 +237,48 @@ class TestInv:
         assert (len(anns), len(dims)) == (9, 18)
 
 
+class TestDistinctPoints:
+    """Each distinct sample point is decided once; p0 keeps its own row."""
+
+    @staticmethod
+    def count_anns(monkeypatch):
+        anns = []
+        ann = conditions.ann_tangent_L
+        monkeypatch.setattr(conditions, "ann_tangent_L",
+                            lambda *a: anns.append(1) or ann(*a))
+        return anns
+
+    def test_point_target_table(self, chain3, monkeypatch):
+        # N = {x0}: Newton projection returns x0 for every sample
+        ls = lift_system(chain3)
+        flag = derived_flag(ls.I0)
+        samples = sample_on_N(chain3, 8, seed=0)
+        anns = self.count_anns(monkeypatch)
+        table = conditions.dim_table(ls, flag, samples)
+        assert len(anns) == 2
+        assert len(table) == 9
+        assert all(table[f"sample{i}"] == table["p0"] for i in range(8))
+        assert all(table[f"sample{i}"] is not table["sample0"]
+                   for i in range(1, 8))
+
+    def test_distinct_samples_each_decided(self, sec5_lifted, sec5_flag,
+                                           sec5, monkeypatch):
+        samples = sample_on_N(sec5, 8, seed=0)
+        anns = self.count_anns(monkeypatch)
+        table = conditions.dim_table(sec5_lifted, sec5_flag, samples)
+        assert len(anns) == 9
+        assert len(table) == 9
+
+    def test_inv_visits_each_distinct_point_once(
+            self, sec5_lifted, sec5_flag, sec5_closures, sec5, monkeypatch):
+        # level 2 holds throughout, so every distinct point is visited
+        samples = sample_on_N(sec5, 4, seed=0)
+        anns = self.count_anns(monkeypatch)
+        assert check_inv(sec5_lifted, sec5_flag, sec5_closures,
+                         samples + samples[::-1]) is True
+        assert len(anns) == 5
+
+
 class TestEvaluateConditions:
     def test_worked_report(self, sec5_lifted, sec5_flag):
         rep = evaluate_conditions(sec5_lifted, sec5_flag, n_samples=8, seed=0)

@@ -179,3 +179,74 @@ class TestExtendBasis:
         full = [np.eye(3)[i] for i in range(3)]
         assert numlin.extend_basis(full, candidates(), limit=3) == []
         assert read == [0, 1]
+
+
+def _integer_pair(rng):
+    """(A, B): integer matrices over one column count whose row spaces
+    share `common` random directions, each with its own extra directions,
+    some rows zeroed, and either side possibly one row or all zero."""
+    cols = rng.randint(1, 7)
+
+    def direction():
+        return [rng.randint(-3, 3) for _ in range(cols)]
+
+    common = [direction() for _ in range(rng.randint(0, 2))]
+
+    def side():
+        basis = common + [direction()
+                          for _ in range(rng.randint(not common, 3))]
+        rows = rng.choice((1, 1, 2, 3, 4, 6))
+        if rng.random() < 0.1:
+            return [[0] * cols for _ in range(rows)]
+        out = []
+        for _ in range(rows):
+            coef = [rng.randint(-2, 2) for _ in basis]
+            out.append([sum(c * b[j] for c, b in zip(coef, basis))
+                        for j in range(cols)])
+            if rng.random() < 0.1:
+                out[-1] = [0] * cols
+        return out
+
+    return side(), side()
+
+
+class TestIntersectionDim:
+    def test_equals_the_rank_formula(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            a, b = _integer_pair(rng)
+            expect = (numlin.rank(a) + numlin.rank(b)
+                      - numlin.rank(np.vstack([a, b])))
+            assert numlin.intersection_dim(a, b) == expect
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(29)
+        for _ in range(150):
+            a, b = _integer_pair(rng)
+            ma, mb = sympy.Matrix(a), sympy.Matrix(b)
+            expect = (ma.rank() + mb.rank()
+                      - sympy.Matrix.vstack(ma, mb).rank())
+            assert numlin.intersection_dim(a, b) == expect
+
+    def test_known_cases(self):
+        e = np.eye(4)
+        assert numlin.intersection_dim(e[:2], e[1:3]) == 1
+        assert numlin.intersection_dim(e[:1], e) == 1
+        assert numlin.intersection_dim(e[:2], e[2:]) == 0
+        assert numlin.intersection_dim(np.zeros((3, 4)), e) == 0
+        assert numlin.intersection_dim(np.vstack([e[:2], np.zeros(4)]),
+                                       e[:1] + e[1:2]) == 1
+        assert numlin.intersection_dim(np.zeros((0, 4)), e) == 0
+        # each matrix keeps its own cut: 1e-6 is above A's cut, not [A; B]'s
+        assert numlin.intersection_dim([[1e-6, 0.0]], [[1e6, 0.0]]) == 1
+
+    def test_one_svd_call(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        rng = random.Random(31)
+        for _ in range(20):
+            numlin.intersection_dim(*_integer_pair(rng))
+        assert len(calls) == 20

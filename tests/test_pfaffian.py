@@ -16,8 +16,9 @@ from tflkit.lift import g_module, s_module
 from tflkit.pfaffian import (Flag, Membership, PfaffianIdeal, augment_with_dt,
                              derived_flag, derived_system,
                              differential_closure, ideal_membership,
-                             pointwise_span, two_form_membership)
+                             two_form_membership)
 from conftest import decode
+from _pointwise import pointwise_span
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 VS = VariableSpace.canonical(7, 2)

@@ -390,6 +390,26 @@ class TestCli:
         assert err.startswith("error: [target] x0 entries must be "
                               "rationals, got '1/0' (line 10)")
 
+    def test_x0_beyond_float_range(self, tmp_path):
+        bad = tmp_path / "x0huge.tfl"
+        bad.write_text(DOUBLE.read_text().replace("x0 = 1, 0",
+                                                  "x0 = 1e309, 0"))
+        code, out, err = self.run_cli("solve", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: [target] x0 entries must be within "
+                              "float range, got '1e309' (line 10)")
+
+    def test_decoupling_entry_beyond_float_range(self, tmp_path):
+        # x0 itself is a float, but L_g1 x2 = x1^2 at x0 is 1e400
+        bad = tmp_path / "lghuge.tfl"
+        bad.write_text(DOUBLE.read_text()
+                       .replace("g1 = 0, 1", "g1 = 0, x1^2")
+                       .replace("x0 = 1, 0", "x0 = 1e200, 0"))
+        code, out, err = self.run_cli("solve", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: L_g L_f^0 h of output 'x2' at x0 is "
+                              "beyond float range")
+
     def test_u_star_irrational_at_x0(self, tmp_path):
         # u*(x0) = cos(1) - 1 is not rational, and the lifted base point
         # holds it as a coordinate
