@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SamplingFailed
+from .errors import DomainError, SamplingFailed
 from .expr import Point
 from .lift import ControlSystem, LiftedSystem, ann_tangent_L
 from .pfaffian import PfaffianIdeal, Flag
@@ -121,7 +121,12 @@ def _state_point(sys: ControlSystem, x):
         vals[1 + sys.vars.m + i] = float(xi)
     p = Point(sys.vars, vals)
     for j, us in enumerate(sys.u_star):
-        vals[1 + j] = float(us.eval(p))
+        try:
+            vals[1 + j] = float(us.eval(p))
+        except OverflowError:
+            raise DomainError(
+                f"u_star is beyond float range near x0: its "
+                f"{sys.vars.input_names[j]} component is '{us}'") from None
     return Point(sys.vars, vals)
 
 

@@ -11,6 +11,14 @@ one integer whose layout the VariableSpace fixes, so polynomial products
 add integers (see the polynomial layer below).  Expressions are immutable
 values and may be shared freely across threads; there is no global mutable
 state.
+
+Identity arithmetic returns an operand: x + 0, 0 + x, x - 0, x*1, 1*x,
+x*0, 0*x, x/1 and exact_quotient(x, 1) are the operand that already is the
+result, decided by value before any new form is built.  Forms are
+canonical and an operand's kernels are those its atoms use, so the operand
+is the value the general route would build.  Each VariableSpace keeps one
+zero and one one, built on first use; Expr.zero, Expr.one, Expr.rational
+of 0 or 1 and every zero result return them.
 """
 
 from __future__ import annotations
@@ -90,6 +98,8 @@ class VariableSpace:
         self._degree_unit = 1 << (_W * k)
         self._units = tuple(self._degree_unit | 1 << (_W * (k - 1 - i))
                             for i in range(k))
+        self._zero = None  # Expr.zero of this space, built on first use
+        self._one = None   # Expr.one of this space, built on first use
 
     @classmethod
     def canonical(cls, n, m):
@@ -815,7 +825,7 @@ class Expr:
         if not den:
             raise DomainError("division by zero expression")
         if not num:
-            return Expr(vars, {}, _ONE, {}, _internal=True)
+            return Expr.zero(vars)
         if not _is_unit(den):
             _, num, den = _ip_cofactors(num, den)
             if den[_p_leading(den)] < 0:
@@ -827,19 +837,29 @@ class Expr:
 
     @staticmethod
     def rational(vars, c):
-        if isinstance(c, int):
-            return Expr(vars, {0: c} if c else {}, _ONE, {}, _internal=True)
-        c = Fraction(c)
-        return Expr(vars, {0: c.numerator} if c else {}, {0: c.denominator},
-                    {}, _internal=True)
+        if not isinstance(c, int):
+            c = Fraction(c)
+            if c.denominator != 1:
+                return Expr(vars, {0: c.numerator}, {0: c.denominator}, {},
+                            _internal=True)
+            c = c.numerator
+        if c == 0:
+            return Expr.zero(vars)
+        if c == 1:
+            return Expr.one(vars)
+        return Expr(vars, {0: c}, _ONE, {}, _internal=True)
 
     @staticmethod
     def zero(vars):
-        return Expr.rational(vars, 0)
+        if vars._zero is None:
+            vars._zero = Expr(vars, {}, _ONE, {}, _internal=True)
+        return vars._zero
 
     @staticmethod
     def one(vars):
-        return Expr.rational(vars, 1)
+        if vars._one is None:
+            vars._one = Expr(vars, _ONE, _ONE, {}, _internal=True)
+        return vars._one
 
     @staticmethod
     def var(vars, name):
@@ -880,6 +900,9 @@ class Expr:
 
     def is_structural_zero(self):
         return not self.num
+
+    def _is_one(self):
+        return _is_unit(self.num) and _is_unit(self.den)
 
     def is_polynomial(self):
         """Is the denominator a constant?"""
@@ -969,7 +992,7 @@ class Expr:
 
     def _coerce(self, other):
         if isinstance(other, Expr):
-            if other.vars != self.vars:
+            if other.vars is not self.vars and other.vars != self.vars:
                 raise ValueError("mixing expressions over different variable spaces")
             return other
         if isinstance(other, (int, Fraction)):
@@ -989,6 +1012,10 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.num:
+            return self
+        if not self.num:
+            return o
         if self.den == o.den:
             num, den = _p_add(self.num, o.num), self.den
         else:
@@ -1006,6 +1033,8 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.num:
+            return self
         return self + (-o)
 
     def __rsub__(self, other):
@@ -1015,6 +1044,10 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.num or o._is_one():
+            return self
+        if not o.num or self._is_one():
+            return o
         return Expr._make(self.vars, _p_mul(self.num, o.num),
                           _p_mul(self.den, o.den), self._merge_kernels(o))
 
@@ -1024,6 +1057,8 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o._is_one():
+            return self
         return Expr._make(self.vars, _p_mul(self.num, o.den),
                           _p_mul(self.den, o.num), self._merge_kernels(o))
 
@@ -1571,7 +1606,7 @@ def exact_quotient(e: Expr, d: Expr) -> Expr:
     """e / d for polynomials e and d, by one exact division of their
     primitive parts when d divides e, as it does in fraction-free
     elimination."""
-    if not e.num:
+    if not e.num or d._is_one():
         return e
     q = _ip_divexact(_int_primitive(e.num), _int_primitive(d.num))
     if q is None:

@@ -36,7 +36,6 @@ __all__ = [
     "frobenius_integrate",
     "adapt_to_L",
     "adapt_subordinate",
-    "restricted_rank_on_L",
 ]
 
 
@@ -56,10 +55,6 @@ class SmoothMapAdapted:
 
     def differentials(self):
         return [d_of_function(c) for c in self.components]
-
-    def rank_at(self, p: Point):
-        rows = np.array([d.at(p) for d in self.differentials()])
-        return numlin.rank(rows)
 
     def vanishing(self):
         return self.components[:self.vanish_count]
@@ -637,13 +632,3 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
             "subordination lost rank while rebuilding the component list",
             k=k)
     return SmoothMapAdapted(comps, vanish_count, F.k, provenance=out_tags)
-
-
-def restricted_rank_on_L(F: SmoothMapAdapted, ls: LiftedSystem):
-    """Rank of the Jacobian of F restricted to L at p0 (numeric)."""
-    from .lift import ann_tangent_L
-
-    # tangent basis of L at p0 = nullspace of the annihilator rows
-    tangent = numlin.null_basis(ann_tangent_L(ls, ls.p0))
-    rows = np.array([d.at(ls.p0) for d in F.differentials()])
-    return numlin.rank(rows @ tangent.T)

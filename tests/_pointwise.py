@@ -1,8 +1,11 @@
-"""Float row echelon forms of pointwise spans, for tests that look at the
-rows themselves rather than at a rank."""
+"""Float pointwise helpers for tests: row echelon forms of pointwise spans,
+for tests that look at the rows themselves rather than at a rank, and the
+ranks of an adapted map's differentials at a point."""
 
 import numpy as np
 
+from tflkit import numlin
+from tflkit.lift import ann_tangent_L
 from tflkit.numlin import RANK_TOL
 
 
@@ -39,3 +42,17 @@ def pointwise_span(ideal, p):
     """Row basis of the generators evaluated at p (row-reduced, deterministic
     pivot order)."""
     return row_reduce(ideal.at(p))
+
+
+def rank_at(F, p):
+    """Rank of the differentials of the components of the adapted map F
+    at p."""
+    return numlin.rank(np.array([d.at(p) for d in F.differentials()]))
+
+
+def restricted_rank_on_L(F, ls):
+    """Rank of the Jacobian of the adapted map F restricted to L at p0."""
+    # tangent basis of L at p0 = nullspace of the annihilator rows
+    tangent = numlin.null_basis(ann_tangent_L(ls, ls.p0))
+    rows = np.array([d.at(ls.p0) for d in F.differentials()])
+    return numlin.rank(rows @ tangent.T)

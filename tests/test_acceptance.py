@@ -20,8 +20,7 @@ from tflkit.pfaffian import (Membership, PfaffianIdeal, augment_with_dt,
                              derived_flag, ideal_membership)
 from tflkit.conditions import (check_con, check_dim, check_inv,
                                compute_closures, sample_on_N)
-from tflkit.integrate import (adapt_to_L, frobenius_integrate,
-                              restricted_rank_on_L)
+from tflkit.integrate import adapt_to_L, frobenius_integrate
 from tflkit.algorithm import (RelativeDegree, run_tfl, vector_relative_degree)
 from tflkit.problem import cmd_solve, dumps_report, load_problem
 

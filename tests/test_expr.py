@@ -372,6 +372,140 @@ class TestIntegerForm:
         assert denominator_lcm([E("x1/2"), E("3")]) == E("1")
 
 
+# -- identity arithmetic against the general route ---------------------------
+
+def _general(op, a, b):
+    """a op b by Expr._make on the full formula: the general route, with no
+    identity shortcut."""
+    mul = expr._p_mul
+    den = mul(a.den, b.den)
+    if op == "+":
+        num = expr._p_add(mul(a.num, b.den), mul(b.num, a.den))
+    elif op == "-":
+        num = expr._p_add(mul(a.num, b.den), expr._p_neg(mul(b.num, a.den)))
+    elif op == "*":
+        num = mul(a.num, b.num)
+    else:
+        num, den = mul(a.num, b.den), mul(a.den, b.num)
+    return Expr._make(a.vars, num, den, {**a.kernels, **b.kernels})
+
+
+def _same_value(got, want):
+    assert got == want
+    assert got.key() == want.key()
+    assert str(got) == str(want)
+    assert got.kernels == want.kernels
+
+
+def _identity_operands(rng):
+    """Polynomials, rational functions with a non-unit denominator (with
+    and without kernels), kernel-bearing polynomials and constants."""
+    out = [random_polynomial(rng, VS, degree=3, terms=4) for _ in range(8)]
+    out += [random_polynomial(rng, VS, degree=3, terms=4, kernels=True)
+            for _ in range(8)]
+    while len(out) < 24:
+        den = random_polynomial(rng, VS, degree=2, terms=3)
+        if den.as_rational() is None:
+            out.append(random_polynomial(rng, VS, degree=2, terms=3) / den)
+    out += _random_quotients(rng, 8)
+    out += [Expr.rational(VS, c) for c in (-1, Fraction(1, 2), 2)]
+    out += [E("exp(x1)"), E("sin(x2)/(x3 + 1)")]
+    return out
+
+
+def _zeros():
+    return [Expr.zero(VS), Expr.rational(VS, 0),
+            Expr.rational(VS, Fraction(0)), E("0"), E("x1 - x1")]
+
+
+def _ones():
+    return [Expr.one(VS), Expr.rational(VS, 1), E("x1/x1"), E("1"),
+            Expr.rational(VS, Fraction(2, 2)), E("exp(0)")]
+
+
+class TestIdentityArithmetic:
+    """x + 0, 0 + x, x - 0, x*1, 1*x, x*0, 0*x, x/1 and
+    exact_quotient(x, 1) return the operand that already is the result."""
+
+    def test_constants_are_shared_per_space(self):
+        assert Expr.zero(VS) is Expr.zero(VS)
+        assert Expr.one(VS) is Expr.one(VS)
+        for z in _zeros():
+            assert z is Expr.zero(VS)
+        for u in _ones():
+            assert u == Expr.one(VS)
+        assert Expr.rational(VS, 1) is Expr.one(VS)
+        assert Expr.rational(VS, Fraction(2, 2)) is Expr.one(VS)
+        other = VariableSpace.canonical(7, 2)
+        assert Expr.zero(other) is not Expr.zero(VS)
+        assert Expr.zero(other) == Expr.zero(VS)
+
+    def test_identities_match_the_general_route(self):
+        rng = random.Random(91)
+        for x in _identity_operands(rng):
+            for z in _zeros():
+                for got, want in [(x + z, _general("+", x, z)),
+                                  (z + x, _general("+", z, x)),
+                                  (x - z, _general("-", x, z)),
+                                  (x * z, _general("*", x, z)),
+                                  (z * x, _general("*", z, x))]:
+                    _same_value(got, want)
+                assert x + z is x and z + x is x and x - z is x
+                assert x * z is z and z * x is z
+            for u in _ones():
+                for got, want in [(x * u, _general("*", x, u)),
+                                  (u * x, _general("*", u, x)),
+                                  (x / u, _general("/", x, u))]:
+                    _same_value(got, want)
+                assert x * u is x and u * x is x and x / u is x
+                if x.is_polynomial():
+                    _same_value(exact_quotient(x, u), _general("/", x, u))
+                    assert exact_quotient(x, u) is x
+            assert x + 0 is x and 0 + x is x and x - 0 is x
+            assert x * 1 is x and 1 * x is x and x / 1 is x
+
+    def test_non_identity_constants_take_the_general_route(self):
+        rng = random.Random(92)
+        for x in _identity_operands(rng):
+            for c in (-1, Fraction(1, 2), 2):
+                k = Expr.rational(VS, c)
+                for op, got in [("+", x + k), ("-", x - k), ("*", x * k),
+                                ("/", x / k)]:
+                    _same_value(got, _general(op, x, k))
+                _same_value(k - x, _general("-", k, x))
+            _same_value(0 - x, _general("-", Expr.zero(VS), x))
+
+    def test_zero_results_are_the_shared_zero(self):
+        x = E("x1*exp(x2) + x3/(x4 - 1)")
+        assert x - x is Expr.zero(VS)
+        assert x * 0 is Expr.zero(VS)
+        assert exact_quotient(Expr.zero(VS), E("x1")) is Expr.zero(VS)
+
+    def test_division_by_zero_still_raises(self):
+        with pytest.raises(DomainError):
+            E("x1") / Expr.zero(VS)
+        with pytest.raises(DomainError):
+            Expr.zero(VS) / Expr.zero(VS)
+
+    def test_equal_spaces_mix_and_different_names_raise(self):
+        twin = VariableSpace.canonical(7, 2)
+        assert twin is not VS and twin == VS
+        x, y = E("x1^2 + exp(x2)"), parse_expr("x3 - x1", twin)
+        assert x + y == E("x1^2 + exp(x2) + x3 - x1")
+        assert x * y == E("(x1^2 + exp(x2))*(x3 - x1)")
+        assert x * Expr.one(twin) is x and x + Expr.zero(twin) is x
+        assert Expr.zero(twin) + x is x and Expr.one(twin) * x is x
+        other = VariableSpace.canonical(3, 1)
+        for z in (Expr.zero(other), Expr.one(other),
+                  parse_expr("x1", other)):
+            for op in (lambda a, b: a + b, lambda a, b: a - b,
+                       lambda a, b: a * b, lambda a, b: a / b):
+                with pytest.raises(ValueError):
+                    op(x, z)
+                with pytest.raises(ValueError):
+                    op(z, x)
+
+
 # -- substitution against Expr arithmetic ------------------------------------
 
 SVS = VariableSpace.canonical(3, 1)

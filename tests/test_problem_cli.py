@@ -410,6 +410,19 @@ class TestCli:
         assert err.startswith("error: L_g L_f^0 h of output 'x2' at x0 is "
                               "beyond float range")
 
+    def test_u_star_beyond_float_range_at_samples(self, tmp_path):
+        # u*(x0) = -1e400 is exact, but the Newton samples near x0 evaluate
+        # u* in floats
+        bad = tmp_path / "ustarhuge.tfl"
+        bad.write_text(DOUBLE.read_text()
+                       .replace("f = x2, 0", "f = x2, x1^2")
+                       .replace("x0 = 1, 0", "x0 = 1e200, 0")
+                       .replace("u_star = 0", "u_star = -x1^2"))
+        code, out, err = self.run_cli("solve", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: u_star is beyond float range near x0: "
+                              "its u1 component is '-x1^2'")
+
     def test_u_star_irrational_at_x0(self, tmp_path):
         # u*(x0) = cos(1) - 1 is not rational, and the lifted base point
         # holds it as a coordinate
