@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (CertificateMismatch, CompletionFailed, DomainError,
                      IndependenceViolation)
-from .expr import Expr, Point, Zeroness
+from .expr import Expr, Zeroness
 from .forms import d_of_function
 from .lift import ControlSystem, LiftedSystem, lift_system
 from .pfaffian import Membership, derived_flag, ideal_membership
@@ -84,21 +84,18 @@ class TFLReport:
     system_summary: dict
     conditions: ConditionReport
     flag_counts: tuple
-    flag_ranks_p0: tuple
     closure_counts: tuple
     output: TransverseOutput | None
     zero_dynamics: ZeroDynFlag | None
     normal_form: NormalFormData | None
-    verified: bool
     warnings: list = dfield(default_factory=list)
 
     @property
     def success(self):
-        return (self.conditions.all_hold and self.output is not None
-                and self.verified)
+        return self.conditions.all_hold and self.output is not None
 
 
-def vector_relative_degree(sys: ControlSystem, h, x0: Point = None):
+def vector_relative_degree(sys: ControlSystem, h):
     """Direct Lie-derivative relative degree test at x0.
 
     kappa_i is the least r+1 for which some L_{g_j} L_f^r h^i is not the
@@ -106,8 +103,7 @@ def vector_relative_degree(sys: ControlSystem, h, x0: Point = None):
     the decoupling matrix must have full row rank at x0.  Inconclusive zero
     tests poison the certificate and yield NoRelativeDegree.
     """
-    if x0 is None:
-        x0 = sys.x0_point()
+    x0 = sys.x0_point()
     m = sys.vars.m
     n = sys.vars.n
     warnings = []
@@ -235,13 +231,10 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
     base_report = dict(
         system_summary=summary, conditions=report_cond,
         flag_counts=flag.generator_counts(),
-        # every entry is built at ls.p0, and PfaffianIdeal.__init__ raises
-        # RegularityViolation unless its rank there is its generator count
-        flag_ranks_p0=flag.generator_counts(),
         closure_counts=tuple(len(c) for c in closures))
     if conditions_only or not report_cond.all_hold:
         return TFLReport(output=None, zero_dynamics=None, normal_form=None,
-                         verified=False, warnings=warnings, **base_report)
+                         warnings=warnings, **base_report)
 
     rho = list(report_cond.indices.rho)
     kappa_target = list(report_cond.indices.kappa)
@@ -290,7 +283,6 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
             f"transverse controllability indices {kappa_target}")
 
     # certificate closure: re-verify from scratch
-    verified = True
     rd = vector_relative_degree(sys, h)
     if isinstance(rd, NoRelativeDegree):
         raise CertificateMismatch(f"final output rejected: {rd.reason}")
@@ -317,6 +309,6 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
                               decoupling=rd.decoupling, provenance=h_prov)
     return TFLReport(output=output,
                      zero_dynamics=ZeroDynFlag(levels=z_levels),
-                     normal_form=nf, verified=verified, warnings=warnings,
+                     normal_form=nf, warnings=warnings,
                      **base_report)
 

@@ -164,19 +164,12 @@ def _intersection_dims_at(ls, ideals, p):
     return [dims[ideal] for ideal in ideals]
 
 
-def rho_indices(ls: LiftedSystem, flag: Flag, closures=None) -> IndexProfile:
-    """rho_i = dim drop of Ann(T_p0 L) cap span{., dt} from level i to i+1;
-    kappa = conjugate partition (the transverse controllability indices).
-
-    Uses the closures' pointwise spans when available (equivalent under the
-    involutivity condition); falls back to the raw dt-augmented ideals.
-    """
+def rho_indices(ls: LiftedSystem, flag: Flag, closures) -> IndexProfile:
+    """rho_i = dim drop of Ann(T_p0 L) cap span{closure_i, dt} from level i
+    to i+1; kappa = conjugate partition (the transverse controllability
+    indices).  `closures` is `compute_closures(ls, flag, n - n*)`."""
     nn = ls.vars.n - ls.base.n_star
-    if closures is None:
-        ideals = [flag.augmented(k) for k in range(nn + 1)]
-    else:
-        ideals = closures
-    return _index_profile(_intersection_dims_at(ls, ideals, ls.p0), nn)
+    return _index_profile(_intersection_dims_at(ls, closures, ls.p0), nn)
 
 
 def _index_profile(dims, nn):
@@ -191,15 +184,14 @@ def _index_profile(dims, nn):
     return IndexProfile(rho=rho, kappa=kappa, n_minus_nstar=nn)
 
 
-def check_con(ls: LiftedSystem, flag: Flag, closures=None) -> bool:
+def check_con(ls: LiftedSystem, flag: Flag, closures) -> bool:
     """Terminal intersection is the dt line only.  Both sides hold the dt
     row itself (Ann(T_pL) as the differential of t, the span as its added
     row), so the intersection always contains the dt line, and (Con) is
     its dimension being 1: the same SVD rank decision as (Dim) and the
     index profile."""
     nn = ls.vars.n - ls.base.n_star
-    terminal = closures[nn] if closures is not None else flag.closure(nn)
-    return intersection_dimension(ls, terminal, ls.p0) == 1
+    return intersection_dimension(ls, closures[nn], ls.p0) == 1
 
 
 def check_dim(ls: LiftedSystem, flag: Flag, samples) -> bool:

@@ -12,7 +12,7 @@ surfaces the residual directions so the caller can supply hints and re-run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -47,11 +47,7 @@ class SmoothMapAdapted:
     components: list
     vanish_count: int
     k: int
-    provenance: list = dfield(default_factory=list)
-
-    def __post_init__(self):
-        if not self.provenance:
-            self.provenance = ["integrated"] * len(self.components)
+    provenance: list
 
     def differentials(self):
         return [d_of_function(c) for c in self.components]
@@ -209,13 +205,7 @@ def _anchor(e: Expr, bindings):
 
 
 def _p0_bindings(vars0, p0: Point):
-    out = {}
-    for i, v in enumerate(p0.values):
-        if isinstance(v, Fraction):
-            out[i] = Expr.rational(vars0, v)
-        else:
-            out[i] = Expr.rational(vars0, Fraction(v).limit_denominator(10 ** 12))
-    return out
+    return {i: Expr.rational(vars0, v) for i, v in enumerate(p0.values)}
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +353,7 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
     """Map components whose differentials span the (differential) ideal.
 
     Layers: closed generators, closed polynomial combinations, integrating
-    factors, then verified hints; fails with the residual directions when
+    factors, then checked user hints; fails with the residual directions when
     the span cannot be completed.
     """
     vars0 = ideal.vars

@@ -39,7 +39,8 @@ class ControlSystem:
 
     f and the g_j are given by their state components; N_defs cut out the
     target manifold, x0 lies on it, and u_star renders it invariant.  All
-    of them are expressions over the state variables only.
+    of them are expressions over the state variables only.  x0 is stored
+    exactly, each coordinate as `Fraction(v)`, a float included.
     """
 
     def __init__(self, vars: VariableSpace, f, g, N_defs, x0, u_star,
@@ -59,8 +60,7 @@ class ControlSystem:
             raise ValueError(f"u_star needs {m} components")
         if len(x0) != n:
             raise ValueError(f"x0 needs {n} coordinates")
-        self.x0 = [v if isinstance(v, (Fraction, float)) else Fraction(v)
-                   for v in x0]
+        self.x0 = [Fraction(v) for v in x0]
         for e in (self.f + [c for gj in self.g for c in gj] + self.u_star
                   + self.N_defs):
             bad = [i for i in e.free_variables()
@@ -69,10 +69,8 @@ class ControlSystem:
                 raise NotStateOnly(
                     f"state-space data may only involve state variables, "
                     f"got {[vars.names[i] for i in bad]} in '{e}'")
-        x0_bindings = {
-            1 + m + i: Expr.rational(vars, v) if isinstance(v, Fraction)
-            else Expr.rational(vars, Fraction(v).limit_denominator(10**9))
-            for i, v in enumerate(self.x0)}
+        x0_bindings = {1 + m + i: Expr.rational(vars, v)
+                       for i, v in enumerate(self.x0)}
         vals = [Fraction(0)] * (1 + m) + self.x0
         for j, us in enumerate(self.u_star):
             vals[1 + j] = us.substitute(x0_bindings).as_rational()
@@ -210,8 +208,12 @@ class ControlSystem:
 
     def grad_at_x0(self, h: Expr):
         """Row of state-partials of h at x0."""
-        return np.array([float(d.eval(self._x0_point))
-                         for d in self.state_grad(h)])
+        try:
+            return np.array([float(d.eval(self._x0_point))
+                             for d in self.state_grad(h)])
+        except OverflowError:
+            raise DomainError(
+                f"the gradient of '{h}' at x0 is beyond float range") from None
 
     # -- validation ----------------------------------------------------------
 

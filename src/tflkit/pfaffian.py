@@ -101,7 +101,7 @@ def _pivot_in_column(rows, col, start, p0, require_p0):
         if z == Zeroness.INCONCLUSIVE:
             inconclusive = True
             continue
-        if require_p0 and p0 is not None:
+        if require_p0:
             try:
                 val = abs(float(c.eval(p0)))
             except DomainError:
@@ -152,7 +152,7 @@ def _normalize_row(row, factors):
     return row
 
 
-def rref_function_field(rows, p0=None):
+def rref_function_field(rows, p0):
     """Echelon form over the fraction field of Expr.
 
     Fraction-free (Bareiss) forward elimination with two pivot passes:
@@ -269,7 +269,7 @@ def rref_function_field(rows, p0=None):
     return out, pivots
 
 
-def nullspace_function_field(matrix, p0=None):
+def nullspace_function_field(matrix, p0):
     """Basis of {x : M x = 0} over the fraction field, denominators cleared.
 
     Deterministic: free columns keep their natural order; the k-th basis
@@ -387,21 +387,6 @@ class PfaffianIdeal:
         if not self.generators:
             return np.zeros((0, self.vars.total))
         return np.array([g.at(p) for g in self.generators])
-
-    def same_span(self, other: "PfaffianIdeal"):
-        """Symbolic two-way membership plus equal generator count; an ideal
-        sharing the other's echelon (`_relabelled`) is the same span."""
-        if self._rows is other._rows:
-            return True
-        if len(self) != len(other):
-            return False
-        for g in self.generators:
-            if ideal_membership(g, other) != Membership.MEMBER:
-                return False
-        for g in other.generators:
-            if ideal_membership(g, self) != Membership.MEMBER:
-                return False
-        return True
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators) or "0"
@@ -521,11 +506,12 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
 
     Express each d(generator) modulo the algebraic ideal in the complement
     2-form basis; the function-coefficient nullspace of the resulting linear
-    system gives the generators of the derived system.
+    system gives the generators of the derived system.  A differential
+    ideal, the zero ideal too, comes back `_relabelled`.
     """
     vars0 = ideal.vars
     if not ideal.generators:
-        return PfaffianIdeal([], ideal.p0, "derived-from")
+        return ideal._relabelled("derived-from")
     subs = _complement_substitution(ideal)
     # one shared denominator scale across all generators so the nullspace of
     # the scaled conditions is the nullspace of the true ones
@@ -692,6 +678,12 @@ class Flag:
 
 
 def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:
+    """I, I', I'', ... up to the first differential entry.
+
+    `derived_system` returns its ideal itself (relabelled, sharing the
+    echelon rows) exactly when every d(generator) reduces to zero; any
+    other step has a structurally nonzero condition matrix, so its
+    symbolic rank is at least 1 and it loses a generator."""
     if max_steps is None:
         max_steps = ideal.vars.total + 1
     if max_steps < 1:
@@ -699,14 +691,11 @@ def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:
     entries = [ideal]
     for _ in range(max_steps):
         nxt = derived_system(entries[-1])
-        if len(nxt) == len(entries[-1]):
-            if not nxt.same_span(entries[-1]):
-                raise RegularityViolation(
-                    "derived step preserved the generator count but moved "
-                    "the span")
+        if nxt.rows()[0] is entries[-1].rows()[0]:
             return Flag(entries)
-        if len(nxt) > len(entries[-1]):
-            raise RegularityViolation("derived system gained generators")
+        if len(nxt) >= len(entries[-1]):
+            raise RegularityViolation(
+                "derived step of a non-differential ideal did not shrink it")
         entries.append(nxt)
         if len(nxt) == 0:
             return Flag(entries)

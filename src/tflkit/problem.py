@@ -253,7 +253,9 @@ def report_to_tree(report: TFLReport, mode: str, options: dict,
         },
         "flag": None if report is None else {
             "generator_counts": list(report.flag_counts),
-            "ranks_at_p0": list(report.flag_ranks_p0),
+            # each flag entry is built at p0, where PfaffianIdeal.__init__
+            # checks that its rank is its generator count
+            "ranks_at_p0": list(report.flag_counts),
         },
         "closure_generator_counts": None if report is None
         else list(report.closure_counts),

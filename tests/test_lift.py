@@ -1,14 +1,16 @@
 """Lifting, annihilators, bracket modules, and the duality cross-checks."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
 import tflkit.numlin as numlin
-from tflkit.errors import InvarianceViolation, PointNotOnL, RankDeficientN
-from tflkit.expr import Expr, Point, VariableSpace, parse_expr
+from tflkit.errors import (InvarianceViolation, NotOnN, PointNotOnL,
+                           RankDeficientN)
+from tflkit.expr import Expr, Point, VariableSpace, Zeroness, parse_expr
 from tflkit.forms import contract, coordinate_form, d_of_function
 from tflkit.lift import (ControlSystem, ann_tangent_L, g_module,
                          involutive_closure, lift_system, s_module,
@@ -55,6 +57,53 @@ class TestControlSystemValidation:
         sys = ControlSystem(vs, [E("x2"), E("x1")], [[E("0"), E("1")]],
                             [E("x2")], [1, 0], [E("-x1")])
         assert sys.x0_point().of("u1") == -1
+
+    @pytest.mark.parametrize("x1", [0.5, 0.1])
+    def test_float_x0_is_stored_exactly(self, x1):
+        vs = VariableSpace.canonical(2, 1)
+        E = lambda s: parse_expr(s, vs)
+        sys = ControlSystem(vs, [E("x2"), E("0")], [[E("0"), E("1")]],
+                            [E("x2")], [x1, 0], [E("0")])
+        values = sys.x0_point().values
+        assert all(isinstance(v, Fraction) for v in values)
+        # the float's own value, not a rounded rational such as 1/10
+        assert sys.x0_point().of("x1") == Fraction(x1)
+
+
+class TestParametrization:
+    """N = {x1^2 - x2^3 = 0}: no state appears linearly in its defining
+    function, so the reduction leaves it over and vanishing on N is decided
+    through the parametrization x = (s^3, s^2, x3)."""
+
+    VS3 = VariableSpace.canonical(3, 1)
+
+    def _system(self, param):
+        E = lambda s: parse_expr(s, self.VS3)
+        return ControlSystem(self.VS3, [E("0")] * 3,
+                             [[E("0"), E("0"), E("1")]], [E("x1^2 - x2^3")],
+                             [1, 1, 1], [E("0")],
+                             parametrization=[E(s) for s in param])
+
+    def test_reduction_leaves_the_defining_function(self):
+        sys = self._system(["x1^3", "x1^2", "x3"])
+        bindings, leftovers = sys.reduction()
+        assert bindings == {}
+        assert leftovers == [parse_expr("x1^2 - x2^3", self.VS3)]
+
+    @pytest.mark.parametrize("e, verdict", [
+        ("x1^2 - x2^3", Zeroness.ZERO),
+        ("(x1^2 - x2^3)*x3", Zeroness.ZERO),
+        ("x1 - 1", Zeroness.NONZERO),
+        ("x1*x2 - x3^5", Zeroness.NONZERO),
+    ])
+    def test_vanishes_on_N(self, e, verdict):
+        sys = self._system(["x1^3", "x1^2", "x3"])
+        assert sys.vanishes_on_N(parse_expr(e, self.VS3)) == verdict
+
+    def test_parametrization_off_N_rejected(self):
+        with pytest.raises(NotOnN, match="parametrization does not satisfy "
+                                         "the defining functions"):
+            self._system(["x1^2", "x1^2", "x3"])
 
 
 class TestCertifyVanishing:

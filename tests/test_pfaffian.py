@@ -116,6 +116,25 @@ class TestDerivedFlag:
         flag = derived_flag(ideal)
         assert len(flag.entries) == 1
 
+    def test_zero_ideal(self, sec5_lifted):
+        flag = derived_flag(PfaffianIdeal([], sec5_lifted.p0))
+        assert flag.generator_counts() == (0,)
+
+    @pytest.mark.parametrize("gens", [("x1", "x2"), ("x3", "x4")])
+    def test_step_that_keeps_the_count_but_not_the_rows(
+            self, monkeypatch, sec5_lifted, gens):
+        """Only the ideal itself, sharing its rows, ends the flag; any
+        other step must shrink, even one with the same span."""
+        import tflkit.pfaffian as pfaffian
+
+        def rebuilt(ideal):
+            return PfaffianIdeal([DX(nm) for nm in gens], ideal.p0)
+
+        monkeypatch.setattr(pfaffian, "derived_system", rebuilt)
+        with pytest.raises(RegularityViolation, match="did not shrink"):
+            derived_flag(PfaffianIdeal([DX("x1"), DX("x2")],
+                                       sec5_lifted.p0))
+
     def test_lti_chain(self):
         vs = VariableSpace.canonical(3, 1)
         dt = coordinate_form(vs, 0)

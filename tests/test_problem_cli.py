@@ -222,6 +222,17 @@ class TestCommands:
 
     @pytest.mark.parametrize("stem", ["paper-sec5", "double-integrator",
                                       "brunovsky-chain"])
+    def test_float_x0_gives_the_bundled_report(self, stem):
+        """x0 is stored exactly, so float coordinates equal to the file's
+        rationals give the same report, byte for byte."""
+        pb = load_problem(ROOT / "problems" / f"{stem}.tfl")
+        pb.x0 = [float(v) for v in pb.x0]
+        _, tree, _ = cmd_solve(pb)
+        expected = (ROOT / "problems" / f"{stem}.expected.json").read_bytes()
+        assert dumps_report(tree).encode("utf-8") == expected
+
+    @pytest.mark.parametrize("stem", ["paper-sec5", "double-integrator",
+                                      "brunovsky-chain"])
     def test_bundled_reports_byte_for_byte(self, stem, request):
         """A fresh solve's report text is the bundled expectation file,
         byte for byte."""
@@ -422,6 +433,31 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: u_star is beyond float range near x0: "
                               "its u1 component is '-x1^2'")
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_n_gradient_beyond_float_range(self, tmp_path, command):
+        # x0 is on N, but d/dx2 of x2*(x1^2 + 1) at x0 is 1e400
+        bad = tmp_path / "gradhuge.tfl"
+        bad.write_text(DOUBLE.read_text()
+                       .replace("N = x2", "N = x2*(x1^2 + 1)")
+                       .replace("x0 = 1, 0", "x0 = 1e200, 0"))
+        code, out, err = self.run_cli(command, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: the gradient of 'x1^2*x2 + x2' at x0 "
+                              "is beyond float range")
+
+    def test_parametrization_off_n(self, tmp_path):
+        # (x1^2, x1^2, x3) does not lie on x1^2 = x2^3; (x1^3, x1^2, x3)
+        # would
+        bad = tmp_path / "cusp.tfl"
+        bad.write_text("[system]\nstates = x1 x2 x3\ninputs = u1\n"
+                       "f = 0, 0, 0\ng1 = 0, 0, 1\n\n[target]\n"
+                       "N = x1^2 - x2^3\nx0 = 1, 1, 1\nu_star = 0\n"
+                       "param = x1^2, x1^2, x3\n")
+        code, out, err = self.run_cli("check", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: parametrization does not satisfy the "
+                              "defining functions: -x2^3 + x1^2")
 
     def test_u_star_irrational_at_x0(self, tmp_path):
         # u*(x0) = cos(1) - 1 is not rational, and the lifted base point
