@@ -803,8 +803,8 @@ class Expr:
     den with a positive grlex leading coefficient.  So x/2 is num = x,
     den = 2, and a polynomial is an expression whose den is a constant."""
 
-    __slots__ = ("vars", "num", "den", "kernels", "_key", "_zero", "_str",
-                 "_terms")
+    __slots__ = ("vars", "num", "den", "kernels", "_key", "_hash", "_diffs",
+                 "_zero", "_str", "_terms")
 
     def __init__(self, vars, num, den, kernels, _internal=False):
         if not _internal:
@@ -814,6 +814,8 @@ class Expr:
         self.den = den
         self.kernels = kernels
         self._key = None
+        self._hash = None
+        self._diffs = None  # partials by variable index, taken on first use
         self._zero = None
         self._str = None
         self._terms = None
@@ -977,7 +979,12 @@ class Expr:
                 and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.vars, self.key()))
+        """Read from the packed num and den that `__eq__` compares, never
+        from the decoded `key()`; computed once."""
+        if self._hash is None:
+            self._hash = hash((frozenset(self.num.items()),
+                               frozenset(self.den.items())))
+        return self._hash
 
     def _poly_expr(self, poly, d=1):
         return Expr._make(self.vars, poly, {0: d}, self.kernels)
@@ -1080,15 +1087,24 @@ class Expr:
     # -- calculus ------------------------------------------------------------
 
     def diff(self, name_or_index):
+        """The partial derivative; each is taken once per expression and
+        the same object is returned after that."""
         i = (name_or_index if isinstance(name_or_index, int)
              else self.vars.index(name_or_index))
-        if self.is_polynomial():
-            return self._poly_diff(self.num, i, self.den[0])
-        dn = self._poly_diff(self.num, i)
-        dd = self._poly_diff(self.den, i)
-        den_e = self._poly_expr(self.den)
-        num_e = self._poly_expr(self.num)
-        return (dn * den_e - num_e * dd) / (den_e * den_e)
+        if self._diffs is None:
+            self._diffs = {}
+        out = self._diffs.get(i)
+        if out is None:
+            if self.is_polynomial():
+                out = self._poly_diff(self.num, i, self.den[0])
+            else:
+                dn = self._poly_diff(self.num, i)
+                dd = self._poly_diff(self.den, i)
+                den_e = self._poly_expr(self.den)
+                num_e = self._poly_expr(self.num)
+                out = (dn * den_e - num_e * dd) / (den_e * den_e)
+            self._diffs[i] = out
+        return out
 
     def _poly_diff(self, poly, i, d=1):
         """The derivative of poly / d for a constant d: the terms of
@@ -1157,8 +1173,11 @@ class Expr:
         return Expr._make(self.vars, _p_mul(nn, dd), _p_mul(nd, dn), kernels)
 
     def eval(self, point: Point):
-        """Exact Fraction when no kernels are hit and the point is rational;
-        float otherwise."""
+        """Exact Fraction when no kernels are hit and the point is rational,
+        and always for a constant; float otherwise."""
+        c = self.as_rational()
+        if c is not None:
+            return c
         ints = None if self.kernels else point.integer_form()
         if ints is not None:
             # in integers, with one Fraction at the end

@@ -80,6 +80,7 @@ class ControlSystem:
                     f"{vars.input_names[j]} component '{us}' is not")
         self._x0_point = Point(vars, vals)
         self._reduction = None
+        self._binding_point = None
         # memos for the lifetime of this system: state gradients by
         # expression, Lie derivatives by (field, expression)
         self._grads = {}
@@ -130,6 +131,16 @@ class ControlSystem:
     def reduction(self):
         if self._reduction is None:
             self._reduction = self._build_reduction()
+            bindings, leftovers = self._reduction
+            values = [bindings[i].as_rational() if i in bindings else None
+                      for i in self.vars.state_indices()]
+            if (not leftovers and self.parametrization is None
+                    and None not in values):
+                # N is the point the bindings define; t and u keep their
+                # x0 values, which no state function reads
+                self._binding_point = Point(
+                    self.vars, self._x0_point.values[:1 + self.vars.m]
+                    + tuple(values))
         return self._reduction
 
     def vanishes_on_N(self, e: Expr, samples=None):
@@ -138,9 +149,20 @@ class ControlSystem:
         Exact when the defining functions were fully solvable (the
         restriction is then a faithful substitution); otherwise the verdict
         combines the partial restriction with evaluation at on-manifold
-        samples.
+        samples.  When N is a point, that substitution of constants is
+        evaluation at the point, so a kernel-free state function is decided
+        by `eval` there: at the point the bindings define, not at x0, which
+        need only lie within _VANISH_TOL of N.
         """
         bindings, leftovers = self.reduction()
+        q = self._binding_point
+        if (q is not None and not e.kernels
+                and all(i > self.vars.m for i in e.free_variables())):
+            try:
+                return (Zeroness.ZERO if e.eval(q) == 0
+                        else Zeroness.NONZERO)
+            except DomainError:
+                pass    # the substitution below reports it
         restricted = e.substitute(bindings) if bindings else e
         z = restricted.zeroness()
         if not leftovers and self.parametrization is None:
@@ -220,9 +242,17 @@ class ControlSystem:
     def _validate(self):
         p = self.x0_point()
         for phi in self.N_defs:
-            v = float(phi.eval(p))
+            try:
+                v = phi.eval(p)
+            except OverflowError:   # a float evaluation, with kernels
+                raise DomainError(f"the value of '{phi}' at x0 is beyond "
+                                  "float range") from None
             if abs(v) > _VANISH_TOL:
-                raise NotOnN(f"x0 is not on N: |{phi}| = {v:g} there")
+                try:
+                    size = f"= {float(v):g}"
+                except OverflowError:
+                    size = "is beyond float range"
+                raise NotOnN(f"x0 is not on N: |{phi}| {size} there")
         jac = np.array([self.grad_at_x0(phi) for phi in self.N_defs])
         if len(self.N_defs) == 0 or len(self.N_defs) > self.vars.n:
             raise RankDeficientN(

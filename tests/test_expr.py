@@ -107,6 +107,20 @@ class TestDiff:
             rhs = diff(a, v) * b + a * diff(b, v)
             assert is_zero(lhs - rhs) == Zeroness.ZERO
 
+    def test_partials_are_taken_once(self):
+        # the second request returns the stored object, which is the
+        # derivative a freshly parsed copy computes on its own
+        rng = random.Random(17)
+        for _ in range(40):
+            e = random_polynomial(rng, VS, kernels=True)
+            if rng.random() < 0.5:
+                e = e / random_polynomial(rng, VS)
+            for v in range(VS.total):
+                d = e.diff(v)
+                assert e.diff(v) is d
+                assert e.diff(VS.names[v]) is d
+                assert parse_expr(str(e), VS).diff(v) == d
+
 
 class TestSubstitute:
     def test_vanishing(self):
@@ -212,6 +226,24 @@ class TestIntegerEval:
             assert E("-7/3").eval(p) == Fraction(-7, 3)
             assert E("x1 - x1").eval(p) == 0
 
+    def test_constant_is_its_own_value(self, monkeypatch):
+        # exact, float and perturbed points alike, without the point's
+        # integer form
+        from tflkit.pfaffian import perturbed_points
+        points = [X0, X0.replace(x1=0.5, x3=1e-3)] + perturbed_points(X0)
+        constants = [(E("0"), Fraction(0)), (E("-7/3"), Fraction(-7, 3)),
+                     (E("x1 - x1 + 5/2"), Fraction(5, 2)),
+                     (E("(x1^2 - 1)/(3*x1 - 3) - x1/3"), Fraction(1, 3))]
+
+        def no_integer_form(p):
+            raise AssertionError("a constant read the point's integer form")
+
+        monkeypatch.setattr(Point, "integer_form", no_integer_form)
+        for c, value in constants:
+            for p in points:
+                v = c.eval(p)
+                assert v == value and type(v) is Fraction
+
     def test_vanishing_denominator(self):
         p = X0.replace(x2=Fraction(1, 3), x4=Fraction(-1, 3))
         with pytest.raises(DomainError):
@@ -246,6 +278,45 @@ class TestIsZero:
 
     def test_nonzero_kernel_expression(self):
         assert is_zero(E("exp(x1) + x2")) == Zeroness.NONZERO
+
+
+def _equal_pairs(seed, count):
+    """Pairs of equal expressions built along different paths."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b, c = (random_polynomial(rng, VS, kernels=True)
+                   for _ in range(3))
+        yield (a + b) * c, a * c + b * c
+        if not b.is_structural_zero():
+            yield (a * b) / b, a
+        if a != c:
+            yield (a * a - c * c) / (a - c), a + c
+        kind = rng.choice(("exp", "sin"))
+        k1, k2 = Expr.kernel(kind, a + b), Expr.kernel(kind, b + a)
+        yield (a * k1) * c, k2 * (c * a)
+        yield k1 * k1 - c * k1, (k2 - c) * k2
+
+
+class TestHash:
+    def test_equal_expressions_hash_equally(self):
+        pairs = 0
+        for x, y in _equal_pairs(41, 40):
+            assert x == y and hash(x) == hash(y)
+            pairs += 1
+        assert pairs >= 150
+
+    def test_hash_reads_the_packed_form(self, monkeypatch):
+        built = [x for pair in _equal_pairs(43, 10) for x in pair]
+        built += [E("x1*exp(-x4)/(x2 + 1)"), E("sin(x1^2)^2"), E("0")]
+
+        def no_key(self):
+            raise AssertionError("__hash__ decoded key()")
+
+        monkeypatch.setattr(Expr, "key", no_key)
+        memo = {}
+        for x in built:
+            memo.setdefault(x, x)
+        assert all(memo[x] == x for x in built)
 
 
 class TestCanonicalForm:

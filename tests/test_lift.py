@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import tflkit.numlin as numlin
-from tflkit.errors import (InvarianceViolation, NotOnN, PointNotOnL,
-                           RankDeficientN)
+from tflkit.errors import (DomainError, InvarianceViolation, NotOnN,
+                           PointNotOnL, RankDeficientN)
 from tflkit.expr import Expr, Point, VariableSpace, Zeroness, parse_expr
 from tflkit.forms import contract, coordinate_form, d_of_function
 from tflkit.lift import (ControlSystem, ann_tangent_L, g_module,
@@ -104,6 +104,103 @@ class TestParametrization:
         with pytest.raises(NotOnN, match="parametrization does not satisfy "
                                          "the defining functions"):
             self._system(["x1^2", "x1^2", "x3"])
+
+
+class TestPointTarget:
+    """N = {3*x1 = 1, x2 = x1^2, x3 = 2} is the point q = (1/3, 1/9, 2).
+    x0 is the float nearest to q, within the tolerance _validate allows;
+    vanishing on N is decided at q itself."""
+
+    VS3 = VariableSpace.canonical(3, 1)
+
+    def _system(self):
+        E = lambda s: parse_expr(s, self.VS3)
+        return ControlSystem(self.VS3, [E("0")] * 3,
+                             [[E("0"), E("0"), E("1")]],
+                             [E("3*x1 - 1"), E("x2 - x1^2"), E("x3 - 2")],
+                             [0.3333333333333333, 0.1111111111111111, 2],
+                             [E("0")])
+
+    def _spy_substitute(self, monkeypatch):
+        seen = []
+        substitute = Expr.substitute
+
+        def spy(e, bindings):
+            seen.append(e)
+            return substitute(e, bindings)
+
+        monkeypatch.setattr(Expr, "substitute", spy)
+        return seen
+
+    def test_decided_at_the_binding_point_not_at_x0(self, monkeypatch):
+        sys = self._system()
+        e = parse_expr("3*x1 - 1", self.VS3)
+        assert e.eval(sys.x0_point()) != 0
+        seen = self._spy_substitute(monkeypatch)
+        assert sys.vanishes_on_N(e) == Zeroness.ZERO
+        assert sys.vanishes_on_N(e + 1) == Zeroness.NONZERO
+        assert seen == []
+
+    def test_same_verdict_as_substitution(self):
+        sys = self._system()
+        bindings, leftovers = sys.reduction()
+        assert leftovers == []
+        rng = random.Random(19)
+        E = lambda s: parse_expr(s, self.VS3)
+        states = [Expr.var_index(self.VS3, i)
+                  for i in self.VS3.state_indices()]
+        defs = [E("3*x1 - 1"), E("x2 - x1^2"), E("x3 - 2")]
+
+        def poly():
+            out = Expr.rational(self.VS3, Fraction(rng.randint(-4, 4),
+                                                   rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4)):
+                term = Expr.rational(self.VS3, rng.randint(-3, 3))
+                for _ in range(rng.randint(0, 3)):
+                    term = term * rng.choice(states)
+                out = out + term
+            return out
+
+        verdicts = set()
+        for _ in range(80):
+            e = poly()
+            if rng.random() < 0.5:
+                e = e * rng.choice(defs) + poly() * rng.choice(defs)
+            if rng.random() < 0.3:
+                den = poly()
+                if den.substitute(bindings).is_structural_zero():
+                    continue
+                e = e / den
+            want = e.substitute(bindings).zeroness()
+            assert sys.vanishes_on_N(e) == want
+            verdicts.add(want)
+        assert verdicts == {Zeroness.ZERO, Zeroness.NONZERO}
+
+    @pytest.mark.parametrize("text, verdict", [
+        ("exp(3*x1 - 1) - 1", Zeroness.ZERO),
+        ("sin(x3) + x2", Zeroness.NONZERO),
+        ("t*(3*x1 - 1)", Zeroness.ZERO),
+        ("t + x3 - 2", Zeroness.NONZERO),
+        ("u1*(x2 - x1^2)", Zeroness.ZERO),
+    ])
+    def test_kernels_t_and_u_are_substituted(self, monkeypatch, text,
+                                             verdict):
+        sys = self._system()
+        e = parse_expr(text, self.VS3)
+        seen = self._spy_substitute(monkeypatch)
+        assert sys.vanishes_on_N(e) == verdict
+        assert seen[0] is e
+
+    def test_vanishing_denominator(self, monkeypatch):
+        # the error of the substitution, as before evaluation decided
+        sys = self._system()
+        seen = self._spy_substitute(monkeypatch)
+        for text in ("1/(3*x1 - 1)", "(x2 - 1/9)/(x3 - 2)"):
+            e = parse_expr(text, self.VS3)
+            with pytest.raises(DomainError,
+                               match="division by zero expression"):
+                sys.vanishes_on_N(e)
+            assert seen[-1] is e
 
 
 class TestCertifyVanishing:

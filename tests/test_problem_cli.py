@@ -446,6 +446,29 @@ class TestCli:
         assert err.startswith("error: the gradient of 'x1^2*x2 + x2' at x0 "
                               "is beyond float range")
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_n_value_beyond_float_range_off_n(self, tmp_path, command):
+        # x1^2 - x2 at x0 is exactly 1e400: not on N, and no float holds it
+        bad = tmp_path / "offhuge.tfl"
+        bad.write_text(DOUBLE.read_text()
+                       .replace("N = x2", "N = x1^2 - x2")
+                       .replace("x0 = 1, 0", "x0 = 1e200, 0"))
+        code, out, err = self.run_cli(command, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: x0 is not on N: |x1^2 - x2| is "
+                              "beyond float range there")
+
+    def test_n_value_with_kernel_beyond_float_range(self, tmp_path):
+        # x0 is on N, but sin(x2)*x1^2 is evaluated in floats
+        bad = tmp_path / "kernelhuge.tfl"
+        bad.write_text(DOUBLE.read_text()
+                       .replace("N = x2", "N = x2 + sin(x2)*x1^2")
+                       .replace("x0 = 1, 0", "x0 = 1e200, 0"))
+        code, out, err = self.run_cli("check", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: the value of 'x1^2*sin(x2) + x2' at "
+                              "x0 is beyond float range")
+
     def test_parametrization_off_n(self, tmp_path):
         # (x1^2, x1^2, x3) does not lie on x1^2 = x2^3; (x1^3, x1^2, x3)
         # would
