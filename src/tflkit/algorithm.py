@@ -19,9 +19,9 @@ from .errors import (CertificateMismatch, CompletionFailed, DomainError,
 from .expr import Expr, Zeroness
 from .forms import d_of_function
 from .lift import ControlSystem, LiftedSystem, lift_system
-from .pfaffian import Membership, derived_flag, ideal_membership
-from .conditions import (ConditionReport, _span_with_dt,
-                         compute_closures, evaluate_conditions)
+from .pfaffian import (Membership, _span_with_dt, derived_flag,
+                       ideal_membership)
+from .conditions import ConditionReport, evaluate_conditions
 from .integrate import (adapt_subordinate, adapt_to_L,
                         frobenius_integrate)
 from . import numlin
@@ -145,15 +145,15 @@ def vector_relative_degree(sys: ControlSystem, h):
     return RelativeDegree(kappa=kappa, decoupling=D, warnings=warnings)
 
 
-def dual_rd_check(ls: LiftedSystem, flag, closures, h, kappa1: int) -> bool:
+def dual_rd_check(ls: LiftedSystem, flag, h, kappa1: int) -> bool:
     """Uniform dual test: dh^i in the closure of <I^(kappa1-1), dt> and
     span{dh}_p0 meeting span{I^(kappa1)_p0, dt_p0} trivially."""
-    closure = closures[kappa1 - 1]
+    closure = flag.closure(kappa1 - 1)
     for hi in h:
         if ideal_membership(d_of_function(hi), closure) != Membership.MEMBER:
             return False
     dh_rows = np.array([d_of_function(hi).at(ls.p0) for hi in h])
-    span = _span_with_dt(flag.augmented(kappa1), ls.p0)
+    span = _span_with_dt(flag.with_dt(kappa1), ls.p0)
     return numlin.intersection_dim(dh_rows, span) == 0
 
 
@@ -219,7 +219,6 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
     ls = lift_system(sys)
     flag = derived_flag(ls.I0)
     nn = sys.vars.n - sys.n_star
-    closures = compute_closures(ls, flag, nn)
     report_cond = evaluate_conditions(ls, flag, n_samples=n_samples,
                                       seed=seed)
     warnings.extend(report_cond.warnings)
@@ -231,7 +230,7 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
     base_report = dict(
         system_summary=summary, conditions=report_cond,
         flag_counts=flag.generator_counts(),
-        closure_counts=tuple(len(c) for c in closures))
+        closure_counts=tuple(flag.closure_size(k) for k in range(nn + 1)))
     if conditions_only or not report_cond.all_hold:
         return TFLReport(output=None, zero_dynamics=None, normal_form=None,
                          warnings=warnings, **base_report)
@@ -252,7 +251,7 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
             z_levels[k] = z_levels[k + 1]
             continue
         mu = rho_at(k - 1) - rho_at(k)
-        F = frobenius_integrate(closures[k - 1], ls,
+        F = frobenius_integrate(flag.closure(k - 1), ls,
                                 hints=hints.get(k - 1, ()), k=k - 1,
                                 combo_degree=combo_degree, warnings=warnings)
         F = adapt_subordinate(F, h, h_kappa, ls, k - 1)
@@ -298,7 +297,7 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
             raise CertificateMismatch(f"output '{hi}' does not vanish on N")
     for c in sorted(set(h_kappa), reverse=True):
         group = [hi for hi, ki in zip(h, h_kappa) if ki == c]
-        if not dual_rd_check(ls, flag, closures, group, c):
+        if not dual_rd_check(ls, flag, group, c):
             raise CertificateMismatch(
                 f"dual relative-degree check fails for the kappa={c} group")
     if not _z_equals_n(sys, z_levels[1], samples, warnings):

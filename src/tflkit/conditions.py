@@ -11,10 +11,15 @@ finitely decidable.  Each closure is a sub-ideal of its ideal, so (Inv)
 is the two intersections having equal dimension: every condition and the
 indices are decided from `numlin.intersection_dim`.
 
-The dt-augmented ideals <I^(k), dt> and their closures come from the
-flag's memo (`Flag.augmented`, `Flag.closure`), so each is built once per
-distinct flag entry; `evaluate_conditions` builds the dimension table once
-and reads (Dim) off it.  Pointwise, each distinct point is decided once:
+Most levels are closed: the derived step of I^(k) has found <I^(k), dt>
+differential (theta ^ (d(w_i) mod I) = 0 for theta = dt mod I, see
+`Flag`), so it is its own closure.  span{I^(k)_p, dt_p} is built from
+I^(k)'s own rows at p, with their dt coefficients left out, and the dt
+row (`Flag.with_dt`), so no dt-augmented echelon is needed for it.  (Inv)
+skips a closed level and (Con) reads its raw dimension; only a level that
+is not closed builds its closure, once per distinct flag entry
+(`Flag.closure`).  `evaluate_conditions` builds the dimension table once
+and reads (Dim) off it.  Each distinct point is decided once:
 samples with equal values (all of them on a point target, where Newton
 projection returns x0) share one row, and p0 keeps its own.  At each such
 point Ann(T_pL) is built once and each distinct ideal is intersected with
@@ -32,7 +37,7 @@ import numpy as np
 from .errors import DomainError, SamplingFailed
 from .expr import Point
 from .lift import ControlSystem, LiftedSystem, ann_tangent_L
-from .pfaffian import PfaffianIdeal, Flag
+from .pfaffian import PfaffianIdeal, Flag, _span_with_dt
 from . import numlin
 
 __all__ = [
@@ -130,15 +135,6 @@ def _state_point(sys: ControlSystem, x):
     return Point(sys.vars, vals)
 
 
-def _span_with_dt(ideal: PfaffianIdeal, p: Point):
-    """Rows spanning span{ideal_p, dt_p}; dt is the unit covector of the
-    time coordinate (index 0) at every point."""
-    rows = ideal.at(p)
-    dt_row = np.zeros((1, rows.shape[1]))
-    dt_row[0, 0] = 1.0
-    return np.vstack([rows, dt_row])
-
-
 def intersection_dimension(ls: LiftedSystem, ideal: PfaffianIdeal,
                            p: Point) -> int:
     """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} )."""
@@ -148,8 +144,16 @@ def intersection_dimension(ls: LiftedSystem, ideal: PfaffianIdeal,
 def compute_closures(ls: LiftedSystem, flag: Flag, up_to: int):
     """Differential closures of <I^(k), dt> for k = 0..up_to, from the
     flag's memo; entries past the terminal index share the terminal
-    closure."""
+    closure.  Every one is built; the conditions read `_closure_span`
+    instead, which builds only the closures of levels that are not
+    closed."""
     return [flag.closure(k) for k in range(up_to + 1)]
+
+
+def _closure_span(flag: Flag, k):
+    """An ideal whose rows at a point, with the dt row, span the closure of
+    <I^(k), dt> there: I^(k) itself at a closed level."""
+    return flag.with_dt(k) if flag.closed(k) else flag.closure(k)
 
 
 def _intersection_dims_at(ls, ideals, p):
@@ -164,11 +168,12 @@ def _intersection_dims_at(ls, ideals, p):
     return [dims[ideal] for ideal in ideals]
 
 
-def rho_indices(ls: LiftedSystem, flag: Flag, closures) -> IndexProfile:
+def rho_indices(ls: LiftedSystem, flag: Flag) -> IndexProfile:
     """rho_i = dim drop of Ann(T_p0 L) cap span{closure_i, dt} from level i
     to i+1; kappa = conjugate partition (the transverse controllability
-    indices).  `closures` is `compute_closures(ls, flag, n - n*)`."""
+    indices)."""
     nn = ls.vars.n - ls.base.n_star
+    closures = [_closure_span(flag, k) for k in range(nn + 1)]
     return _index_profile(_intersection_dims_at(ls, closures, ls.p0), nn)
 
 
@@ -184,14 +189,14 @@ def _index_profile(dims, nn):
     return IndexProfile(rho=rho, kappa=kappa, n_minus_nstar=nn)
 
 
-def check_con(ls: LiftedSystem, flag: Flag, closures) -> bool:
+def check_con(ls: LiftedSystem, flag: Flag) -> bool:
     """Terminal intersection is the dt line only.  Both sides hold the dt
     row itself (Ann(T_pL) as the differential of t, the span as its added
     row), so the intersection always contains the dt line, and (Con) is
     its dimension being 1: the same SVD rank decision as (Dim) and the
-    index profile."""
+    index profile.  At a closed level n - n* it is the raw dimension."""
     nn = ls.vars.n - ls.base.n_star
-    return intersection_dimension(ls, closures[nn], ls.p0) == 1
+    return intersection_dimension(ls, _closure_span(flag, nn), ls.p0) == 1
 
 
 def check_dim(ls: LiftedSystem, flag: Flag, samples) -> bool:
@@ -211,7 +216,7 @@ def dim_table(ls: LiftedSystem, flag: Flag, samples):
     """dim(Ann(T_pL) cap <I^(k), dt>_p) for k = 0..n-n*, one row at p0
     and one at each sample; each distinct sample point is decided once."""
     nn = ls.vars.n - ls.base.n_star
-    ideals = [flag.augmented(k) for k in range(nn + 1)]
+    ideals = [flag.with_dt(k) for k in range(nn + 1)]
     table = {"p0": _intersection_dims_at(ls, ideals, ls.p0)}
     rows = {p.values: _intersection_dims_at(ls, ideals, p)
             for p in _distinct(samples)}
@@ -230,12 +235,12 @@ def _distinct(samples):
     return list(first.values())
 
 
-def check_inv(ls: LiftedSystem, flag: Flag, closures, samples,
-              detail=None) -> bool:
+def check_inv(ls: LiftedSystem, flag: Flag, samples, detail=None) -> bool:
     """Each intersection with the raw ideal span lies inside the closure's
     span, at p0 and at every sample, each distinct point once.  Levels
     whose dt-augmented ideal is already differential hold trivially and
-    are skipped.
+    are skipped: the closed levels without building anything, and a level
+    whose closure keeps every generator of <I^(k), dt>.
 
     Decided by dimension.  The closure of <I^(k), dt> is a sub-ideal of it
     (each derived step checks that its generators stay in the parent), so
@@ -245,8 +250,8 @@ def check_inv(ls: LiftedSystem, flag: Flag, closures, samples,
     that inclusion, exactly when the two have equal dimension."""
     nn = ls.vars.n - ls.base.n_star
     # closure equal to the ideal makes containment trivial
-    levels = {k: (flag.augmented(k), closures[k]) for k in range(nn + 1)
-              if len(closures[k]) != len(flag.augmented(k))}
+    levels = {k: (flag.with_dt(k), flag.closure(k)) for k in range(nn + 1)
+              if flag.closure_size(k) != len(flag.with_dt(k)) + 1}
     failed = set()
     for p in [ls.p0] + _distinct(samples):
         pending = [k for k in levels if k not in failed]
@@ -268,12 +273,16 @@ def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
                         seed: int = 0) -> ConditionReport:
     """Run (Con), (Inv), (Dim) and the index computation in one sweep."""
     nn = ls.vars.n - ls.base.n_star
-    closures = compute_closures(ls, flag, nn)
+    # every level is read before sampling, in order, as augmenting each one
+    # was: a dt dependent on I^(k) at p0, or a closure that fails, is the
+    # error a run reports
+    for k in range(nn + 1):
+        _closure_span(flag, k)
     samples = sample_on_N(ls.base, n_samples, seed=seed)
     warnings = []
-    con = check_con(ls, flag, closures)
+    con = check_con(ls, flag)
     inv_detail = {}
-    inv = check_inv(ls, flag, closures, samples, detail=inv_detail)
+    inv = check_inv(ls, flag, samples, detail=inv_detail)
     table = dim_table(ls, flag, samples)
     # under (Inv) the closures meet Ann(T_p0 L) in the dimensions of the
     # raw ideals, which check_inv has just compared, so the p0 row serves

@@ -356,6 +356,8 @@ class PfaffianIdeal:
         self.provenance = provenance
         self.vars = p0.vars
         self.generators, self._rows, self._pivots = [], [], []
+        # whether <ideal, dt> is differential; decided by derived_system
+        self._dt_closed = None
         if not generators:
             return
         if _validate_raw:
@@ -391,6 +393,20 @@ class PfaffianIdeal:
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators) or "0"
         return f"<{self.provenance} ideal ({len(self.generators)} gens): {gens}>"
+
+
+def _span_with_dt(ideal: PfaffianIdeal, p: Point):
+    """Rows spanning span{ideal_p, dt_p}: the generators at p with their dt
+    coefficients left out, then the unit covector of the time coordinate
+    (index 0).  The dt coefficients are never evaluated, so they may be
+    beyond float range where the span is not."""
+    rows = np.zeros((len(ideal) + 1, ideal.vars.total))
+    for r, g in enumerate(ideal.generators):
+        for (i,), c in g.terms.items():
+            if i:
+                rows[r, i] = float(c.eval(p))
+    rows[-1, 0] = 1.0
+    return rows
 
 
 def augment_with_dt(ideal: PfaffianIdeal, provenance=None) -> PfaffianIdeal:
@@ -508,9 +524,13 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     2-form basis; the function-coefficient nullspace of the resulting linear
     system gives the generators of the derived system.  A differential
     ideal, the zero ideal too, comes back `_relabelled`.
+
+    The same reductions decide whether <ideal, dt> is differential, which
+    the step records on `ideal` (`_dt_closes`); the flag reads it.
     """
     vars0 = ideal.vars
     if not ideal.generators:
+        ideal._dt_closed = True
         return ideal._relabelled("derived-from")
     subs = _complement_substitution(ideal)
     # one shared denominator scale across all generators so the nullspace of
@@ -528,6 +548,7 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
         reduced.append(r)
         for idx in r.terms:
             pair_index.setdefault(idx, len(pair_index))
+    ideal._dt_closed = not pair_index or _dt_closes(reduced, subs)
     n_gens = len(ideal.generators)
     if not pair_index:
         # every d(generator) already reduces to zero: differential ideal
@@ -597,6 +618,46 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     return out
 
 
+def _dt_closes(reduced, subs):
+    """Whether <I, dt> is differential (the criterion is proved in
+    `Flag`), from r_i = s * (d(w_i) mod I) in the complement 2-form basis
+    (s a nonzero common scale) and the substitutions of I's pivots.  If t
+    is no pivot, theta = dt mod I is dt itself, and every term of every r_i
+    must hold dt.  Otherwise theta is the numerator of t's substitution,
+    and theta ^ r_i is decided coefficient by coefficient up to the first
+    one that is not structurally zero.  Only structural zeros count, so a
+    kernel identity can only answer False, which takes the general route of
+    `differential_closure`."""
+    if 0 not in subs:
+        return all(idx[0] == 0 for r in reduced for idx in r.terms)
+    theta = subs[0][0]
+    if theta.is_structural_zero():
+        # dt is in I; augmenting it raises
+        return False
+    vars0 = theta.vars
+    for r in reduced:
+        # the terms of theta ^ r by sorted index triple, with their signs
+        triples = {}
+        for (a,), ca in theta.terms.items():
+            for (b, c), cr in r.terms.items():
+                if a < b:
+                    key, sign = (a, b, c), 1
+                elif b < a < c:
+                    key, sign = (b, a, c), -1
+                elif c < a:
+                    key, sign = (b, c, a), 1
+                else:
+                    continue
+                triples.setdefault(key, []).append((sign, ca, cr))
+        for terms in triples.values():
+            acc = Expr.zero(vars0)
+            for sign, ca, cr in terms:
+                acc = acc + ca * cr if sign > 0 else acc - ca * cr
+            if not acc.is_structural_zero():
+                return False
+    return True
+
+
 def _is_exact(matrix, p0):
     """Exact ranks need every entry to evaluate to a rational: no entry may
     carry kernels, and p0 (hence every perturbed point) must be
@@ -634,15 +695,25 @@ class Flag:
     """Descending chain of ideals from I^(0) to the terminal differential
     ideal.
 
-    The flag also owns the dt-augmented entries <I^(k), dt> and their
-    differential closures.  Both are pure functions of an entry, so each is
-    built on first request and memoized by min(k, terminal_index): every
-    consumer shares one copy per distinct entry."""
+    Each entry carries the verdict of its own derived step: whether
+    <I^(k), dt> is already differential (`_dt_closes`).  Proof of the
+    criterion: d(dt) = 0 and d(a dt) = da ^ dt, so <I, dt> is differential
+    iff each d(w_i) mod I lies in theta ^ (Omega / I), theta = dt mod I != 0,
+    which over the function field is theta ^ (d(w_i) mod I) = 0.  At a closed
+    level the closure of <I^(k), dt> is that ideal itself, so nothing is
+    derived for it, and <I^(k), dt> is echelonized only where a closure's
+    generators are read.  Pointwise, span{I^(k)_p, dt_p} comes from I^(k)'s
+    own rows (`with_dt`).  The dt-augmented entries and their closures are
+    pure functions of an entry, so each is built on first request and
+    memoized by min(k, terminal_index): every consumer shares one copy per
+    distinct entry."""
 
-    def __init__(self, entries):
+    def __init__(self, entries, closed):
         self.entries = list(entries)
+        self._closed = list(closed)
         self._augmented = {}
         self._closures = {}
+        self._dt_checked = set()
 
     @property
     def terminal_index(self):
@@ -657,6 +728,24 @@ class Flag:
         """I^(k), with entries frozen past the terminal index."""
         return self.entries[self._key(k)]
 
+    def closed(self, k):
+        """Whether <I^(k), dt> is differential, as its derived step found."""
+        return self._closed[self._key(k)]
+
+    def with_dt(self, k):
+        """I^(k), whose rows at a point span <I^(k), dt> there with the dt
+        row (`_span_with_dt`).  The first read of an entry checks, as
+        augmenting it does, that dt is independent of I^(k) at p0."""
+        key = self._key(k)
+        entry = self.entries[key]
+        if key not in self._dt_checked and key not in self._augmented:
+            if numlin.rank(_span_with_dt(entry, entry.p0)) != len(entry) + 1:
+                raise RegularityViolation(
+                    "supplied generators are pointwise dependent at the "
+                    "base point")
+        self._dt_checked.add(key)
+        return entry
+
     def augmented(self, k):
         """<I^(k), dt>, built once per distinct entry."""
         key = self._key(k)
@@ -667,11 +756,22 @@ class Flag:
 
     def closure(self, k):
         """Differential closure of <I^(k), dt>, built once per distinct
-        entry."""
+        entry: at a closed level <I^(k), dt> itself, relabelled, which is
+        what `differential_closure` returns for it."""
         key = self._key(k)
         if key not in self._closures:
-            self._closures[key] = differential_closure(self.augmented(key))
+            aug = self.augmented(key)
+            self._closures[key] = (
+                aug._relabelled(f"closure-of {aug.provenance}")
+                if self._closed[key] else differential_closure(aug))
         return self._closures[key]
+
+    def closure_size(self, k):
+        """Generator count of the closure of <I^(k), dt>; len(I^(k)) + 1 at
+        a closed level, where nothing is built."""
+        if self.closed(k):
+            return len(self.with_dt(k)) + 1
+        return len(self.closure(k))
 
     def generator_counts(self):
         return tuple(len(e) for e in self.entries)
@@ -683,22 +783,26 @@ def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:
     `derived_system` returns its ideal itself (relabelled, sharing the
     echelon rows) exactly when every d(generator) reduces to zero; any
     other step has a structurally nonzero condition matrix, so its
-    symbolic rank is at least 1 and it loses a generator."""
+    symbolic rank is at least 1 and it loses a generator.  Each step also
+    records whether <entry, dt> is differential, which the flag keeps."""
     if max_steps is None:
         max_steps = ideal.vars.total + 1
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     entries = [ideal]
+    closed = []
     for _ in range(max_steps):
         nxt = derived_system(entries[-1])
+        closed.append(entries[-1]._dt_closed)
         if nxt.rows()[0] is entries[-1].rows()[0]:
-            return Flag(entries)
+            return Flag(entries, closed)
         if len(nxt) >= len(entries[-1]):
             raise RegularityViolation(
                 "derived step of a non-differential ideal did not shrink it")
         entries.append(nxt)
         if len(nxt) == 0:
-            return Flag(entries)
+            # <0, dt> = <dt> is differential
+            return Flag(entries, closed + [True])
     raise NoTermination(
         f"derived flag did not stabilize within {max_steps} steps")
 

@@ -88,6 +88,18 @@ def make_chain3():
                          [E("x1"), E("x2"), E("x3")], [0, 0, 0], [E("0")])
 
 
+def make_chain8():
+    """x_i' = x_(i+1) + c_i x_i^2, x_8' = u1, N = the origin."""
+    vs = VariableSpace.canonical(8, 1)
+    P = lambda s: parse_expr(s, vs)
+    cs = [1, -2, 3, -1, 2, -3, 1]
+    f = [P(f"x{i + 1} + {c}*x{i}^2") for i, c in enumerate(cs, start=1)]
+    g = [[P("0")] * 7 + [P("1")]]
+    return ControlSystem(vs, f + [P("0")], g,
+                         [P(f"x{i}") for i in range(1, 9)], [0] * 8,
+                         [P("0")])
+
+
 @pytest.fixture(scope="session")
 def double_integrator():
     return make_double_integrator()

@@ -75,9 +75,9 @@ class TestCriterion1:
 
 
 class TestCriterion2:
-    def test_indices(self, sec5_lifted, sec5_flag, sec5_closures):
+    def test_indices(self, sec5_lifted, sec5_flag):
         from tflkit.conditions import rho_indices
-        prof = rho_indices(sec5_lifted, sec5_flag, sec5_closures)
+        prof = rho_indices(sec5_lifted, sec5_flag)
         ok = prof.rho == [2, 2, 1, 0] and prof.kappa == [3, 2]
         report(2, f"rho {tuple(prof.rho)}, kappa {tuple(prof.kappa)}", ok)
         assert prof.rho == [2, 2, 1, 0]
@@ -88,8 +88,8 @@ class TestCriterion3:
     def test_conditions_and_k2_closure(self, sec5, sec5_lifted, sec5_flag,
                                        sec5_closures):
         samples = sample_on_N(sec5, 8, seed=0)
-        con = check_con(sec5_lifted, sec5_flag, sec5_closures)
-        inv = check_inv(sec5_lifted, sec5_flag, sec5_closures, samples)
+        con = check_con(sec5_lifted, sec5_flag)
+        inv = check_inv(sec5_lifted, sec5_flag, samples)
         dim = check_dim(sec5_lifted, sec5_flag, samples)
         cl2 = sec5_closures[2]
         p0 = sec5_lifted.p0
@@ -136,8 +136,7 @@ class TestCriterion5:
             sysm, A, B, r = random_lti_instance(rng)
             ls = lift_system(sysm)
             flag = derived_flag(ls.I0)
-            closures = compute_closures(ls, flag, r)
-            got = check_con(ls, flag, closures)
+            got = check_con(ls, flag)
             want = rank_test_oracle(A, B, r)
             if got == want:
                 agree += 1

@@ -11,7 +11,8 @@ from tflkit.lift import ControlSystem, lift_system
 from tflkit.algorithm import (NoRelativeDegree, RelativeDegree, _z_equals_n,
                               dual_rd_check, normal_form, run_tfl,
                               vector_relative_degree, zero_dynamics_manifold)
-from conftest import make_chain3, make_double_integrator
+from conftest import (make_chain3, make_chain8, make_double_integrator,
+                      make_sec5_system)
 
 VS = VariableSpace.canonical(7, 2)
 E = lambda s: parse_expr(s, VS)
@@ -50,28 +51,24 @@ class TestVectorRelativeDegree:
 
 
 class TestDualCheck:
-    def test_worked_uniform_component(self, sec5_lifted, sec5_flag,
-                                      sec5_closures):
-        assert dual_rd_check(sec5_lifted, sec5_flag, sec5_closures,
+    def test_worked_uniform_component(self, sec5_lifted, sec5_flag):
+        assert dual_rd_check(sec5_lifted, sec5_flag,
                              [E("x5 + x7")], 3) is True
 
-    def test_too_high_degree_fails(self, sec5_lifted, sec5_flag,
-                                   sec5_closures):
-        assert dual_rd_check(sec5_lifted, sec5_flag, sec5_closures,
+    def test_too_high_degree_fails(self, sec5_lifted, sec5_flag):
+        assert dual_rd_check(sec5_lifted, sec5_flag,
                              [E("x5 + x7")], 4) is False
 
     def test_agrees_with_direct_on_double_integrator(self, double_integrator):
         from tflkit.pfaffian import derived_flag
-        from tflkit.conditions import compute_closures
         ls = lift_system(double_integrator)
         flag = derived_flag(ls.I0)
-        closures = compute_closures(ls, flag, 2)
         vs = double_integrator.vars
         h = [parse_expr("x1", vs)]
         rd = vector_relative_degree(double_integrator, h)
         assert rd.kappa == [2]
-        assert dual_rd_check(ls, flag, closures, h, 2) is True
-        assert dual_rd_check(ls, flag, closures, h, 1) is False
+        assert dual_rd_check(ls, flag, h, 2) is True
+        assert dual_rd_check(ls, flag, h, 1) is False
 
 
 class TestZeroDynamics:
@@ -189,10 +186,8 @@ class TestRunTfl:
         assert rep.success
         assert calls == [2]
 
-    def test_augmented_ideals_and_closures_built_once(self, chain3,
-                                                      monkeypatch):
-        """A solve builds each <I^(k), dt> and its differential closure
-        once per distinct flag entry, however many stages read them."""
+    @staticmethod
+    def _augment_and_closure_spy(monkeypatch):
         import tflkit.pfaffian as pfaffian
         inputs = {"augment_with_dt": [], "differential_closure": []}
 
@@ -205,13 +200,35 @@ class TestRunTfl:
         for name in inputs:
             monkeypatch.setattr(pfaffian, name,
                                 counting(name, getattr(pfaffian, name)))
+        return inputs
+
+    def test_augmented_ideals_and_closures_built_once(self, chain3,
+                                                      monkeypatch):
+        """A solve builds <I^(k), dt> only where a closure's generators are
+        read, and derives a closure only at a level whose <I^(k), dt> is
+        not differential; neither twice for one entry, however many stages
+        read them.  On the chain every level is closed, and only the
+        harvest level's closure is read."""
+        inputs = self._augment_and_closure_spy(monkeypatch)
         rep = run_tfl(chain3)
         assert rep.success
-        nn = chain3.vars.n - chain3.n_star
-        distinct = min(nn, len(rep.flag_counts) - 1) + 1
+        assert {name: len(seen) for name, seen in inputs.items()} == {
+            "augment_with_dt": 1, "differential_closure": 0}
         for name, seen in inputs.items():
-            assert len(seen) == distinct, name
-            assert len({id(ideal) for ideal in seen}) == distinct, name
+            assert len({id(ideal) for ideal in seen}) == len(seen), name
+
+    @pytest.mark.parametrize("make, augments, closures", [
+        (make_chain8, 1, 0),
+        # level 2 is the one that is not closed; levels 1 and 2 are read
+        # by the harvests at k = 2 and k = 3
+        (make_sec5_system, 2, 1),
+    ])
+    def test_closures_derived_only_where_not_closed(self, make, augments,
+                                                    closures, monkeypatch):
+        inputs = self._augment_and_closure_spy(monkeypatch)
+        assert run_tfl(make()).success
+        assert len(inputs["augment_with_dt"]) == augments
+        assert len(inputs["differential_closure"]) == closures
 
     def test_state_gradients_and_lie_derivatives_built_once(self,
                                                           monkeypatch):

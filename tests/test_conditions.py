@@ -87,8 +87,8 @@ class TestIntersectionDimension:
 
 
 class TestRhoIndices:
-    def test_worked_profile(self, sec5_lifted, sec5_flag, sec5_closures):
-        prof = rho_indices(sec5_lifted, sec5_flag, sec5_closures)
+    def test_worked_profile(self, sec5_lifted, sec5_flag):
+        prof = rho_indices(sec5_lifted, sec5_flag)
         assert prof.rho == [2, 2, 1, 0]
         assert prof.kappa == [3, 2]
         assert prof.n_minus_nstar == 5
@@ -96,22 +96,20 @@ class TestRhoIndices:
     def test_chain_profile(self, chain3):
         ls = lift_system(chain3)
         flag = derived_flag(ls.I0)
-        closures = compute_closures(ls, flag, 3)
-        prof = rho_indices(ls, flag, closures)
+        prof = rho_indices(ls, flag)
         assert prof.rho == [1, 1, 1]
         assert prof.kappa == [3]
 
     def test_double_integrator_profile(self, double_integrator):
         ls = lift_system(double_integrator)
         flag = derived_flag(ls.I0)
-        closures = compute_closures(ls, flag, 1)
-        prof = rho_indices(ls, flag, closures)
+        prof = rho_indices(ls, flag)
         assert prof.rho == [1]
         assert prof.kappa == [1]
 
-    def test_sum_rho_under_con(self, sec5_lifted, sec5_flag, sec5_closures):
-        prof = rho_indices(sec5_lifted, sec5_flag, sec5_closures)
-        assert check_con(sec5_lifted, sec5_flag, sec5_closures)
+    def test_sum_rho_under_con(self, sec5_lifted, sec5_flag):
+        prof = rho_indices(sec5_lifted, sec5_flag)
+        assert check_con(sec5_lifted, sec5_flag)
         assert sum(prof.rho) == prof.n_minus_nstar
         assert sum(prof.kappa) == prof.n_minus_nstar
 
@@ -124,8 +122,8 @@ class TestRhoIndices:
 
 
 class TestCon:
-    def test_worked_holds(self, sec5_lifted, sec5_flag, sec5_closures):
-        assert check_con(sec5_lifted, sec5_flag, sec5_closures) is True
+    def test_worked_holds(self, sec5_lifted, sec5_flag):
+        assert check_con(sec5_lifted, sec5_flag) is True
 
     def test_uncontrollable_lti_fails(self):
         # zero drift, single input hitting only x1, point target
@@ -133,16 +131,15 @@ class TestCon:
                     [0, 0], ["0"])
         ls = lift_system(sys)
         flag = derived_flag(ls.I0)
-        closures = compute_closures(ls, flag, 2)
-        assert check_con(ls, flag, closures) is False
+        assert check_con(ls, flag) is False
 
     def test_decided_from_one_intersection(self, sec5_lifted, sec5_flag,
-                                           sec5_closures, monkeypatch):
+                                           monkeypatch):
         calls = []
         dim = numlin.intersection_dim
         monkeypatch.setattr(numlin, "intersection_dim",
                             lambda *a: calls.append("dim") or dim(*a))
-        assert check_con(sec5_lifted, sec5_flag, sec5_closures) is True
+        assert check_con(sec5_lifted, sec5_flag) is True
         assert calls == ["dim"]
 
     def test_dt_row_on_both_sides(self, sec5_lifted, sec5_closures):
@@ -177,10 +174,10 @@ class TestDim:
 
 class TestInv:
     def test_worked_holds_with_single_nontrivial_level(
-            self, sec5_lifted, sec5_flag, sec5_closures, sec5):
+            self, sec5_lifted, sec5_flag, sec5):
         samples = sample_on_N(sec5, 8, seed=0)
         detail = {}
-        assert check_inv(sec5_lifted, sec5_flag, sec5_closures, samples,
+        assert check_inv(sec5_lifted, sec5_flag, samples,
                          detail=detail) is True
         assert detail[2] == "holds"
         for k in (0, 1, 3, 4, 5):
@@ -195,34 +192,33 @@ class TestInv:
                     ["x2", "x3"], [1, 0, 0, 0], ["0", "0"])
         ls = lift_system(sys)
         flag = derived_flag(ls.I0)
-        closures = compute_closures(ls, flag, 2)
         samples = sample_on_N(sys, 6, seed=0)
         detail = {}
-        assert check_inv(ls, flag, closures, samples, detail=detail) is False
-        assert check_con(ls, flag, closures) is True
+        assert check_inv(ls, flag, samples, detail=detail) is False
+        assert check_con(ls, flag) is True
         assert check_dim(ls, flag, samples) is True
 
     def test_decided_from_intersection_dimensions(self, monkeypatch):
         # the one non-differential level fails at p0, so the raw ideal and
         # its closure are intersected there and no sample is visited
-        ls, flag, closures, samples = nonholonomic()
+        ls, flag, _, samples = nonholonomic()
         calls = []
         dim = numlin.intersection_dim
         monkeypatch.setattr(numlin, "intersection_dim",
                             lambda *a: calls.append("dim") or dim(*a))
-        assert check_inv(ls, flag, closures, samples) is False
+        assert check_inv(ls, flag, samples) is False
         assert calls == ["dim", "dim"]
 
     def test_failing_level_meets_ann_in_fewer_closure_dimensions(self):
         ls, flag, closures, _ = nonholonomic()
         detail = {}
-        check_inv(ls, flag, closures, [], detail=detail)
+        check_inv(ls, flag, [], detail=detail)
         [k] = [k for k, v in detail.items() if v == "fails"]
         assert (intersection_dimension(ls, flag.augmented(k), ls.p0)
                 > intersection_dimension(ls, closures[k], ls.p0))
 
-    def test_one_annihilator_per_point(self, sec5_lifted, sec5_flag,
-                                       sec5_closures, sec5, monkeypatch):
+    def test_one_annihilator_per_point(self, sec5_lifted, sec5_flag, sec5,
+                                       monkeypatch):
         # level 2 holds at p0 and at all 8 samples: per point, one
         # Ann(T_pL) and one dimension each for the raw ideal and its closure
         samples = sample_on_N(sec5, 8, seed=0)
@@ -232,8 +228,7 @@ class TestInv:
                             lambda *a: anns.append(1) or ann(*a))
         monkeypatch.setattr(numlin, "intersection_dim",
                             lambda *a: dims.append(1) or dim(*a))
-        assert check_inv(sec5_lifted, sec5_flag, sec5_closures,
-                         samples) is True
+        assert check_inv(sec5_lifted, sec5_flag, samples) is True
         assert (len(anns), len(dims)) == (9, 18)
 
 
@@ -270,11 +265,11 @@ class TestDistinctPoints:
         assert len(table) == 9
 
     def test_inv_visits_each_distinct_point_once(
-            self, sec5_lifted, sec5_flag, sec5_closures, sec5, monkeypatch):
+            self, sec5_lifted, sec5_flag, sec5, monkeypatch):
         # level 2 holds throughout, so every distinct point is visited
         samples = sample_on_N(sec5, 4, seed=0)
         anns = self.count_anns(monkeypatch)
-        assert check_inv(sec5_lifted, sec5_flag, sec5_closures,
+        assert check_inv(sec5_lifted, sec5_flag,
                          samples + samples[::-1]) is True
         assert len(anns) == 5
 

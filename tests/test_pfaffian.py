@@ -17,7 +17,7 @@ from tflkit.pfaffian import (Flag, Membership, PfaffianIdeal, augment_with_dt,
                              derived_flag, derived_system,
                              differential_closure, ideal_membership,
                              two_form_membership)
-from conftest import decode
+from conftest import decode, make_chain8
 from _pointwise import pointwise_span
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -253,6 +253,151 @@ class TestClosure:
             for g in cl.generators:
                 assert two_form_membership(exterior_derivative(g), cl) \
                     == Membership.MEMBER
+
+
+CHAIN4 = """
+[system]
+states = x1 x2 x3 x4
+inputs = u1
+f = x2 + 2*x1^2, x3 - 3*x2^2, x4 - x3^2, 0
+g1 = 0, 0, 0, 1
+
+[target]
+N = x1, x2, x3, x4
+x0 = 0, 0, 0, 0
+u_star = 0
+"""
+
+NONHOLONOMIC = """
+[system]
+states = x1 x2 x3 x4
+inputs = u1 u2
+f = 0, 0, 0, x3
+g1 = 1, 0, -x2, 0
+g2 = 0, 1, x1, 0
+
+[target]
+N = x2, x3
+x0 = 1, 0, 0, 0
+u_star = 0, 0
+"""
+
+UNCONTROLLABLE = """
+[system]
+states = x1 x2 x3
+inputs = u1
+f = x2, 0, x3
+g1 = 0, 1, 0
+
+[target]
+N = x2, x3
+x0 = 1, 0, 0
+u_star = 0
+"""
+
+
+CLOSED_LEVEL_PLANTS = ("paper-sec5", "double-integrator", "brunovsky-chain",
+                       "chain8", "chain4", "unicycle", "uncontrollable",
+                       "sec5-f3=0", "sec5-f4=x4", "nonholonomic")
+
+
+def _closed_level_plant(name):
+    """A plant whose flag the closed-level verdict is checked on: a
+    fixture, a benchmark plant, a sec5 edit with a first integral, whose
+    terminal ideal is not zero, or the chained nonholonomic integrator,
+    whose level 1 is not closed while t is no pivot."""
+    from test_problem_cli import UNICYCLE
+    from tflkit.problem import loads_problem
+    if name == "chain8":
+        return make_chain8()
+    sec5 = (PROBLEMS / "paper-sec5.tfl").read_text(encoding="utf-8")
+    texts = {
+        "chain4": CHAIN4, "unicycle": UNICYCLE,
+        "uncontrollable": UNCONTROLLABLE, "nonholonomic": NONHOLONOMIC,
+        "sec5-f3=0": sec5.replace("x1, x3*x4, 0,", "x1, 0, 0,"),
+        "sec5-f4=x4": sec5.replace("x3*x4, 0, x6", "x3*x4, x4, x6"),
+    }
+    text = texts.get(name) or (PROBLEMS / f"{name}.tfl").read_text(
+        encoding="utf-8")
+    return loads_problem(text).to_control_system()
+
+
+class TestClosedLevels:
+    """The derived step of I^(k) decides whether <I^(k), dt> is
+    differential; a closed level's closure is <I^(k), dt> itself."""
+
+    @pytest.mark.parametrize("name", CLOSED_LEVEL_PLANTS)
+    def test_verdict_and_closure_agree_with_the_derived_flag(self, name):
+        from tflkit.lift import lift_system
+        flag = derived_flag(lift_system(_closed_level_plant(name)).I0)
+        for k, entry in enumerate(flag.entries):
+            aug = augment_with_dt(entry)
+            assert flag.closed(k) == (len(derived_flag(aug).entries) == 1)
+            assert flag.closure(k).rows() == differential_closure(aug).rows()
+
+    @pytest.mark.parametrize("dx2_coeff, closed", [("x3", True),
+                                                   ("1", False)])
+    def test_theta_with_two_terms(self, dx2_coeff, closed):
+        # omega = dt - x3 dx1 - c dx2 has t as its pivot, so theta = dt mod
+        # I = x3 dx1 + c dx2.  For c = x3, d(omega) = (dx1 + dx2) ^ dx3 and
+        # the two terms of theta ^ d(omega) cancel; for c = 1, d(omega) =
+        # dx1 ^ dx3 and theta ^ d(omega) = dx2 ^ dx1 ^ dx3
+        omega = (DX("t") - DX("x1").scale(E("x3"))
+                 - DX("x2").scale(E(dx2_coeff)))
+        flag = derived_flag(PfaffianIdeal([omega], simple_point(VS, x3=1)))
+        assert flag.closed(0) is closed
+        aug = augment_with_dt(flag.entry(0))
+        assert (len(derived_flag(aug).entries) == 1) is closed
+
+    def test_worked_level_two_is_not_closed(self, sec5_flag):
+        assert [sec5_flag.closed(k) for k in range(4)] == [
+            True, True, False, True]
+
+    @pytest.mark.parametrize("name", ["sec5-f3=0", "sec5-f4=x4"])
+    def test_first_integral_edits_keep_a_nonzero_terminal(self, name):
+        from tflkit.lift import lift_system
+        flag = derived_flag(lift_system(_closed_level_plant(name)).I0)
+        assert flag.generator_counts() == (7, 5, 3, 1)
+
+
+class TestDtDependentAtBasePoint:
+    """<x1 dx1 + dt> is differential, so its level is closed and no closure
+    is derived for it; but at x1 = 0 dt lies in its span, and reading the
+    level raises as augmenting it does."""
+
+    @staticmethod
+    def flag():
+        p0 = simple_point(VS)
+        return derived_flag(PfaffianIdeal([DX("x1").scale(E("x1")) + DX("t")],
+                                          p0))
+
+    def augment_error(self):
+        with pytest.raises(RegularityViolation) as err:
+            augment_with_dt(self.flag().entry(0))
+        return str(err.value)
+
+    def test_closure(self):
+        flag = self.flag()
+        assert flag.closed(0)
+        with pytest.raises(RegularityViolation) as err:
+            flag.closure(0)
+        assert str(err.value) == self.augment_error()
+
+    @pytest.mark.parametrize("read", ["evaluate_conditions", "dim_table",
+                                      "check_con", "rho_indices"])
+    def test_conditions(self, read, sec5_lifted):
+        import tflkit.conditions as conditions
+        calls = {
+            "evaluate_conditions": lambda f: conditions.evaluate_conditions(
+                sec5_lifted, f),
+            "dim_table": lambda f: conditions.dim_table(
+                sec5_lifted, f, [sec5_lifted.p0]),
+            "check_con": lambda f: conditions.check_con(sec5_lifted, f),
+            "rho_indices": lambda f: conditions.rho_indices(sec5_lifted, f),
+        }
+        with pytest.raises(RegularityViolation) as err:
+            calls[read](self.flag())
+        assert str(err.value) == self.augment_error()
 
 
 class TestPointwiseSpan:
@@ -645,19 +790,6 @@ class TestDerivedSystemCertification:
         # float ranks at the eight perturbed points only, never at p0,
         # where every entry vanishes
         assert ranked == [2] * 8
-
-
-def make_chain8():
-    """x_i' = x_(i+1) + c_i x_i^2, x_8' = u1, N = the origin."""
-    from tflkit.lift import ControlSystem
-    vs = VariableSpace.canonical(8, 1)
-    P = lambda s: parse_expr(s, vs)
-    cs = [1, -2, 3, -1, 2, -3, 1]
-    f = [P(f"x{i + 1} + {c}*x{i}^2") for i, c in enumerate(cs, start=1)]
-    g = [[P("0")] * 7 + [P("1")]]
-    return ControlSystem(vs, f + [P("0")], g,
-                         [P(f"x{i}") for i in range(1, 9)], [0] * 8,
-                         [P("0")])
 
 
 class TestNoRepeatedWork:

@@ -244,6 +244,17 @@ class TestCommands:
         expected = (ROOT / "problems" / f"{stem}.expected.json").read_bytes()
         assert dumps_report(tree).encode("utf-8") == expected
 
+    @pytest.mark.parametrize("stem", ["paper-sec5", "double-integrator",
+                                      "brunovsky-chain"])
+    def test_check_reports_byte_for_byte(self, stem):
+        """A fresh check's report text is the recorded one in
+        tests/data/check_reports, byte for byte."""
+        _, tree, _ = cmd_check(load_problem(ROOT / "problems"
+                                            / f"{stem}.tfl"))
+        expected = (ROOT / "tests" / "data" / "check_reports"
+                    / f"{stem}.json").read_bytes()
+        assert dumps_report(tree).encode("utf-8") == expected
+
 
 # The dynamic unicycle following the unit circle.  Its second defining
 # function cannot be solved linearly for a state, so the adapted output
