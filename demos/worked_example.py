@@ -15,7 +15,7 @@ import time
 
 from tflkit import (derived_flag, lift_system, run_tfl,
                     vector_relative_degree)
-from tflkit.conditions import compute_closures, evaluate_conditions
+from tflkit.conditions import evaluate_conditions
 from tflkit.expr import VariableSpace, parse_expr
 from tflkit.lift import ControlSystem
 
@@ -49,10 +49,10 @@ def main():
                 print("   ", gen)
 
     print("\n-- differential closures of <I^(k), dt> --")
-    closures = compute_closures(ls, flag, 5)
     for k in (1, 2):
-        print(f"<I^({k}), dt>^inf: {len(closures[k])} generators")
-        for gen in closures[k].generators:
+        closure = flag.closure(k)
+        print(f"<I^({k}), dt>^inf: {len(closure)} generators")
+        for gen in closure.generators:
             print("   ", gen)
 
     print("\n-- conditions --")

@@ -1,36 +1,31 @@
 """Transverse controllability indices and the three TFL conditions.
 
-The controllability condition asks the annihilator of T_p0 L to meet the
-span of the terminal ideal (plus dt) in the dt-line only; the involutivity
-condition asks each such intersection to fall inside the corresponding
-differential closure; the constant-dimensionality condition asks the
-intersection dimensions to be the same at sampled points of L as at p0.
-The last two are certified at p0 plus a finite sample set, which is a
-documented soundness gap: pointwise conditions on an open set are not
-finitely decidable.  Each closure is a sub-ideal of its ideal, so (Inv)
-is the two intersections having equal dimension: every condition and the
-indices are decided from `numlin.intersection_dim`.
+Every condition is pointwise: the dimension of Ann(T_pL) intersected with
+span{I^(k)_p, dt_p} or with the span of its differential closure.  (Con)
+asks the terminal intersection at p0 to be the dt line only; (Inv) asks
+each raw intersection to fall inside the closure's, which, a closure being
+a sub-ideal of its ideal, is the two having equal dimension; (Dim) asks
+the raw dimensions at sampled points of L to equal those at p0.  The last
+two are certified at p0 plus a finite sample set, a documented soundness
+gap: pointwise conditions on an open set are not finitely decidable.
 
-Most levels are closed: the derived step of I^(k) has found <I^(k), dt>
-differential (theta ^ (d(w_i) mod I) = 0 for theta = dt mod I, see
-`Flag`), so it is its own closure.  span{I^(k)_p, dt_p} is built from
-I^(k)'s own rows at p, with their dt coefficients left out, and the dt
-row (`Flag.with_dt`), so no dt-augmented echelon is needed for it.  (Inv)
-skips a closed level and (Con) reads its raw dimension; only a level that
-is not closed builds its closure, once per distinct flag entry
-(`Flag.closure`).  `evaluate_conditions` builds the dimension table once
-and reads (Dim) off it.  Each distinct point is decided once:
-samples with equal values (all of them on a point target, where Newton
-projection returns x0) share one row, and p0 keeps its own.  At each such
-point Ann(T_pL) is built once and each distinct ideal is intersected with
-it once: the levels past the terminal index share the terminal entry and
-copy its dimension.
+One point table per run (`_PointTable`) holds these dimensions, at p0 and
+at each distinct sample (on a point target, where Newton projection
+returns x0 each time, the samples share one point; p0 keeps its own).
+Ann(T_pL) is built on a point's first read, and each (ideal, point)
+dimension is decided once by `numlin.intersection_dim`.  (Con), (Inv),
+(Dim) and the indices read it: `evaluate_conditions` builds one table, and
+each single check builds its own.  Most levels are closed (the derived step
+of I^(k) found <I^(k), dt> differential, see `Flag`), so span{I^(k)_p,
+dt_p} serves as the closure's span too; it comes from I^(k)'s own rows and
+the dt row (`Flag.with_dt`).  Only a level that is not closed builds its
+closure, once per distinct flag entry (`Flag.closure`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +40,6 @@ __all__ = [
     "ConditionReport",
     "sample_on_N",
     "intersection_dimension",
-    "compute_closures",
     "rho_indices",
     "check_con",
     "check_dim",
@@ -73,10 +67,10 @@ class ConditionReport:
     inv: bool
     dim: bool
     indices: IndexProfile
-    dim_table: dict = field(default_factory=dict)
-    inv_detail: dict = field(default_factory=dict)
-    samples_used: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+    dim_table: dict
+    inv_detail: dict
+    samples_used: list
+    warnings: list
 
     @property
     def all_hold(self):
@@ -135,46 +129,82 @@ def _state_point(sys: ControlSystem, x):
     return Point(sys.vars, vals)
 
 
-def intersection_dimension(ls: LiftedSystem, ideal: PfaffianIdeal,
-                           p: Point) -> int:
-    """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} )."""
-    return _intersection_dims_at(ls, [ideal], p)[0]
-
-
-def compute_closures(ls: LiftedSystem, flag: Flag, up_to: int):
-    """Differential closures of <I^(k), dt> for k = 0..up_to, from the
-    flag's memo; entries past the terminal index share the terminal
-    closure.  Every one is built; the conditions read `_closure_span`
-    instead, which builds only the closures of levels that are not
-    closed."""
-    return [flag.closure(k) for k in range(up_to + 1)]
-
-
 def _closure_span(flag: Flag, k):
     """An ideal whose rows at a point, with the dt row, span the closure of
     <I^(k), dt> there: I^(k) itself at a closed level."""
     return flag.with_dt(k) if flag.closed(k) else flag.closure(k)
 
 
-def _intersection_dims_at(ls, ideals, p):
-    """intersection_dimension for each ideal at p, with Ann(T_pL) built
-    once; an ideal that repeats in `ideals` is intersected once."""
-    ann = ann_tangent_L(ls, p)
-    dims = {}
-    for ideal in ideals:
-        if ideal not in dims:
-            dims[ideal] = numlin.intersection_dim(ann,
-                                                  _span_with_dt(ideal, p))
-    return [dims[ideal] for ideal in ideals]
+class _PointTable:
+    """The dimensions of one run, at p0 (point 0) and each distinct
+    sample.  Equal values give equal matrices, so a repeated sample
+    decides nothing new and no tolerance is involved; p0, the exact point,
+    is never merged with a sample.  Ideals are keyed by identity."""
+
+    def __init__(self, ls: LiftedSystem, samples):
+        self.ls = ls
+        self.nn = ls.vars.n - ls.base.n_star
+        self.points = [ls.p0]
+        self.sample_points = []     # the index in `points` of each sample
+        first = {}
+        for p in samples:
+            if p.values not in first:
+                first[p.values] = len(self.points)
+                self.points.append(p)
+            self.sample_points.append(first[p.values])
+        self._anns, self._dims = {}, {}
+
+    def dim(self, ideal, i):
+        """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} ) at point i."""
+        if (ideal, i) not in self._dims:
+            if i not in self._anns:
+                self._anns[i] = ann_tangent_L(self.ls, self.points[i])
+            self._dims[ideal, i] = numlin.intersection_dim(
+                self._anns[i], _span_with_dt(ideal, self.points[i]))
+        return self._dims[ideal, i]
+
+    def row(self, span, i):
+        """The dimensions at point i of span(k) for k = 0..n-n*."""
+        return [self.dim(span(k), i) for k in range(self.nn + 1)]
+
+    def con(self, flag):
+        return self.dim(_closure_span(flag, self.nn), 0) == 1
+
+    def inv(self, flag):
+        """(Inv) per level: "differential", "holds" or "fails"."""
+        # closure equal to the ideal makes containment trivial
+        levels = [k for k in range(self.nn + 1)
+                  if flag.closure_size(k) != len(flag.with_dt(k)) + 1]
+        failed = set()
+        for i in range(len(self.points)):
+            for k in levels:
+                if k not in failed and (self.dim(flag.with_dt(k), i)
+                                        != self.dim(flag.closure(k), i)):
+                    failed.add(k)
+        return {k: "differential" if k not in levels
+                else "fails" if k in failed else "holds"
+                for k in range(self.nn + 1)}
+
+    def dim_table(self, flag):
+        table = {"p0": self.row(flag.with_dt, 0)}
+        for s, i in enumerate(self.sample_points):
+            table[f"sample{s}"] = self.row(flag.with_dt, i)
+        return table
+
+
+def intersection_dimension(ls: LiftedSystem, ideal: PfaffianIdeal,
+                           p: Point) -> int:
+    """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} )."""
+    return _PointTable(ls, [p]).dim(ideal, 1)
 
 
 def rho_indices(ls: LiftedSystem, flag: Flag) -> IndexProfile:
     """rho_i = dim drop of Ann(T_p0 L) cap span{closure_i, dt} from level i
     to i+1; kappa = conjugate partition (the transverse controllability
     indices)."""
-    nn = ls.vars.n - ls.base.n_star
-    closures = [_closure_span(flag, k) for k in range(nn + 1)]
-    return _index_profile(_intersection_dims_at(ls, closures, ls.p0), nn)
+    table = _PointTable(ls, [])
+    return _index_profile(
+        table.row(lambda k: _closure_span(flag, k), 0), table.nn)
 
 
 def _index_profile(dims, nn):
@@ -195,8 +225,7 @@ def check_con(ls: LiftedSystem, flag: Flag) -> bool:
     row), so the intersection always contains the dt line, and (Con) is
     its dimension being 1: the same SVD rank decision as (Dim) and the
     index profile.  At a closed level n - n* it is the raw dimension."""
-    nn = ls.vars.n - ls.base.n_star
-    return intersection_dimension(ls, _closure_span(flag, nn), ls.p0) == 1
+    return _PointTable(ls, []).con(flag)
 
 
 def check_dim(ls: LiftedSystem, flag: Flag, samples) -> bool:
@@ -215,24 +244,7 @@ def _dims_constant(table):
 def dim_table(ls: LiftedSystem, flag: Flag, samples):
     """dim(Ann(T_pL) cap <I^(k), dt>_p) for k = 0..n-n*, one row at p0
     and one at each sample; each distinct sample point is decided once."""
-    nn = ls.vars.n - ls.base.n_star
-    ideals = [flag.with_dt(k) for k in range(nn + 1)]
-    table = {"p0": _intersection_dims_at(ls, ideals, ls.p0)}
-    rows = {p.values: _intersection_dims_at(ls, ideals, p)
-            for p in _distinct(samples)}
-    for i, p in enumerate(samples):
-        table[f"sample{i}"] = list(rows[p.values])
-    return table
-
-
-def _distinct(samples):
-    """The samples without repeats, in order.  Equal values give equal
-    matrices, so a repeated point decides nothing new, and no tolerance is
-    involved.  p0 is never merged with a sample: it is the exact point."""
-    first = {}
-    for p in samples:
-        first.setdefault(p.values, p)
-    return list(first.values())
+    return _PointTable(ls, samples).dim_table(flag)
 
 
 def check_inv(ls: LiftedSystem, flag: Flag, samples, detail=None) -> bool:
@@ -240,7 +252,8 @@ def check_inv(ls: LiftedSystem, flag: Flag, samples, detail=None) -> bool:
     span, at p0 and at every sample, each distinct point once.  Levels
     whose dt-augmented ideal is already differential hold trivially and
     are skipped: the closed levels without building anything, and a level
-    whose closure keeps every generator of <I^(k), dt>.
+    whose closure keeps every generator of <I^(k), dt>.  A level that
+    fails is not read at the points after.
 
     Decided by dimension.  The closure of <I^(k), dt> is a sub-ideal of it
     (each derived step checks that its generators stay in the parent), so
@@ -248,25 +261,10 @@ def check_inv(ls: LiftedSystem, flag: Flag, samples, detail=None) -> bool:
     in Ann(T_pL) cap span(raw_p).  The latter lies in Ann(T_pL), so it lies
     inside span(closure_p) exactly when it lies inside the former; given
     that inclusion, exactly when the two have equal dimension."""
-    nn = ls.vars.n - ls.base.n_star
-    # closure equal to the ideal makes containment trivial
-    levels = {k: (flag.with_dt(k), flag.closure(k)) for k in range(nn + 1)
-              if flag.closure_size(k) != len(flag.with_dt(k)) + 1}
-    failed = set()
-    for p in [ls.p0] + _distinct(samples):
-        pending = [k for k in levels if k not in failed]
-        if not pending:
-            break
-        # the raw ideals, then their closures, in one call
-        dims = _intersection_dims_at(
-            ls, [levels[k][j] for j in (0, 1) for k in pending], p)
-        failed.update(k for i, k in enumerate(pending)
-                      if dims[i] != dims[len(pending) + i])
+    verdicts = _PointTable(ls, samples).inv(flag)
     if detail is not None:
-        for k in range(nn + 1):
-            detail[k] = ("differential" if k not in levels
-                         else "fails" if k in failed else "holds")
-    return not failed
+        detail.update(verdicts)
+    return "fails" not in verdicts.values()
 
 
 def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
@@ -279,23 +277,24 @@ def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
     for k in range(nn + 1):
         _closure_span(flag, k)
     samples = sample_on_N(ls.base, n_samples, seed=seed)
+    table = _PointTable(ls, samples)
     warnings = []
-    con = check_con(ls, flag)
-    inv_detail = {}
-    inv = check_inv(ls, flag, samples, detail=inv_detail)
-    table = dim_table(ls, flag, samples)
+    con = table.con(flag)
+    inv_detail = table.inv(flag)
+    inv = "fails" not in inv_detail.values()
+    dims = table.dim_table(flag)
     # under (Inv) the closures meet Ann(T_p0 L) in the dimensions of the
-    # raw ideals, which check_inv has just compared, so the p0 row serves
+    # raw ideals, which (Inv) has just compared, so the p0 row serves
     if not inv:
         warnings.append(
             "involutivity fails: indices computed from the raw ideals are "
             "advisory only")
-    indices = _index_profile(table["p0"], nn)
+    indices = _index_profile(dims["p0"], nn)
     if con and sum(indices.rho) != nn:
         warnings.append(
             f"controllability holds but sum(rho) = {sum(indices.rho)} != "
             f"{nn}; regularity of the flag is suspect")
-    return ConditionReport(con=con, inv=inv, dim=_dims_constant(table),
-                           indices=indices, dim_table=table,
+    return ConditionReport(con=con, inv=inv, dim=_dims_constant(dims),
+                           indices=indices, dim_table=dims,
                            inv_detail=inv_detail, samples_used=samples,
                            warnings=warnings)

@@ -13,7 +13,6 @@ from tflkit.expr import Expr, Point, VariableSpace, parse_expr
 from tflkit.forms import KForm, VectorField, coordinate_form
 from tflkit.lift import ControlSystem, lift_system
 from tflkit.pfaffian import PfaffianIdeal, derived_flag
-from tflkit.conditions import compute_closures
 from tflkit.algorithm import run_tfl
 from tflkit.problem import cmd_solve, load_problem
 
@@ -56,8 +55,8 @@ def sec5_flag(sec5_lifted):
 
 
 @pytest.fixture(scope="session")
-def sec5_closures(sec5_lifted, sec5_flag):
-    return compute_closures(sec5_lifted, sec5_flag, 5)
+def sec5_closures(sec5_flag):
+    return [sec5_flag.closure(k) for k in range(6)]
 
 
 @pytest.fixture(scope="session")

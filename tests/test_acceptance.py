@@ -18,8 +18,7 @@ from tflkit.forms import coordinate_form, d_of_function, exterior_derivative
 from tflkit.lift import ControlSystem, lift_system, s_module, g_module
 from tflkit.pfaffian import (Membership, PfaffianIdeal, augment_with_dt,
                              derived_flag, ideal_membership)
-from tflkit.conditions import (check_con, check_dim, check_inv,
-                               compute_closures, sample_on_N)
+from tflkit.conditions import check_con, check_dim, check_inv, sample_on_N
 from tflkit.integrate import adapt_to_L, frobenius_integrate
 from tflkit.algorithm import (RelativeDegree, run_tfl, vector_relative_degree)
 from tflkit.problem import cmd_solve, dumps_report, load_problem

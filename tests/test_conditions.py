@@ -10,9 +10,8 @@ from tflkit.expr import Expr, VariableSpace, parse_expr
 from tflkit.lift import ControlSystem, ann_tangent_L, lift_system
 from tflkit.pfaffian import augment_with_dt, derived_flag
 from tflkit.conditions import (_span_with_dt, check_con, check_dim, check_inv,
-                               compute_closures, evaluate_conditions,
-                               intersection_dimension, rho_indices,
-                               sample_on_N)
+                               evaluate_conditions, intersection_dimension,
+                               rho_indices, sample_on_N)
 from conftest import make_chain3, make_double_integrator
 
 
@@ -34,7 +33,7 @@ def nonholonomic():
                 ["x2", "x3"], [1, 0, 0, 0], ["0", "0"])
     ls = lift_system(sys)
     flag = derived_flag(ls.I0)
-    return (ls, flag, compute_closures(ls, flag, 2),
+    return (ls, flag, [flag.closure(k) for k in range(3)],
             sample_on_N(sys, 6, seed=0))
 
 
@@ -294,3 +293,77 @@ class TestEvaluateConditions:
         assert not rep.inv
         assert not rep.all_hold
         assert any("advisory" in w for w in rep.warnings)
+
+    def test_unicycle_report(self):
+        # kernels in f and N, and eight distinct Newton samples
+        sys = build((4, 2), ["x4*cos(x3)", "x4*sin(x3)", "0", "0"],
+                    [["0", "0", "0", "1"], ["0", "0", "1", "0"]],
+                    ["x1^2 + x2^2 - 1", "x1*cos(x3) + x2*sin(x3)"],
+                    [0, 1, 0, 1], ["0", "-x4"])
+        ls = lift_system(sys)
+        rep = evaluate_conditions(ls, derived_flag(ls.I0), n_samples=8,
+                                  seed=0)
+        assert (rep.con, rep.inv, rep.dim) == (True, True, True)
+        assert len({p.values for p in rep.samples_used}) == 8
+        assert rep.dim_table == {"p0": [3, 2, 1],
+                                 **{f"sample{i}": [3, 2, 1]
+                                    for i in range(8)}}
+        assert rep.inv_detail == {0: "differential", 1: "differential",
+                                  2: "differential"}
+        assert (rep.indices.rho, rep.indices.kappa,
+                rep.indices.n_minus_nstar) == ([1, 1], [2], 2)
+        assert rep.warnings == []
+
+    def test_nonholonomic_report(self):
+        ls, flag, _, _ = nonholonomic()
+        rep = evaluate_conditions(ls, flag, n_samples=6, seed=0)
+        assert (rep.con, rep.inv, rep.dim) == (True, False, True)
+        assert len({p.values for p in rep.samples_used}) == 6
+        assert rep.dim_table == {"p0": [3, 2, 1],
+                                 **{f"sample{i}": [3, 2, 1]
+                                    for i in range(6)}}
+        assert rep.inv_detail == {0: "differential", 1: "fails",
+                                  2: "differential"}
+        assert (rep.indices.rho, rep.indices.kappa,
+                rep.indices.n_minus_nstar) == ([1, 1], [2], 2)
+        assert rep.warnings == [
+            "involutivity fails: indices computed from the raw ideals are "
+            "advisory only"]
+
+
+class TestOneTablePerRun:
+    """A run builds Ann(T_pL) once per distinct point and decides each
+    (ideal, point) intersection dimension once, for all three conditions
+    and the indices together."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        counts = {"ann": 0, "dim": 0}
+        ann, dim = conditions.ann_tangent_L, numlin.intersection_dim
+
+        def count(key, f):
+            def counted(*a):
+                counts[key] += 1
+                return f(*a)
+            return counted
+        monkeypatch.setattr(conditions, "ann_tangent_L", count("ann", ann))
+        monkeypatch.setattr(numlin, "intersection_dim", count("dim", dim))
+        return counts
+
+    def test_worked_run(self, sec5_lifted, sec5_flag, monkeypatch):
+        # p0 and 8 distinct samples; at each, the 4 distinct flag entries
+        # and the closure of the one level that is not closed
+        counts = self.spy(monkeypatch)
+        rep = evaluate_conditions(sec5_lifted, sec5_flag, n_samples=8,
+                                  seed=0)
+        assert rep.all_hold
+        assert counts == {"ann": 9, "dim": 45}
+
+    def test_point_target_run(self, chain3, monkeypatch):
+        # every sample is x0: one point besides p0
+        ls = lift_system(chain3)
+        flag = derived_flag(ls.I0)
+        counts = self.spy(monkeypatch)
+        rep = evaluate_conditions(ls, flag, n_samples=8, seed=0)
+        assert rep.all_hold
+        assert counts["ann"] == 2

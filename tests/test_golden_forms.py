@@ -90,7 +90,6 @@ def test_golden_canonical_forms(sec5_flag, sec5_closures):
 
 if __name__ == "__main__":
     from conftest import make_sec5_system
-    from tflkit.conditions import compute_closures
     from tflkit.lift import lift_system
     from tflkit.pfaffian import derived_flag
 
@@ -98,4 +97,4 @@ if __name__ == "__main__":
     flag = derived_flag(lifted.I0)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(
-        golden(flag, compute_closures(lifted, flag, 5)), indent=1) + "\n")
+        golden(flag, [flag.closure(k) for k in range(6)]), indent=1) + "\n")

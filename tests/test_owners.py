@@ -3,8 +3,9 @@ module but numlin tests a row against a span itself (the others keep
 components through `numlin.extend_basis`), algorithm reads a verdict on N
 only through `ControlSystem.certify_vanishing`, the one place where a
 sampled verdict becomes a warning, conditions decides every pointwise
-condition from `numlin.intersection_dim`, and each integrated component is
-classified as vanishing on L or not once, in `frobenius_integrate`."""
+condition from `numlin.intersection_dim` in its one point table, and each
+integrated component is classified as vanishing on L or not once, in
+`frobenius_integrate`."""
 
 import ast
 from pathlib import Path
@@ -74,6 +75,16 @@ def test_the_check_sees_each_pattern():
 def test_conditions_decides_from_intersection_dimensions():
     assert set(_numlin_names(_tree(SRC / "conditions.py"))) \
         == {"intersection_dim"}
+
+
+def test_one_point_table_in_conditions():
+    # apart from the imports, only the table builds Ann(T_pL) and the
+    # pointwise spans it is intersected with
+    tree = _tree(SRC / "conditions.py")
+    tree.body = [node for node in tree.body
+                 if not isinstance(node, ast.ImportFrom)]
+    for name in ("ann_tangent_L", "_span_with_dt"):
+        assert list(_callers(tree, name)) == ["_PointTable"]
 
 
 def test_components_classified_once():
