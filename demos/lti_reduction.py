@@ -14,9 +14,9 @@ import sys
 
 sys.path.insert(0, __file__.rsplit("/", 2)[0] + "/tests")
 
-from tflkit.conditions import check_con
 from tflkit.lift import lift_system
 from tflkit.pfaffian import derived_flag
+from _checks import check_con
 from _lti import random_lti_instance, rank_test_oracle
 
 

@@ -9,19 +9,16 @@ controllability indices, the nested zero-dynamics manifolds, and the
 normal-form coordinate/feedback transformation.
 """
 
-from .expr import (Expr, Point, VariableSpace, Zeroness, diff, eval_at,
-                   is_zero, parse_expr, substitute)
+from .expr import Expr, Point, VariableSpace, Zeroness, parse_expr
 from .forms import (KForm, VectorField, contract, coordinate_field,
                     coordinate_form, d_of_function, exterior_derivative,
-                    lie_bracket, lie_derivative, wedge)
+                    wedge)
 from .pfaffian import (Flag, Membership, PfaffianIdeal, augment_with_dt,
                        derived_flag, derived_system, differential_closure,
                        ideal_membership)
-from .lift import (ControlSystem, LiftedSystem, ann_tangent_L, g_module,
-                   involutive_closure, lift_system, s_module)
-from .conditions import (ConditionReport, IndexProfile, check_con, check_dim,
-                         check_inv, evaluate_conditions,
-                         intersection_dimension, rho_indices, sample_on_N)
+from .lift import ControlSystem, LiftedSystem, ann_tangent_L, lift_system
+from .conditions import (ConditionReport, IndexProfile, evaluate_conditions,
+                         sample_on_N)
 from .integrate import (SmoothMapAdapted, adapt_subordinate, adapt_to_L,
                         frobenius_integrate)
 from .algorithm import (NoRelativeDegree, NormalFormData, RelativeDegree,

@@ -45,13 +45,11 @@ __all__ = [
 class RelativeDegree:
     kappa: list
     decoupling: np.ndarray
-    warnings: list = dfield(default_factory=list)
 
 
 @dataclass
 class NoRelativeDegree:
     reason: str
-    warnings: list = dfield(default_factory=list)
 
 
 @dataclass
@@ -106,7 +104,6 @@ def vector_relative_degree(sys: ControlSystem, h):
     x0 = sys.x0_point()
     m = sys.vars.m
     n = sys.vars.n
-    warnings = []
     grads = np.array([sys.grad_at_x0(hi) for hi in h])
     if numlin.rank(grads) != len(h):
         raise IndependenceViolation(
@@ -121,8 +118,7 @@ def vector_relative_degree(sys: ControlSystem, h):
             states = [lg_j.zeroness() for lg_j in lg]
             if any(z == Zeroness.INCONCLUSIVE for z in states):
                 return NoRelativeDegree(
-                    "a mixed Lie derivative has an inconclusive zero test",
-                    warnings)
+                    "a mixed Lie derivative has an inconclusive zero test")
             if any(z == Zeroness.NONZERO for z in states):
                 found = r + 1
                 try:
@@ -135,14 +131,13 @@ def vector_relative_degree(sys: ControlSystem, h):
             cur = sys.lie_f(cur)
         if found is None:
             return NoRelativeDegree(
-                f"no input reaches output '{hi}' within {n} derivatives",
-                warnings)
+                f"no input reaches output '{hi}' within {n} derivatives")
         kappa.append(found)
     D = np.array(rows)
     if numlin.rank(D) != len(h):
         return NoRelativeDegree(
-            "decoupling matrix is row-rank deficient at x0", warnings)
-    return RelativeDegree(kappa=kappa, decoupling=D, warnings=warnings)
+            "decoupling matrix is row-rank deficient at x0")
+    return RelativeDegree(kappa=kappa, decoupling=D)
 
 
 def dual_rd_check(ls: LiftedSystem, flag, h, kappa1: int) -> bool:

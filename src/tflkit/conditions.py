@@ -9,13 +9,13 @@ the raw dimensions at sampled points of L to equal those at p0.  The last
 two are certified at p0 plus a finite sample set, a documented soundness
 gap: pointwise conditions on an open set are not finitely decidable.
 
-One point table per run (`_PointTable`) holds these dimensions, at p0 and
+A point table (`_PointTable`) holds these dimensions, at p0 and
 at each distinct sample (on a point target, where Newton projection
 returns x0 each time, the samples share one point; p0 keeps its own).
 Ann(T_pL) is built on a point's first read, and each (ideal, point)
-dimension is decided once by `numlin.intersection_dim`.  (Con), (Inv),
-(Dim) and the indices read it: `evaluate_conditions` builds one table, and
-each single check builds its own.  Most levels are closed (the derived step
+dimension is decided once by `numlin.intersection_dim`.
+`evaluate_conditions` builds one table per run and reads (Con), (Inv),
+(Dim) and the indices from it.  Most levels are closed (the derived step
 of I^(k) found <I^(k), dt> differential, see `Flag`), so span{I^(k)_p,
 dt_p} serves as the closure's span too; it comes from I^(k)'s own rows and
 the dt row (`Flag.with_dt`).  Only a level that is not closed builds its
@@ -32,18 +32,13 @@ import numpy as np
 from .errors import DomainError, SamplingFailed
 from .expr import Point
 from .lift import ControlSystem, LiftedSystem, ann_tangent_L
-from .pfaffian import PfaffianIdeal, Flag, _span_with_dt
+from .pfaffian import Flag, _span_with_dt
 from . import numlin
 
 __all__ = [
     "IndexProfile",
     "ConditionReport",
     "sample_on_N",
-    "intersection_dimension",
-    "rho_indices",
-    "check_con",
-    "check_dim",
-    "check_inv",
     "evaluate_conditions",
 ]
 
@@ -168,6 +163,8 @@ class _PointTable:
         return [self.dim(span(k), i) for k in range(self.nn + 1)]
 
     def con(self, flag):
+        """(Con): both sides hold the dt row, so the terminal intersection
+        at p0 always holds the dt line, and (Con) is its being 1-dim."""
         return self.dim(_closure_span(flag, self.nn), 0) == 1
 
     def inv(self, flag):
@@ -192,21 +189,6 @@ class _PointTable:
         return table
 
 
-def intersection_dimension(ls: LiftedSystem, ideal: PfaffianIdeal,
-                           p: Point) -> int:
-    """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} )."""
-    return _PointTable(ls, [p]).dim(ideal, 1)
-
-
-def rho_indices(ls: LiftedSystem, flag: Flag) -> IndexProfile:
-    """rho_i = dim drop of Ann(T_p0 L) cap span{closure_i, dt} from level i
-    to i+1; kappa = conjugate partition (the transverse controllability
-    indices)."""
-    table = _PointTable(ls, [])
-    return _index_profile(
-        table.row(lambda k: _closure_span(flag, k), 0), table.nn)
-
-
 def _index_profile(dims, nn):
     """rho and kappa from the p0 intersection dimensions of levels
     0..nn."""
@@ -219,52 +201,9 @@ def _index_profile(dims, nn):
     return IndexProfile(rho=rho, kappa=kappa, n_minus_nstar=nn)
 
 
-def check_con(ls: LiftedSystem, flag: Flag) -> bool:
-    """Terminal intersection is the dt line only.  Both sides hold the dt
-    row itself (Ann(T_pL) as the differential of t, the span as its added
-    row), so the intersection always contains the dt line, and (Con) is
-    its dimension being 1: the same SVD rank decision as (Dim) and the
-    index profile.  At a closed level n - n* it is the raw dimension."""
-    return _PointTable(ls, []).con(flag)
-
-
-def check_dim(ls: LiftedSystem, flag: Flag, samples) -> bool:
-    """Intersection dimensions at every sample equal their value at p0,
-    for each level of the raw dt-augmented flag."""
-    if not samples:
-        raise ValueError("check_dim needs at least one sample")
-    return _dims_constant(dim_table(ls, flag, samples))
-
-
 def _dims_constant(table):
     """(Dim) read off a dimension table: every row equals the p0 row."""
     return all(row == table["p0"] for row in table.values())
-
-
-def dim_table(ls: LiftedSystem, flag: Flag, samples):
-    """dim(Ann(T_pL) cap <I^(k), dt>_p) for k = 0..n-n*, one row at p0
-    and one at each sample; each distinct sample point is decided once."""
-    return _PointTable(ls, samples).dim_table(flag)
-
-
-def check_inv(ls: LiftedSystem, flag: Flag, samples, detail=None) -> bool:
-    """Each intersection with the raw ideal span lies inside the closure's
-    span, at p0 and at every sample, each distinct point once.  Levels
-    whose dt-augmented ideal is already differential hold trivially and
-    are skipped: the closed levels without building anything, and a level
-    whose closure keeps every generator of <I^(k), dt>.  A level that
-    fails is not read at the points after.
-
-    Decided by dimension.  The closure of <I^(k), dt> is a sub-ideal of it
-    (each derived step checks that its generators stay in the parent), so
-    span(closure_p) lies in span(raw_p), and Ann(T_pL) cap span(closure_p)
-    in Ann(T_pL) cap span(raw_p).  The latter lies in Ann(T_pL), so it lies
-    inside span(closure_p) exactly when it lies inside the former; given
-    that inclusion, exactly when the two have equal dimension."""
-    verdicts = _PointTable(ls, samples).inv(flag)
-    if detail is not None:
-        detail.update(verdicts)
-    return "fails" not in verdicts.values()
 
 
 def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,

@@ -36,10 +36,7 @@ __all__ = [
     "Point",
     "Expr",
     "parse_expr",
-    "diff",
-    "substitute",
-    "eval_at",
-    "is_zero",
+    "float_at",
     "denominator_lcm",
     "divide_by_gcd",
     "divide_by_factors",
@@ -49,7 +46,7 @@ __all__ = [
 
 KERNEL_NAMES = ("exp", "sin", "cos", "ln")
 
-# Randomized falsifier policy (see is_zero): number of sample points, the
+# Randomized falsifier policy (see Expr.zeroness): number of sample points, the
 # magnitude threshold below which a float sample counts as vanishing, and the
 # coordinate box [-3, 3] with denominators <= 8.
 FALSIFIER_SAMPLES = 16
@@ -143,10 +140,6 @@ class Point:
             for v in values)
         self._integers = None  # integer_form(), False for a float point
         self._perturbed = None  # pfaffian.perturbed_points of this point
-
-    @classmethod
-    def from_map(cls, vars, mapping):
-        return cls(vars, [mapping[nm] for nm in vars.names])
 
     def value(self, index):
         return self.values[index]
@@ -1499,20 +1492,14 @@ def parse_expr(text: str, vars: VariableSpace) -> Expr:
     return _Parser(text, vars).parse()
 
 
-def diff(e: Expr, v) -> Expr:
-    return e.diff(v)
-
-
-def substitute(e: Expr, bindings) -> Expr:
-    return e.substitute(bindings)
-
-
-def eval_at(e: Expr, p: Point) -> float:
-    return float(e.eval(p))
-
-
-def is_zero(e: Expr, seed=FALSIFIER_SEED) -> str:
-    return e.zeroness(seed)
+def float_at(e: Expr, p: Point) -> float:
+    """The value of e at p as a float, for a row of a pointwise matrix; a
+    value beyond float range raises DomainError naming e."""
+    try:
+        return float(e.eval(p))
+    except OverflowError:
+        raise DomainError(
+            f"the value of '{e}' at a point is beyond float range") from None
 
 
 # ---------------------------------------------------------------------------

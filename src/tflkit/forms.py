@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegreeOverflow
-from .expr import Expr, Point, VariableSpace
+from .expr import Expr, Point, VariableSpace, float_at
 
 __all__ = [
     "VectorField",
@@ -19,8 +19,6 @@ __all__ = [
     "wedge",
     "exterior_derivative",
     "contract",
-    "lie_derivative",
-    "lie_bracket",
     "coordinate_form",
     "coordinate_field",
     "d_of_function",
@@ -55,7 +53,7 @@ class VectorField:
         return VectorField(self.vars, [e * c for c in self.components])
 
     def at(self, p: Point):
-        return np.array([float(c.eval(p)) for c in self.components])
+        return np.array([float_at(c, p) for c in self.components])
 
     def is_structural_zero(self):
         return all(c.is_structural_zero() for c in self.components)
@@ -125,7 +123,7 @@ class KForm:
             raise ValueError("pointwise rows only defined for one-forms")
         row = np.zeros(self.vars.total)
         for (i,), c in self.terms.items():
-            row[i] = float(c.eval(p))
+            row[i] = float_at(c, p)
         return row
 
     def __repr__(self):
@@ -235,25 +233,3 @@ def contract(X: VectorField, a: KForm) -> KForm:
                 coeff = -coeff
             terms[rest] = terms[rest] + coeff if rest in terms else coeff
     return KForm(a.vars, a.degree - 1, terms)
-
-
-def lie_derivative(X: VectorField, a):
-    """Cartan's formula for forms; directional derivative for Expr/0-forms."""
-    if isinstance(a, Expr):
-        out = Expr.zero(a.vars)
-        for i, comp in enumerate(X.components):
-            if comp.is_structural_zero():
-                continue
-            out = out + comp * a.diff(i)
-        return out
-    if a.degree == 0:
-        return KForm.of_function(lie_derivative(X, a.as_function()))
-    return contract(X, exterior_derivative(a)) + exterior_derivative(contract(X, a))
-
-
-def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    comps = []
-    for i in range(X.vars.total):
-        c = lie_derivative(X, Y.components[i]) - lie_derivative(Y, X.components[i])
-        comps.append(c)
-    return VectorField(X.vars, comps)

@@ -47,10 +47,6 @@ class SmoothMapAdapted:
     components: list
     vanish_count: int
     k: int
-    provenance: list
-
-    def differentials(self):
-        return [d_of_function(c) for c in self.components]
 
     def vanishing(self):
         return self.components[:self.vanish_count]
@@ -368,18 +364,18 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
             warnings.append("differential-ideal precondition inconclusive")
     target = len(ideal)
     bindings = _p0_bindings(vars0, p0)
-    found = []          # (component, provenance)
+    found = []          # anchored components, in the order found
     found_rows = []     # numeric dF rows at p0
 
-    def try_add(comp: Expr, tag):
+    def try_add(comp: Expr):
         if not numlin.extend_basis(found_rows, [_row_at(comp, p0)]):
             return False
-        found.append((_anchor(comp, bindings), tag))
+        found.append(_anchor(comp, bindings))
         return True
 
     def found_echelon():
         rows = [[dc.coefficient((i,)) for i in range(vars0.total)]
-                for dc in (d_of_function(c) for c, _ in found)]
+                for dc in (d_of_function(c) for c in found)]
         return rref_function_field(rows, p0)
 
     def residual(g, echelon):
@@ -397,7 +393,7 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
         if exterior_derivative(g).is_structural_zero():
             F = poincare_potential(g)
             if F is not None:
-                try_add(F, "integrated")
+                try_add(F)
     # layer: closed polynomial-coefficient combinations
     if len(found) < target:
         for form in _closed_combinations(ideal, combo_degree):
@@ -405,7 +401,7 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
                 break
             F = poincare_potential(form)
             if F is not None:
-                try_add(F, "integrated")
+                try_add(F)
     # layer: integrating factors on the generators' residuals against the
     # components found before this layer
     if len(found) < target:
@@ -421,7 +417,7 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
                 continue
             F = poincare_potential(candidate)
             if F is not None:
-                try_add(F, "integrated")
+                try_add(F)
     # layer: user hints
     for hint in hints:
         if len(found) == target:
@@ -434,7 +430,7 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
         if m == Membership.INCONCLUSIVE:
             warnings.append(f"hint '{hint}' membership inconclusive; skipped")
             continue
-        if not try_add(hint, "hint"):
+        if not try_add(hint):
             warnings.append(f"hint '{hint}' is rank-redundant; skipped")
 
     if len(found) < target:
@@ -446,36 +442,28 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
             f"integrated {len(found)} of {target} directions; residual "
             f"generators need hints: {residuals}", residual=residuals, k=k)
 
-    comps = [c for c, _ in found]
-    tags = [t for _, t in found]
     if ls is not None:
-        return _classify_and_order(comps, tags, ls, k)
-    return SmoothMapAdapted(list(comps), 0, k if k is not None else -1,
-                            provenance=list(tags))
+        return _classify_and_order(found, ls, k)
+    return SmoothMapAdapted(found, 0, k if k is not None else -1)
 
 
-def _classify_and_order(comps, tags, ls: LiftedSystem, k):
+def _classify_and_order(comps, ls: LiftedSystem, k):
     """Order components [vanishing-on-L (t last)] ++ [rest]."""
     t_expr = Expr.var_index(ls.vars, 0)
-    van, van_tags, rest, rest_tags = [], [], [], []
+    van, rest = [], []
     t_present = False
-    for c, tag in zip(comps, tags):
+    for c in comps:
         if c == t_expr:
             t_present = True
             continue
         # c vanishes on L when its restriction to t = 0 vanishes on N
         if ls.base.vanishes_on_N(c.substitute({0: 0})) == Zeroness.ZERO:
             van.append(c)
-            van_tags.append(tag)
         else:
             rest.append(c)
-            rest_tags.append(tag)
     if t_present:
         van.append(t_expr)
-        van_tags.append("time")
-    ordered = van + rest
-    return SmoothMapAdapted(ordered, len(van), k if k is not None else -1,
-                            provenance=van_tags + rest_tags)
+    return SmoothMapAdapted(van + rest, len(van), k if k is not None else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -563,18 +551,13 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
     # completion: keep enough old non-vanishing components for full rank
     vanish_block = new_comps + F.vanishing()
     rows = rows[have:] + rows[:have]        # in vanish_block order
-    rest = list(zip(pool, F.provenance[have:]))
-    completion = [rest[i] for i in numlin.extend_basis(
-        rows, (_row_at(c, p0) for c, _ in rest))]
-    comps = vanish_block + [c for c, _ in completion]
+    comps = vanish_block + [pool[i] for i in numlin.extend_basis(
+        rows, (_row_at(c, p0) for c in pool))]
     if len(comps) != ell or numlin.rank(np.vstack(rows)) != ell:
         raise AdaptationFailed(
             "adapted map lost rank; the combination consumed more "
             "directions than it added", k=F.k)
-    tags = (["adapted"] * len(new_comps)
-            + F.provenance[:have]
-            + [t for _, t in completion])
-    return SmoothMapAdapted(comps, target_vanish, F.k, provenance=tags)
+    return SmoothMapAdapted(comps, target_vanish, F.k)
 
 
 def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
@@ -603,22 +586,17 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
                 "span; flag data corrupted", k=k)
     t_expr = Expr.var_index(vars0, 0)
     # vanishing non-tower components that stay independent of the towers
-    others = [(c, tag) for c, tag in zip(F.vanishing(),
-                                         F.provenance[:F.vanish_count])
-              if c != t_expr and c not in towers]
+    others = [c for c in F.vanishing() if c != t_expr and c not in towers]
     rows = [_row_at(c, p0) for c in towers]
-    head = [others[i] for i in numlin.extend_basis(
-        rows, (_row_at(c, p0) for c, _ in others))]
-    comps = [c for c, _ in head] + towers + [t_expr]
-    out_tags = [t for _, t in head] + ["tower"] * len(towers) + ["time"]
+    comps = [others[i] for i in numlin.extend_basis(
+        rows, (_row_at(c, p0) for c in others))] + towers + [t_expr]
     vanish_count = len(comps)
     rows = rows[len(towers):] + rows[:len(towers)] + [_row_at(t_expr, p0)]
     for i in numlin.extend_basis(rows, (_row_at(c, p0) for c in F.components),
                                  limit=len(F.components)):
         comps.append(F.components[i])
-        out_tags.append(F.provenance[i])
     if len(comps) != len(F.components):
         raise AdaptationFailed(
             "subordination lost rank while rebuilding the component list",
             k=k)
-    return SmoothMapAdapted(comps, vanish_count, F.k, provenance=out_tags)
+    return SmoothMapAdapted(comps, vanish_count, F.k)

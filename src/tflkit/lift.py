@@ -1,5 +1,5 @@
-"""Control systems, their lift to the time-control-state manifold, and the
-bracket modules used as cross-check oracles.
+"""Control systems and their lift to the time-control-state manifold: the
+system ideal and the defining functions of the lifted target L.
 
 The plant is control-affine with a target manifold N given by defining
 functions, a base point x0 on N, and a feedback u* rendering N invariant.
@@ -14,11 +14,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (DomainError, InvarianceViolation, NotOnN, NotStateOnly,
-                     PointNotOnL, RankDeficientN, RegularityViolation)
+                     PointNotOnL, RankDeficientN)
 from .expr import Expr, Point, VariableSpace, Zeroness
 from .forms import (KForm, VectorField, coordinate_field, coordinate_form,
-                    contract, lie_bracket)
-from .pfaffian import PfaffianIdeal, rref_function_field
+                    contract)
+from .pfaffian import PfaffianIdeal
 from . import numlin
 
 __all__ = [
@@ -26,9 +26,6 @@ __all__ = [
     "LiftedSystem",
     "lift_system",
     "ann_tangent_L",
-    "g_module",
-    "s_module",
-    "involutive_closure",
 ]
 
 _VANISH_TOL = 1e-10
@@ -281,7 +278,10 @@ class ControlSystem:
 
 
 class LiftedSystem:
-    """The plant lifted to M, with the system ideal and control module."""
+    """The plant lifted to M: the fields f, g_j and Y = d/dt + f +
+    sum_j u_j g_j, the system ideal I0 of the one-forms omega that
+    annihilate Y, and the defining functions of L (t, then N's) with their
+    differentials."""
 
     def __init__(self, base: ControlSystem):
         self.base = base
@@ -308,7 +308,6 @@ class LiftedSystem:
             if not contract(Y, w).as_function().is_structural_zero():
                 raise AssertionError("system ideal fails to annihilate Y")
         self.I0 = PfaffianIdeal(omegas, self.p0, "system")
-        self.U_module = [coordinate_field(vars0, 1 + j) for j in range(m)]
         self.L_defs = [Expr.var_index(vars0, 0)] + list(base.N_defs)
         # d(phi) for each phi in L_defs: dt, then the state gradients of N's
         # defining functions (state functions, checked by ControlSystem)
@@ -335,71 +334,3 @@ def ann_tangent_L(ls: LiftedSystem, p: Point):
     if numlin.rank(rows) != len(ls.L_defs):
         raise RankDeficientN("Ann(T_pL) rows drop rank at the point")
     return rows
-
-
-def g_module(ls: LiftedSystem, k: int):
-    """Generators ad_f^j g_i for 0 <= j <= k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = list(ls.g)
-    layer = list(ls.g)
-    for _ in range(k):
-        layer = [lie_bracket(ls.f, X) for X in layer]
-        out.extend(layer)
-    return out
-
-
-def _field_rows(fields):
-    return [[c for c in X.components] for X in fields]
-
-
-def reduce_fields(fields, p0):
-    """Echelon-reduced generator list spanning the same module."""
-    if not fields:
-        return []
-    vars0 = fields[0].vars
-    rows, _ = rref_function_field(_field_rows(fields), p0)
-    return [VectorField(vars0, r) for r in rows]
-
-
-def s_module(ls: LiftedSystem, k: int):
-    """S^0 = G^0; S^k = span{S^{k-1}, [S^{k-1}, S^{k-1}], G^k}."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    current = list(ls.g)
-    for step in range(1, k + 1):
-        brackets = []
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                b = lie_bracket(current[i], current[j])
-                if not b.is_structural_zero():
-                    brackets.append(b)
-        gk = g_module(ls, step)
-        current = reduce_fields(current + brackets + gk, ls.p0)
-    return current
-
-
-def involutive_closure(fields, p0, max_rounds=None):
-    """Append pairwise brackets until the generic rank stabilizes."""
-    if not fields:
-        return []
-    vars0 = fields[0].vars
-    if max_rounds is None:
-        max_rounds = vars0.total
-    basis = reduce_fields(fields, p0)
-    rank = len(basis)
-    for _ in range(max_rounds):
-        brackets = []
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                b = lie_bracket(basis[i], basis[j])
-                if not b.is_structural_zero():
-                    brackets.append(b)
-        new_basis = reduce_fields(basis + brackets, p0)
-        if len(new_basis) == rank:
-            return new_basis
-        if len(new_basis) < rank:
-            raise RegularityViolation("involutive closure lost rank")
-        basis, rank = new_basis, len(new_basis)
-    raise RegularityViolation(
-        "involutive closure failed to stabilize within the round bound")

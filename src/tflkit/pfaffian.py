@@ -2,7 +2,7 @@
 
 An ideal is represented by its one-form generators, kept in a deterministic
 reduced echelon order.  All linear algebra over the coefficient function
-field goes through `is_zero`-certified pivots, with numeric cross-checks at
+field goes through `zeroness`-certified pivots, with numeric cross-checks at
 the base point and at perturbed sample points so that a failure of the
 regularity assumption surfaces as RegularityViolation instead of a silently
 wrong flag.
@@ -21,7 +21,7 @@ from .errors import (DomainError, InconclusiveZeroTest, NoTermination,
                      RegularityViolation)
 from .expr import (Expr, Point, Zeroness, coprime_factor_base,
                    denominator_lcm, divide_by_factors, divide_by_gcd,
-                   exact_quotient)
+                   exact_quotient, float_at)
 from .forms import KForm, coordinate_form, exterior_derivative, wedge
 from . import numlin
 
@@ -103,7 +103,7 @@ def _pivot_in_column(rows, col, start, p0, require_p0):
             continue
         if require_p0:
             try:
-                val = abs(float(c.eval(p0)))
+                val = abs(float_at(c, p0))
             except DomainError:
                 val = 0.0
             if val <= numlin.RANK_TOL:
@@ -404,7 +404,7 @@ def _span_with_dt(ideal: PfaffianIdeal, p: Point):
     for r, g in enumerate(ideal.generators):
         for (i,), c in g.terms.items():
             if i:
-                rows[r, i] = float(c.eval(p))
+                rows[r, i] = float_at(c, p)
     rows[-1, 0] = 1.0
     return rows
 

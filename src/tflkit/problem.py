@@ -47,8 +47,6 @@ EXIT_INTERNAL = 5
 
 @dataclass
 class ProblemFile:
-    states: list
-    inputs: list
     f: list
     g: list
     N: list
@@ -57,7 +55,7 @@ class ProblemFile:
     parametrization: list | None
     hints: dict
     options: dict
-    vars: VariableSpace = None
+    vars: VariableSpace
 
     def to_control_system(self) -> ControlSystem:
         return ControlSystem(self.vars, self.f, self.g, self.N, self.x0,
@@ -207,9 +205,9 @@ def loads_problem(text: str) -> ProblemFile:
             raise ProblemFormatError(
                 f"option '{key}' must be an integer", lineno) from None
 
-    return ProblemFile(states=states, inputs=inputs, f=f, g=g, N=N, x0=x0,
-                       u_star=u_star, parametrization=parametrization,
-                       hints=hints, options=options, vars=vars0)
+    return ProblemFile(f=f, g=g, N=N, x0=x0, u_star=u_star,
+                       parametrization=parametrization, hints=hints,
+                       options=options, vars=vars0)
 
 
 def _reject_unknown_keys(sec, name, known):

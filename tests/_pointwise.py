@@ -5,6 +5,7 @@ ranks of an adapted map's differentials at a point."""
 import numpy as np
 
 from tflkit import numlin
+from tflkit.forms import d_of_function
 from tflkit.lift import ann_tangent_L
 from tflkit.numlin import RANK_TOL
 
@@ -44,15 +45,20 @@ def pointwise_span(ideal, p):
     return row_reduce(ideal.at(p))
 
 
+def differentials(F):
+    """The differentials of the components of the adapted map F."""
+    return [d_of_function(c) for c in F.components]
+
+
 def rank_at(F, p):
     """Rank of the differentials of the components of the adapted map F
     at p."""
-    return numlin.rank(np.array([d.at(p) for d in F.differentials()]))
+    return numlin.rank(np.array([d.at(p) for d in differentials(F)]))
 
 
 def restricted_rank_on_L(F, ls):
     """Rank of the Jacobian of the adapted map F restricted to L at p0."""
     # tangent basis of L at p0 = nullspace of the annihilator rows
     tangent = numlin.null_basis(ann_tangent_L(ls, ls.p0))
-    rows = np.array([d.at(ls.p0) for d in F.differentials()])
+    rows = np.array([d.at(ls.p0) for d in differentials(F)])
     return numlin.rank(rows @ tangent.T)

@@ -15,16 +15,18 @@ import pytest
 import tflkit.numlin as numlin
 from tflkit.expr import Expr, Point, VariableSpace, Zeroness, parse_expr
 from tflkit.forms import coordinate_form, d_of_function, exterior_derivative
-from tflkit.lift import ControlSystem, lift_system, s_module, g_module
+from tflkit.lift import ControlSystem, lift_system
 from tflkit.pfaffian import (Membership, PfaffianIdeal, augment_with_dt,
                              derived_flag, ideal_membership)
-from tflkit.conditions import check_con, check_dim, check_inv, sample_on_N
+from tflkit.conditions import sample_on_N
 from tflkit.integrate import adapt_to_L, frobenius_integrate
 from tflkit.algorithm import (RelativeDegree, run_tfl, vector_relative_degree)
 from tflkit.problem import cmd_solve, dumps_report, load_problem
 
 from conftest import (make_sec5_system, random_one_form, random_vector_field)
 from _lti import random_lti_instance, rank_test_oracle
+from _brackets import s_module, u_module
+from _checks import check_con, check_dim, check_inv
 
 ROOT = Path(__file__).resolve().parent.parent
 SEC5_FILE = ROOT / "problems" / "paper-sec5.tfl"
@@ -75,7 +77,7 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_indices(self, sec5_lifted, sec5_flag):
-        from tflkit.conditions import rho_indices
+        from _checks import rho_indices
         prof = rho_indices(sec5_lifted, sec5_flag)
         ok = prof.rho == [2, 2, 1, 0] and prof.kappa == [3, 2]
         report(2, f"rho {tuple(prof.rho)}, kappa {tuple(prof.kappa)}", ok)
@@ -171,7 +173,8 @@ class TestCriterion7:
         assert bad == 0
 
     def test_cartan_formula(self):
-        from tflkit.forms import contract, lie_derivative
+        from tflkit.forms import contract
+        from _brackets import lie_derivative
         vs = VariableSpace.canonical(3, 1)
         rng = random.Random(102)
         bad = 0
@@ -188,7 +191,7 @@ class TestCriterion7:
         assert bad == 0
 
     def test_jacobi_identity(self):
-        from tflkit.forms import lie_bracket
+        from _brackets import lie_bracket
         vs = VariableSpace.canonical(2, 1)
         rng = random.Random(103)
         bad = 0
@@ -252,7 +255,7 @@ class TestCriterion7:
             except (RegularityViolation, InconclusiveZeroTest):
                 continue
             k = rng.randint(1, max(1, len(flag.entries) - 1))
-            fields = ls.U_module + s_module(ls, k - 1)
+            fields = u_module(ls) + s_module(ls, k - 1)
             p = Point(ls.vars, [v + rng.uniform(-0.2, 0.2)
                                 for v in ls.p0.as_float_tuple()])
             span = augment_with_dt(flag.entry(k)).at(p)

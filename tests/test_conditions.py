@@ -9,10 +9,11 @@ from tflkit.errors import PointNotOnL
 from tflkit.expr import Expr, VariableSpace, parse_expr
 from tflkit.lift import ControlSystem, ann_tangent_L, lift_system
 from tflkit.pfaffian import augment_with_dt, derived_flag
-from tflkit.conditions import (_span_with_dt, check_con, check_dim, check_inv,
-                               evaluate_conditions, intersection_dimension,
-                               rho_indices, sample_on_N)
+from tflkit.conditions import (_span_with_dt, evaluate_conditions,
+                               sample_on_N)
 from conftest import make_chain3, make_double_integrator
+from _checks import (check_con, check_dim, check_inv, dim_table,
+                     intersection_dimension, rho_indices)
 
 
 def build(vs_dims, f_strs, g_cols, n_strs, x0, ustar_strs):
@@ -248,7 +249,7 @@ class TestDistinctPoints:
         flag = derived_flag(ls.I0)
         samples = sample_on_N(chain3, 8, seed=0)
         anns = self.count_anns(monkeypatch)
-        table = conditions.dim_table(ls, flag, samples)
+        table = dim_table(ls, flag, samples)
         assert len(anns) == 2
         assert len(table) == 9
         assert all(table[f"sample{i}"] == table["p0"] for i in range(8))
@@ -259,7 +260,7 @@ class TestDistinctPoints:
                                            sec5, monkeypatch):
         samples = sample_on_N(sec5, 8, seed=0)
         anns = self.count_anns(monkeypatch)
-        table = conditions.dim_table(sec5_lifted, sec5_flag, samples)
+        table = dim_table(sec5_lifted, sec5_flag, samples)
         assert len(anns) == 9
         assert len(table) == 9
 

@@ -9,13 +9,13 @@ import pytest
 import tflkit.expr as expr
 from tflkit.errors import DomainError, ExprSyntaxError, UnknownVariable
 from tflkit.expr import (Expr, Point, VariableSpace, Zeroness,
-                         denominator_lcm, diff, eval_at, exact_quotient,
-                         is_zero, parse_expr, substitute)
+                         denominator_lcm, exact_quotient, parse_expr)
 from conftest import decode, random_polynomial, random_point, random_rational
+from _exprs import diff, eval_at, is_zero, point_from_map, substitute
 
 VS = VariableSpace.canonical(7, 2)
 E = lambda s: parse_expr(s, VS)
-X0 = Point.from_map(VS, dict(t=0, u1=0, u2=0, x1=2, x2=0, x3=4, x4=0,
+X0 = point_from_map(VS, dict(t=0, u1=0, u2=0, x1=2, x2=0, x3=4, x4=0,
                              x5=0, x6=0, x7=0))
 
 

@@ -9,9 +9,10 @@ from tflkit.errors import DegreeOverflow
 from tflkit.expr import Point, VariableSpace, Zeroness, parse_expr
 from tflkit.forms import (KForm, VectorField, contract, coordinate_field,
                           coordinate_form, d_of_function, exterior_derivative,
-                          lie_bracket, lie_derivative, wedge)
+                          wedge)
 from conftest import (random_polynomial, random_one_form, random_two_form,
                       random_vector_field, random_point)
+from _brackets import lie_bracket, lie_derivative
 
 VS = VariableSpace.canonical(7, 2)
 E = lambda s: parse_expr(s, VS)

@@ -5,13 +5,14 @@ import pytest
 
 import tflkit.numlin as numlin
 from tflkit.errors import AdaptationFailed, HintRejected, IntegrationFailed
-from tflkit.expr import Expr, Point, VariableSpace, Zeroness, parse_expr
+from tflkit.expr import Expr, VariableSpace, Zeroness, parse_expr
 from tflkit.forms import coordinate_form, d_of_function, exterior_derivative
 from tflkit.lift import ControlSystem, lift_system
 from tflkit.pfaffian import (Membership, PfaffianIdeal, ideal_membership)
 from tflkit.integrate import (adapt_subordinate, adapt_to_L, antiderivative,
                               frobenius_integrate, poincare_potential)
 from conftest import make_chain3
+from _exprs import point_from_map
 from _pointwise import rank_at, restricted_rank_on_L
 
 VS = VariableSpace.canonical(7, 2)
@@ -67,7 +68,7 @@ class TestPoincare:
 
 
 def _p0():
-    return Point.from_map(VS, dict(t=0, u1=0, u2=0, x1=2, x2=0, x3=4, x4=0,
+    return point_from_map(VS, dict(t=0, u1=0, u2=0, x1=2, x2=0, x3=4, x4=0,
                                    x5=0, x6=0, x7=0))
 
 

@@ -12,12 +12,12 @@ from tflkit.errors import (DomainError, InvarianceViolation, NotOnN,
                            PointNotOnL, RankDeficientN)
 from tflkit.expr import Expr, Point, VariableSpace, Zeroness, parse_expr
 from tflkit.forms import contract, coordinate_form, d_of_function
-from tflkit.lift import (ControlSystem, ann_tangent_L, g_module,
-                         involutive_closure, lift_system, s_module,
-                         reduce_fields)
+from tflkit.lift import ControlSystem, ann_tangent_L, lift_system
 from tflkit.pfaffian import augment_with_dt
 from tflkit.conditions import sample_on_N
 from conftest import make_double_integrator
+from _brackets import g_module, involutive_closure, s_module, u_module
+from _exprs import point_from_map
 
 
 class TestControlSystemValidation:
@@ -361,7 +361,7 @@ class TestBracketModules:
         trajectory direction removed)."""
         ls = sec5_lifted
         S1 = s_module(ls, 1)
-        rows = np.array([X.at(ls.p0) for X in S1 + ls.U_module])
+        rows = np.array([X.at(ls.p0) for X in S1 + u_module(ls)])
         aug = augment_with_dt(sec5_flag.entry(2))
         assert numlin.rank(rows) + numlin.rank(aug.at(ls.p0)) == ls.vars.total
 
@@ -380,7 +380,7 @@ class TestInvolutiveClosure:
         from tflkit.forms import VectorField
         X = VectorField.from_state_components(vs, [E("1"), E("0")])
         Y = VectorField.from_state_components(vs, [E("0"), E("x1")])
-        p = Point.from_map(vs, dict(t=0, u1=0, x1=1, x2=0))
+        p = point_from_map(vs, dict(t=0, u1=0, x1=1, x2=0))
         out = involutive_closure([X, Y], p)
         assert len(out) == 2
         rows = np.array([Z.at(p) for Z in out])
@@ -406,7 +406,7 @@ class TestDualityInvariants:
             p = Point(ls.vars, [v + rng.uniform(-0.3, 0.3)
                                 for v in ls.p0.as_float_tuple()])
             rows = ls.I0.at(p)
-            fields = np.array([X.at(p) for X in [ls.Y] + ls.U_module])
+            fields = np.array([X.at(p) for X in [ls.Y] + u_module(ls)])
             assert np.max(np.abs(rows @ fields.T)) < 1e-9
             assert numlin.rank(rows) + numlin.rank(fields) == ls.vars.total
 
@@ -419,7 +419,7 @@ class TestDualityInvariants:
                             for v in ls.p0.as_float_tuple()])
             for _ in range(4)]
         for k in (1, 2, 3):
-            fields = ls.U_module + s_module(ls, k - 1)
+            fields = u_module(ls) + s_module(ls, k - 1)
             aug = augment_with_dt(sec5_flag.entry(k))
             for p in pts:
                 span = aug.at(p)
@@ -437,7 +437,7 @@ class TestDualityInvariants:
                             for v in ls.p0.as_float_tuple()])
             for _ in range(3)]
         for k in (1, 2):
-            fields = ls.U_module + involutive_closure(
+            fields = u_module(ls) + involutive_closure(
                 g_module(ls, k - 1), ls.p0)
             for p in pts:
                 span = sec5_closures[k].at(p)

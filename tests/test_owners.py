@@ -5,7 +5,10 @@ only through `ControlSystem.certify_vanishing`, the one place where a
 sampled verdict becomes a warning, conditions decides every pointwise
 condition from `numlin.intersection_dim` in its one point table, and each
 integrated component is classified as vanishing on L or not once, in
-`frobenius_integrate`."""
+`frobenius_integrate`.  And src/tflkit holds only what a run reads: every
+public definition is referenced from the package's own modules, bar a short
+list kept for callers outside it, and no module imports a name it does not
+use."""
 
 import ast
 from pathlib import Path
@@ -105,3 +108,107 @@ def test_the_ownership_checks_see_each_pattern():
     tree = ast.parse(code)
     assert sorted(_numlin_names(tree)) == ["intersection_dim", "rank"]
     assert list(_callers(tree, "_classify_and_order")) == ["g", "<module>"]
+
+
+# Public definitions that no src/tflkit module reads, each kept on purpose.
+KEPT_UNREFERENCED = {
+    "expr.VariableSpace.canonical": "tests and demos build x1.., u1.. "
+                                    "spaces with it",
+    "expr.Point.of": "assertions read a coordinate of a point by name",
+    "expr.Point.replace": "assertions move a point off L or N by name",
+    "expr.Point.as_float_tuple": "assertions compare and perturb points "
+                                 "as floats",
+    "pfaffian.Flag.entry": "assertions read I^(k) off a flag",
+    "problem.loads_report": "the inverse of dumps_report; assertions "
+                            "parse reports with it",
+}
+
+
+def _references(trees):
+    """(names, attributes, (base name, attribute) pairs) read anywhere in
+    `trees`; import statements bind names but read none."""
+    names, attrs, pairs = set(), set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    pairs.add((node.value.id, node.attr))
+    return names, attrs, pairs
+
+
+def _unreferenced(modules):
+    """`module.name` and `module.Class.method` for each public top-level
+    definition and public method of `modules` ({stem: tree}) that no
+    module but `__init__` reads.  A function or class counts as read
+    where its name is (after `from .module import name`, or in its own
+    module) or where `module.name` is; a method, where any attribute of
+    its name is."""
+    names, attrs, pairs = _references(
+        tree for stem, tree in modules.items() if stem != "__init__")
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (not node.name.startswith("_") and node.name not in names
+                    and (stem, node.name) not in pairs):
+                yield f"{stem}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if (isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("_")
+                            and sub.name not in attrs):
+                        yield f"{stem}.{node.name}.{sub.name}"
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads (`__future__` aside)."""
+    names, _, _ = _references([tree])
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in names:
+                    yield bound
+
+
+def test_every_public_definition_is_read_in_the_package():
+    modules = {path.stem: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    assert sorted(_unreferenced(modules)) == sorted(KEPT_UNREFERENCED)
+
+
+def test_no_unused_imports():
+    found = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"
+             for name in _unused_imports(_tree(path))]
+    assert found == []
+
+
+def test_the_reference_checks_see_each_pattern():
+    code = ("from __future__ import annotations\n"
+            "import numpy as np\n"
+            "from .expr import Expr, Point\n"
+            "from . import numlin\n"
+            "class A:\n"
+            "    def used(self):\n"
+            "        return numlin.rank(Expr)\n"
+            "    def unused(self):\n"
+            "        return self.used()\n"
+            "def called():\n"
+            "    return A().used\n"
+            "def dead():\n"
+            "    return called()\n"
+            "def _private():\n"
+            "    pass\n")
+    tree = ast.parse(code)
+    assert sorted(_unused_imports(tree)) == ["Point", "np"]
+    other = ast.parse("from .m import called\nx = m.A\ny = called\n")
+    found = sorted(_unreferenced({"m": tree, "n": other}))
+    assert found == ["m.A.unused", "m.dead"]
+    init = ast.parse("from .m import dead\nz = dead\n")
+    found = sorted(_unreferenced({"m": tree, "__init__": init}))
+    assert found == ["m.A.unused", "m.dead"]

@@ -12,12 +12,13 @@ from tflkit.errors import RegularityViolation
 from tflkit.expr import Point, VariableSpace, divide_by_gcd, parse_expr
 from tflkit.forms import (coordinate_form, d_of_function, exterior_derivative,
                           wedge)
-from tflkit.lift import g_module, s_module
 from tflkit.pfaffian import (Flag, Membership, PfaffianIdeal, augment_with_dt,
                              derived_flag, derived_system,
                              differential_closure, ideal_membership,
                              two_form_membership)
 from conftest import decode, make_chain8
+from _brackets import s_module, u_module
+from _exprs import point_from_map
 from _pointwise import pointwise_span
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -29,7 +30,7 @@ DX = lambda nm: coordinate_form(VS, nm)
 def simple_point(vs, **kw):
     vals = {nm: 0 for nm in vs.names}
     vals.update(kw)
-    return Point.from_map(vs, vals)
+    return point_from_map(vs, vals)
 
 
 class TestMembership:
@@ -64,7 +65,7 @@ class TestDerivedSystem:
         ls = sec5_lifted
         I1 = sec5_flag.entry(1)
         assert len(I1) == 5
-        fields = ls.U_module + s_module(ls, 0)
+        fields = u_module(ls) + s_module(ls, 0)
         rng = random.Random(2)
         for _ in range(6):
             p = Point(VS, [v + random.Random(rng.random()).uniform(-0.2, 0.2)
@@ -104,7 +105,7 @@ class TestDerivedFlag:
         ls = sec5_lifted
         rng = random.Random(4)
         for k in (1, 2, 3):
-            fields = [ls.Y] + ls.U_module + s_module(ls, k - 1)
+            fields = [ls.Y] + u_module(ls) + s_module(ls, k - 1)
             p = Point(VS, [v + rng.uniform(0.05, 0.3)
                            for v in ls.p0.as_float_tuple()])
             rows = np.array([X.at(p) for X in fields])
@@ -387,13 +388,14 @@ class TestDtDependentAtBasePoint:
                                       "check_con", "rho_indices"])
     def test_conditions(self, read, sec5_lifted):
         import tflkit.conditions as conditions
+        import _checks
         calls = {
             "evaluate_conditions": lambda f: conditions.evaluate_conditions(
                 sec5_lifted, f),
-            "dim_table": lambda f: conditions.dim_table(
+            "dim_table": lambda f: _checks.dim_table(
                 sec5_lifted, f, [sec5_lifted.p0]),
-            "check_con": lambda f: conditions.check_con(sec5_lifted, f),
-            "rho_indices": lambda f: conditions.rho_indices(sec5_lifted, f),
+            "check_con": lambda f: _checks.check_con(sec5_lifted, f),
+            "rho_indices": lambda f: _checks.rho_indices(sec5_lifted, f),
         }
         with pytest.raises(RegularityViolation) as err:
             calls[read](self.flag())

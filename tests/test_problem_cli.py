@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from tflkit.errors import DimensionMismatch, ProblemFormatError
-from tflkit.expr import Point, parse_expr
+from tflkit.expr import parse_expr
 from tflkit.problem import (EXIT_ADAPTATION, EXIT_CONDITIONS,
                             EXIT_INTEGRATION, EXIT_OK, cmd_check, cmd_solve,
                             dumps_report, load_problem, loads_problem,
                             loads_report)
 from tflkit.cli import main as cli_main
+from _exprs import point_from_map
 
 ROOT = Path(__file__).resolve().parent.parent
 SEC5 = ROOT / "problems" / "paper-sec5.tfl"
@@ -308,7 +309,7 @@ class TestKernelBearingSolve:
             x3 = Fraction(math.atan2(-x1, x2))
             values = dict.fromkeys(vs.names, Fraction(0))
             values.update(x1=x1, x2=x2, x3=x3, x4=Fraction(1))
-            v = h.eval(Point.from_map(vs, values))
+            v = h.eval(point_from_map(vs, values))
             assert v == 0 if isinstance(v, Fraction) else abs(v) <= 1e-12
 
 
@@ -456,6 +457,20 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: the gradient of 'x1^2*x2 + x2' at x0 "
                               "is beyond float range")
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_coefficient_beyond_float_range_at_x0(self, tmp_path, command):
+        # x0 is on N and N is invariant, but the dt coefficient of the
+        # first system one-form, -(x2 + x1^2), is -1e400 at x0
+        bad = tmp_path / "coeffhuge.tfl"
+        bad.write_text(DOUBLE.read_text()
+                       .replace("f = x2, 0", "f = x2 + x1^2, 0")
+                       .replace("x0 = 1, 0", "x0 = 1e200, 0"))
+        code, out, err = self.run_cli(command, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: the value of '-x1^2 - x2' at a point "
+                              "is beyond float range")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_n_value_beyond_float_range_off_n(self, tmp_path, command):
