@@ -8,10 +8,13 @@ a sub-ideal of its ideal, is the two having equal dimension; (Dim) asks
 the raw dimensions at sampled points of L to equal those at p0.  The last
 two are certified at p0 plus a finite sample set, a documented soundness
 gap: pointwise conditions on an open set are not finitely decidable.
+Where `reduction()` solves N, the samples are exact points of N
+(`sample_on_N`); only a reduction with leftovers or a parametrization
+takes Newton projection.
 
 A point table (`_PointTable`) holds these dimensions, at p0 and
-at each distinct sample (on a point target, where Newton projection
-returns x0 each time, the samples share one point; p0 keeps its own).
+at each distinct sample (on a point target every sample is the point the
+reduction binds, so the samples share one point; p0 keeps its own).
 Ann(T_pL) is built on a point's first read, and each (ideal, point)
 dimension is decided once by `numlin.intersection_dim`.
 `evaluate_conditions` builds one table per run and reads (Con), (Inv),
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +47,7 @@ __all__ = [
 ]
 
 _ATTEMPTS_PER_SAMPLE = 25
+_GRID = 2 ** 20     # exact samples offset x0 by multiples of 1/_GRID
 
 
 @dataclass
@@ -74,18 +79,58 @@ class ConditionReport:
 
 def sample_on_N(sys: ControlSystem, count: int, radius: float = 0.1,
                 seed: int = 0):
-    """Points of M (t = 0, u = u*(x)) on N near x0, by Newton projection of
-    Gaussian perturbations of x0.
+    """Points of M (t = 0, u = u*(x)) on N near x0, deterministic under a
+    fixed seed.
 
-    Deterministic under a fixed seed; an attempt that does not drive every
-    defining function below 1e-12 within 50 steps is discarded, and at most
-    `_ATTEMPTS_PER_SAMPLE * count` are made.
+    Where `reduction()` solves every defining function and there is no
+    parametrization, the points are exact: each free state is x0's plus a
+    Gaussian offset rounded to a multiple of `_GRID`, each bound state its
+    binding evaluated there and u = u*(x), so a kernel-free N and u* give
+    rational points on N itself.  A draw at which a binding is undefined
+    is discarded.  On a point target every sample is the point the
+    bindings define, and nothing is drawn.  Elsewhere the points are
+    Newton projections of Gaussian perturbations of x0; an attempt that
+    does not drive every defining function below 1e-12 within 50 steps is
+    discarded.  At most `_ATTEMPTS_PER_SAMPLE * count` attempts are made.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = random.Random(seed)
+    bindings, leftovers = sys.reduction()
+    if leftovers or sys.parametrization is not None:
+        return _newton_samples(sys, count, radius, rng)
+    n, first = sys.vars.n, 1 + sys.vars.m
+    free = [i for i in range(n) if first + i not in bindings]
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < _ATTEMPTS_PER_SAMPLE * count:
+        attempts += 1
+        vals = [Fraction(0)] * first + sys.x0
+        if free:
+            # one draw per state, as a Newton attempt takes
+            draws = [rng.gauss(0.0, radius) for _ in range(n)]
+            for i in free:
+                vals[first + i] += Fraction(round(draws[i] * _GRID), _GRID)
+        p = Point(sys.vars, vals)
+        try:
+            for i, b in bindings.items():
+                vals[i] = b.eval(p)
+        except DomainError:
+            continue
+        out.append(_state_point(sys, vals[first:]))
+        if not free:
+            return out * count
+    if len(out) < count:
+        raise SamplingFailed(
+            f"exact sampling produced {len(out)}/{count} points on N: the "
+            "reduction of N is undefined at the other draws near x0")
+    return out
+
+
+def _newton_samples(sys: ControlSystem, count, radius, rng):
+    """Newton projections onto N of Gaussian perturbations of x0."""
     x0 = np.array([float(v) for v in sys.x0])
     grads = [sys.state_grad(phi) for phi in sys.N_defs]
     out = []
@@ -94,7 +139,7 @@ def sample_on_N(sys: ControlSystem, count: int, radius: float = 0.1,
         attempts += 1
         x = x0 + np.array([rng.gauss(0.0, radius) for _ in range(len(x0))])
         for _ in range(50):
-            p = _state_point(sys, x)
+            p = _state_point(sys, [float(xi) for xi in x])
             vals = np.array([float(phi.eval(p)) for phi in sys.N_defs])
             if np.max(np.abs(vals)) <= 1e-12:
                 out.append(p)
@@ -109,18 +154,20 @@ def sample_on_N(sys: ControlSystem, count: int, radius: float = 0.1,
 
 
 def _state_point(sys: ControlSystem, x):
-    """Full point of M for a state vector: t = 0, u = u*(x)."""
-    vals = [0.0] * sys.vars.total
-    for i, xi in enumerate(x):
-        vals[1 + sys.vars.m + i] = float(xi)
+    """Full point of M for state values x: t = 0, u = u*(x), exact where
+    x and u* allow it."""
+    exact = all(isinstance(v, Fraction) for v in x)
+    vals = [Fraction(0) if exact else 0.0] * (1 + sys.vars.m) + list(x)
     p = Point(sys.vars, vals)
     for j, us in enumerate(sys.u_star):
         try:
-            vals[1 + j] = float(us.eval(p))
+            v = us.eval(p)
+            fv = float(v)
         except OverflowError:
             raise DomainError(
                 f"u_star is beyond float range near x0: its "
                 f"{sys.vars.input_names[j]} component is '{us}'") from None
+        vals[1 + j] = v if exact else fv
     return Point(sys.vars, vals)
 
 
@@ -133,8 +180,10 @@ def _closure_span(flag: Flag, k):
 class _PointTable:
     """The dimensions of one run, at p0 (point 0) and each distinct
     sample.  Equal values give equal matrices, so a repeated sample
-    decides nothing new and no tolerance is involved; p0, the exact point,
-    is never merged with a sample.  Ideals are keyed by identity."""
+    decides nothing new and no tolerance is involved; p0 is never merged
+    with a sample, even an exact one with its values.  At a rational
+    point each kernel-free entry is evaluated on `Point.integer_form`'s
+    integer path.  Ideals are keyed by identity."""
 
     def __init__(self, ls: LiftedSystem, samples):
         self.ls = ls

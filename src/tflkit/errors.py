@@ -69,7 +69,7 @@ class NotStateOnly(TflError, ValueError):
 
 
 class SamplingFailed(TflError):
-    """Newton projection could not produce the requested number of points."""
+    """Sampling could not produce the requested number of points on N."""
 
 
 class IntegrationFailed(TflError):

@@ -1,5 +1,8 @@
 """Sampling, intersection dimensions, indices, and the three conditions."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,16 @@ from tflkit.errors import PointNotOnL
 from tflkit.expr import Expr, VariableSpace, parse_expr
 from tflkit.lift import ControlSystem, ann_tangent_L, lift_system
 from tflkit.pfaffian import augment_with_dt, derived_flag
+from tflkit.problem import cmd_check, cmd_solve, load_problem, loads_problem
 from tflkit.conditions import (_span_with_dt, evaluate_conditions,
                                sample_on_N)
-from conftest import make_chain3, make_double_integrator
+from conftest import (make_chain3, make_chain8, make_double_integrator,
+                      make_sec5_system)
 from _checks import (check_con, check_dim, check_inv, dim_table,
                      intersection_dimension, rho_indices)
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent
+                   / "problems").glob("*.tfl"))
 
 
 def build(vs_dims, f_strs, g_cols, n_strs, x0, ustar_strs):
@@ -67,6 +75,88 @@ class TestSampling:
         pts = sample_on_N(sys, 2, seed=1)
         for p in pts:
             assert abs(float(p.of("u1")) + float(p.of("x1"))) < 1e-9
+
+    def test_point_target_samples_evaluate_u_star_at_the_point(self):
+        # x0 lies within _VANISH_TOL of N = {(1, 0)} but not on it, and
+        # u* = -x1 differs there: each sample is N's point with u*(q)
+        x0 = [1 + Fraction(1, 10**12), 0]
+        sys = build((2, 1), ["x2", "x1"], [["0", "1"]], ["x1 - 1", "x2"],
+                    x0, ["-x1"])
+        assert sys.x0_point().of("u1") == -x0[0]
+        pts = sample_on_N(sys, 4, seed=0)
+        assert len(pts) == 4
+        for p in pts:
+            assert all(isinstance(v, Fraction) for v in p.values)
+            assert p.values == (0, -1, 1, 0)
+            assert p.of("u1") == sys.u_star[0].eval(p)
+
+
+class TestExactSamples:
+    """Where the reduction solves every defining function, the samples are
+    exact points of N and no Newton step is taken."""
+
+    SYSTEMS = {**{p.stem: lambda p=p: load_problem(p).to_control_system()
+                  for p in FIXTURES},
+               "chain3": make_chain3, "chain8": make_chain8,
+               "sec5": make_sec5_system}
+
+    @staticmethod
+    def spy_lstsq(monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_rational_points_of_N_without_newton(self, name, monkeypatch):
+        sys = self.SYSTEMS[name]()
+        calls = self.spy_lstsq(monkeypatch)
+        pts = sample_on_N(sys, 8, seed=0)
+        assert len(pts) == 8
+        for p in pts:
+            assert all(isinstance(v, Fraction) for v in p.values)
+            assert all(phi.eval(p) == 0 for phi in sys.N_defs)
+        assert calls == []
+
+    def test_draw_where_a_binding_is_undefined_is_skipped(self):
+        # x1 = 1/(x2 - e) with e one grid step from x0's x2 = 0: a draw
+        # rounded to that step leaves x1 undefined
+        e = Fraction(1, 2**20)
+        sys = build((2, 1), ["0", "0"], [["0", "1"]],
+                    [f"x1 - 1/(x2 - {e})"], [-1 / e, 0], ["0"])
+        pts = sample_on_N(sys, 20, radius=float(e), seed=0)
+        assert len(pts) == 20
+        for p in pts:
+            assert p.of("x2") != e
+            assert sys.N_defs[0].eval(p) == 0
+
+    def test_unit_circle_projects_by_newton(self, monkeypatch):
+        # no defining function of the circle is linear in a state
+        vs = VariableSpace.canonical(2, 1)
+        E = lambda s: parse_expr(s, vs)
+        sys = ControlSystem(vs, [E("-x2"), E("x1")], [[E("x1"), E("x2")]],
+                            [E("x1^2 + x2^2 - 1")], [1, 0], [E("0")])
+        calls = self.spy_lstsq(monkeypatch)
+        assert len(sample_on_N(sys, 3)) == 3
+        assert calls
+
+    def test_unicycle_projects_by_newton(self, monkeypatch):
+        from test_problem_cli import UNICYCLE
+        calls = self.spy_lstsq(monkeypatch)
+        _, tree, _ = cmd_solve(loads_problem(UNICYCLE))
+        assert calls
+        assert sum("samples only" in w for w in tree["warnings"]) == 4
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_dimension_table_constant_over_seeds(self, path):
+        # no rounded draw lands where a rank drops
+        problem = load_problem(path)
+        for seed in range(20):
+            report, _, _ = cmd_check(problem, {"seed": seed})
+            table = report.conditions.dim_table
+            assert len(table) == 9
+            assert all(row == table["p0"] for row in table.values()), seed
 
 
 class TestIntersectionDimension:
@@ -244,7 +334,7 @@ class TestDistinctPoints:
         return anns
 
     def test_point_target_table(self, chain3, monkeypatch):
-        # N = {x0}: Newton projection returns x0 for every sample
+        # N = {x0}: every sample is the point the bindings define
         ls = lift_system(chain3)
         flag = derived_flag(ls.I0)
         samples = sample_on_N(chain3, 8, seed=0)
@@ -296,7 +386,8 @@ class TestEvaluateConditions:
         assert any("advisory" in w for w in rep.warnings)
 
     def test_unicycle_report(self):
-        # kernels in f and N, and eight distinct Newton samples
+        # kernels in f and N, and eight distinct Newton samples (N's
+        # second defining function has no linear state to solve for)
         sys = build((4, 2), ["x4*cos(x3)", "x4*sin(x3)", "0", "0"],
                     [["0", "0", "0", "1"], ["0", "0", "1", "0"]],
                     ["x1^2 + x2^2 - 1", "x1*cos(x3) + x2*sin(x3)"],

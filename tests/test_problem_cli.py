@@ -434,8 +434,8 @@ class TestCli:
                               "beyond float range")
 
     def test_u_star_beyond_float_range_at_samples(self, tmp_path):
-        # u*(x0) = -1e400 is exact, but the Newton samples near x0 evaluate
-        # u* in floats
+        # u*(x0) = -1e400 is exact, but each sample near x0 needs u*
+        # within float range
         bad = tmp_path / "ustarhuge.tfl"
         bad.write_text(DOUBLE.read_text()
                        .replace("f = x2, 0", "f = x2, x1^2")
