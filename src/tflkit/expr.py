@@ -1494,9 +1494,28 @@ def parse_expr(text: str, vars: VariableSpace) -> Expr:
 
 def float_at(e: Expr, p: Point) -> float:
     """The value of e at p as a float, for a row of a pointwise matrix; a
-    value beyond float range raises DomainError naming e."""
+    value beyond float range raises DomainError naming e.  A constant, and
+    a kernel-free e at a rational point, is divided as integers, which
+    rounds correctly, as float(e.eval(p)) does, without normalizing a
+    Fraction first."""
+    num, den = e.num, e.den
     try:
-        return float(e.eval(p))
+        if not num:
+            return 0.0
+        if _is_const(num) and _is_const(den):
+            return num[0] / den[0]
+        ints = None if e.kernels else p.integer_form()
+        if ints is None:
+            return float(e.eval(p))
+        num_n, num_q = _p_eval_int(num, *ints)
+        den_n, den_q = ((den[0], 1) if _is_const(den)
+                        else _p_eval_int(den, *ints))
+        if not den_n:
+            raise DomainError("denominator vanishes at the point")
+        if not num_n:
+            return 0.0
+        n, q = num_n * den_q, num_q * den_n
+        return n / q if q > 0 else -n / -q
     except OverflowError:
         raise DomainError(
             f"the value of '{e}' at a point is beyond float range") from None

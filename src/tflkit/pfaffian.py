@@ -5,12 +5,15 @@ reduced echelon order.  All linear algebra over the coefficient function
 field goes through `zeroness`-certified pivots, with numeric cross-checks at
 the base point and at perturbed sample points so that a failure of the
 regularity assumption surfaces as RegularityViolation instead of a silently
-wrong flag.
+wrong flag.  The derived flag first asks one exact perturbed point whether a
+step empties its ideal, and assembles the step's symbolic conditions only
+where that point cannot tell (`_empties_at_a_point`).
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -358,6 +361,7 @@ class PfaffianIdeal:
         self.generators, self._rows, self._pivots = [], [], []
         # whether <ideal, dt> is differential; decided by derived_system
         self._dt_closed = None
+        self._d = None  # d of each generator, built by _differentials
         if not generators:
             return
         if _validate_raw:
@@ -434,6 +438,13 @@ def ideal_membership(a: KForm, ideal: PfaffianIdeal) -> str:
         if z == Zeroness.INCONCLUSIVE:
             verdict = Membership.INCONCLUSIVE
     return verdict
+
+
+def _differentials(ideal: PfaffianIdeal):
+    """d of each generator, built once per ideal."""
+    if ideal._d is None:
+        ideal._d = [exterior_derivative(g) for g in ideal.generators]
+    return ideal._d
 
 
 def _factor_product(vars0, factors):
@@ -537,8 +548,8 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     # the scaled conditions is the nullspace of the true ones
     all_pieces = []
     need = Counter()
-    for g in ideal.generators:
-        pieces, n = _reduce_pieces(exterior_derivative(g), subs)
+    for dg in _differentials(ideal):
+        pieces, n = _reduce_pieces(dg, subs)
         all_pieces.append(pieces)
         need |= n
     reduced = []
@@ -638,17 +649,8 @@ def _dt_closes(reduced, subs):
     for r in reduced:
         # the terms of theta ^ r by sorted index triple, with their signs
         triples = {}
-        for (a,), ca in theta.terms.items():
-            for (b, c), cr in r.terms.items():
-                if a < b:
-                    key, sign = (a, b, c), 1
-                elif b < a < c:
-                    key, sign = (b, a, c), -1
-                elif c < a:
-                    key, sign = (b, c, a), 1
-                else:
-                    continue
-                triples.setdefault(key, []).append((sign, ca, cr))
+        for key, sign, ca, cr in _wedge_terms(theta.terms, r.terms):
+            triples.setdefault(key, []).append((sign, ca, cr))
         for terms in triples.values():
             acc = Expr.zero(vars0)
             for sign, ca, cr in terms:
@@ -691,6 +693,117 @@ def _sample_ranks(matrix, p0, exact, primitive_row):
         yield p is not p0, r
 
 
+def _classes_at(rows, pivots, p):
+    """The class of each coordinate's covector modulo span(I_p), as integer
+    values {complement column: value} all scaled by one positive integer:
+    a complement coordinate is its own class, and the pivots are solved
+    from the echelon rows evaluated exactly at p, in reverse assignment
+    order, as in `_complement_substitution`.  None when a pivot vanishes
+    at p."""
+    solved = {}
+    for row, pc in reversed(list(zip(rows, pivots))):
+        piv = row[pc].eval(p)
+        if not piv:
+            return None
+        acc = {}
+        for c, e in enumerate(row):
+            if c == pc or e.is_structural_zero():
+                continue
+            v = e.eval(p)
+            for x, s in solved.get(c, {c: 1}).items():
+                acc[x] = acc.get(x, 0) + v * s
+        solved[pc] = {x: -s / piv for x, s in acc.items() if s}
+    den = math.lcm(*(s.denominator for cl in solved.values()
+                     for s in cl.values()))
+    classes = {c: {c: den} for c in range(len(rows[0])) if c not in solved}
+    for pc, cl in solved.items():
+        classes[pc] = {x: s.numerator * (den // s.denominator)
+                       for x, s in cl.items()}
+    return classes
+
+
+def _two_form_class_at(w: KForm, classes, p):
+    """The class of the 2-form w at p in the second exterior power of the
+    complement, as integer values {(x, y): value} with x < y, scaled by a
+    positive integer."""
+    values = [(idx, c.eval(p)) for idx, c in w.terms.items()]
+    scale = math.lcm(*(v.denominator for _, v in values))
+    out = {}
+    for (a, b), v in values:
+        if not v:
+            continue
+        v = v.numerator * (scale // v.denominator)
+        class_b = classes[b]
+        for x, s in classes[a].items():
+            vs = v * s
+            for y, t in class_b.items():
+                if x < y:
+                    out[x, y] = out.get((x, y), 0) + vs * t
+                elif y < x:
+                    out[y, x] = out.get((y, x), 0) - vs * t
+    return out
+
+
+def _wedge_terms(theta, w):
+    """The terms of theta ^ w, for a 1-form theta and a 2-form w given as
+    {index tuple: coefficient}: (sorted index triple, sign, coefficient in
+    theta, coefficient in w), leaving out repeated indices."""
+    for (a,), ca in theta.items():
+        for (b, c), cw in w.items():
+            if a < b:
+                yield (a, b, c), 1, ca, cw
+            elif b < a < c:
+                yield (b, a, c), -1, ca, cw
+            elif c < a:
+                yield (b, c, a), 1, ca, cw
+
+
+def _wedge_is_nonzero(theta, col):
+    """Whether theta ^ col is nonzero, for values of a covector and a
+    2-form on the complement."""
+    triples = {}
+    for key, sign, s, t in _wedge_terms(theta, col):
+        triples[key] = triples.get(key, 0) + sign * s * t
+    return any(triples.values())
+
+
+def _empties_at_a_point(ideal: PfaffianIdeal) -> bool:
+    """Whether one exact point proves that the derived step of `ideal`
+    gives the zero ideal while <ideal, dt> is not differential.
+
+    At the first perturbed point p where every entry is defined, the
+    classes of d(w_i) modulo I_p are n vectors; rank n there means rank n
+    over the function field (a point rank never exceeds the generic rank),
+    so no combination of the generators has its d in I.  A nonzero
+    theta ^ (d(w_i) mod I) at p, theta = dt mod I, makes that coefficient
+    nonzero, so `_dt_closes` would answer False.  False means the point
+    does not decide: a rank below n, a zero wedge, a pivot vanishing at p,
+    a kernel or an irrational base point, or only constant pivots, where
+    `derived_system`'s symbolic conditions need no shared denominator and
+    are as cheap as the point."""
+    rows, pivots = ideal.rows()
+    if (all(row[pc].as_rational() is not None
+            for row, pc in zip(rows, pivots))
+            or not _is_exact(rows, ideal.p0)):
+        return False
+    for p in perturbed_points(ideal.p0):
+        try:
+            classes = _classes_at(rows, pivots, p)
+            if classes is None:
+                return False
+            cols = [_two_form_class_at(dw, classes, p)
+                    for dw in _differentials(ideal)]
+        except DomainError:
+            continue
+        pairs = sorted(set().union(*cols))
+        if numlin.exact_rank([[col.get(k, 0) for k in pairs]
+                              for col in cols]) < len(cols):
+            return False
+        theta = {(x,): s for x, s in classes[0].items()}
+        return any(_wedge_is_nonzero(theta, col) for col in cols)
+    return False
+
+
 class Flag:
     """Descending chain of ideals from I^(0) to the terminal differential
     ideal.
@@ -703,10 +816,13 @@ class Flag:
     level the closure of <I^(k), dt> is that ideal itself, so nothing is
     derived for it, and <I^(k), dt> is echelonized only where a closure's
     generators are read.  Pointwise, span{I^(k)_p, dt_p} comes from I^(k)'s
-    own rows (`with_dt`).  The dt-augmented entries and their closures are
-    pure functions of an entry, so each is built on first request and
-    memoized by min(k, terminal_index): every consumer shares one copy per
-    distinct entry."""
+    own rows (`with_dt`).  Where a step is decided at a point
+    (`derived_flag`), the verdict is False, shown by a nonzero value of
+    theta ^ (d(w_i) mod I); a point never shows it True, since a zero value
+    there may be a zero of a nonzero coefficient.  The dt-augmented entries
+    and their closures are pure functions of an entry, so each is built on
+    first request and memoized by min(k, terminal_index): every consumer
+    shares one copy per distinct entry."""
 
     def __init__(self, entries, closed):
         self.entries = list(entries)
@@ -784,7 +900,15 @@ def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:
     echelon rows) exactly when every d(generator) reduces to zero; any
     other step has a structurally nonzero condition matrix, so its
     symbolic rank is at least 1 and it loses a generator.  Each step also
-    records whether <entry, dt> is differential, which the flag keeps."""
+    records whether <entry, dt> is differential, which the flag keeps.
+
+    Before a step runs `derived_system`, one exact perturbed point may
+    decide that it empties the ideal (`_empties_at_a_point`): the classes
+    of the n differentials d(w_i) modulo I have rank n there, and a point
+    rank never exceeds the generic rank, so I' = 0, which is what
+    `derived_system` returns; a nonzero theta ^ (d(w_i) mod I) there shows
+    <entry, dt> not differential.  Any other step, and every step the
+    point cannot tell, runs `derived_system`."""
     if max_steps is None:
         max_steps = ideal.vars.total + 1
     if max_steps < 1:
@@ -792,7 +916,11 @@ def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:
     entries = [ideal]
     closed = []
     for _ in range(max_steps):
-        nxt = derived_system(entries[-1])
+        if _empties_at_a_point(entries[-1]):
+            entries[-1]._dt_closed = False
+            nxt = PfaffianIdeal([], ideal.p0, "derived-from")
+        else:
+            nxt = derived_system(entries[-1])
         closed.append(entries[-1]._dt_closed)
         if nxt.rows()[0] is entries[-1].rows()[0]:
             return Flag(entries, closed)

@@ -700,3 +700,73 @@ class TestSubstituteDifferential:
             assert sympy.cancel(S(got) - want) == 0
             checked += 1
         assert checked > 40
+
+
+class TestFloatAt:
+    """float_at divides a kernel-free value at a rational point as
+    integers; it must give float(e.eval(p)), with the same sign of zero,
+    and the same DomainError where the value is beyond float range."""
+
+    def _points(self, rng):
+        pts = TestIntegerEval()._points(rng)
+        pts += [Point(VS, [rng.randint(-4, 4) for _ in range(VS.total)])
+                for _ in range(3)]
+        return pts
+
+    def _exprs(self, rng):
+        exprs = [E("0"), E("x1 - x1"), E("-7/3"), E("x2/(x1 - 9)"),
+                 E("-x3/(x2 - 5)"), E("(x1 - x2)/(x3 - 7)"),
+                 E("-1/(x1^3*x2^3 - 100)")]
+        for _ in range(40):
+            e = random_polynomial(rng, VS, degree=3, terms=5)
+            if rng.random() < 0.6:
+                e = e / random_polynomial(rng, VS, degree=2, terms=3)
+            exprs.append(e)
+        return exprs
+
+    @staticmethod
+    def _same(got, want):
+        return got == want and math.copysign(1, got) == math.copysign(1,
+                                                                       want)
+
+    def test_seeded_values(self):
+        rng = random.Random(47)
+        points = self._points(rng)
+        negative = zeros = 0
+        for e in self._exprs(rng):
+            for p in points:
+                try:
+                    want = float(e.eval(p))
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        expr.float_at(e, p)
+                    continue
+                assert self._same(expr.float_at(e, p), want), (e, p)
+                negative += _fraction_eval(e.den, p) < 0
+                zeros += want == 0
+        assert negative > 0 and zeros > 0
+
+    def test_negative_denominators_and_zero(self):
+        p = X0.replace(x1=Fraction(1, 3), x2=0)
+        for text, want in [("x2/(x1 - 9)", 0.0), ("-x2/(x1 - 9)", 0.0),
+                           ("1/(x1 - 9)", 1 / (Fraction(1, 3) - 9)),
+                           ("-x1/(x2 - 5)", Fraction(1, 15))]:
+            got = expr.float_at(E(text), p)
+            assert self._same(got, float(want)), text
+
+    def test_beyond_float_range(self):
+        big = X0.replace(x1=Fraction(1000, 3))
+        for text in ["x1^130", "x1^130/(x1 - 1)",
+                     "-x1^131/(x2 + 3)"]:
+            e = E(text)
+            with pytest.raises(OverflowError):
+                float(e.eval(big))
+            with pytest.raises(DomainError, match=(
+                    "^the value of '.*' at a point is beyond float range$")):
+                expr.float_at(e, big)
+
+    def test_underflow_keeps_its_sign(self):
+        big = X0.replace(x1=Fraction(1000, 3))
+        for text in ["1/x1^130", "-1/x1^130", "1/(3 - x1^130)"]:
+            e = E(text)
+            assert self._same(expr.float_at(e, big), float(e.eval(big)))

@@ -857,3 +857,236 @@ class TestNoRepeatedWork:
         assert [p.values for p in again] == [p.values for p in pts]
         assert all(p.values[i] != p0.values[i]
                    for p in pts for i in range(VS.total))
+
+
+def _flag_and_closure_ideals(flag):
+    """Every entry of a flag, each <I^(k), dt> and every entry of its
+    derived flag, and each closure."""
+    ideals = list(flag.entries)
+    for k in range(len(flag.entries)):
+        aug = flag.augmented(k)
+        ideals += derived_flag(aug).entries + [flag.closure(k)]
+    return ideals
+
+
+class TestPointwiseEmptying:
+    """derived_flag asks at one exact point whether a derived step empties
+    the ideal (`_empties_at_a_point`) before assembling its symbolic
+    conditions; where the point decides, the step is the one
+    derived_system would have taken."""
+
+    def test_decided_steps_agree_with_derived_system(self, chain3,
+                                                     sec5_flag,
+                                                     sec5_closures):
+        import tflkit.pfaffian as pfaffian
+        from tflkit.lift import lift_system
+        ideals = list(sec5_closures) + _flag_and_closure_ideals(sec5_flag)
+        for system in (chain3, make_chain8()):
+            ideals += _flag_and_closure_ideals(
+                derived_flag(lift_system(system).I0))
+        decided = [ideal for ideal in ideals
+                   if pfaffian._empties_at_a_point(ideal)]
+        assert any(ideal is sec5_flag.entry(2) for ideal in decided)
+        for ideal in decided:
+            assert len(ideal) > 0
+            assert len(derived_system(ideal)) == 0
+            assert ideal._dt_closed is False
+
+    def test_sec5_solve_skips_the_last_assembly(self, monkeypatch,
+                                                sec5_flag):
+        """The last derived step of sec5 is decided at a point: a solve
+        runs derived_system 4 times (5 without the point), and never
+        assembles conditions over that step's shared denominator x1*f^2."""
+        import tflkit.pfaffian as pfaffian
+        from tflkit.problem import cmd_solve, load_problem
+
+        assemble, real = pfaffian._assemble_pieces, pfaffian.derived_system
+        needs, calls = [], []
+
+        def assemble_spy(vars0, pieces, need):
+            needs.append(need)
+            return assemble(vars0, pieces, need)
+
+        def derived_spy(ideal):
+            calls.append(len(ideal))
+            return real(ideal)
+
+        monkeypatch.setattr(pfaffian, "_assemble_pieces", assemble_spy)
+        real(sec5_flag.entry(2))
+        last_step = needs[-1]
+        assert sorted(last_step.values()) == [1, 2]
+        monkeypatch.setattr(pfaffian, "derived_system", derived_spy)
+        del needs[:]
+        _, _, code = cmd_solve(load_problem(PROBLEMS / "paper-sec5.tfl"))
+        assert code == 0
+        assert len(calls) == 4 and 3 not in calls
+        assert needs and last_step not in needs
+
+    def test_vanishing_pivot_falls_back(self, monkeypatch):
+        """At a first perturbed point on the zero set of a pivot of I^(2)
+        the point cannot decide, and derived_system takes the step."""
+        import tflkit.pfaffian as pfaffian
+        from conftest import make_sec5_system
+        from tflkit.lift import lift_system
+
+        I0 = lift_system(make_sec5_system()).I0
+        real_points = pfaffian.perturbed_points(I0.p0)
+        # the pivots of I^(2) are associates of f and x1*f, and
+        # f = -x1^2 (x3 + 3) where x2 = 0
+        bad = real_points[0].replace(x2=0, x3=-3)
+        monkeypatch.setattr(pfaffian, "perturbed_points",
+                            lambda p0: [bad] + real_points)
+        real, seen = pfaffian.derived_system, []
+
+        def derived_spy(ideal):
+            seen.append(ideal)
+            return real(ideal)
+
+        monkeypatch.setattr(pfaffian, "derived_system", derived_spy)
+        flag = derived_flag(I0)
+        assert flag.generator_counts() == (7, 5, 3, 0)
+        assert [flag.closed(k) for k in range(4)] == [True, True, False,
+                                                      True]
+        entry = flag.entry(2)
+        assert seen[-1] is entry
+        rows, pivots = entry.rows()
+        assert any(row[pc].eval(bad) == 0 for row, pc in zip(rows, pivots))
+
+    def test_closed_level_falls_back(self, monkeypatch):
+        """omega = (1 + x1) dx2 + x3 dt has the pivot 1 + x1 and rank 1 at
+        the point, so I' = 0; but d(omega) = dx1 ^ dx2 + dx3 ^ dt is
+        dt ^ (...) modulo omega, so theta ^ (d(omega) mod I) is zero, the
+        point cannot tell the level open, and derived_system decides it
+        closed."""
+        import tflkit.pfaffian as pfaffian
+        omega = DX("x2").scale(E("1 + x1")) + DX("t").scale(E("x3"))
+        ideal = PfaffianIdeal([omega], simple_point(VS))
+        (row,), (pc,) = ideal.rows()
+        assert (pc, row[pc]) == (VS.index("x2"), E("1 + x1"))
+        classes, real_classes = [], pfaffian._classes_at
+        calls, real = [], pfaffian.derived_system
+
+        def classes_spy(rows, pivots, p):
+            classes.append(real_classes(rows, pivots, p))
+            return classes[-1]
+
+        def derived_spy(ideal):
+            calls.append(ideal)
+            return real(ideal)
+
+        monkeypatch.setattr(pfaffian, "_classes_at", classes_spy)
+        monkeypatch.setattr(pfaffian, "derived_system", derived_spy)
+        flag = derived_flag(ideal)
+        assert classes and calls[0] is ideal
+        assert flag.generator_counts() == (1, 0)
+        assert flag.closed(0)
+        assert len(derived_flag(augment_with_dt(ideal)).entries) == 1
+
+    def test_constant_pivots_and_kernels_evaluate_no_point(self,
+                                                           monkeypatch):
+        import tflkit.pfaffian as pfaffian
+        from tflkit.lift import lift_system
+
+        chain8 = derived_flag(lift_system(make_chain8()).I0)
+        cert = TestDerivedSystemCertification()
+        vs3 = cert.VS3
+        # a kernel-bearing ideal whose first pivot, 1 + x1, is no constant
+        kernel = PfaffianIdeal(
+            [cert._dx("x2").scale(parse_expr("1 + x1", vs3))
+             - cert._dx("x1").scale(parse_expr("sin(u1)", vs3)),
+             cert._dx("x3") + cert._dx("t").scale(
+                 parse_expr("1 - cos(u1)", vs3))],
+            simple_point(vs3))
+        rows, pivots = kernel.rows()
+        assert any(row[pc].as_rational() is None
+                   for row, pc in zip(rows, pivots))
+
+        def no_point(p0):
+            raise AssertionError("the pointwise test evaluated a point")
+
+        monkeypatch.setattr(pfaffian, "perturbed_points", no_point)
+        ideals = [cert._ideal(a="1 - cos(u1)", b="sin(u1)*x1"), kernel]
+        ideals += chain8.entries
+        for ideal in ideals:
+            assert not pfaffian._empties_at_a_point(ideal)
+
+
+# sec5's drift and input fields, as the fixture file states them
+SEC5_FIELDS = {
+    "f": ["-x2", "x1", "x3*x4", "0", "x6", "x7 + x6 - x3*x5", "x5"],
+    "g1": ["0", "0", "x3", "1", "0", "0", "0"],
+    "g2": ["-x2", "0", "0", "0", "-x1", "x1", "x1"],
+}
+SEC5_REPLACEMENTS = ("0", "1", "x1", "x3", "x4", "x1*x2")
+
+
+def sec5_edits():
+    """The single-entry edits of sec5: each entry of f, g1 and g2 replaced
+    by one of SEC5_REPLACEMENTS where that differs (112 edits)."""
+    return [(field, i, text)
+            for field, entries in SEC5_FIELDS.items()
+            for i, old in enumerate(entries)
+            for text in SEC5_REPLACEMENTS if text != old]
+
+
+def sec5_edit_system(field, index, text):
+    from conftest import make_sec5_system
+    from tflkit.lift import ControlSystem
+    base = make_sec5_system()
+    vs = base.vars
+    fields = {name: [parse_expr(s, vs) for s in entries]
+              for name, entries in SEC5_FIELDS.items()}
+    fields[field][index] = parse_expr(text, vs)
+    return ControlSystem(vs, fields["f"], [fields["g1"], fields["g2"]],
+                         base.N_defs, base.x0, base.u_star)
+
+
+def _flag_outcome(edit):
+    """The derived flag of an edit's lifted I0 as (counts, closed verdicts,
+    echelon rows), or the error it raises."""
+    from tflkit.errors import TflError
+    from tflkit.lift import lift_system
+    try:
+        flag = derived_flag(lift_system(sec5_edit_system(*edit)).I0)
+    except TflError as exc:
+        return type(exc).__name__, str(exc)
+    return (flag.generator_counts(),
+            [flag.closed(k) for k in range(len(flag.entries))],
+            [entry.rows() for entry in flag.entries])
+
+
+def _lifts(edit):
+    from tflkit.errors import TflError
+    from tflkit.lift import lift_system
+    try:
+        lift_system(sec5_edit_system(*edit))
+    except TflError:
+        return False
+    return True
+
+
+class TestPointwiseEmptyingSweep:
+    """On a seeded subset of the sec5 edits that lift (81 of 112), the flag
+    with the pointwise test equals the flag without it: counts, closed
+    verdicts and echelon rows, or the same error."""
+
+    def test_edits(self, monkeypatch):
+        import tflkit.pfaffian as pfaffian
+        edits = sec5_edits()
+        assert len(edits) == 112
+        chosen = random.Random(25).sample(
+            [e for e in edits if _lifts(e)], 24)
+        real, decided = pfaffian._empties_at_a_point, []
+
+        def spy(ideal):
+            decided.append(real(ideal))
+            return decided[-1]
+
+        monkeypatch.setattr(pfaffian, "_empties_at_a_point", spy)
+        with_point = [_flag_outcome(e) for e in chosen]
+        assert sum(decided) >= 8
+        monkeypatch.setattr(pfaffian, "_empties_at_a_point",
+                            lambda ideal: False)
+        without = [_flag_outcome(e) for e in chosen]
+        for edit, a, b in zip(chosen, with_point, without):
+            assert a == b, edit
