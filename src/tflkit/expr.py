@@ -37,6 +37,7 @@ __all__ = [
     "Expr",
     "parse_expr",
     "float_at",
+    "product_terms",
     "denominator_lcm",
     "divide_by_gcd",
     "divide_by_factors",
@@ -1519,6 +1520,24 @@ def float_at(e: Expr, p: Point) -> float:
     except OverflowError:
         raise DomainError(
             f"the value of '{e}' at a point is beyond float range") from None
+
+
+def product_terms(e: Expr, factor: Expr):
+    """Yield the terms of the polynomial e * factor, for a monomial
+    `factor` (one term), as (monomial, coefficient) pairs read off the
+    packed form with no Expr built: each monomial is a hashable key, equal
+    exactly for equal monomials, kernel atoms included, and each
+    coefficient is an int or a Fraction."""
+    if not _is_const(e.den):
+        raise ValueError("terms of a rational function")
+    (shift, k), = factor.num.items()
+    d = e.den[0] * factor.den[0]
+    for m, c in e.num.items():
+        if shift:
+            m = m + shift
+            _check_fields(m)
+        c *= k
+        yield m, (c if d == 1 else Fraction(c, d))
 
 
 # ---------------------------------------------------------------------------

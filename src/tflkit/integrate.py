@@ -18,8 +18,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import AdaptationFailed, HintRejected, IntegrationFailed
-from .expr import Expr, Point, Zeroness
+from .errors import (AdaptationFailed, DomainError, HintRejected,
+                     IntegrationFailed)
+from .expr import Expr, Point, Zeroness, product_terms
 from .forms import (KForm, coordinate_field, contract, d_of_function,
                     exterior_derivative, wedge)
 from .lift import LiftedSystem
@@ -209,24 +210,18 @@ def _p0_bindings(vars0, p0: Point):
 # ---------------------------------------------------------------------------
 
 def _collect_linear_system(columns):
-    """Rows of rational coefficients for a linear system whose columns are
-    given as (key, polynomial-in-atoms expression) pairs: one row per
-    (key, monomial) seen."""
-    index = {}
-    cols = []
-    for pairs in columns:
-        col = {}
-        for key, e in pairs:
-            if not e.is_polynomial():
-                raise ValueError("ansatz expects cleared denominators")
-            for c, mono in e.terms():
-                col[index.setdefault((key, mono), len(index))] = c
-        cols.append(col)
-    rows = [[Fraction(0)] * len(cols) for _ in range(len(index))]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            rows[i][j] = c
-    return rows
+    """Sparse rows {column: rational} of a linear system whose j-th column
+    is given as (key, polynomial p, monomial m) triples, the column being
+    the sum of p * m over its triples: one row per (key, monomial of the
+    products) seen, read off the packed terms (`product_terms`) with no
+    expression built."""
+    rows = {}
+    for j, triples in enumerate(columns):
+        for key, e, factor in triples:
+            for mono, c in product_terms(e, factor):
+                row = rows.setdefault((key, mono), {})
+                row[j] = row.get(j, 0) + c
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +255,14 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
     """Closed one-forms (1/Q) sum mu_i gamma_i with polynomial mu of total
     degree <= degree, where Q is 1 (plain) or the product of the generators'
     non-rational pivot coefficients.  d((1/Q) sigma) = 0 is the polynomial
-    condition Q d(sigma) - dQ ^ sigma = 0, linear in the mu coefficients."""
+    condition Q d(sigma) - dQ ^ sigma = 0, linear in the mu coefficients.
+
+    Q dg - dQ ^ g and Q g are built once per generator g.  Multiplying by
+    a monomial mu only shifts the packed monomials of the first, and
+    dmu ^ (Q g) only re-indexes the terms of the second by 2-form pair, so
+    the coefficient of each (pair, monomial) goes straight into a sparse
+    row (`_collect_linear_system`), with no 2-form built per (g, mu)
+    column."""
     vars0 = ideal.vars
     gens = ideal.generators
     Q = Expr.one(vars0)
@@ -281,22 +283,31 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
         return []  # identical to the plain pass
     monos = _monomials([Expr.var_index(vars0, i)
                         for i in range(vars0.total)], degree)
-    d_monos = [d_of_function(mu) for mu in monos]
-    columns = []  # (i, mono)
-    two_forms = []
+    # the partials of each mu, with their negatives for the swapped pairs
+    partials = [[(v, c, -c) for (v,), c in d_of_function(mu).terms.items()]
+                for mu in monos]
+    columns = []  # (i, mu)
+    triples = []  # each column's (2-form pair, polynomial, monomial) terms
     for i, g in enumerate(gens):
         # Q d(mu g) - dQ ^ (mu g) = mu (Q dg - dQ ^ g) + dmu ^ (Q g)
         dg = exterior_derivative(g)
         if not q_is_one:
             dg = dg.scale(Q) - wedge(dQ, g)
             g = g.scale(Q)
-        for mu, dmu in zip(monos, d_monos):
+        for mu, dmu in zip(monos, partials):
             columns.append((i, mu))
-            two_forms.append(dg.scale(mu) + wedge(dmu, g))
+            col = [(idx, c, mu) for idx, c in dg.terms.items()]
+            for v, dv, neg in dmu:
+                for (w,), c in g.terms.items():
+                    if v < w:
+                        col.append(((v, w), c, dv))
+                    elif w < v:
+                        col.append(((w, v), c, neg))
+            triples.append(col)
     # linear conditions: every coefficient of every 2-form basis pair is 0;
     # everything above is denominator-free
-    rows = _collect_linear_system(w.terms.items() for w in two_forms)
-    basis = numlin.rational_nullspace(rows, len(two_forms))
+    rows = _collect_linear_system(triples)
+    basis = numlin.rational_nullspace(rows, len(columns))
     out = []
     for vec in basis:
         form = KForm.zero(vars0, 1)
@@ -350,7 +361,9 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
 
     Layers: closed generators, closed polynomial combinations, integrating
     factors, then checked user hints; fails with the residual directions when
-    the span cannot be completed.
+    the span cannot be completed.  In the first three layers a closed
+    form's row at p0, which is its potential's, is tested for independence
+    first, and only a form that raises the rank is integrated.
     """
     vars0 = ideal.vars
     p0 = ideal.p0
@@ -373,6 +386,25 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
         found.append(_anchor(comp, bindings))
         return True
 
+    def try_form(form: KForm):
+        """Integrate a closed one-form whose row at p0 raises the rank: a
+        potential F has dF = form exactly, so the form's row is dF's.  A
+        form undefined at p0 is skipped if it has no potential, else F's
+        row raises."""
+        try:
+            row = form.at(p0)
+        except DomainError:
+            F = poincare_potential(form)
+            if F is not None:
+                try_add(F)
+            return
+        if numlin.extend_basis(found_rows, [row]):
+            F = poincare_potential(form)
+            if F is None:
+                found_rows.pop()
+            else:
+                found.append(_anchor(F, bindings))
+
     def found_echelon():
         rows = [[dc.coefficient((i,)) for i in range(vars0.total)]
                 for dc in (d_of_function(c) for c in found)]
@@ -391,17 +423,13 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
         if len(found) == target:
             break
         if exterior_derivative(g).is_structural_zero():
-            F = poincare_potential(g)
-            if F is not None:
-                try_add(F)
+            try_form(g)
     # layer: closed polynomial-coefficient combinations
     if len(found) < target:
         for form in _closed_combinations(ideal, combo_degree):
             if len(found) == target:
                 break
-            F = poincare_potential(form)
-            if F is not None:
-                try_add(F)
+            try_form(form)
     # layer: integrating factors on the generators' residuals against the
     # components found before this layer
     if len(found) < target:
@@ -413,11 +441,8 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
             if rest.is_structural_zero():
                 continue
             candidate = _integrating_factor_candidate(rest)
-            if candidate is None:
-                continue
-            F = poincare_potential(candidate)
-            if F is not None:
-                try_add(F)
+            if candidate is not None:
+                try_form(candidate)
     # layer: user hints
     for hint in hints:
         if len(found) == target:
@@ -512,7 +537,8 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
                 if not e.is_polynomial():
                     common = common * e.denominator()
             restricted = [e * common for e in restricted]
-        rows = _collect_linear_system([((), e)] for e in restricted)
+        one = Expr.one(vars0)
+        rows = _collect_linear_system([((), e, one)] for e in restricted)
         null = numlin.rational_nullspace(rows, len(mono_exprs))
     else:
         if samples is None:

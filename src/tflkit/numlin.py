@@ -1,9 +1,19 @@
 """The package's one rank policy, for pointwise linear algebra.
 
-Exact over Q where every entry is rational: a matrix of rationals is
-reduced by one forward Gauss elimination over sparse rows
-(`_fraction_echelon`), which gives both `exact_rank` and
-`rational_nullspace`, and no tolerance is involved.
+Exact over Q where every entry is rational: `exact_rank` and
+`rational_nullspace` read one reduced echelon (`_echelon`), built
+fraction-free on sparse integer rows.  Each row's denominators are
+cleared once, on entry; elimination scales two rows by cofactors of
+their pivot entries and divides the result by its content, so no
+`Fraction` is formed while eliminating and no tolerance is involved.  The
+echelon keeps one row per pivot column, each row's least column its
+pivot and no row holding another's pivot column, so the pivots are the
+column-rank profile.  The nullspace is read off it directly: the vector
+with 1 in a free column fc and 0 in the other free columns has
+−row[fc] / row[pc] in each pivot column pc.  It is the only nullspace
+vector of that shape, whatever echelon it is read from: two such vectors
+differ by a nullspace vector that vanishes on every free column, and the
+pivot columns are independent.
 
 Float otherwise: singular values below RANK_TOL times max(largest singular
 value, 1) are treated as zero (`_sv_cut`).  `rank`, `null_basis`,
@@ -13,6 +23,7 @@ intersection, whose three ranks are cut per matrix.  `extend_basis` is
 the package's one keep-if-independent step.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -74,61 +85,81 @@ def extend_basis(rows, candidates, limit=None):
     return taken
 
 
-def _fraction_echelon(rows):
-    """Forward Gauss elimination over Q on sparse rows {column: Fraction}:
-    (echelon rows, pivot columns).  Each column, left to right, takes its
-    pivot from the first remaining row that holds it.  Zero rows are
-    dropped, and the sweep stops once every row holds a pivot, since the
-    columns left are then all free."""
-    rows = [{c: Fraction(x) for c, x in enumerate(r) if x} for r in rows]
-    rows = [r for r in rows if r]
-    ncols = max((max(r) for r in rows), default=-1) + 1
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if col in rows[i]), None)
-        if piv is None:
+def _primitive(row):
+    """The integer row {column: int} divided by its content."""
+    g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _eliminate(row, prow, pc):
+    """The primitive part of a·row − b·prow, which clears column pc:
+    a/b = prow[pc]/row[pc] in lowest terms."""
+    g = math.gcd(row[pc], prow[pc])
+    a, b = prow[pc] // g, row[pc] // g
+    out = {c: a * x for c, x in row.items()}
+    for c, x in prow.items():
+        v = out.get(c, 0) - b * x
+        if v:
+            out[c] = v
+        else:
+            del out[c]
+    return _primitive(out)
+
+
+def _echelon(rows):
+    """The reduced echelon of a matrix of rationals, fraction-free over
+    the integers: {pivot column: integer row}, where each row's least
+    column is its pivot and no row holds another row's pivot column.
+    Rows enter one at a time, their denominators cleared by their lcm: a
+    row is cleared in the pivot columns it holds, and if anything is left,
+    its least column becomes a pivot and is cleared from the rows that
+    hold it."""
+    echelon = {}
+    for r in rows:
+        row = {c: x for c, x in (r.items() if isinstance(r, dict)
+                                 else enumerate(r)) if x}
+        if not row:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        pv = pr[col]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            if col in row:
-                f = row[col] / pv
-                for c, b in pr.items():
-                    v = row.get(c, 0) - f * b
-                    if v:
-                        row[c] = v
-                    else:
-                        del row[c]
-        pivots.append(col)
-    return rows[:len(pivots)], pivots
+        den = math.lcm(*(x.denominator for x in row.values()))
+        row = _primitive({c: x.numerator * (den // x.denominator)
+                          for c, x in row.items()})
+        for pc in [c for c in row if c in echelon]:
+            row = _eliminate(row, echelon[pc], pc)
+        if not row:
+            continue
+        pc = min(row)
+        for q, other in echelon.items():
+            if pc in other:
+                echelon[q] = _eliminate(other, row, pc)
+        echelon[pc] = row
+    return echelon
 
 
 def exact_rank(rows):
-    """Rank over Q of a matrix of rationals."""
-    return len(_fraction_echelon(rows)[1])
+    """Rank over Q of a matrix of rationals, given as dense lists or as
+    sparse {column: value} dicts; dict columns need only be comparable."""
+    return len(_echelon(rows))
 
 
 def rational_nullspace(rows, ncols):
-    """Nullspace basis over Q of a matrix of rationals, deterministic: the
-    k-th vector has a 1 in the k-th free column and 0 in the other free
-    columns, which fixes it uniquely."""
-    echelon, pivots = _fraction_echelon(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    zero = Fraction(0)
+    """Nullspace basis over Q of a matrix of rationals (dense lists or
+    sparse {column: value} dicts over columns 0 .. ncols − 1),
+    deterministic: the k-th vector has a 1 in the k-th free column and 0
+    in the other free columns, which fixes it uniquely.  Each is read off
+    the reduced echelon: its entry in a pivot column pc is
+    −row[fc] / row[pc] for that column's row."""
+    echelon = _echelon(rows)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for fc in free:
-        vec = {fc: Fraction(1)}
-        for row, pc in zip(reversed(echelon), reversed(pivots)):
-            s = sum((a * vec[c] for c, a in row.items() if c in vec), zero)
-            if s:
-                vec[pc] = -s / row[pc]
-        basis.append([vec.get(c, zero) for c in range(ncols)])
+    for fc in range(ncols):
+        if fc in echelon:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
+        for pc, row in echelon.items():
+            if fc in row:
+                vec[pc] = Fraction(-row[fc], row[pc])
+        basis.append(vec)
     return basis
 
 

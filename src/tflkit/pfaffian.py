@@ -776,7 +776,9 @@ def _empties_at_a_point(ideal: PfaffianIdeal) -> bool:
     over the function field (a point rank never exceeds the generic rank),
     so no combination of the generators has its d in I.  A nonzero
     theta ^ (d(w_i) mod I) at p, theta = dt mod I, makes that coefficient
-    nonzero, so `_dt_closes` would answer False.  False means the point
+    nonzero, so `_dt_closes` would answer False.  The classes are read
+    one at a time, and the first that does not raise their rank ends the
+    test, with the rest never evaluated.  False means the point
     does not decide: a rank below n, a zero wedge, a pivot vanishing at p,
     a kernel or an irrational base point, or only constant pivots, where
     `derived_system`'s symbolic conditions need no shared denominator and
@@ -787,18 +789,17 @@ def _empties_at_a_point(ideal: PfaffianIdeal) -> bool:
             or not _is_exact(rows, ideal.p0)):
         return False
     for p in perturbed_points(ideal.p0):
+        cols = []
         try:
             classes = _classes_at(rows, pivots, p)
             if classes is None:
                 return False
-            cols = [_two_form_class_at(dw, classes, p)
-                    for dw in _differentials(ideal)]
+            for dw in _differentials(ideal):
+                cols.append(_two_form_class_at(dw, classes, p))
+                if numlin.exact_rank(cols) < len(cols):
+                    return False
         except DomainError:
             continue
-        pairs = sorted(set().union(*cols))
-        if numlin.exact_rank([[col.get(k, 0) for k in pairs]
-                              for col in cols]) < len(cols):
-            return False
         theta = {(x,): s for x, s in classes[0].items()}
         return any(_wedge_is_nonzero(theta, col) for col in cols)
     return False

@@ -1,8 +1,12 @@
 """First integrals and the adaptation machinery."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tflkit.integrate as integrate
 import tflkit.numlin as numlin
 from tflkit.errors import AdaptationFailed, HintRejected, IntegrationFailed
 from tflkit.expr import Expr, VariableSpace, Zeroness, parse_expr
@@ -14,6 +18,7 @@ from tflkit.integrate import (adapt_subordinate, adapt_to_L, antiderivative,
 from conftest import make_chain3
 from _exprs import point_from_map
 from _pointwise import rank_at, restricted_rank_on_L
+from _ansatz_reference import ansatz_rows, potential_first_components
 
 VS = VariableSpace.canonical(7, 2)
 E = lambda s: parse_expr(s, VS)
@@ -147,6 +152,111 @@ class TestFrobenius:
         dF = d_of_function(F.components[0])
         span = PfaffianIdeal([dF], p, "span")
         assert ideal_membership(gen, span) == Membership.MEMBER
+
+
+def _row_multiset(rows):
+    """The nonzero rows of a dense or sparse matrix, as a sorted list of
+    sorted (column, value) tuples."""
+    out = []
+    for r in rows:
+        items = r.items() if isinstance(r, dict) else enumerate(r)
+        row = tuple(sorted((c, Fraction(x)) for c, x in items if x))
+        if row:
+            out.append(row)
+    return sorted(out)
+
+
+class TestAnsatzRows:
+    """The closed-combination ansatz reads its rows off packed terms; they
+    are the rows built from one KForm two-form per (generator, mu) column
+    (`tests/_ansatz_reference.py`), up to order, with the same
+    nullspace."""
+
+    @staticmethod
+    def _compare(monkeypatch, ideal, plain):
+        seen = []
+        nullspace = numlin.rational_nullspace
+
+        def spy(rows, ncols):
+            seen.append((rows, ncols, nullspace(rows, ncols)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(numlin, "rational_nullspace", spy)
+        integrate._closed_combinations_q(ideal, 1, plain)
+        (rows, ncols, null), = seen
+        want_rows, want_ncols = ansatz_rows(ideal, 1, plain)
+        assert ncols == want_ncols
+        assert _row_multiset(rows) == _row_multiset(want_rows)
+        assert null == nullspace(want_rows, want_ncols)
+        return null
+
+    def test_sec5_closure_both_passes(self, monkeypatch, sec5_closures):
+        ideal = sec5_closures[1]
+        plain = self._compare(monkeypatch, ideal, True)
+        shared = self._compare(monkeypatch, ideal, False)
+        assert plain and shared
+
+    def test_kernel_bearing_ideal(self, monkeypatch):
+        # the pivot x2 of the first generator is the shared denominator,
+        # and 1/x2 times it is d(x1 + ln(x2))
+        gens = [DX("x1").scale(E("x2")) + DX("x2"),
+                DX("x3") + DX("x4").scale(E("exp(x4)")),
+                DX("x5") + DX("x6").scale(E("x7*sin(x6)"))]
+        ideal = PfaffianIdeal(gens, _p0().replace(x2=1))
+        assert sum(g.coefficient((i,)).has_kernels()
+                   for g in ideal.generators for i in range(VS.total)) >= 2
+        for plain in (True, False):
+            assert self._compare(monkeypatch, ideal, plain)
+
+
+class TestIndependenceBeforePotential:
+    def test_sec5_solve_integrates_only_independent_forms(self,
+                                                          monkeypatch):
+        """A sec5 solve seeks 9 potentials, not 27, and the closed
+        generators and closed combinations of every integrated ideal give
+        the components that integrating each form before testing its row
+        gives."""
+        import tflkit.algorithm as algorithm
+        from tflkit.problem import cmd_solve, load_problem
+        calls, ideals = [], []
+        potential, integrate_ = (integrate.poincare_potential,
+                                 algorithm.frobenius_integrate)
+
+        def potential_spy(omega):
+            calls.append(omega)
+            return potential(omega)
+
+        def integrate_spy(ideal, *args, **kwargs):
+            ideals.append(ideal)
+            return integrate_(ideal, *args, **kwargs)
+
+        monkeypatch.setattr(integrate, "poincare_potential", potential_spy)
+        monkeypatch.setattr(algorithm, "frobenius_integrate", integrate_spy)
+        _, _, code = cmd_solve(load_problem(
+            Path(__file__).resolve().parent.parent / "problems"
+            / "paper-sec5.tfl"))
+        assert code == 0 and len(calls) == 9
+        monkeypatch.undo()
+        for ideal in ideals:
+            got = frobenius_integrate(ideal).components
+            # the integrating-factor layer, which follows, finds the rest
+            want = potential_first_components(ideal)
+            assert got[:len(want)] == want and len(got) == len(ideal)
+
+    def test_form_without_potential_gives_its_row_back(self, monkeypatch):
+        """dx1 first has no potential here; its row is dropped again, so
+        the same direction, met again as a closed combination, is kept."""
+        potential, seen = integrate.poincare_potential, []
+
+        def first_fails(omega):
+            seen.append(omega)
+            return None if len(seen) == 1 else potential(omega)
+
+        monkeypatch.setattr(integrate, "poincare_potential", first_fails)
+        ideal = PfaffianIdeal([DX("x1"), DX("x2")], _p0())
+        F = frobenius_integrate(ideal)
+        assert repr(seen[0]) == "(1) dx1" and len(seen) == 3
+        assert {str(c) for c in F.components} == {"x1 - 2", "x2"}
 
 
 class TestAdaptToL:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tflkit.numlin as numlin
+import _fraction_echelon as reference
 
 
 def _random_rational_matrix(rng, rows, cols, rank):
@@ -103,8 +104,8 @@ def _ansatz_like(rng):
 
 
 class TestSparseAnsatzShapes:
-    """`_fraction_echelon` works on sparse rows; these matrices are as
-    large and as sparse as the ones `integrate` hands it."""
+    """`numlin`'s exact elimination works on sparse rows; these matrices
+    are as large and as sparse as the ones `integrate` hands it."""
 
     def test_exact_rank(self):
         sympy = pytest.importorskip("sympy")
@@ -130,6 +131,72 @@ class TestSparseAnsatzShapes:
                             default=0))
         # some basis vectors combine several columns
         assert max(supports) >= 3
+
+
+def _as_dict_rows(rng, m):
+    """The rows of m as sparse {column: value} dicts, in a shuffled
+    insertion order."""
+    out = []
+    for row in m:
+        items = [(c, x) for c, x in enumerate(row) if x]
+        rng.shuffle(items)
+        out.append(dict(items))
+    return out
+
+
+def _with_ints(rng, m):
+    """m with each integral entry an int about half the time."""
+    return [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+             for x in row] for row in m]
+
+
+class TestIntegerCoreAgainstFractionElimination:
+    """The integer fraction-free core gives the ranks and the nullspace
+    vectors of the `Fraction` elimination it replaced
+    (`tests/_fraction_echelon.py`), with no oracle but the standard
+    library."""
+
+    @staticmethod
+    def _agree(m, ncols):
+        assert numlin.exact_rank(m) == reference.exact_rank(m)
+        got = numlin.rational_nullspace(m, ncols)
+        assert got == reference.rational_nullspace(m, ncols)
+        assert all(isinstance(x, Fraction) for vec in got for x in vec)
+        return got
+
+    def test_small_rational_matrices(self):
+        rng = random.Random(29)
+        deficient = 0
+        for m in _cases(31, count=200):
+            ncols = len(m[0])
+            deficient += reference.exact_rank(m) < min(len(m), ncols)
+            for rows in (m, _with_ints(rng, m), _as_dict_rows(rng, m)):
+                self._agree(rows, ncols)
+        assert deficient >= 50
+
+    def test_ansatz_shapes(self):
+        rng = random.Random(37)
+        for _ in range(6):
+            m = _ansatz_like(rng)
+            m += [[0] * 66 for _ in range(3)]
+            rng.shuffle(m)
+            for rows in (m, _as_dict_rows(rng, m)):
+                null = self._agree(rows, 66)
+                assert null and len(null) < 66
+
+    def test_wide_dense_rows_of_deficient_rank(self):
+        rng = random.Random(41)
+        for _ in range(8):
+            cols = rng.randint(20, 66)
+            m = _random_rational_matrix(rng, rng.randint(5, 30), cols,
+                                        rng.randint(1, 8))
+            self._agree(_with_ints(rng, m), cols)
+
+    def test_extra_free_columns_and_no_rows(self):
+        m = [[Fraction(1, 2), 0, 3], [0, 0, 0], [1, 0, 6]]
+        self._agree(m, 5)
+        self._agree([], 3)
+        self._agree([{}], 2)
 
 
 class TestFloatPolicy:

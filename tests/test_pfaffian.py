@@ -892,6 +892,27 @@ class TestPointwiseEmptying:
             assert len(derived_system(ideal)) == 0
             assert ideal._dt_closed is False
 
+    def test_undecided_steps_stop_at_the_first_dependent_class(
+            self, monkeypatch, sec5_flag):
+        """On I^(0), I^(1) and <I^(2), dt> of sec5 the classes at the point
+        have rank below the generator count; the test stops at the first
+        class that does not raise their rank."""
+        import tflkit.pfaffian as pfaffian
+        real, counts = pfaffian._two_form_class_at, []
+
+        def spy(w, classes, p):
+            counts[-1] += 1
+            return real(w, classes, p)
+
+        monkeypatch.setattr(pfaffian, "_two_form_class_at", spy)
+        for ideal in (sec5_flag.entry(0), sec5_flag.entry(1),
+                      sec5_flag.augmented(2)):
+            counts.append(0)
+            assert not pfaffian._empties_at_a_point(ideal)
+        assert counts == [1, 2, 1]
+        assert [len(sec5_flag.entry(0)), len(sec5_flag.entry(1)),
+                len(sec5_flag.augmented(2))] == [7, 5, 4]
+
     def test_sec5_solve_skips_the_last_assembly(self, monkeypatch,
                                                 sec5_flag):
         """The last derived step of sec5 is decided at a point: a solve
