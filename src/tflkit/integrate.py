@@ -27,7 +27,7 @@ from .lift import LiftedSystem
 from .pfaffian import (Membership, PfaffianIdeal, ideal_membership,
                        reduce_against_rows, rref_function_field,
                        two_form_membership, _clear_denominators_row,
-                       _row_primitive)
+                       _differentials, _row_primitive)
 from . import numlin
 
 __all__ = [
@@ -42,12 +42,14 @@ __all__ = [
 
 @dataclass
 class SmoothMapAdapted:
-    """Components whose differentials span a differential closure, with the
-    leading `vanish_count` components vanishing on L (t always among them)."""
+    """Components whose differentials span the differential closure `ideal`,
+    with the leading `vanish_count` components vanishing on L (t always
+    among them); adaptation keeps the span and passes `ideal` on."""
 
     components: list
     vanish_count: int
     k: int
+    ideal: PfaffianIdeal
 
     def vanishing(self):
         return self.components[:self.vanish_count]
@@ -288,9 +290,8 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
                 for mu in monos]
     columns = []  # (i, mu)
     triples = []  # each column's (2-form pair, polynomial, monomial) terms
-    for i, g in enumerate(gens):
+    for i, (g, dg) in enumerate(zip(gens, _differentials(ideal))):
         # Q d(mu g) - dQ ^ (mu g) = mu (Q dg - dQ ^ g) + dmu ^ (Q g)
-        dg = exterior_derivative(g)
         if not q_is_one:
             dg = dg.scale(Q) - wedge(dQ, g)
             g = g.scale(Q)
@@ -323,11 +324,10 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
     return out
 
 
-def _integrating_factor_candidate(gen: KForm):
-    """exp-integrating-factor repair for a single generator: find theta with
-    d(gen) = gen ^ theta, a potential T of theta, and return exp(T)*gen."""
+def _integrating_factor_candidate(gen: KForm, dg: KForm):
+    """exp-integrating-factor repair for gen, given dg = d(gen): find theta
+    with dg = gen ^ theta, a potential T of theta, and return exp(T)*gen."""
     vars0 = gen.vars
-    dg = exterior_derivative(gen)
     if dg.is_structural_zero():
         return gen
     pivot = None
@@ -368,8 +368,8 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
     vars0 = ideal.vars
     p0 = ideal.p0
     warnings = warnings if warnings is not None else []
-    for g in ideal.generators:
-        m = two_form_membership(exterior_derivative(g), ideal)
+    for dg in _differentials(ideal):
+        m = two_form_membership(dg, ideal)
         if m == Membership.NON_MEMBER:
             raise ValueError("the ideal handed to the integrator is not "
                              "differential")
@@ -419,10 +419,10 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
                                 if not c.is_structural_zero()})
 
     # layer: generators that are already exact
-    for g in ideal.generators:
+    for g, dg in zip(ideal.generators, _differentials(ideal)):
         if len(found) == target:
             break
-        if exterior_derivative(g).is_structural_zero():
+        if dg.is_structural_zero():
             try_form(g)
     # layer: closed polynomial-coefficient combinations
     if len(found) < target:
@@ -434,13 +434,14 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
     # components found before this layer
     if len(found) < target:
         echelon = found_echelon() if found else None
-        for g in ideal.generators:
+        for g, dg in zip(ideal.generators, _differentials(ideal)):
             if len(found) == target:
                 break
             rest = residual(g, echelon) if echelon else g
             if rest.is_structural_zero():
                 continue
-            candidate = _integrating_factor_candidate(rest)
+            drest = exterior_derivative(rest) if echelon else dg
+            candidate = _integrating_factor_candidate(rest, drest)
             if candidate is not None:
                 try_form(candidate)
     # layer: user hints
@@ -467,12 +468,13 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
             f"integrated {len(found)} of {target} directions; residual "
             f"generators need hints: {residuals}", residual=residuals, k=k)
 
+    k = k if k is not None else -1
     if ls is not None:
-        return _classify_and_order(found, ls, k)
-    return SmoothMapAdapted(found, 0, k if k is not None else -1)
+        return _classify_and_order(found, ls, k, ideal)
+    return SmoothMapAdapted(found, 0, k, ideal)
 
 
-def _classify_and_order(comps, ls: LiftedSystem, k):
+def _classify_and_order(comps, ls: LiftedSystem, k, ideal):
     """Order components [vanishing-on-L (t last)] ++ [rest]."""
     t_expr = Expr.var_index(ls.vars, 0)
     van, rest = [], []
@@ -488,7 +490,7 @@ def _classify_and_order(comps, ls: LiftedSystem, k):
             rest.append(c)
     if t_present:
         van.append(t_expr)
-    return SmoothMapAdapted(van + rest, len(van), k if k is not None else -1)
+    return SmoothMapAdapted(van + rest, len(van), k, ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +585,7 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
         raise AdaptationFailed(
             "adapted map lost rank; the combination consumed more "
             "directions than it added", k=F.k)
-    return SmoothMapAdapted(comps, target_vanish, F.k)
+    return SmoothMapAdapted(comps, target_vanish, F.k, F.ideal)
 
 
 def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
@@ -603,10 +605,10 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
                 f"output component with relative degree {ki} cannot be "
                 f"subordinate at level {k}", k=k)
         towers += sys.tower(hi, ki - k)
-    span = PfaffianIdeal([d_of_function(c) for c in F.components], p0,
-                         "map-span")
+    # F's differentials span F.ideal, so membership there is in the map span
     for entry in towers:
-        if ideal_membership(d_of_function(entry), span) != Membership.MEMBER:
+        if (ideal_membership(d_of_function(entry), F.ideal)
+                != Membership.MEMBER):
             raise AdaptationFailed(
                 f"tower entry '{entry}' has differential outside the map "
                 "span; flag data corrupted", k=k)
@@ -625,4 +627,4 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
         raise AdaptationFailed(
             "subordination lost rank while rebuilding the component list",
             k=k)
-    return SmoothMapAdapted(comps, vanish_count, F.k)
+    return SmoothMapAdapted(comps, vanish_count, F.k, F.ideal)

@@ -142,6 +142,12 @@ class TestFrobenius:
         assert len(F.components) == 2
         assert any("unused" in w or "redundant" in w for w in warnings)
 
+    def test_non_differential_ideal_rejected(self, sec5_lifted):
+        # I0 is not differential: its derived flag shrinks it
+        with pytest.raises(ValueError, match="the ideal handed to the "
+                           "integrator is not differential"):
+            frobenius_integrate(sec5_lifted.I0, sec5_lifted)
+
     def test_integrating_factor_layer(self, sec5_lifted):
         # x2 dx1 - x1 dx2 integrates to x1/x2 via an exponential factor
         gen = DX("x1").scale(E("x2")) - DX("x2").scale(E("x1"))
@@ -301,6 +307,13 @@ class TestAdaptSubordinate:
         assert out.vanish_count == 3
         assert rank_at(out, sec5_lifted.p0) == 6
 
+    def test_tower_outside_the_map_span(self, sec5_lifted, sec5_closures):
+        F = frobenius_integrate(sec5_closures[2], sec5_lifted, k=2)
+        assert {str(c) for c in F.components} == {"x5 + x7", "t"}
+        with pytest.raises(AdaptationFailed, match="tower entry 'x1' has "
+                           "differential outside the map span"):
+            adapt_subordinate(F, [E("x1")], [3], sec5_lifted, 2)
+
     def test_empty_output_is_identity(self, sec5_lifted, sec5_closures):
         F = frobenius_integrate(sec5_closures[2], sec5_lifted, k=2)
         assert adapt_subordinate(F, [], [], sec5_lifted, 2) is F
@@ -317,3 +330,54 @@ class TestAdaptSubordinate:
         out = adapt_subordinate(F0, [Ep("x1")], [3], ls, 1)
         comps = [str(c) for c in out.components]
         assert "x1" in comps and "x2" in comps
+
+
+class TestReadsWhatTheRunHolds:
+    """A sec5 solve re-derives nothing the run holds: no derived step
+    re-proves membership, the integrator reads d of each generator from its
+    ideal, and subordination checks against F's ideal with no map-span
+    ideal built."""
+
+    def test_sec5_solve(self, monkeypatch):
+        import tflkit.algorithm as algorithm
+        import tflkit.pfaffian as pfaffian
+        from conftest import SEC5_FILE
+        from tflkit.problem import EXIT_OK, cmd_solve, load_problem
+        memberships, built, integrated, taken = [], [], [], []
+        real_member = pfaffian.ideal_membership
+
+        def member(a, ideal):
+            memberships.append(ideal.provenance)
+            return real_member(a, ideal)
+
+        for module in (pfaffian, integrate, algorithm):
+            monkeypatch.setattr(module, "ideal_membership", member)
+        real_init = PfaffianIdeal.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PfaffianIdeal, "__init__", init)
+        real_integrate = integrate.frobenius_integrate
+
+        def integrate_spy(ideal, *args, **kwargs):
+            integrated.append(ideal)
+            return real_integrate(ideal, *args, **kwargs)
+
+        monkeypatch.setattr(algorithm, "frobenius_integrate", integrate_spy)
+        real_d = integrate.exterior_derivative
+
+        def d(w):
+            taken.append(any(w is g for ideal in integrated
+                             for g in ideal.generators))
+            return real_d(w)
+
+        monkeypatch.setattr(integrate, "exterior_derivative", d)
+        _, _, code = cmd_solve(load_problem(SEC5_FILE))
+        assert code == EXIT_OK
+        assert len(memberships) == 4
+        assert "map-span" not in memberships
+        assert len(built) == 7
+        assert integrated and taken
+        assert not any(taken)

@@ -821,6 +821,29 @@ class TestNoRepeatedWork:
             assert flag.generator_counts() == (len(ideal),)
         assert calls == []
 
+    def test_derived_steps_ask_no_membership(self, monkeypatch):
+        import tflkit.pfaffian as pfaffian
+        from conftest import make_sec5_system
+        from tflkit.lift import lift_system
+        ideals = [lift_system(make_sec5_system()).I0,
+                  lift_system(make_chain8()).I0]
+        calls = self._membership_spy(monkeypatch)
+        steps = []
+        real = pfaffian.derived_system
+
+        def step(ideal):
+            out = real(ideal)
+            steps.append((len(ideal), len(out)))
+            return out
+
+        monkeypatch.setattr(pfaffian, "derived_system", step)
+        for ideal in ideals:
+            _flags_of(ideal)
+        # steps that build new generators: 3 over sec5's flags, 7 over
+        # chain8's
+        assert sum(0 < after < before for before, after in steps) == 10
+        assert calls == []
+
     def test_augmenting_an_echelon_divides_once_per_row(self, monkeypatch):
         import tflkit.pfaffian as pfaffian
         from tflkit.lift import lift_system
@@ -1111,3 +1134,56 @@ class TestPointwiseEmptyingSweep:
         without = [_flag_outcome(e) for e in chosen]
         for edit, a, b in zip(chosen, with_point, without):
             assert a == b, edit
+
+
+def _flags_of(ideal):
+    """The derived flag of `ideal` and the flag of each <I^(k), dt>."""
+    flag = derived_flag(ideal)
+    return [flag] + [derived_flag(flag.augmented(k))
+                     for k in range(len(flag.entries))]
+
+
+def _escaped_generators(ideal):
+    """(entry, generator) for each generator of a flag entry, over
+    `_flags_of(ideal)`, that is not a member of the entry before it."""
+    return [(repr(flag.entry(k)), repr(g))
+            for flag in _flags_of(ideal)
+            for k in range(1, len(flag.entries))
+            for g in flag.entry(k).generators
+            if ideal_membership(g, flag.entry(k - 1)) != Membership.MEMBER]
+
+
+class TestFlagEntriesNest:
+    """I^(k+1) = {w in I^(k) : dw in I^(k)} is a sub-ideal of I^(k) by
+    definition, and `derived_system` builds each generator as a combination
+    of its parent's, so the run does not re-prove it.  Here every generator
+    of every entry is a member of the entry before it, over the flags and
+    the flags of each <I^(k), dt>."""
+
+    def test_fixtures_chain8_and_unicycle(self):
+        from tflkit.lift import lift_system
+        from tflkit.problem import load_problem, loads_problem
+        from test_problem_cli import UNICYCLE
+        systems = [load_problem(path).to_control_system()
+                   for path in sorted(PROBLEMS.glob("*.tfl"))]
+        systems += [make_chain8(), loads_problem(UNICYCLE).to_control_system()]
+        assert len(systems) == 5
+        for system in systems:
+            assert _escaped_generators(lift_system(system).I0) == []
+
+    def test_sweep_edits(self):
+        from tflkit.errors import TflError
+        from tflkit.lift import lift_system
+        # the 24 edits TestPointwiseEmptyingSweep samples
+        chosen = random.Random(25).sample(
+            [e for e in sec5_edits() if _lifts(e)], 24)
+        checked = 0
+        for edit in chosen:
+            try:
+                escaped = _escaped_generators(
+                    lift_system(sec5_edit_system(*edit)).I0)
+            except TflError:
+                continue  # the edit's own flag fails, as the sweep pins
+            assert escaped == [], edit
+            checked += 1
+        assert checked == 23

@@ -336,6 +336,14 @@ class TestCli:
         assert tree["output"]["kappa"] == [3]
         assert tree["schema"] == "tflkit-report/1"
 
+    def test_adaptation_failure_exit_code(self):
+        # a degree-1 ansatz cannot close sec5's vanishing block
+        code, out, _ = self.run_cli("solve", str(SEC5), "--ansatz-degree",
+                                    "1")
+        assert code == EXIT_ADAPTATION == 4
+        assert ("error: no degree-<=1 combination closes the vanishing "
+                "block (0 of 1 found)") in out
+
     def test_missing_file(self):
         code, _, err = self.run_cli("check", "/nonexistent.tfl")
         assert code == 1
