@@ -42,6 +42,7 @@ __all__ = [
     "divide_by_gcd",
     "divide_by_factors",
     "exact_quotient",
+    "signed_content",
     "coprime_factor_base",
 ]
 
@@ -1644,6 +1645,14 @@ def _divide_all(nums, F):
             return None
         quotients.append(q)
     return quotients
+
+
+def signed_content(e: Expr) -> Fraction:
+    """c with e = c * P / Q for P and Q primitive in Z[atoms] with positive
+    leading coefficients: the sign of e's leading coefficient times its
+    rational content.  ValueError for zero."""
+    c = Fraction(_int_content(e.num), _int_content(e.den))
+    return c if e.num[_p_leading(e.num)] > 0 else -c
 
 
 def exact_quotient(e: Expr, d: Expr) -> Expr:

@@ -25,7 +25,7 @@ from .errors import (DomainError, InconclusiveZeroTest, NoTermination,
                      RegularityViolation)
 from .expr import (Expr, Point, Zeroness, coprime_factor_base,
                    denominator_lcm, divide_by_factors, divide_by_gcd,
-                   exact_quotient, float_at)
+                   exact_quotient, float_at, signed_content)
 from .forms import KForm, coordinate_form, exterior_derivative, wedge
 from . import numlin
 
@@ -156,6 +156,12 @@ def _normalize_row(row, factors):
     return row
 
 
+def _primitive_pivot(a, q):
+    """(a / c, q / c), c the signed content of the pivot entry q."""
+    inv = Expr.rational(q.vars, 1 / signed_content(q))
+    return a * inv, q * inv
+
+
 def rref_function_field(rows, p0):
     """Echelon form over the fraction field of Expr.
 
@@ -163,10 +169,11 @@ def rref_function_field(rows, p0):
     columns are pivoted left to right using only pivots that do not vanish
     at the base point, then the remaining rows are pivoted symbolically
     without the p0 requirement, so the basis stays pointwise regular at p0
-    whenever the row module is.  Returns (rows, pivot_columns) in pivot
-    assignment order: every row has zeros at all pivot columns assigned
-    before it, which is what the back substitutions in
-    nullspace_function_field and _complement_substitution rely on.
+    whenever the row module is; the first pass's rows are then completed
+    fraction-free.  Returns (rows, pivot_columns) in pivot assignment
+    order: every row has zeros at all pivot columns assigned before it,
+    which is what the back substitutions in nullspace_function_field and
+    _complement_substitution rely on.
     """
     rows = [_clear_denominators_row(list(r)) for r in rows]
     if not rows:
@@ -256,21 +263,19 @@ def rref_function_field(rows, p0):
                     "no usable pivot for a symbolically nonzero row")
     # Jordan completion among the p0-regular pivots keeps the basis clean
     # (and the generators small); pass-2 pivots may vanish at p0, so rows
-    # are never divided by them
-    for idx in range(np1 - 2, -1, -1):
-        row = rows[idx]
+    # are never completed against them
+    for idx in range(np1 - 1, -1, -1):
+        row, completing = rows[idx], []
         for jdx in range(np1 - 1, idx, -1):
             pc = pivots[jdx]
             if row[pc].is_structural_zero():
                 continue
-            factor = row[pc] / rows[jdx][pc]
-            row = [a - factor * b for a, b in zip(row, rows[jdx])]
-        rows[idx] = _normalize_row(row, bareiss)
-    # the completion has normalized rows 0 .. np1-2 already
-    done = max(np1 - 1, 0)
-    out = rows[:done] + [_normalize_row(rows[k], bareiss)
-                         for k in range(done, r)]
-    return out, pivots
+            a, q = _primitive_pivot(row[pc], rows[jdx][pc])
+            row = [q * x - a * y for x, y in zip(row, rows[jdx])]
+            completing.append(q)
+        rows[idx] = _normalize_row(row, bareiss + completing)
+    return rows[:np1] + [_normalize_row(rows[k], bareiss)
+                         for k in range(np1, r)], pivots
 
 
 def nullspace_function_field(matrix, p0):
@@ -363,6 +368,7 @@ class PfaffianIdeal:
         # whether <ideal, dt> is differential; decided by derived_system
         self._dt_closed = None
         self._d = None  # d of each generator, built by _differentials
+        self._subs = None  # built by _complement_substitution
         if not generators:
             return
         if _validate_raw:
@@ -371,10 +377,13 @@ class PfaffianIdeal:
                 raise RegularityViolation(
                     "supplied generators are pointwise dependent at the "
                     "base point")
-        self._rows, self._pivots = rref_function_field(
-            _forms_to_rows(generators), p0)
-        self.generators = _rows_to_forms(self._rows, self.vars)
-        if numlin.rank(self.at(p0)) != len(self.generators):
+        self._adopt(*rref_function_field(_forms_to_rows(generators), p0))
+
+    def _adopt(self, rows, pivots):
+        """Take an echelon whose rows are independent at the base point."""
+        self._rows, self._pivots = rows, pivots
+        self.generators = _rows_to_forms(rows, self.vars)
+        if numlin.rank(self.at(self.p0)) != len(self.generators):
             raise RegularityViolation(
                 "generators are pointwise dependent at the base point")
 
@@ -415,9 +424,38 @@ def _span_with_dt(ideal: PfaffianIdeal, p: Point):
 
 
 def augment_with_dt(ideal: PfaffianIdeal, provenance=None) -> PfaffianIdeal:
-    dt = coordinate_form(ideal.vars, 0)
-    return PfaffianIdeal(list(ideal.generators) + [dt], ideal.p0,
-                         provenance or f"{ideal.provenance}+dt")
+    """<ideal, dt> from the ideal's echelon: dt first, then each row with no
+    t entry, a t pivot's row taking its first column that does not vanish
+    at p0, eliminated fraction-free from the rows holding it.  In pivot
+    order, each row is scaled by the signed contents of the pivot entries
+    before it and normalized: for an echelon regular at p0, the rows of
+    `rref_function_field` on the generators and dt, Bareiss factors and
+    all."""
+    vars0, p0 = ideal.vars, ideal.p0
+    zero = Expr.zero(vars0)
+    rows = [[zero] + row[1:] for row in ideal.rows()[0]]
+    pivots = list(ideal.rows()[1])
+    if 0 in pivots:
+        o = pivots.index(0)
+        c = next((c for c in range(1, vars0.total)
+                  if _pivot_in_column([rows[o]], c, 0, p0, True) == 0), 0)
+        if not c:
+            raise RegularityViolation(
+                "supplied generators are pointwise dependent at the base "
+                "point")
+        pivots[o] = c
+        for i, row in enumerate(rows):
+            if i != o and not row[c].is_structural_zero():
+                a, q = _primitive_pivot(row[c], rows[o][c])
+                rows[i] = [q * x - a * y for x, y in zip(row, rows[o])]
+    out, scale = [[Expr.one(vars0)] + [zero] * (vars0.total - 1)], 1
+    for i in sorted(range(len(rows)), key=pivots.__getitem__):
+        unit = Expr.rational(vars0, scale)
+        out.append(_normalize_row([e * unit for e in rows[i]], ()))
+        scale *= signed_content(rows[i][pivots[i]])
+    aug = PfaffianIdeal([], p0, provenance or f"{ideal.provenance}+dt")
+    aug._adopt(out, [0] + sorted(pivots))
+    return aug
 
 
 def ideal_membership(a: KForm, ideal: PfaffianIdeal) -> str:
@@ -430,9 +468,13 @@ def ideal_membership(a: KForm, ideal: PfaffianIdeal) -> str:
         return Membership.NON_MEMBER
     rows, pivots = ideal.rows()
     target = [a.coefficient((i,)) for i in range(ideal.vars.total)]
-    rem = reduce_against_rows(target, rows, pivots)
+    return _verdict(reduce_against_rows(target, rows, pivots))
+
+
+def _verdict(remainder):
+    """The membership verdict on the coefficients of a remainder."""
     verdict = Membership.MEMBER
-    for c in rem:
+    for c in remainder:
         z = c.zeroness()
         if z == Zeroness.NONZERO:
             return Membership.NON_MEMBER
@@ -463,7 +505,10 @@ def _complement_substitution(ideal: PfaffianIdeal):
     entries, so associated pivots share their factors, the maximum of two
     multisets is their least common multiple, and later products never need
     polynomial division or gcd.  Pivots are solved in reverse assignment
-    order."""
+    order.  Built once per ideal: its derived step and every 2-form
+    membership in it read the same substitution."""
+    if ideal._subs is not None:
+        return ideal._subs
     rows, pivots = ideal.rows()
     vars0 = ideal.vars
     _, factored = coprime_factor_base(row[pc]
@@ -491,6 +536,7 @@ def _complement_substitution(ideal: PfaffianIdeal):
         # the pivot entry is unit * powers; the unit joins the numerator
         subs[pc] = (acc.scale(Expr.rational(vars0, -1 / unit)),
                     Counter(powers) + common)
+    ideal._subs = subs
     return subs
 
 
@@ -813,9 +859,10 @@ class Flag:
     iff each d(w_i) mod I lies in theta ^ (Omega / I), theta = dt mod I != 0,
     which over the function field is theta ^ (d(w_i) mod I) = 0.  At a closed
     level the closure of <I^(k), dt> is that ideal itself, so nothing is
-    derived for it, and <I^(k), dt> is echelonized only where a closure's
-    generators are read.  Pointwise, span{I^(k)_p, dt_p} comes from I^(k)'s
-    own rows (`with_dt`).  Where a step is decided at a point
+    derived for it, and <I^(k), dt> is built, from I^(k)'s own echelon
+    (`augment_with_dt`), only where a closure's generators are read.
+    Pointwise, span{I^(k)_p, dt_p} comes from I^(k)'s own rows
+    (`with_dt`).  Where a step is decided at a point
     (`derived_flag`), the verdict is False, shown by a nonzero value of
     theta ^ (d(w_i) mod I); a point never shows it True, since a zero value
     there may be a zero of a nonzero coefficient.  The dt-augmented entries
@@ -950,12 +997,5 @@ def two_form_membership(w: KForm, ideal: PfaffianIdeal) -> str:
         return Membership.MEMBER
     if not ideal.generators:
         return Membership.NON_MEMBER
-    r = _reduce_two_form(w, _complement_substitution(ideal))
-    verdict = Membership.MEMBER
-    for c in r.terms.values():
-        z = c.zeroness()
-        if z == Zeroness.NONZERO:
-            return Membership.NON_MEMBER
-        if z == Zeroness.INCONCLUSIVE:
-            verdict = Membership.INCONCLUSIVE
-    return verdict
+    reduced = _reduce_two_form(w, _complement_substitution(ideal))
+    return _verdict(reduced.terms.values())

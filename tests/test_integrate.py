@@ -381,3 +381,23 @@ class TestReadsWhatTheRunHolds:
         assert len(built) == 7
         assert integrated and taken
         assert not any(taken)
+
+    def test_precondition_builds_one_substitution(self, monkeypatch):
+        # the differential-ideal precondition tests d of each of the six
+        # generators of the level-1 closure against one complement
+        # substitution of it
+        import tflkit.pfaffian as pfaffian
+        from conftest import SEC5_FILE
+        from tflkit.problem import EXIT_OK, cmd_solve, load_problem
+        built = []
+        real = pfaffian._complement_substitution
+
+        def spy(ideal):
+            if ideal._subs is None:
+                built.append(ideal.provenance)
+            return real(ideal)
+
+        monkeypatch.setattr(pfaffian, "_complement_substitution", spy)
+        _, _, code = cmd_solve(load_problem(SEC5_FILE))
+        assert code == EXIT_OK
+        assert built.count("closure-of I(1)+dt") == 1
