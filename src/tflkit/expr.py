@@ -1546,9 +1546,16 @@ def product_terms(e: Expr, factor: Expr):
 # ---------------------------------------------------------------------------
 
 def denominator_lcm(exprs) -> Expr:
-    """The least common multiple of the monic denominators of `exprs`, built
-    left to right as lcm * (den / g) with g the content-free gcd of the two;
-    one when every expression is a polynomial."""
+    """A polynomial multiple of every denominator of `exprs`, so that
+    multiplying by it clears them; one when every expression is a
+    polynomial.  Built left to right over the expressions whose denominator
+    is not constant: a running L times den / g, g = gcd(L, den) with its
+    integer content multiplied back, and divided by the leading coefficient
+    of each such denominator, once per expression, repeats included.  So it
+    is the least common multiple of the denominators up to a rational
+    factor that depends on how many expressions share a denominator:
+    1/(2*x1 + 1) gives x1 + 1/2, with x2/(2*x1 + 1) 1/2*x1 + 1/4, and with
+    x3/(2*x1 + 1) as well 1/4*x1 + 1/8."""
     exprs = list(exprs)
     L, scale_n, scale_d = _ONE, 1, 1  # the lcm is L * scale_n / scale_d
     kernels = {}

@@ -9,6 +9,8 @@ wrong flag.  The derived flag first asks one exact perturbed point whether a
 step empties its ideal, and assembles the step's symbolic conditions only
 where that point cannot tell (`_empties_at_a_point`).  No derived step
 makes a membership call: each new generator is a combination of its parent's.
+A step that keeps some of its parent's generators takes their echelon rows,
+differentials and substitutions instead of rebuilding them (`_kept_rows`).
 """
 
 from __future__ import annotations
@@ -428,13 +430,16 @@ def augment_with_dt(ideal: PfaffianIdeal, provenance=None) -> PfaffianIdeal:
     t entry, a t pivot's row taking its first column that does not vanish
     at p0, eliminated fraction-free from the rows holding it.  In pivot
     order, each row is scaled by the signed contents of the pivot entries
-    before it and normalized: for an echelon regular at p0, the rows of
-    `rref_function_field` on the generators and dt, Bareiss factors and
-    all."""
+    before it and normalized (`_stacked`): for an echelon regular at p0,
+    the rows of `rref_function_field` on the generators and dt, Bareiss
+    factors and all.  The owner's old t entry and its new pivot entry are
+    known factors of that normalization, since the rows eliminated against
+    the owner's row may share them, so the row gcds see only cofactors."""
     vars0, p0 = ideal.vars, ideal.p0
     zero = Expr.zero(vars0)
     rows = [[zero] + row[1:] for row in ideal.rows()[0]]
     pivots = list(ideal.rows()[1])
+    factors = ()
     if 0 in pivots:
         o = pivots.index(0)
         c = next((c for c in range(1, vars0.total)
@@ -444,18 +449,35 @@ def augment_with_dt(ideal: PfaffianIdeal, provenance=None) -> PfaffianIdeal:
                 "supplied generators are pointwise dependent at the base "
                 "point")
         pivots[o] = c
+        factors = (ideal.rows()[0][o][0], rows[o][c])
         for i, row in enumerate(rows):
             if i != o and not row[c].is_structural_zero():
                 a, q = _primitive_pivot(row[c], rows[o][c])
                 rows[i] = [q * x - a * y for x, y in zip(row, rows[o])]
-    out, scale = [[Expr.one(vars0)] + [zero] * (vars0.total - 1)], 1
-    for i in sorted(range(len(rows)), key=pivots.__getitem__):
-        unit = Expr.rational(vars0, scale)
-        out.append(_normalize_row([e * unit for e in rows[i]], ()))
-        scale *= signed_content(rows[i][pivots[i]])
+    rows, pivots = _stacked(rows, pivots, factors)
     aug = PfaffianIdeal([], p0, provenance or f"{ideal.provenance}+dt")
-    aug._adopt(out, [0] + sorted(pivots))
+    aug._adopt([[Expr.one(vars0)] + [zero] * (vars0.total - 1)] + rows,
+               [0] + pivots)
     return aug
+
+
+def _stacked(rows, pivots, factors):
+    """The echelon that `rref_function_field` makes of nonzero rows that
+    need no elimination against each other: in pivot order, each row
+    scaled by the product of the signed contents of the pivot entries
+    before it (what its Bareiss factors leave after the row gcd) and
+    normalized once, divided by the known `factors` first.  Returns (rows,
+    pivots)."""
+    out, scale = [], 1
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    for i in order:
+        row = rows[i]
+        if scale != 1:
+            unit = Expr.rational(row[0].vars, scale)
+            row = [e * unit for e in row]
+        out.append(_normalize_row(row, factors))
+        scale *= signed_content(rows[i][pivots[i]])
+    return out, [pivots[i] for i in order]
 
 
 def ideal_membership(a: KForm, ideal: PfaffianIdeal) -> str:
@@ -583,7 +605,12 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     system gives the generators of the derived system.  A differential
     ideal, the zero ideal too, comes back `_relabelled`.  Each generator of
     I' is built as sum lambda_i w_i of the ideal's generators, so I' lies in
-    the ideal by construction and no membership is re-proved here.
+    the ideal by construction and no membership is re-proved here.  Where
+    each nullspace vector keeps one generator, as on every step of an
+    integrator chain, I' is made of the kept echelon rows themselves, with
+    their d and, where they reference complement coordinates only, their
+    substitutions (`_kept_rows`); no echelon, d or substitution is
+    rebuilt.
 
     The same reductions decide whether <ideal, dt> is differential, which
     the step records on `ideal` (`_dt_closes`); the flag reads it.
@@ -661,6 +688,9 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
         raise RegularityViolation(
             f"generic rank {sym_rank} of the derived-step conditions is not "
             "attained at any perturbed point")
+    kept = _kept_rows(ideal, basis)
+    if kept is not None:
+        return kept
     new_gens = []
     for vec in basis:
         g = KForm.zero(vars0, 1)
@@ -671,6 +701,51 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
             new_gens.append(g)
     return PfaffianIdeal(new_gens, ideal.p0, "derived-from",
                          _validate_raw=False)
+
+
+def _kept_rows(ideal, basis):
+    """I' from the ideal's own echelon rows, where each nullspace vector
+    keeps one generator (it is 0 but for the 1 in its free column).  The
+    kept rows are `_stacked`, which is the echelon `rref_function_field`
+    makes of them whenever each pivot entry is nonzero at p0 and each row
+    has structural zeros at the other kept pivots, as a first-pass row of
+    a regular echelon has.  The d of each new row is its parent row's d
+    times the same rational.  Where each kept pivot entry is rational and
+    each kept row has structural zeros at every other pivot of the ideal,
+    a row references complement coordinates only, so its substitution is
+    its parent row's.  None where a condition fails, for the general
+    route."""
+    rows, pivots = ideal.rows()
+    vars0, p0 = ideal.vars, ideal.p0
+    kept = {}  # pivot column -> row index
+    for vec in basis:
+        nonzero = [i for i, lam in enumerate(vec)
+                   if not lam.is_structural_zero()]
+        if len(nonzero) != 1 or vec[nonzero[0]].as_rational() != 1:
+            return None
+        kept[pivots[nonzero[0]]] = nonzero[0]
+    isolated = True
+    for pc, i in kept.items():
+        held = [c for c in pivots
+                if c != pc and not rows[i][c].is_structural_zero()]
+        if (_pivot_in_column([rows[i]], pc, 0, p0, True) != 0
+                or any(c in kept for c in held)):
+            return None
+        isolated = (isolated and not held
+                    and rows[i][pc].as_rational() is not None)
+    out = PfaffianIdeal([], p0, "derived-from")
+    out._adopt(*_stacked([rows[i] for i in kept.values()], list(kept), ()))
+    d = _differentials(ideal)
+    out._d = []
+    for row, pc in zip(*out.rows()):
+        i = kept[pc]
+        unit = signed_content(row[pc]) / signed_content(rows[i][pc])
+        out._d.append(d[i] if unit == 1
+                      else d[i].scale(Expr.rational(vars0, unit)))
+    if isolated:
+        out._subs = {pc: sub for pc, sub in
+                     _complement_substitution(ideal).items() if pc in kept}
+    return out
 
 
 def _dt_closes(reduced, subs):
@@ -718,11 +793,16 @@ def _sample_ranks(matrix, p0, exact, primitive_row):
 
     Exact ranks are taken over Q, of the primitive rows: a row that
     vanishes at a point is replaced there by `primitive_row(i)`, and every
-    other row spans the same line as its primitive row.  Float ranks follow
-    the `numlin` policy and skip p0, where a kernel-bearing coefficient
-    matrix may legitimately drop rank.  Points outside the entries' domain
-    are skipped."""
+    other row spans the same line as its primitive row.  They stop at the
+    first perturbed point whose rank is min(rows, columns): no point ranks
+    higher, and the symbolic rank is at most that, so both
+    RegularityViolation guards of `derived_system` decide as they would
+    after every point.  Float ranks follow the `numlin` policy, skip p0,
+    where a kernel-bearing coefficient matrix may legitimately drop rank,
+    and take every perturbed point.  Points outside the entries' domain are
+    skipped."""
     pts = ([p0] if exact else []) + perturbed_points(p0)
+    full = min(len(matrix), len(matrix[0]))
     for p in pts:
         try:
             vals = [[c.eval(p) for c in row] for row in matrix]
@@ -735,6 +815,8 @@ def _sample_ranks(matrix, p0, exact, primitive_row):
         r = numlin.exact_rank(vals) if exact else numlin.rank(
             np.array(vals, dtype=float))
         yield p is not p0, r
+        if exact and r == full and p is not p0:
+            return
 
 
 def _classes_at(rows, pivots, p):

@@ -50,6 +50,16 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def run_cli(command, path):
+    """[exit code, sha256(stdout), sha256(stderr)] of `tflkit <command>
+    <path>` through `cli.main`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
+        code = cli_main([command, str(path)])
+    return [code, _sha(stdout.getvalue()), _sha(stderr.getvalue())]
+
+
 def run_all():
     """{"<edit> <command>": [exit code, sha256(stdout), sha256(stderr)]}."""
     out = {}
@@ -58,32 +68,37 @@ def run_all():
         for edit, text in edited_texts():
             path.write_text(text, encoding="utf-8")
             for command in ("check", "solve"):
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with (contextlib.redirect_stdout(stdout),
-                      contextlib.redirect_stderr(stderr)):
-                    code = cli_main([command, str(path)])
-                out[f"{edit} {command}"] = [code, _sha(stdout.getvalue()),
-                                            _sha(stderr.getvalue())]
+                out[f"{edit} {command}"] = run_cli(command, path)
     return out
 
 
-def main(argv):
-    got = run_all()
+def compare(got, digests, argv):
+    """With --write in `argv`, record `got` in the file `digests` and
+    return None; otherwise print each run whose digests differ from the
+    recorded ones and return how many do."""
     if "--write" in argv:
-        DIGESTS.write_text(json.dumps(got, indent=1) + "\n",
+        digests.write_text(json.dumps(got, indent=1) + "\n",
                            encoding="utf-8")
-        print(f"wrote {len(got)} digests to {DIGESTS}")
-        return 0
-    want = json.loads(DIGESTS.read_text(encoding="utf-8"))
+        print(f"wrote {len(got)} digests to {digests}")
+        return None
+    want = json.loads(digests.read_text(encoding="utf-8"))
     bad = sorted(k for k in want.keys() | got.keys()
                  if want.get(k) != got.get(k))
     for key in bad:
         print(f"mismatch: {key}: expected {want.get(key)}, got {got.get(key)}")
+    return len(bad)
+
+
+def main(argv):
+    got = run_all()
+    bad = compare(got, DIGESTS, argv)
+    if bad is None:
+        return 0
     codes = {}
     for key, (code, _, _) in got.items():
         if key.endswith(" solve"):
             codes[code] = codes.get(code, 0) + 1
-    print(f"{len(got)} runs, {len(bad)} mismatches; solve exit codes "
+    print(f"{len(got)} runs, {bad} mismatches; solve exit codes "
           + ", ".join(f"{n}x{c}" for c, n in sorted(codes.items())))
     return 1 if bad else 0
 

@@ -248,3 +248,39 @@ class TestFractionFreeCompletion:
             rows_total += len(new[0])
             equal += len(new[0]) - len(_compare_completions(rows, p0, new))
         assert equal > rows_total // 2
+
+
+class TestKnownFactorsOfTheOwnerRow:
+    def test_sec5_level_two(self, monkeypatch, sec5_flag):
+        """On sec5's I^(2), whose owner row moves from t to x1*(x3 + 3),
+        the rows eliminated against the owner's row share its old t entry,
+        and one also its new pivot entry.  Divided by both first, the row
+        gcds of augmenting make 2 cofactor calls instead of 6, and give the
+        same rows."""
+        import tflkit.expr as expr
+
+        depth, calls = [0], [0]
+        cofactors, by_gcd = expr._ip_cofactors, pfaffian.divide_by_gcd
+
+        def cofactors_spy(A, B):
+            calls[0] += depth[0] > 0
+            return cofactors(A, B)
+
+        def by_gcd_spy(row):
+            depth[0] += 1
+            try:
+                return by_gcd(row)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(expr, "_ip_cofactors", cofactors_spy)
+        monkeypatch.setattr(pfaffian, "divide_by_gcd", by_gcd_spy)
+        entry = sec5_flag.entry(2)
+        assert str(entry.rows()[0][0][4]) == "x1*x3 + 3*x1"
+        rows = augment_with_dt(entry).rows()
+        assert calls[0] == 2
+        calls[0] = 0
+        monkeypatch.setattr(pfaffian, "divide_by_factors",
+                            lambda row, factors: row)
+        assert augment_with_dt(entry).rows() == rows
+        assert calls[0] == 6

@@ -442,6 +442,13 @@ class TestIntegerForm:
             == E("(x1 + 1)^2")
         assert denominator_lcm([E("x1/2"), E("3")]) == E("1")
 
+    def test_denominator_lcm_divides_by_each_leading_coefficient(self):
+        # once per expression with that denominator, so the rational factor
+        # depends on how many entries share it
+        entries = [E("1/(2*x1 + 1)"), E("x2/(2*x1 + 1)"), E("x3/(2*x1 + 1)")]
+        assert [denominator_lcm(entries[:k]) for k in (1, 2, 3)] == [
+            E("x1 + 1/2"), E("1/2*x1 + 1/4"), E("1/4*x1 + 1/8")]
+
 
 # -- identity arithmetic against the general route ---------------------------
 

@@ -794,6 +794,73 @@ class TestDerivedSystemCertification:
         assert ranked == [2] * 8
 
 
+class TestRankSamplingStops:
+    """On the exact path, `_sample_ranks` stops at the first perturbed
+    point whose rank is min(rows, generators) of the conditions matrix: no
+    other point can rank higher, and that rank is at least the symbolic
+    rank, so both RegularityViolation guards decide as after all 9
+    points."""
+
+    def test_chain8_steps(self, monkeypatch):
+        import tflkit.pfaffian as pfaffian
+        from tflkit.lift import lift_system
+
+        sample_ranks = pfaffian._sample_ranks
+        runs = []
+
+        def ranks_spy(matrix, p0, exact, primitive_row):
+            runs.append((len(matrix), len(matrix[0]), exact, []))
+            for perturbed, r in sample_ranks(matrix, p0, exact,
+                                             primitive_row):
+                runs[-1][3].append((perturbed, r))
+                yield perturbed, r
+
+        monkeypatch.setattr(pfaffian, "_sample_ranks", ranks_spy)
+        assert derived_flag(lift_system(make_chain8()).I0) \
+            .generator_counts() == tuple(range(8, -1, -1))
+        # one condition row each: p0, then the first perturbed point, which
+        # reaches rank 1; the last step, on one generator, is found empty at
+        # p0 already
+        assert [(rows, gens, exact) for rows, gens, exact, _ in runs] == [
+            (1, gens, True) for gens in range(8, 0, -1)]
+        assert all(ranks == [(False, 1), (True, 1)]
+                   for _, _, _, ranks in runs[:-1])
+        assert runs[-1][3] == [(False, 1)]
+
+    def _chain8_step_raises(self, monkeypatch, change):
+        import tflkit.pfaffian as pfaffian
+        from tflkit.lift import lift_system
+
+        nullspace = pfaffian.nullspace_function_field
+        ranked = []
+        exact_rank = numlin.exact_rank
+
+        def rank_spy(rows):
+            ranked.append(exact_rank(rows))
+            return ranked[-1]
+
+        monkeypatch.setattr(pfaffian, "nullspace_function_field",
+                            lambda m, p0: change(nullspace(m, p0)))
+        monkeypatch.setattr(numlin, "exact_rank", rank_spy)
+        with pytest.raises(RegularityViolation) as info:
+            derived_system(lift_system(make_chain8()).I0)
+        assert ranked == [1, 1]
+        return str(info.value)
+
+    # the messages that ranking all 9 points gives
+    def test_one_nullspace_vector_too_many(self, monkeypatch):
+        assert self._chain8_step_raises(
+            monkeypatch, lambda basis: basis + basis[:1]) == (
+            "rank 1 at a sample point exceeds the generic rank 0 of the "
+            "derived-step conditions")
+
+    def test_one_nullspace_vector_too_few(self, monkeypatch):
+        assert self._chain8_step_raises(
+            monkeypatch, lambda basis: basis[:-1]) == (
+            "generic rank 2 of the derived-step conditions is not attained "
+            "at any perturbed point")
+
+
 class TestNoRepeatedWork:
     @staticmethod
     def _membership_spy(monkeypatch):
