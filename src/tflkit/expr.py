@@ -1299,28 +1299,45 @@ class Expr:
         return f"Expr({self})"
 
     def _poly_str(self, poly, lc):
-        parts = []
+        """The terms in descending order.  Each monomial's nonzero fields
+        are read from the packed int as _mono_pairs reads them, and each
+        (variable, exponent) factor is formatted once per call."""
+        names = self.vars.names
+        last = len(names) - 1
+        below_degree = self.vars._degree_unit - 1
+        factors = {}    # a packed field (exponent << shift) -> its factor
+        out = []
         for m in sorted(poly, reverse=True):
             c = poly[m]
-            factors = []
-            for atom, e in _mono_pairs(m):
-                s = self._atom_str(atom)
-                factors.append(s if e == 1 else f"{s}^{e}")
-            body = "*".join(factors)
+            if m.__class__ is int:
+                v, tail = m & below_degree, ()
+            else:
+                v, tail = m.v & below_degree, m.k
+            body = []
+            while v:
+                s = (v.bit_length() - 1) & -_W
+                e = v >> s
+                field = e << s
+                v -= field
+                text = factors.get(field)
+                if text is None:
+                    name = names[last - s // _W]
+                    text = factors[field] = name if e == 1 else f"{name}^{e}"
+                body.append(text)
+            for atom, e in tail:
+                text = self._atom_str(atom)
+                body.append(text if e == 1 else f"{text}^{e}")
             coeff = Fraction(abs(c), lc) if lc != 1 else abs(c)
+            if out:
+                out.append(" - " if c < 0 else " + ")
+            elif c < 0:
+                out.append("-")
             if not body:
-                text = str(coeff)
+                out.append(str(coeff))
             elif coeff == 1:
-                text = body
+                out.append("*".join(body))
             else:
-                text = f"{coeff}*{body}"
-            parts.append((c < 0, text))
-        out = []
-        for i, (neg, text) in enumerate(parts):
-            if i == 0:
-                out.append(f"-{text}" if neg else text)
-            else:
-                out.append(f" - {text}" if neg else f" + {text}")
+                out.append(f"{coeff}*{'*'.join(body)}")
         return "".join(out)
 
     def _atom_str(self, atom):

@@ -79,8 +79,10 @@ class ControlSystem:
         self._reduction = None
         self._binding_point = None
         # memos for the lifetime of this system: state gradients by
-        # expression, Lie derivatives by (field, expression)
+        # expression and their values at x0, Lie derivatives by (field,
+        # expression)
         self._grads = {}
+        self._grads_at_x0 = {}
         self._lie = {}
         self._validate()
 
@@ -226,13 +228,18 @@ class ControlSystem:
         return out
 
     def grad_at_x0(self, h: Expr):
-        """Row of state-partials of h at x0."""
-        try:
-            return np.array([float(d.eval(self._x0_point))
-                             for d in self.state_grad(h)])
-        except OverflowError:
-            raise DomainError(
-                f"the gradient of '{h}' at x0 is beyond float range") from None
+        """Row of state-partials of h at x0, evaluated once per distinct
+        expression; each call returns a fresh array."""
+        row = self._grads_at_x0.get(h)
+        if row is None:
+            try:
+                row = self._grads_at_x0[h] = np.array(
+                    [float(d.eval(self._x0_point))
+                     for d in self.state_grad(h)])
+            except OverflowError:
+                raise DomainError(f"the gradient of '{h}' at x0 is beyond "
+                                  "float range") from None
+        return row.copy()
 
     # -- validation ----------------------------------------------------------
 

@@ -51,11 +51,11 @@ class Membership:
     INCONCLUSIVE = "inconclusive"
 
 
-# perturbed_points: how many points, the seed of their offsets, and the
-# scale of each offset
+# perturbed_points: how many points, the seed of their offsets, and what
+# each offset is divided by
 _PERTURBED_COUNT = 8
 _PERTURBED_SEED = 1
-_PERTURBED_SCALE = Fraction(1, 4)
+_PERTURBED_DIVISOR = 4
 
 
 def perturbed_points(p0: Point):
@@ -63,7 +63,9 @@ def perturbed_points(p0: Point):
     Every coordinate moves (offsets are nonzero) so degenerate loci through
     p0 itself are left behind.  Built once per base point and kept on it,
     so every derived step and closure of a run shares the points and their
-    cached monomial values; callers must not change the list."""
+    cached monomial values; callers must not change the list.  A rational
+    coordinate n/d moves by the offset p/(4q) to the one Fraction
+    (n*4q + p*d) / (4q*d)."""
     if p0._perturbed is None:
         rng = random.Random(_PERTURBED_SEED)
         pts = []
@@ -72,7 +74,12 @@ def perturbed_points(p0: Point):
             for v in p0.values:
                 q = rng.randint(1, 8)
                 p = rng.randint(1, 3 * q) * rng.choice((-1, 1))
-                vals.append(v + Fraction(p, q) * _PERTURBED_SCALE)
+                q *= _PERTURBED_DIVISOR
+                if isinstance(v, float):
+                    vals.append(v + Fraction(p, q))
+                else:
+                    vals.append(Fraction(v.numerator * q + p * v.denominator,
+                                         q * v.denominator))
             pts.append(Point(p0.vars, vals))
         p0._perturbed = pts
     return p0._perturbed
@@ -371,6 +378,7 @@ class PfaffianIdeal:
         self._dt_closed = None
         self._d = None  # d of each generator, built by _differentials
         self._subs = None  # built by _complement_substitution
+        self._at_p0 = None  # each generator's row at p0, kept by _adopt
         if not generators:
             return
         if _validate_raw:
@@ -385,7 +393,13 @@ class PfaffianIdeal:
         """Take an echelon whose rows are independent at the base point."""
         self._rows, self._pivots = rows, pivots
         self.generators = _rows_to_forms(rows, self.vars)
-        if numlin.rank(self.at(self.p0)) != len(self.generators):
+        self._independent_at_p0([g.at(self.p0) for g in self.generators])
+
+    def _independent_at_p0(self, values):
+        """Keep the generators' rows of `values` at the base point, and
+        check that they are independent there."""
+        self._at_p0 = values
+        if numlin.rank(values) != len(self.generators):
             raise RegularityViolation(
                 "generators are pointwise dependent at the base point")
 
@@ -710,11 +724,14 @@ def _kept_rows(ideal, basis):
     makes of them whenever each pivot entry is nonzero at p0 and each row
     has structural zeros at the other kept pivots, as a first-pass row of
     a regular echelon has.  The d of each new row is its parent row's d
-    times the same rational.  Where each kept pivot entry is rational and
-    each kept row has structural zeros at every other pivot of the ideal,
-    a row references complement coordinates only, so its substitution is
-    its parent row's.  None where a condition fails, for the general
-    route."""
+    times the same rational.  Where the signed content of every kept pivot
+    entry before the last is 1, every scale is 1 and the parent's rows,
+    already normalized, are that echelon as they stand: I' takes them with
+    their forms, their d and their values at p0, which the p0 rank check
+    reads.  Where each kept pivot entry is rational and each kept row has
+    structural zeros at every other pivot of the ideal, a row references
+    complement coordinates only, so its substitution is its parent row's.
+    None where a condition fails, for the general route."""
     rows, pivots = ideal.rows()
     vars0, p0 = ideal.vars, ideal.p0
     kept = {}  # pivot column -> row index
@@ -734,14 +751,24 @@ def _kept_rows(ideal, basis):
         isolated = (isolated and not held
                     and rows[i][pc].as_rational() is not None)
     out = PfaffianIdeal([], p0, "derived-from")
-    out._adopt(*_stacked([rows[i] for i in kept.values()], list(kept), ()))
     d = _differentials(ideal)
-    out._d = []
-    for row, pc in zip(*out.rows()):
-        i = kept[pc]
-        unit = signed_content(row[pc]) / signed_content(rows[i][pc])
-        out._d.append(d[i] if unit == 1
-                      else d[i].scale(Expr.rational(vars0, unit)))
+    order = sorted(kept)
+    if all(signed_content(rows[kept[pc]][pc]) == 1 for pc in order[:-1]):
+        # no row is rescaled, and a parent row is normalized already
+        idx = [kept[pc] for pc in order]
+        out._rows, out._pivots = [rows[i] for i in idx], order
+        out.generators = [ideal.generators[i] for i in idx]
+        out._independent_at_p0([ideal._at_p0[i] for i in idx])
+        out._d = [d[i] for i in idx]
+    else:
+        out._adopt(*_stacked([rows[i] for i in kept.values()], list(kept),
+                             ()))
+        out._d = []
+        for row, pc in zip(*out.rows()):
+            i = kept[pc]
+            unit = signed_content(row[pc]) / signed_content(rows[i][pc])
+            out._d.append(d[i] if unit == 1
+                          else d[i].scale(Expr.rational(vars0, unit)))
     if isolated:
         out._subs = {pc: sub for pc, sub in
                      _complement_substitution(ideal).items() if pc in kept}

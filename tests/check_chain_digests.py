@@ -1,7 +1,9 @@
-"""Pin the `check` and `solve` runs of 24 seeded nonlinear integrator chains
+"""Pin the `check` and `solve` runs of 28 seeded nonlinear integrator chains
 x_i' = x_(i+1) + c_i x_i^2, x_n' = u1, with the origin as target: for seeds
-0 to 23, n = 3 + seed % 6 (each length from 3 to 8 four times) and each c_i
-drawn from {-3, ..., 3} without 0 by random.Random(seed).
+0 to 23, n = 3 + seed % 6 (each length from 3 to 8 four times), and four
+larger chains, n = 10 at seeds 24 and 25 and n = 12 at seeds 26 and 27,
+whose solve reports run to hundreds of KB and 2 MB of printed polynomials.
+Each c_i is drawn from {-3, ..., 3} without 0 by random.Random(seed).
 
 Each run goes through `tflkit.cli.main` in-process, and its exit code and
 the sha256 of its stdout and stderr are compared with
@@ -23,6 +25,7 @@ from check_sec5_edits import compare, run_cli
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "data" / "chain_digests.json"
 SEEDS = range(24)
+LARGE = ((24, 10), (25, 10), (26, 12), (27, 12))    # (seed, n)
 COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 
@@ -45,9 +48,8 @@ def chain_text(coeffs):
 
 def chains():
     """(name, coefficients) for each seed, in order."""
-    for seed in SEEDS:
+    for seed, n in [(seed, 3 + seed % 6) for seed in SEEDS] + list(LARGE):
         rng = random.Random(seed)
-        n = 3 + seed % 6
         coeffs = [rng.choice(COEFFICIENTS) for _ in range(n - 1)]
         yield f"seed {seed} n {n} {coeffs}", coeffs
 

@@ -7,11 +7,13 @@ run with sympy blocked as well."""
 import copy
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import tflkit.integrate as integrate
+import tflkit.numlin as numlin
 import tflkit.pfaffian as pfaffian
-from tflkit.errors import TflError
+from tflkit.errors import RegularityViolation, TflError
 from tflkit.expr import VariableSpace, parse_expr
 from tflkit.forms import KForm, coordinate_form, exterior_derivative
 from tflkit.lift import lift_system
@@ -90,6 +92,20 @@ def _kept_generators(ideal, basis):
 
 def _forms_equal(a, b):
     return a.degree == b.degree and a.terms == b.terms
+
+
+def _hand_built_ideal():
+    """The ideal of `test_pivot_entries_that_are_not_rational`."""
+    vs = VariableSpace.canonical(5, 1)
+
+    def form(coeffs):
+        return sum((coordinate_form(vs, nm).scale(parse_expr(c, vs))
+                    for nm, c in coeffs.items()), KForm.zero(vs, 1))
+
+    p0 = point_from_map(vs, {nm: 0 for nm in vs.names})
+    return PfaffianIdeal([form({"x1": "-2 - 2*x2", "x3": "2*x3"}),
+                          form({"x1": "x2", "x2": "1 + x1"}),
+                          form({"t": "-x5", "x4": "1"})], p0)
 
 
 class TestKeptRows:
@@ -190,16 +206,8 @@ class TestKeptRows:
         scaled by the signed content -2 of the first's pivot entry, and so
         is its d; the pivot entries are not rational, so I' builds its own
         substitution."""
-        vs = VariableSpace.canonical(5, 1)
-
-        def form(coeffs):
-            return sum((coordinate_form(vs, nm).scale(parse_expr(c, vs))
-                        for nm, c in coeffs.items()), KForm.zero(vs, 1))
-
-        p0 = point_from_map(vs, {nm: 0 for nm in vs.names})
-        ideal = PfaffianIdeal([form({"x1": "-2 - 2*x2", "x3": "2*x3"}),
-                               form({"x1": "x2", "x2": "1 + x1"}),
-                               form({"t": "-x5", "x4": "1"})], p0)
+        ideal = _hand_built_ideal()
+        p0 = ideal.p0
         routed = []
         real = pfaffian._kept_rows
 
@@ -221,3 +229,99 @@ class TestKeptRows:
             assert _forms_equal(dg, exterior_derivative(g))
         assert out._subs is None
         assert pfaffian.derived_system(out).rows()[0] is rows
+
+
+def _kept_indices(basis):
+    """The parent row that each nullspace vector keeps."""
+    return [next(i for i, lam in enumerate(vec) if not lam.is_structural_zero())
+            for vec in basis]
+
+
+def _chain8_system():
+    return loads_problem(chain_text(CHAIN8["chain8 seed 11"])) \
+        .to_control_system()
+
+
+class TestRowsAsTheyStand:
+    """Where every kept pivot entry before the last has signed content 1,
+    every scale of `_stacked` is 1, and I' takes the parent's normalized
+    rows with their forms, d and values at p0 as they stand; the p0 rank
+    check still runs on those values."""
+
+    def test_against_stacked(self, routed):
+        steps, _ = routed
+        standing = 0
+        for name, ideal, basis, out in steps:
+            rows, pivots = ideal.rows()
+            kept = _kept_indices(basis)
+            want = pfaffian._stacked([rows[i] for i in kept],
+                                     [pivots[i] for i in kept], ())
+            assert out.rows() == want, name
+            forms = pfaffian._rows_to_forms(want[0], ideal.vars)
+            assert len(out.generators) == len(forms), name
+            assert all(_forms_equal(g, f)
+                       for g, f in zip(out.generators, forms)), name
+            assert [list(v) for v in out._at_p0] == [
+                list(f.at(ideal.p0)) for f in forms], name
+            standing += all(any(g is h for h in ideal.generators)
+                            for g in out.generators)
+        # all but the steps whose rows `_stacked` rescales
+        assert standing == 133
+
+    def test_chain8_solve_counts(self, monkeypatch):
+        """A chain8 solve: the kept-rows route normalizes no row and
+        evaluates no form, and ranks the kept rows at p0 once per step."""
+        inside, counts = [False], Counter()
+        real = pfaffian._kept_rows
+
+        def kept_spy(ideal, basis):
+            inside[0] = True
+            try:
+                out = real(ideal, basis)
+            finally:
+                inside[0] = False
+            counts["kept"] += out is not None
+            return out
+
+        def counting(name, f):
+            def spy(*args):
+                counts[name] += inside[0]
+                return f(*args)
+            return spy
+
+        monkeypatch.setattr(pfaffian, "_kept_rows", kept_spy)
+        monkeypatch.setattr(pfaffian, "_normalize_row",
+                            counting("normalize", pfaffian._normalize_row))
+        monkeypatch.setattr(KForm, "at", counting("at", KForm.at))
+        monkeypatch.setattr(numlin, "rank", counting("rank", numlin.rank))
+        _, _, code = cmd_solve(loads_problem(chain_text(
+            CHAIN8["chain8 seed 11"])))
+        assert code == 0
+        assert +counts == {"kept": 7, "rank": 7}
+
+    def test_p0_check_reads_the_parent_values(self):
+        """The kept rows' rank check runs on the parent's values at p0:
+        with those made dependent, the step raises."""
+        system = lift_system(_chain8_system()).I0
+        parent = copy.copy(system)
+        parent._at_p0 = [np.zeros_like(v) for v in system._at_p0]
+        with pytest.raises(RegularityViolation) as info:
+            pfaffian.derived_system(parent)
+        assert str(info.value) == ("generators are pointwise dependent at "
+                                   "the base point")
+        # unchanged, the same step passes it
+        assert len(pfaffian.derived_system(system)) == 7
+
+    def test_pivot_entries_that_are_not_rational_take_stacked(
+            self, monkeypatch):
+        stacked = []
+        real = pfaffian._stacked
+
+        def spy(rows, pivots, factors):
+            stacked.append(pivots)
+            return real(rows, pivots, factors)
+
+        monkeypatch.setattr(pfaffian, "_stacked", spy)
+        out = pfaffian.derived_system(_hand_built_ideal())
+        assert sorted(stacked[0]) == out.rows()[1] == [2, 3]
+        assert len(stacked) == 1

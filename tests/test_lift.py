@@ -443,3 +443,62 @@ class TestDualityInvariants:
                 span = sec5_closures[k].at(p)
                 frows = np.array([X.at(p) for X in fields])
                 assert np.max(np.abs(span @ frows.T)) < 1e-8
+
+
+class TestGradientsAtX0:
+    """`grad_at_x0` evaluates each distinct expression's gradient once per
+    system and hands out a fresh array on every call."""
+
+    def test_chain8_solve_evaluates_each_expression_once(self, monkeypatch):
+        from tflkit.problem import cmd_solve, loads_problem
+        from check_chain_digests import chain_text
+        from test_kept_rows import CHAIN8
+
+        calls, evaluated, inside = [], [], [None]
+        grad_at_x0, expr_eval = ControlSystem.grad_at_x0, Expr.eval
+
+        def grad_spy(self, h):
+            calls.append(h)
+            inside[0] = h
+            try:
+                return grad_at_x0(self, h)
+            finally:
+                inside[0] = None
+
+        def eval_spy(self, point):
+            if inside[0] is not None and (
+                    not evaluated or evaluated[-1] is not inside[0]):
+                evaluated.append(inside[0])
+            return expr_eval(self, point)
+
+        monkeypatch.setattr(ControlSystem, "grad_at_x0", grad_spy)
+        monkeypatch.setattr(Expr, "eval", eval_spy)
+        _, _, code = cmd_solve(loads_problem(chain_text(
+            CHAIN8["chain8 seed 11"])))
+        assert code == 0
+        assert (len(calls), len(set(calls))) == (26, 15)
+        assert len(evaluated) == 15 and set(evaluated) == set(calls)
+
+    def test_returned_rows_are_fresh(self):
+        sys_ = make_double_integrator()
+        h = parse_expr("x1^2 + 3*x2", sys_.vars)
+        first = sys_.grad_at_x0(h)
+        want = first.copy()
+        first[:] = 99.0
+        second = sys_.grad_at_x0(h)
+        assert np.array_equal(second, want) and second is not first
+        second[0] = -1.0
+        assert np.array_equal(sys_.grad_at_x0(h), want)
+
+    def test_overflow_is_not_kept(self):
+        vs = VariableSpace.canonical(2, 1)
+        E = lambda s: parse_expr(s, vs)
+        sys_ = ControlSystem(vs, [E("x2"), E("0")], [[E("0"), E("1")]],
+                             [E("x2")], [Fraction(10) ** 200, 0], [E("0")])
+        h = E("x2*(x1^2 + 1)")
+        for _ in range(2):
+            with pytest.raises(DomainError) as info:
+                sys_.grad_at_x0(h)
+            assert str(info.value) == ("the gradient of 'x1^2*x2 + x2' at "
+                                       "x0 is beyond float range")
+        assert h not in sys_._grads_at_x0

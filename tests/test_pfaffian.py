@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -859,6 +860,43 @@ class TestRankSamplingStops:
             monkeypatch, lambda basis: basis[:-1]) == (
             "generic rank 2 of the derived-step conditions is not attained "
             "at any perturbed point")
+
+
+class TestPerturbedPoints:
+    """Each rational coordinate is built as one Fraction; the points are
+    those of v + Fraction(p, q) * Fraction(1, 4), in value and type."""
+
+    @staticmethod
+    def _old_points(p0):
+        rng = random.Random(1)
+        out = []
+        for _ in range(8):
+            vals = []
+            for v in p0.values:
+                q = rng.randint(1, 8)
+                p = rng.randint(1, 3 * q) * rng.choice((-1, 1))
+                vals.append(v + Fraction(p, q) * Fraction(1, 4))
+            out.append(vals)
+        return out
+
+    @pytest.mark.parametrize("values", [
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [3, -2, 7, 0, 1, -5, 12, 4, -1, 9],
+        [Fraction(1, 3), Fraction(-7, 2), Fraction(5, 12), 0, 2,
+         Fraction(-1, 8), Fraction(22, 7), Fraction(3, 4), -4,
+         Fraction(9, 16)],
+        [0.5, -1.25, 3.0, 0.0, 1e-3, -7.75, 2.0, 0.1, -0.3, 4.0],
+        [1, 0.25, Fraction(-2, 3), -6, 0.0, Fraction(5, 2), -1.5, 0, 2,
+         Fraction(-9, 4)],
+    ], ids=["zero", "integers", "fractions", "floats", "mixed"])
+    def test_against_the_two_operation_formula(self, values):
+        from tflkit.pfaffian import perturbed_points
+
+        p0 = Point(VS, values)
+        got = [[(type(v), v) for v in p.values] for p in perturbed_points(p0)]
+        want = [[(type(v), v) for v in vals] for vals in self._old_points(p0)]
+        assert got == want
+        assert perturbed_points(p0) is perturbed_points(p0)
 
 
 class TestNoRepeatedWork:
