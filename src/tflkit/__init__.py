@@ -10,9 +10,8 @@ normal-form coordinate/feedback transformation.
 """
 
 from .expr import Expr, Point, VariableSpace, Zeroness, parse_expr
-from .forms import (KForm, VectorField, contract, coordinate_field,
-                    coordinate_form, d_of_function, exterior_derivative,
-                    wedge)
+from .forms import (KForm, coordinate_form, d_of_function,
+                    exterior_derivative, wedge)
 from .pfaffian import (Flag, Membership, PfaffianIdeal, augment_with_dt,
                        derived_flag, derived_system, differential_closure,
                        ideal_membership)

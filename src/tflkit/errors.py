@@ -39,10 +39,6 @@ class InconclusiveZeroTest(TflError):
     decided either way."""
 
 
-class NoTermination(TflError):
-    """Derived flag failed to stabilize within the step bound."""
-
-
 class InvarianceViolation(TflError):
     """The supplied feedback does not render the target manifold invariant."""
 

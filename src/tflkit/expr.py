@@ -1243,11 +1243,12 @@ class Expr:
 
     # -- zero decision -------------------------------------------------------
 
-    def zeroness(self, seed=FALSIFIER_SEED):
+    def zeroness(self):
         """Zero iff the canonical form is zero.  Kernel-free expressions are
         decided exactly (the rational function field has no zero divisors);
-        with kernels present a seeded rational sampling falsifier is used and
-        Inconclusive is possible."""
+        with kernels present a rational sampling falsifier seeded by
+        FALSIFIER_SEED is used, once per expression, and Inconclusive is
+        possible."""
         if self._zero is not None:
             return self._zero
         if not self.num:
@@ -1255,11 +1256,11 @@ class Expr:
         elif not self.kernels:
             self._zero = Zeroness.NONZERO
         else:
-            self._zero = self._sample_falsify(seed)
+            self._zero = self._sample_falsify()
         return self._zero
 
-    def _sample_falsify(self, seed):
-        rng = random.Random(seed)
+    def _sample_falsify(self):
+        rng = random.Random(FALSIFIER_SEED)
         seen_valid = 0
         for _ in range(FALSIFIER_SAMPLES):
             vals = []

@@ -1,9 +1,11 @@
-"""Differential forms and vector fields on the lifted manifold.
+"""Differential forms on the lifted manifold: k-forms, the wedge product
+and the exterior derivative.
 
 A k-form is a sparse map from strictly increasing coordinate-index tuples to
 Expr coefficients; degree-0 forms wrap a single Expr under the empty tuple.
-Vector fields hold one Expr component per coordinate.  Everything is an
-immutable value.
+Every form is an immutable value.  tflkit works on the dual side only, so
+it holds no vector fields; the primal fields and brackets that tests check
+it against live in `tests/_brackets.py`.
 """
 
 from __future__ import annotations
@@ -14,55 +16,12 @@ from .errors import DegreeOverflow
 from .expr import Expr, Point, VariableSpace, float_at
 
 __all__ = [
-    "VectorField",
     "KForm",
     "wedge",
     "exterior_derivative",
-    "contract",
     "coordinate_form",
-    "coordinate_field",
     "d_of_function",
 ]
-
-
-class VectorField:
-    """Sum of components[i] * d/dv_i over the coordinates of the space."""
-
-    __slots__ = ("vars", "components")
-
-    def __init__(self, vars: VariableSpace, components):
-        components = tuple(components)
-        if len(components) != vars.total:
-            raise ValueError(
-                f"need {vars.total} components, got {len(components)}")
-        self.vars = vars
-        self.components = components
-
-    @classmethod
-    def from_state_components(cls, vars, state_components):
-        """Lift a field on R^n: zero d/dt and d/du parts."""
-        z = Expr.zero(vars)
-        comps = [z] * (1 + vars.m) + list(state_components)
-        return cls(vars, comps)
-
-    def __add__(self, other):
-        return VectorField(self.vars,
-                           [a + b for a, b in zip(self.components, other.components)])
-
-    def scale(self, e):
-        return VectorField(self.vars, [e * c for c in self.components])
-
-    def at(self, p: Point):
-        return np.array([float_at(c, p) for c in self.components])
-
-    def is_structural_zero(self):
-        return all(c.is_structural_zero() for c in self.components)
-
-    def __repr__(self):
-        terms = [f"({c})*d/d{self.vars.names[i]}"
-                 for i, c in enumerate(self.components)
-                 if not c.is_structural_zero()]
-        return " + ".join(terms) if terms else "0"
 
 
 class KForm:
@@ -90,11 +49,6 @@ class KForm:
     @classmethod
     def of_function(cls, e: Expr):
         return cls(e.vars, 0, {(): e})
-
-    def as_function(self):
-        if self.degree != 0:
-            raise ValueError("not a 0-form")
-        return self.terms.get((), Expr.zero(self.vars))
 
     def coefficient(self, idx):
         return self.terms.get(tuple(idx), Expr.zero(self.vars))
@@ -143,15 +97,6 @@ def coordinate_form(vars, i):
     if isinstance(i, str):
         i = vars.index(i)
     return KForm(vars, 1, {(i,): Expr.one(vars)})
-
-
-def coordinate_field(vars, i):
-    """d/dv_i"""
-    if isinstance(i, str):
-        i = vars.index(i)
-    comps = [Expr.zero(vars)] * vars.total
-    comps[i] = Expr.one(vars)
-    return VectorField(vars, comps)
 
 
 def _merge_indices(a, b):
@@ -215,21 +160,3 @@ def exterior_derivative(a: KForm) -> KForm:
 
 def d_of_function(e: Expr) -> KForm:
     return exterior_derivative(KForm.of_function(e))
-
-
-def contract(X: VectorField, a: KForm) -> KForm:
-    """Interior product i_X a."""
-    if a.degree < 1:
-        raise ValueError("contraction needs degree >= 1")
-    terms = {}
-    for idx, c in a.terms.items():
-        for pos, i in enumerate(idx):
-            xc = X.components[i]
-            if xc.is_structural_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            coeff = xc * c
-            if pos % 2:
-                coeff = -coeff
-            terms[rest] = terms[rest] + coeff if rest in terms else coeff
-    return KForm(a.vars, a.degree - 1, terms)

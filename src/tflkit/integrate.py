@@ -21,8 +21,7 @@ import numpy as np
 from .errors import (AdaptationFailed, DomainError, HintRejected,
                      IntegrationFailed)
 from .expr import Expr, Point, Zeroness, product_terms
-from .forms import (KForm, coordinate_field, contract, d_of_function,
-                    exterior_derivative, wedge)
+from .forms import KForm, d_of_function, exterior_derivative, wedge
 from .lift import LiftedSystem
 from .pfaffian import (Membership, PfaffianIdeal, ideal_membership,
                        reduce_against_rows, rref_function_field,
@@ -324,6 +323,18 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
     return out
 
 
+def _coordinate_interior(v, w: KForm) -> KForm:
+    """The interior product of d/dv_v with the 2-form w, read off its
+    terms: sum_b c_(v,b) db - sum_a c_(a,v) da."""
+    terms = {}
+    for (a, b), c in w.terms.items():
+        if a == v:
+            terms[(b,)] = c
+        elif b == v:
+            terms[(a,)] = -c
+    return KForm(w.vars, 1, terms)
+
+
 def _integrating_factor_candidate(gen: KForm, dg: KForm):
     """exp-integrating-factor repair for gen, given dg = d(gen): find theta
     with dg = gen ^ theta, a potential T of theta, and return exp(T)*gen."""
@@ -339,7 +350,7 @@ def _integrating_factor_candidate(gen: KForm, dg: KForm):
     if pivot is None:
         return None
     v, c = pivot
-    theta = contract(coordinate_field(vars0, v), dg).scale(Expr.one(vars0) / c)
+    theta = _coordinate_interior(v, dg).scale(Expr.one(vars0) / c)
     if not (dg - wedge(gen, theta)).is_structural_zero():
         return None
     if not exterior_derivative(theta).is_structural_zero():

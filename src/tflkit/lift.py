@@ -4,7 +4,9 @@ system ideal and the defining functions of the lifted target L.
 The plant is control-affine with a target manifold N given by defining
 functions, a base point x0 on N, and a feedback u* rendering N invariant.
 Everything downstream works on the lifted manifold M = R x R^m x R^n whose
-coordinates are (t, u, x) in that order.
+coordinates are (t, u, x) in that order, and on the dual side only: the
+lift builds the one-forms of the system ideal, never the plant's vector
+fields.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import numpy as np
 from .errors import (DomainError, InvarianceViolation, NotOnN, NotStateOnly,
                      PointNotOnL, RankDeficientN)
 from .expr import Expr, Point, VariableSpace, Zeroness
-from .forms import (KForm, VectorField, coordinate_field, coordinate_form,
-                    contract)
+from .forms import KForm, coordinate_form
 from .pfaffian import PfaffianIdeal
 from . import numlin
 
@@ -285,23 +286,17 @@ class ControlSystem:
 
 
 class LiftedSystem:
-    """The plant lifted to M: the fields f, g_j and Y = d/dt + f +
-    sum_j u_j g_j, the system ideal I0 of the one-forms omega that
-    annihilate Y, and the defining functions of L (t, then N's) with their
-    differentials."""
+    """The plant lifted to M: the system ideal I0, generated by the
+    one-forms omega_i = dx_i - (f_i + sum_j g_ji u_j) dt, which annihilate
+    Y = d/dt + f + sum_j u_j g_j by construction, and the defining functions
+    of L (t, then N's) with their differentials.  The fields f, g_j and Y
+    themselves are never built: tflkit works on the dual side."""
 
     def __init__(self, base: ControlSystem):
         self.base = base
         self.vars = base.vars
         vars0 = base.vars
         m = vars0.m
-        self.f = VectorField.from_state_components(vars0, base.f)
-        self.g = [VectorField.from_state_components(vars0, gj)
-                  for gj in base.g]
-        Y = coordinate_field(vars0, 0) + self.f
-        for j in range(m):
-            Y = Y + self.g[j].scale(Expr.var_index(vars0, 1 + j))
-        self.Y = Y
         dt = coordinate_form(vars0, 0)
         omegas = []
         for i in range(vars0.n):
@@ -311,9 +306,6 @@ class LiftedSystem:
             omegas.append(coordinate_form(vars0, 1 + m + i) - dt.scale(drift))
         self.omega = omegas
         self.p0 = base.x0_point()
-        for w in omegas:
-            if not contract(Y, w).as_function().is_structural_zero():
-                raise AssertionError("system ideal fails to annihilate Y")
         self.I0 = PfaffianIdeal(omegas, self.p0, "system")
         self.L_defs = [Expr.var_index(vars0, 0)] + list(base.N_defs)
         # d(phi) for each phi in L_defs: dt, then the state gradients of N's

@@ -7,10 +7,12 @@ the base point and at perturbed sample points so that a failure of the
 regularity assumption surfaces as RegularityViolation instead of a silently
 wrong flag.  The derived flag first asks one exact perturbed point whether a
 step empties its ideal, and assembles the step's symbolic conditions only
-where that point cannot tell (`_empties_at_a_point`).  No derived step
-makes a membership call: each new generator is a combination of its parent's.
-A step that keeps some of its parent's generators takes their echelon rows,
-differentials and substitutions instead of rebuilding them (`_kept_rows`).
+where that point cannot tell (`_empties_at_a_point`).  Each condition row
+of a derived step is made primitive once, when it is built.  No derived
+step makes a membership call: each new generator is a combination of its
+parent's.  A step that keeps some of its parent's rows as they stand takes
+their echelon rows, differentials and substitutions instead of rebuilding
+them (`_kept_rows`); any other step takes the general route.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DomainError, InconclusiveZeroTest, NoTermination,
-                     RegularityViolation)
+from .errors import DomainError, InconclusiveZeroTest, RegularityViolation
 from .expr import (Expr, Point, Zeroness, coprime_factor_base,
                    denominator_lcm, divide_by_factors, divide_by_gcd,
                    exact_quotient, float_at, signed_content)
@@ -415,11 +416,6 @@ class PfaffianIdeal:
     def rows(self):
         return self._rows, self._pivots
 
-    def at(self, p: Point):
-        if not self.generators:
-            return np.zeros((0, self.vars.total))
-        return np.array([g.at(p) for g in self.generators])
-
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators) or "0"
         return f"<{self.provenance} ideal ({len(self.generators)} gens): {gens}>"
@@ -619,12 +615,15 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     system gives the generators of the derived system.  A differential
     ideal, the zero ideal too, comes back `_relabelled`.  Each generator of
     I' is built as sum lambda_i w_i of the ideal's generators, so I' lies in
-    the ideal by construction and no membership is re-proved here.  Where
-    each nullspace vector keeps one generator, as on every step of an
-    integrator chain, I' is made of the kept echelon rows themselves, with
-    their d and, where they reference complement coordinates only, their
-    substitutions (`_kept_rows`); no echelon, d or substitution is
-    rebuilt.
+    the ideal by construction and no membership is re-proved here.  The
+    condition rows are made primitive once, as they are built, and both
+    the sampled ranks and the nullspace read them.  Where each nullspace
+    vector keeps one generator and no kept row would need rescaling, as on
+    every step of an integrator chain, I' is made of the kept echelon rows
+    themselves, with their d and, where they reference complement
+    coordinates only, their substitutions (`_kept_rows`); no echelon, d or
+    substitution is rebuilt.  Every other step echelonizes the combinations
+    it builds.
 
     The same reductions decide whether <ideal, dt> is differential, which
     the step records on `ideal` (`_dt_closes`); the flag reads it.
@@ -659,36 +658,22 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
     for col, r in enumerate(reduced):
         for idx, c in r.terms.items():
             matrix[pair_index[idx]][col] = c
-    # rows are linear conditions; scaling a row is free.  A cleared row is
-    # divided by the base elements of `need` that divide it (the shared
-    # denominator may over-clear it), which leaves its primitive row times
-    # a polynomial, so wherever it does not vanish it spans the same line
-    # as the primitive row: the exact ranks make a row primitive only where
-    # it vanishes, once, and the nullspace takes every row primitive
-    matrix = [divide_by_factors(_clear_denominators_row(row), need)
+    # rows are linear conditions; scaling a row is free.  Each cleared row
+    # is divided by the base elements of `need` that divide it (the shared
+    # denominator may over-clear it), then made primitive, once: the exact
+    # ranks, the float ranks and the nullspace all read the primitive rows
+    matrix = [_row_primitive(divide_by_factors(_clear_denominators_row(row),
+                                               need))
               for row in matrix]
-    primitive = {}
-
-    def primitive_row(i):
-        if i not in primitive:
-            primitive[i] = _row_primitive(matrix[i])
-        return primitive[i]
-
     exact = _is_exact(matrix, ideal.p0)
-    if not exact:
-        # float ranks read the primitive rows, which may shed a kernel
-        matrix = [primitive_row(i) for i in range(len(matrix))]
-        exact = _is_exact(matrix, ideal.p0)
     ranks = []
-    for perturbed, r in _sample_ranks(matrix, ideal.p0, exact,
-                                      primitive_row):
+    for perturbed, r in _sample_ranks(matrix, ideal.p0, exact):
         if exact and r == n_gens:
             # full column rank at an exactly evaluated rational point,
             # hence generically: the derived system is zero
             return PfaffianIdeal([], ideal.p0, "derived-from")
         ranks.append((perturbed, r))
-    basis = nullspace_function_field(
-        [primitive_row(i) for i in range(len(matrix))], ideal.p0)
+    basis = nullspace_function_field(matrix, ideal.p0)
     sym_rank = n_gens - len(basis)
     # point ranks never exceed the generic rank; catching the converse
     # guards the symbolic elimination itself
@@ -719,21 +704,19 @@ def derived_system(ideal: PfaffianIdeal) -> PfaffianIdeal:
 
 def _kept_rows(ideal, basis):
     """I' from the ideal's own echelon rows, where each nullspace vector
-    keeps one generator (it is 0 but for the 1 in its free column).  The
-    kept rows are `_stacked`, which is the echelon `rref_function_field`
-    makes of them whenever each pivot entry is nonzero at p0 and each row
-    has structural zeros at the other kept pivots, as a first-pass row of
-    a regular echelon has.  The d of each new row is its parent row's d
-    times the same rational.  Where the signed content of every kept pivot
-    entry before the last is 1, every scale is 1 and the parent's rows,
-    already normalized, are that echelon as they stand: I' takes them with
+    keeps one generator (it is 0 but for the 1 in its free column).  Where
+    each kept pivot entry is nonzero at p0, each kept row has structural
+    zeros at the other kept pivots, as a first-pass row of a regular
+    echelon has, and the signed content of every kept pivot entry before
+    the last is 1, the parent's rows, already normalized, are the echelon
+    `rref_function_field` makes of them as they stand: I' takes them with
     their forms, their d and their values at p0, which the p0 rank check
     reads.  Where each kept pivot entry is rational and each kept row has
     structural zeros at every other pivot of the ideal, a row references
     complement coordinates only, so its substitution is its parent row's.
     None where a condition fails, for the general route."""
     rows, pivots = ideal.rows()
-    vars0, p0 = ideal.vars, ideal.p0
+    p0 = ideal.p0
     kept = {}  # pivot column -> row index
     for vec in basis:
         nonzero = [i for i, lam in enumerate(vec)
@@ -741,6 +724,9 @@ def _kept_rows(ideal, basis):
         if len(nonzero) != 1 or vec[nonzero[0]].as_rational() != 1:
             return None
         kept[pivots[nonzero[0]]] = nonzero[0]
+    order = sorted(kept)
+    if any(signed_content(rows[kept[pc]][pc]) != 1 for pc in order[:-1]):
+        return None
     isolated = True
     for pc, i in kept.items():
         held = [c for c in pivots
@@ -750,25 +736,13 @@ def _kept_rows(ideal, basis):
             return None
         isolated = (isolated and not held
                     and rows[i][pc].as_rational() is not None)
-    out = PfaffianIdeal([], p0, "derived-from")
+    idx = [kept[pc] for pc in order]
     d = _differentials(ideal)
-    order = sorted(kept)
-    if all(signed_content(rows[kept[pc]][pc]) == 1 for pc in order[:-1]):
-        # no row is rescaled, and a parent row is normalized already
-        idx = [kept[pc] for pc in order]
-        out._rows, out._pivots = [rows[i] for i in idx], order
-        out.generators = [ideal.generators[i] for i in idx]
-        out._independent_at_p0([ideal._at_p0[i] for i in idx])
-        out._d = [d[i] for i in idx]
-    else:
-        out._adopt(*_stacked([rows[i] for i in kept.values()], list(kept),
-                             ()))
-        out._d = []
-        for row, pc in zip(*out.rows()):
-            i = kept[pc]
-            unit = signed_content(row[pc]) / signed_content(rows[i][pc])
-            out._d.append(d[i] if unit == 1
-                          else d[i].scale(Expr.rational(vars0, unit)))
+    out = PfaffianIdeal([], p0, "derived-from")
+    out._rows, out._pivots = [rows[i] for i in idx], order
+    out.generators = [ideal.generators[i] for i in idx]
+    out._independent_at_p0([ideal._at_p0[i] for i in idx])
+    out._d = [d[i] for i in idx]
     if isolated:
         out._subs = {pc: sub for pc, sub in
                      _complement_substitution(ideal).items() if pc in kept}
@@ -814,29 +788,22 @@ def _is_exact(matrix, p0):
             and not any(c.has_kernels() for row in matrix for c in row))
 
 
-def _sample_ranks(matrix, p0, exact, primitive_row):
-    """Yield (perturbed, rank) for the conditions matrix at p0 and then at
-    `perturbed_points(p0)`, lazily so the caller can stop early.
+def _sample_ranks(matrix, p0, exact):
+    """Yield (perturbed, rank) for the primitive conditions matrix at p0 and
+    then at `perturbed_points(p0)`, lazily so the caller can stop early.
 
-    Exact ranks are taken over Q, of the primitive rows: a row that
-    vanishes at a point is replaced there by `primitive_row(i)`, and every
-    other row spans the same line as its primitive row.  They stop at the
-    first perturbed point whose rank is min(rows, columns): no point ranks
-    higher, and the symbolic rank is at most that, so both
-    RegularityViolation guards of `derived_system` decide as they would
-    after every point.  Float ranks follow the `numlin` policy, skip p0,
-    where a kernel-bearing coefficient matrix may legitimately drop rank,
-    and take every perturbed point.  Points outside the entries' domain are
-    skipped."""
+    Exact ranks are taken over Q.  They stop at the first perturbed point
+    whose rank is min(rows, columns): no point ranks higher, and the
+    symbolic rank is at most that, so both RegularityViolation guards of
+    `derived_system` decide as they would after every point.  Float ranks
+    follow the `numlin` policy, skip p0, where a kernel-bearing coefficient
+    matrix may legitimately drop rank, and take every perturbed point.
+    Points outside the entries' domain are skipped."""
     pts = ([p0] if exact else []) + perturbed_points(p0)
     full = min(len(matrix), len(matrix[0]))
     for p in pts:
         try:
             vals = [[c.eval(p) for c in row] for row in matrix]
-            if exact:
-                for i, v in enumerate(vals):
-                    if not any(v):
-                        vals[i] = [c.eval(p) for c in primitive_row(i)]
         except DomainError:
             continue
         r = numlin.exact_rank(vals) if exact else numlin.rank(
@@ -1048,14 +1015,17 @@ class Flag:
         return tuple(len(e) for e in self.entries)
 
 
-def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:
+def derived_flag(ideal: PfaffianIdeal) -> Flag:
     """I, I', I'', ... up to the first differential entry.
 
     `derived_system` returns its ideal itself (relabelled, sharing the
-    echelon rows) exactly when every d(generator) reduces to zero; any
-    other step has a structurally nonzero condition matrix, so its
-    symbolic rank is at least 1 and it loses a generator.  Each step also
-    records whether <entry, dt> is differential, which the flag keeps.
+    echelon rows) exactly when every d(generator) reduces to zero, and the
+    flag stops there; a step to the zero ideal stops it too; any other step
+    has a structurally nonzero condition matrix, so its symbolic rank is at
+    least 1 and it loses a generator, or the flag raises
+    RegularityViolation.  So the flag has at most len(ideal) + 1 entries.
+    Each step also records whether <entry, dt> is differential, which the
+    flag keeps.
 
     Before a step runs `derived_system`, one exact perturbed point may
     decide that it empties the ideal (`_empties_at_a_point`): the classes
@@ -1064,13 +1034,9 @@ def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:
     `derived_system` returns; a nonzero theta ^ (d(w_i) mod I) there shows
     <entry, dt> not differential.  Any other step, and every step the
     point cannot tell, runs `derived_system`."""
-    if max_steps is None:
-        max_steps = ideal.vars.total + 1
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     entries = [ideal]
     closed = []
-    for _ in range(max_steps):
+    while True:
         if _empties_at_a_point(entries[-1]):
             entries[-1]._dt_closed = False
             nxt = PfaffianIdeal([], ideal.p0, "derived-from")
@@ -1086,8 +1052,6 @@ def derived_flag(ideal: PfaffianIdeal, max_steps=None) -> Flag:
         if len(nxt) == 0:
             # <0, dt> = <dt> is differential
             return Flag(entries, closed + [True])
-    raise NoTermination(
-        f"derived flag did not stabilize within {max_steps} steps")
 
 
 def differential_closure(ideal: PfaffianIdeal) -> PfaffianIdeal:

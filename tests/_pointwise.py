@@ -1,6 +1,7 @@
-"""Float pointwise helpers for tests: row echelon forms of pointwise spans,
-for tests that look at the rows themselves rather than at a rank, and the
-ranks of an adapted map's differentials at a point."""
+"""Float pointwise helpers for tests: an ideal's generators at a point,
+row echelon forms of pointwise spans, for tests that look at the rows
+themselves rather than at a rank, and the ranks of an adapted map's
+differentials at a point."""
 
 import numpy as np
 
@@ -8,6 +9,13 @@ from tflkit import numlin
 from tflkit.forms import d_of_function
 from tflkit.lift import ann_tangent_L
 from tflkit.numlin import RANK_TOL
+
+
+def ideal_at(ideal, p):
+    """The generators of `ideal` at p, one float row each."""
+    if not ideal.generators:
+        return np.zeros((0, ideal.vars.total))
+    return np.array([g.at(p) for g in ideal.generators])
 
 
 def row_reduce(A):
@@ -42,7 +50,7 @@ def row_reduce(A):
 def pointwise_span(ideal, p):
     """Row basis of the generators evaluated at p (row-reduced, deterministic
     pivot order)."""
-    return row_reduce(ideal.at(p))
+    return row_reduce(ideal_at(ideal, p))
 
 
 def differentials(F):

@@ -10,11 +10,12 @@ import pytest
 
 import tflkit.expr as expr
 from tflkit.expr import Expr, Point, VariableSpace, parse_expr
-from tflkit.forms import KForm, VectorField, coordinate_form
+from tflkit.forms import KForm, coordinate_form
 from tflkit.lift import ControlSystem, lift_system
 from tflkit.pfaffian import PfaffianIdeal, derived_flag
 from tflkit.algorithm import run_tfl
 from tflkit.problem import cmd_solve, load_problem
+from _brackets import VectorField
 
 SEC5_FILE = Path(__file__).resolve().parent.parent / "problems" \
     / "paper-sec5.tfl"

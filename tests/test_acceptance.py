@@ -26,6 +26,7 @@ from tflkit.problem import cmd_solve, dumps_report, load_problem
 from conftest import (make_sec5_system, random_one_form, random_vector_field)
 from _lti import random_lti_instance, rank_test_oracle
 from _brackets import s_module, u_module
+from _pointwise import ideal_at
 from _checks import check_con, check_dim, check_inv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,7 +51,7 @@ class TestCriterion1:
         flag = derived_flag(ls.I0)
         elapsed = time.monotonic() - t0
         counts = flag.generator_counts()
-        ranks = tuple(int(numlin.rank(e.at(ls.p0))) for e in flag.entries)
+        ranks = tuple(int(numlin.rank(ideal_at(e, ls.p0))) for e in flag.entries)
         ok = (counts == (7, 5, 3, 0)) and (ranks == counts) \
             and (elapsed < 60.0)
         report(1, f"flag counts {counts}, ranks {ranks}, {elapsed:.1f}s "
@@ -97,7 +98,7 @@ class TestCriterion3:
         target = np.array([(coordinate_form(sec5.vars, "x5")
                             + coordinate_form(sec5.vars, "x7")).at(p0),
                            coordinate_form(sec5.vars, "t").at(p0)])
-        got = cl2.at(p0)
+        got = ideal_at(cl2, p0)
         closure_ok = (len(cl2) == 2 and numlin.rank(got) == 2
                       and numlin.rank(np.vstack([got, target])) == 2)
         ok = con and inv and dim and closure_ok
@@ -173,8 +174,7 @@ class TestCriterion7:
         assert bad == 0
 
     def test_cartan_formula(self):
-        from tflkit.forms import contract
-        from _brackets import lie_derivative
+        from _brackets import contract, lie_derivative
         vs = VariableSpace.canonical(3, 1)
         rng = random.Random(102)
         bad = 0
@@ -258,7 +258,7 @@ class TestCriterion7:
             fields = u_module(ls) + s_module(ls, k - 1)
             p = Point(ls.vars, [v + rng.uniform(-0.2, 0.2)
                                 for v in ls.p0.as_float_tuple()])
-            span = augment_with_dt(flag.entry(k)).at(p)
+            span = ideal_at(augment_with_dt(flag.entry(k)), p)
             dt_row = coordinate_form(ls.vars, 0).at(p)
             span = np.vstack([span, dt_row[None, :]]) if span.size \
                 else dt_row[None, :]

@@ -1,5 +1,6 @@
 """First integrals and the adaptation machinery."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from tflkit.lift import ControlSystem, lift_system
 from tflkit.pfaffian import (Membership, PfaffianIdeal, ideal_membership)
 from tflkit.integrate import (adapt_subordinate, adapt_to_L, antiderivative,
                               frobenius_integrate, poincare_potential)
-from conftest import make_chain3
+from conftest import make_chain3, random_polynomial, random_two_form
+from _brackets import contract, coordinate_field
 from _exprs import point_from_map
 from _pointwise import rank_at, restricted_rank_on_L
 from _ansatz_reference import ansatz_rows, potential_first_components
@@ -23,6 +25,31 @@ from _ansatz_reference import ansatz_rows, potential_first_components
 VS = VariableSpace.canonical(7, 2)
 E = lambda s: parse_expr(s, VS)
 DX = lambda nm: coordinate_form(VS, nm)
+
+
+class TestCoordinateInterior:
+    """The integrating factor reads the interior product of d/dv with dg
+    off the terms of dg; it equals the primal oracle's contraction by the
+    coordinate field, term for term."""
+
+    @pytest.mark.parametrize("coefficients", ["polynomial", "rational",
+                                              "kernel"])
+    def test_equals_contraction_by_coordinate_field(self, coefficients):
+        rng = random.Random(53)
+        vs = VariableSpace.canonical(3, 1)
+        for _ in range(200):
+            w = random_two_form(rng, vs,
+                                kernels=coefficients == "kernel")
+            if coefficients == "rational":
+                den = random_polynomial(rng, vs) + Expr.one(vs)
+                if den.is_structural_zero():
+                    continue
+                w = w.scale(Expr.one(vs) / den)
+            for v in range(vs.total):
+                got = integrate._coordinate_interior(v, w)
+                want = contract(coordinate_field(vs, v), w)
+                assert got.degree == want.degree == 1
+                assert got.terms == want.terms
 
 
 class TestAntiderivative:

@@ -1,8 +1,9 @@
-"""A derived step whose nullspace keeps some of its parent's generators
-builds I' from the parent's own echelon rows (`pfaffian._kept_rows`),
-against the route it replaces: an echelon of the kept generators, d of each
-new generator and a fresh complement substitution.  Stdlib only, so these
-run with sympy blocked as well."""
+"""A derived step whose nullspace keeps some of its parent's generators,
+where no kept row would need rescaling, builds I' from the parent's own
+echelon rows (`pfaffian._kept_rows`), against the general route: an
+echelon of the kept generators, d of each new generator and a fresh
+complement substitution.  Kept rows that would need rescaling take the
+general route.  Stdlib only, so these run with sympy blocked as well."""
 
 import copy
 from collections import Counter
@@ -111,9 +112,11 @@ def _hand_built_ideal():
 class TestKeptRows:
     def test_rows_and_pivots(self, routed):
         steps, fallbacks = routed
-        # each step that keeps generators takes the route; every other
-        # step that builds generators takes a combination of them
-        assert len(steps) == 136 and fallbacks == 189
+        # each step that keeps generators as they stand takes the route;
+        # every other step that builds generators, the 3 sec5 edits whose
+        # kept rows would need rescaling among them, takes a combination
+        # of them
+        assert len(steps) == 133 and fallbacks == 192
         names = Counter(name for name, _, _, _ in steps)
         # every chain8 step that builds generators, and sec5's step on
         # <I^(2), dt>
@@ -146,16 +149,12 @@ class TestKeptRows:
 
     def test_differentials(self, routed):
         steps, _ = routed
-        scaled = 0
         for name, ideal, _, out in steps:
             assert len(out._d) == len(out.generators)
             for g, dg in zip(out.generators, out._d):
                 assert _forms_equal(dg, exterior_derivative(g)), name
-            scaled += sum(all(dg is not d for d in ideal._d)
-                          for dg in out._d)
-        # rows that the pivot entries before them rescale, whose d is the
-        # parent's d times the same rational
-        assert scaled == 3
+                # each row stands as it was, so its d is its parent's
+                assert any(dg is d for d in ideal._d), name
 
     def test_chain8_solve(self, monkeypatch):
         """A chain8 solve echelonizes no derived-from entry and builds d
@@ -202,32 +201,39 @@ class TestKeptRows:
         """Over (t, u1, x1..x5) at p0 = 0, I = <alpha, beta, gamma> with
         alpha = -2(1 + x2) dx1 + 2 x3 dx3, beta = x2 dx1 + (1 + x1) dx2 and
         gamma = dx4 - x5 dt: <alpha, beta> is differential and d(gamma) is
-        not in I, so I' keeps the first two echelon rows.  The second is
-        scaled by the signed content -2 of the first's pivot entry, and so
-        is its d; the pivot entries are not rational, so I' builds its own
-        substitution."""
+        not in I, so I' keeps the first two echelon rows.  The second would
+        need rescaling by the signed content -2 of the first's pivot entry,
+        so the step takes the general route, which echelonizes the kept
+        generators, rescales no kept row (`_stacked`) and builds their d
+        and substitution afresh."""
         ideal = _hand_built_ideal()
         p0 = ideal.p0
-        routed = []
-        real = pfaffian._kept_rows
+        routed, stacked = [], []
+        real, real_stacked = pfaffian._kept_rows, pfaffian._stacked
 
         def spy(parent, basis):
             routed.append(real(parent, basis))
             return routed[-1]
 
+        def stacked_spy(rows, pivots, factors):
+            stacked.append(pivots)
+            return real_stacked(rows, pivots, factors)
+
         monkeypatch.setattr(pfaffian, "_kept_rows", spy)
+        monkeypatch.setattr(pfaffian, "_stacked", stacked_spy)
         out = pfaffian.derived_system(ideal)
-        assert routed == [out]
+        assert routed == [None] and stacked == []
         rows, pivots = out.rows()
         assert pivots == [2, 3]
         assert [str(row[pc]) for row, pc in zip(rows, pivots)] == [
             "-2*x2 - 2", "4*x1*x2 + 4*x1 + 4*x2 + 4"]
         assert out.rows() == rref_function_field(
             pfaffian._forms_to_rows(ideal.generators[:2]), p0)
-        assert out._d[0] is ideal._d[0] and out._d[1] is not ideal._d[1]
-        for g, dg in zip(out.generators, out._d):
+        assert out._d is None and out._subs is None
+        d = pfaffian._differentials(out)
+        assert all(dg is not parent for dg in d for parent in ideal._d)
+        for g, dg in zip(out.generators, d):
             assert _forms_equal(dg, exterior_derivative(g))
-        assert out._subs is None
         assert pfaffian.derived_system(out).rows()[0] is rows
 
 
@@ -243,10 +249,10 @@ def _chain8_system():
 
 
 class TestRowsAsTheyStand:
-    """Where every kept pivot entry before the last has signed content 1,
-    every scale of `_stacked` is 1, and I' takes the parent's normalized
-    rows with their forms, d and values at p0 as they stand; the p0 rank
-    check still runs on those values."""
+    """Every kept-rows step has signed content 1 at each kept pivot entry
+    before the last, so every scale of `_stacked` is 1, and I' takes the
+    parent's normalized rows with their forms, d and values at p0 as they
+    stand; the p0 rank check still runs on those values."""
 
     def test_against_stacked(self, routed):
         steps, _ = routed
@@ -265,8 +271,8 @@ class TestRowsAsTheyStand:
                 list(f.at(ideal.p0)) for f in forms], name
             standing += all(any(g is h for h in ideal.generators)
                             for g in out.generators)
-        # all but the steps whose rows `_stacked` rescales
-        assert standing == 133
+        # rows that would need rescaling take the general route
+        assert standing == len(steps) == 133
 
     def test_chain8_solve_counts(self, monkeypatch):
         """A chain8 solve: the kept-rows route normalizes no row and
@@ -311,17 +317,3 @@ class TestRowsAsTheyStand:
                                    "the base point")
         # unchanged, the same step passes it
         assert len(pfaffian.derived_system(system)) == 7
-
-    def test_pivot_entries_that_are_not_rational_take_stacked(
-            self, monkeypatch):
-        stacked = []
-        real = pfaffian._stacked
-
-        def spy(rows, pivots, factors):
-            stacked.append(pivots)
-            return real(rows, pivots, factors)
-
-        monkeypatch.setattr(pfaffian, "_stacked", spy)
-        out = pfaffian.derived_system(_hand_built_ideal())
-        assert sorted(stacked[0]) == out.rows()[1] == [2, 3]
-        assert len(stacked) == 1

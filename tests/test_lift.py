@@ -11,12 +11,15 @@ import tflkit.numlin as numlin
 from tflkit.errors import (DomainError, InvarianceViolation, NotOnN,
                            PointNotOnL, RankDeficientN)
 from tflkit.expr import Expr, Point, VariableSpace, Zeroness, parse_expr
-from tflkit.forms import contract, coordinate_form, d_of_function
+from tflkit.forms import coordinate_form, d_of_function
 from tflkit.lift import ControlSystem, ann_tangent_L, lift_system
 from tflkit.pfaffian import augment_with_dt
 from tflkit.conditions import sample_on_N
 from conftest import make_double_integrator
-from _brackets import g_module, involutive_closure, s_module, u_module
+from _brackets import (VectorField, contract, coordinate_field, f_field,
+                       g_fields, g_module, involutive_closure, s_module,
+                       u_module, y_field)
+from _pointwise import ideal_at
 from _exprs import point_from_map
 
 
@@ -252,11 +255,12 @@ class TestLiftSystem:
         assert (ls.omega[1] - om2).is_structural_zero()
 
     def test_ideal_annihilates_trajectory_field(self, sec5_lifted):
+        Y = y_field(sec5_lifted)
         for w in sec5_lifted.omega:
-            assert contract(sec5_lifted.Y, w).as_function().is_structural_zero()
+            assert contract(Y, w).coefficient(()).is_structural_zero()
 
     def test_lifted_fields_state_only(self, sec5_lifted):
-        for X in [sec5_lifted.f] + sec5_lifted.g:
+        for X in [f_field(sec5_lifted)] + g_fields(sec5_lifted):
             assert X.components[0].is_structural_zero()
             for j in range(sec5_lifted.vars.m):
                 assert X.components[1 + j].is_structural_zero()
@@ -302,7 +306,7 @@ class TestAnnTangentL:
 class TestBracketModules:
     def test_g0_is_inputs(self, sec5_lifted):
         G0 = g_module(sec5_lifted, 0)
-        assert G0 == list(sec5_lifted.g)
+        assert G0 == g_fields(sec5_lifted)
 
     def test_double_integrator_g1(self):
         ls = lift_system(make_double_integrator())
@@ -341,7 +345,7 @@ class TestBracketModules:
             assert numlin.rank(rows) == numlin.rank(kal)
 
     def test_s0_equals_g0(self, sec5_lifted):
-        assert s_module(sec5_lifted, 0) == list(sec5_lifted.g)
+        assert s_module(sec5_lifted, 0) == g_fields(sec5_lifted)
 
     def test_involutive_g_means_s_stalls(self):
         # commuting constant fields: S^1 spans G^0 when G^1 adds nothing
@@ -363,12 +367,12 @@ class TestBracketModules:
         S1 = s_module(ls, 1)
         rows = np.array([X.at(ls.p0) for X in S1 + u_module(ls)])
         aug = augment_with_dt(sec5_flag.entry(2))
-        assert numlin.rank(rows) + numlin.rank(aug.at(ls.p0)) == ls.vars.total
+        assert numlin.rank(rows) + numlin.rank(ideal_at(aug, ls.p0)) \
+            == ls.vars.total
 
 
 class TestInvolutiveClosure:
     def test_coordinate_fields(self, sec5_lifted):
-        from tflkit.forms import coordinate_field
         vs = sec5_lifted.vars
         fields = [coordinate_field(vs, "x1"), coordinate_field(vs, "x2")]
         out = involutive_closure(fields, sec5_lifted.p0)
@@ -377,7 +381,6 @@ class TestInvolutiveClosure:
     def test_bracket_generates(self):
         vs = VariableSpace.canonical(2, 1)
         E = lambda s: parse_expr(s, vs)
-        from tflkit.forms import VectorField
         X = VectorField.from_state_components(vs, [E("1"), E("0")])
         Y = VectorField.from_state_components(vs, [E("0"), E("x1")])
         p = point_from_map(vs, dict(t=0, u1=0, x1=1, x2=0))
@@ -405,8 +408,8 @@ class TestDualityInvariants:
         for _ in range(8):
             p = Point(ls.vars, [v + rng.uniform(-0.3, 0.3)
                                 for v in ls.p0.as_float_tuple()])
-            rows = ls.I0.at(p)
-            fields = np.array([X.at(p) for X in [ls.Y] + u_module(ls)])
+            rows = ideal_at(ls.I0, p)
+            fields = np.array([X.at(p) for X in [y_field(ls)] + u_module(ls)])
             assert np.max(np.abs(rows @ fields.T)) < 1e-9
             assert numlin.rank(rows) + numlin.rank(fields) == ls.vars.total
 
@@ -422,7 +425,7 @@ class TestDualityInvariants:
             fields = u_module(ls) + s_module(ls, k - 1)
             aug = augment_with_dt(sec5_flag.entry(k))
             for p in pts:
-                span = aug.at(p)
+                span = ideal_at(aug, p)
                 frows = np.array([X.at(p) for X in fields])
                 assert np.max(np.abs(span @ frows.T)) < 1e-8
                 assert numlin.rank(span) + numlin.rank(frows) == ls.vars.total
@@ -440,7 +443,7 @@ class TestDualityInvariants:
             fields = u_module(ls) + involutive_closure(
                 g_module(ls, k - 1), ls.p0)
             for p in pts:
-                span = sec5_closures[k].at(p)
+                span = ideal_at(sec5_closures[k], p)
                 frows = np.array([X.at(p) for X in fields])
                 assert np.max(np.abs(span @ frows.T)) < 1e-8
 

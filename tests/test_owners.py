@@ -90,6 +90,52 @@ def test_one_point_table_in_conditions():
         assert list(_callers(tree, name)) == ["_PointTable"]
 
 
+PRIMAL_NAMES = ("VectorField", "contract", "coordinate_field")
+
+
+def _defines_or_imports(tree, names):
+    """(line, name) for each definition or import of one of `names`."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name in names):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name.split(".")[-1] in names:
+                    yield node.lineno, alias.name
+
+
+def test_the_package_holds_no_primal_fields():
+    # vector fields and their contraction live in tests/_brackets.py, the
+    # oracle the dual side is checked against, and nowhere in the package
+    found = [(path.name, line, name) for path in sorted(SRC.glob("*.py"))
+             for line, name in _defines_or_imports(_tree(path),
+                                                   PRIMAL_NAMES)]
+    assert found == []
+
+
+def test_the_primal_check_sees_each_pattern():
+    code = ("from .forms import KForm, contract\n"
+            "import tflkit.forms.coordinate_field\n"
+            "class VectorField:\n"
+            "    pass\n"
+            "def wedge(a, b):\n"
+            "    return contract(a, b)\n")
+    assert sorted(_defines_or_imports(ast.parse(code), PRIMAL_NAMES)) == [
+        (1, "contract"), (2, "tflkit.forms.coordinate_field"),
+        (3, "VectorField")]
+
+
+def test_the_size_metrics_count_each_pattern():
+    from size_metrics import defaulted_parameters
+    code = ("def f(a, b=1, *args, c, d=2, **kw):\n"
+            "    g = lambda x, y=3: x\n"
+            "class A:\n"
+            "    async def h(self, z=None):\n"
+            "        pass\n")
+    assert defaulted_parameters(ast.parse(code)) == 4
+
+
 def test_components_classified_once():
     found = [(path.name, caller) for path in sorted(SRC.glob("*.py"))
              for caller in _callers(_tree(path), "_classify_and_order")]

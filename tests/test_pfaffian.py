@@ -18,9 +18,9 @@ from tflkit.pfaffian import (Flag, Membership, PfaffianIdeal, augment_with_dt,
                              differential_closure, ideal_membership,
                              two_form_membership)
 from conftest import decode, make_chain8
-from _brackets import s_module, u_module
+from _brackets import s_module, u_module, y_field
 from _exprs import point_from_map
-from _pointwise import pointwise_span
+from _pointwise import ideal_at, pointwise_span
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 VS = VariableSpace.canonical(7, 2)
@@ -72,7 +72,7 @@ class TestDerivedSystem:
             p = Point(VS, [v + random.Random(rng.random()).uniform(-0.2, 0.2)
                            for v in ls.p0.as_float_tuple()])
             field_rows = np.array([X.at(p) for X in fields])
-            span = np.vstack([I1.at(p),
+            span = np.vstack([ideal_at(I1, p),
                               coordinate_form(VS, 0).at(p)[None, :]])
             # every covector of <I1, dt> annihilates U + S^0
             assert np.max(np.abs(span @ field_rows.T)) < 1e-8
@@ -106,7 +106,7 @@ class TestDerivedFlag:
         ls = sec5_lifted
         rng = random.Random(4)
         for k in (1, 2, 3):
-            fields = [ls.Y] + u_module(ls) + s_module(ls, k - 1)
+            fields = [y_field(ls)] + u_module(ls) + s_module(ls, k - 1)
             p = Point(VS, [v + rng.uniform(0.05, 0.3)
                            for v in ls.p0.as_float_tuple()])
             rows = np.array([X.at(p) for X in fields])
@@ -152,7 +152,7 @@ class TestDerivedFlag:
         counts = sec5_flag.generator_counts()
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         for entry, count in zip(sec5_flag.entries, counts):
-            assert numlin.rank(entry.at(sec5_lifted.p0)) == count
+            assert numlin.rank(ideal_at(entry, sec5_lifted.p0)) == count
 
 
 def _sympy_sec5(sympy):
@@ -230,7 +230,7 @@ class TestClosure:
         assert len(cl) == 2
         p0 = sec5_lifted.p0
         target = np.array([(DX("x5") + DX("x7")).at(p0), DX("t").at(p0)])
-        got = cl.at(p0)
+        got = ideal_at(cl, p0)
         assert numlin.rank(got) == 2
         assert numlin.rank(np.vstack([got, target])) == 2
 
@@ -425,11 +425,11 @@ class TestRegularity:
             PfaffianIdeal([DX("x1").scale(E("x2"))], sec5_lifted.p0)
 
 
-class TestRankBeforeNormalising:
+class TestPrimitiveConditionRows:
     def test_sec5_last_step(self, monkeypatch, sec5_flag):
-        """The exact ranks of sec5's last derived step read the
-        denominator-cleared rows and make primitive only the rows that
-        vanish at p0; each rank equals the fully primitive matrix's."""
+        """Each condition row of sec5's last derived step is made primitive
+        once, when it is built: the exact ranks read the 10 primitive rows
+        and no other, and each rank is that of those rows at its point."""
         import tflkit.pfaffian as pfaffian
 
         row_primitive = pfaffian._row_primitive
@@ -437,13 +437,12 @@ class TestRankBeforeNormalising:
         made, seen = [], []
 
         def primitive_spy(row):
-            made.append(row)
-            return row_primitive(row)
+            made.append(row_primitive(row))
+            return made[-1]
 
-        def ranks_spy(matrix, p0, exact, primitive_row):
+        def ranks_spy(matrix, p0, exact):
             seen.append((matrix, p0, exact, []))
-            for perturbed, r in sample_ranks(matrix, p0, exact,
-                                             primitive_row):
+            for perturbed, r in sample_ranks(matrix, p0, exact):
                 seen[-1][3].append(r)
                 yield perturbed, r
 
@@ -453,16 +452,14 @@ class TestRankBeforeNormalising:
         assert len(derived_system(ideal)) == 0
         (matrix, p0, exact, ranks), = seen
         assert exact and ranks == [2, 3]
-        vanishing = [row for row in matrix
-                     if all(c.eval(p0) == 0 for c in row)]
-        # once each, and only the rows that vanish at p0: 5 of 10
-        assert len(made) == len(vanishing) == 5 and len(matrix) == 10
-        assert {id(r) for r in made} == {id(r) for r in vanishing}
-        primitive = [row_primitive(row) for row in matrix]
+        # once each, and the rank step reads exactly those rows
+        assert len(made) == len(matrix) == 10
+        assert all(a is b for a, b in zip(made, matrix))
+        assert all(row_primitive(row) is row for row in matrix)
         points = [p0] + pfaffian.perturbed_points(p0)
         for p, r in zip(points, ranks):
             assert r == numlin.exact_rank(
-                [[c.eval(p) for c in row] for row in primitive])
+                [[c.eval(p) for c in row] for row in matrix])
 
 
 class TestCoprimeDenominators:
@@ -476,18 +473,24 @@ class TestCoprimeDenominators:
 
         assemble = pfaffian._assemble_pieces
         sample_ranks = pfaffian._sample_ranks
-        needs, matrices = [], []
+        divide = pfaffian.divide_by_factors
+        needs, matrices, cleared = [], [], []
 
         def assemble_spy(vars0, pieces, need):
             needs.append(need)
             return assemble(vars0, pieces, need)
 
-        def ranks_spy(matrix, p0, exact, primitive_row):
+        def ranks_spy(matrix, p0, exact):
             matrices.append(matrix)
-            yield from sample_ranks(matrix, p0, exact, primitive_row)
+            yield from sample_ranks(matrix, p0, exact)
+
+        def divide_spy(row, factors):
+            cleared.append(row)
+            return divide(row, factors)
 
         monkeypatch.setattr(pfaffian, "_assemble_pieces", assemble_spy)
         monkeypatch.setattr(pfaffian, "_sample_ranks", ranks_spy)
+        monkeypatch.setattr(pfaffian, "divide_by_factors", divide_spy)
         ideal = sec5_flag.entry(2)
         assert len(derived_system(ideal)) == 0
         need = needs[0]
@@ -500,8 +503,9 @@ class TestCoprimeDenominators:
         assert {row[pc] / f for row, pc in zip(rows, pivots)} \
             <= {E("1"), E("-1"), E("x1"), E("-x1")}
         (matrix,) = matrices
-        assert len(matrix) == 10
-        assert sum(len(c.num) for row in matrix for c in row) <= 2100
+        assert len(matrix) == len(cleared) == 10
+        assert sum(len(c.num) for row in matrix for c in row) == 455
+        assert sum(len(c.num) for row in cleared for c in row) <= 2100
 
 
 class TestKnownFactors:
@@ -520,33 +524,32 @@ class TestKnownFactors:
 
         divide = pfaffian.divide_by_factors
         sample_ranks = pfaffian._sample_ranks
-        cleared, matrices = {}, []
+        divided, matrices = [], []
 
         def divide_spy(row, factors):
             factors = list(factors)
-            out = divide(row, factors)
-            cleared[id(out)] = (row, factors)
-            return out
+            divided.append((divide(row, factors), row, factors))
+            return divided[-1][0]
 
-        def ranks_spy(matrix, p0, exact, primitive_row):
+        def ranks_spy(matrix, p0, exact):
             matrices.append(matrix)
-            yield from sample_ranks(matrix, p0, exact, primitive_row)
+            yield from sample_ranks(matrix, p0, exact)
 
         monkeypatch.setattr(pfaffian, "divide_by_factors", divide_spy)
         monkeypatch.setattr(pfaffian, "_sample_ranks", ranks_spy)
         assert len(derived_system(sec5_flag.entry(2))) == 0
         (matrix,) = matrices
-        assert len(matrix) == 10
-        for row in matrix:
-            before, factors = cleared[id(row)]
+        assert len(matrix) == len(divided) == 10
+        for row, (out, before, factors) in zip(matrix, divided):
             assert sorted(len(b.num) for b in factors) == [1, 7]
-            assert divide_by_gcd(row) == divide_by_gcd(before)
+            # the rank step reads the primitive row of the divided row
+            assert row == divide_by_gcd(out) == divide_by_gcd(before)
             for b in factors:
                 assert not all(expr._ip_divexact(c.num, b.num) is not None
-                               for c in row)
-        assert sum(len(c.num) for row in matrix for c in row) <= 480
-        assert sum(len(c.num) for row, _ in cleared.values()
-                   for c in row) > 2000
+                               for c in out)
+        assert sum(len(c.num) for out, _, _ in divided for c in out) <= 480
+        assert sum(len(c.num) for _, before, _ in divided
+                   for c in before) > 2000
 
     def test_fewer_row_gcds_in_a_sec5_solve(self, monkeypatch):
         """The gcds under divide_by_gcd see only cofactors: a sec5 solve
@@ -700,8 +703,8 @@ class TestOneEchelonPerIdeal:
         derived_flag_ = pfaffian.derived_flag
         flags = []
 
-        def spy(ideal, max_steps=None):
-            flags.append(derived_flag_(ideal, max_steps))
+        def spy(ideal):
+            flags.append(derived_flag_(ideal))
             return flags[-1]
 
         def assert_shared(ideal, source):
@@ -809,10 +812,9 @@ class TestRankSamplingStops:
         sample_ranks = pfaffian._sample_ranks
         runs = []
 
-        def ranks_spy(matrix, p0, exact, primitive_row):
+        def ranks_spy(matrix, p0, exact):
             runs.append((len(matrix), len(matrix[0]), exact, []))
-            for perturbed, r in sample_ranks(matrix, p0, exact,
-                                             primitive_row):
+            for perturbed, r in sample_ranks(matrix, p0, exact):
                 runs[-1][3].append((perturbed, r))
                 yield perturbed, r
 

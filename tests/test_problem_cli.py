@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from tflkit.errors import DimensionMismatch, ProblemFormatError
+from tflkit.errors import (DimensionMismatch, InvarianceViolation,
+                           ProblemFormatError)
 from tflkit.expr import parse_expr
 from tflkit.problem import (EXIT_ADAPTATION, EXIT_CONDITIONS,
                             EXIT_INTEGRATION, EXIT_OK, cmd_check, cmd_solve,
@@ -311,6 +312,46 @@ class TestKernelBearingSolve:
             values.update(x1=x1, x2=x2, x3=x3, x4=Fraction(1))
             v = h.eval(point_from_map(vs, values))
             assert v == 0 if isinstance(v, Fraction) else abs(v) <= 1e-12
+
+
+# A double integrator whose target {x1 = 1} u* = 0 does not render
+# invariant: L_f x1 = x2, which is not zero on N.  NOT_INVARIANT_LN is the
+# same N written as ln(x1) = 0, where L_f ln(x1) = x2/x1, again not zero on
+# N; its reduction has a leftover and no samples are taken.
+NOT_INVARIANT = """
+[system]
+states = x1 x2
+inputs = u1
+f = x2, 0
+g1 = 0, 1
+
+[target]
+N = x1 - 1
+x0 = 1, 0
+u_star = 0
+"""
+NOT_INVARIANT_LN = NOT_INVARIANT.replace("N = x1 - 1", "N = ln(x1)")
+
+
+class TestInvarianceOfN:
+    def test_polynomial_n_is_rejected(self):
+        with pytest.raises(InvarianceViolation,
+                           match="u\\* does not render N invariant"):
+            cmd_check(loads_problem(NOT_INVARIANT))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ControlSystem._validate accepts the "
+                       "inconclusive verdict that vanishes_on_N gives for a "
+                       "reduction leftover without samples, so check exits "
+                       "2 with no warning")
+    def test_the_same_n_through_a_kernel_is_rejected(self):
+        try:
+            _, tree, code = cmd_check(loads_problem(NOT_INVARIANT_LN))
+        except InvarianceViolation as exc:
+            assert "u* does not render N invariant" in str(exc)
+        else:
+            raise AssertionError(f"check accepted N = ln(x1) and exited "
+                                 f"{code} with warnings {tree['warnings']}")
 
 
 class TestCli:

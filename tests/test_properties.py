@@ -6,11 +6,11 @@ import numpy as np
 
 import tflkit.numlin as numlin
 from tflkit.expr import Expr, VariableSpace, Zeroness
-from tflkit.forms import contract, exterior_derivative, wedge
+from tflkit.forms import exterior_derivative, wedge
 from tflkit.pfaffian import PfaffianIdeal, derived_flag
 from conftest import (random_one_form, random_point, random_polynomial,
                       random_two_form, random_vector_field)
-from _brackets import lie_derivative
+from _brackets import contract, lie_derivative
 from _pointwise import pointwise_span
 
 VS = VariableSpace.canonical(3, 1)
