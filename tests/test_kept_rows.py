@@ -317,3 +317,26 @@ class TestRowsAsTheyStand:
                                    "the base point")
         # unchanged, the same step passes it
         assert len(pfaffian.derived_system(system)) == 7
+
+    def test_pivot_entries_that_are_not_rational_take_stacked(
+            self, monkeypatch):
+        """The kept rows of the hand-built ideal: I' takes the general
+        route, and its echelon is the one `_stacked` makes of the parent's
+        rows, the second scaled by -2; <I, dt> takes `_stacked` once, on
+        every row of I."""
+        ideal = _hand_built_ideal()
+        rows, pivots = ideal.rows()
+        stacked = []
+        real = pfaffian._stacked
+
+        def spy(rows, pivots, factors):
+            stacked.append(list(pivots))
+            return real(rows, pivots, factors)
+
+        monkeypatch.setattr(pfaffian, "_stacked", spy)
+        out = pfaffian.derived_system(ideal)
+        assert stacked == []
+        assert real(rows[:2], pivots[:2], ()) == out.rows()
+        assert out.rows()[0][1] != rows[1]
+        aug = pfaffian.augment_with_dt(ideal)
+        assert stacked == [[2, 3, 5]] and aug.rows()[1] == [0, 2, 3, 5]
