@@ -247,7 +247,7 @@ def run_tfl(sys: ControlSystem, hints=None, n_samples=8, seed=0,
             continue
         mu = rho_at(k - 1) - rho_at(k)
         F = frobenius_integrate(flag.closure(k - 1), ls,
-                                hints=hints.get(k - 1, ()), k=k - 1,
+                                hints=hints.get(k - 1, ()),
                                 combo_degree=combo_degree, warnings=warnings)
         F = adapt_subordinate(F, h, h_kappa, ls, k - 1)
         target_vanish = 1 + sum(rho_at(i) for i in range(k - 1, nn))

@@ -69,10 +69,12 @@ class SamplingFailed(TflError):
 
 
 class IntegrationFailed(TflError):
-    def __init__(self, message, residual=None, k=None):
+    """The integrator could not span its closure; `residual` lists the
+    generators it left."""
+
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual or []
-        self.k = k
 
 
 class HintRejected(TflError):
@@ -81,9 +83,7 @@ class HintRejected(TflError):
 
 
 class AdaptationFailed(TflError):
-    def __init__(self, message, k=None):
-        super().__init__(message)
-        self.k = k
+    """A map could not be adapted to L or made subordinate to the output."""
 
 
 class IndependenceViolation(TflError):

@@ -43,7 +43,7 @@ __all__ = [
     "divide_by_factors",
     "exact_quotient",
     "signed_content",
-    "coprime_factor_base",
+    "primitive_factor_base",
 ]
 
 KERNEL_NAMES = ("exp", "sin", "cos", "ln")
@@ -1633,7 +1633,10 @@ def divide_by_factors(exprs, factors):
     grlex leading coefficient, as the gcd there is taken; constants are
     skipped.  A row with fewer than two nonzero entries is returned as it
     is, since `divide_by_gcd` keeps the leading coefficient of a lone
-    entry; so is a row that no factor divides."""
+    entry; so is a row that no factor divides.  Callers pass the factors
+    they know a row may hold: the Bareiss and completing pivots of an
+    echelon, the owner row's entries of <I, dt>, and the base elements of
+    a derived step's shared denominator, which over-clears its rows."""
     nums = [e.num for e in exprs if e.num]
     if len(nums) < 2:
         return exprs
@@ -1696,79 +1699,28 @@ def exact_quotient(e: Expr, d: Expr) -> Expr:
                       {**e.kernels, **d.kernels})
 
 
-def coprime_factor_base(exprs):
-    """Factor refinement (Bach, Driscoll & Shallit, J. Algorithms 15, 1993)
-    of nonzero polynomials `exprs`.
+def primitive_factor_base(exprs):
+    """The primitive parts of nonzero polynomials `exprs`, as a factor base.
 
-    Returns (base, factored).  `base` is a list of pairwise coprime
-    non-constant polynomials, each content-free with a positive grlex
-    leading coefficient, sorted by their terms, so the base does not depend
-    on the order of the inputs.  factored[i] is (unit, powers),
-    a Fraction and a dict {base element: exponent}, with exprs[i] equal to
-    unit times the product of the powers.  So associates (f, -f, 3f) share
-    one base element, and constants have no factors.  Two elements are
-    split by their gcd until no pair has a non-constant gcd; when the
-    heuristic gcd gives up on a pair, the pair stays as it is, so the
-    product stays exact but the two need not be coprime."""
-    exprs = list(exprs)
-    units, counts = [], []
+    Returns (base, factored).  Each input's primitive part (content-free,
+    with a positive grlex leading coefficient) is one base element, so
+    associates (f, -f, 3f) share one, and constants have none.  `base` is
+    sorted by `Expr.key`, so it does not depend on the order of the inputs.
+    factored[i] is (unit, powers), a Fraction and a dict {base element: 1}
+    (empty for a constant), with exprs[i] equal to unit times the product
+    of the powers.  No gcd is taken, so the base need not be pairwise
+    coprime: x1*f and f are two elements."""
+    base, factored = {}, []
     for e in exprs:
         if not e.num or not e.is_polynomial():
-            raise ValueError("factor refinement takes nonzero polynomials")
+            raise ValueError("a factor base takes nonzero polynomials")
         c = _int_content(e.num)
         if e.num[_p_leading(e.num)] < 0:
             c = -c
-        units.append(Fraction(c, e.den[0]))
         p = _int_divide(e.num, c)
-        counts.append({} if _is_const(p) else {_p_sorted(p): 1})
-    coprime = set()  # pairs of keys whose gcd is a constant
-    while (found := _split_pair(counts, coprime)) is not None:
-        counts = [_substitute_factors(fac, found) for fac in counts]
-    keys = sorted({k for fac in counts for k in fac})
-    kernels = {}
-    for e in exprs:
-        kernels.update(e.kernels)
-    base = {k: Expr._make(exprs[0].vars, _p_unsorted(k), _ONE, kernels)
-            for k in keys}
-    return ([base[k] for k in keys],
-            [(u, {base[k]: m for k, m in sorted(fac.items())})
-             for u, fac in zip(units, counts)])
-
-
-def _p_sorted(A):
-    """A polynomial as sorted (pairs, coefficient, monomial) triples, with
-    the pairs of _mono_pairs: hashable, and ordered the same way on every
-    run."""
-    return tuple(sorted((_mono_pairs(m), c, m) for m, c in A.items()))
-
-
-def _p_unsorted(key):
-    """The polynomial of a _p_sorted key."""
-    return {m: c for _, c, m in key}
-
-
-def _split_pair(counts, coprime):
-    """{a: (g, a/g), b: (g, b/g)} for the first two keys a < b of the factor
-    counts whose gcd g is not a constant, or None when there are none."""
-    keys = sorted({k for fac in counts for k in fac})
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            if (a, b) in coprime:
-                continue
-            g, qa, qb = _ip_cofactors(_p_unsorted(a), _p_unsorted(b))
-            if not _is_const(g):
-                return {a: (g, qa), b: (g, qb)}
-            coprime.add((a, b))
-    return None
-
-
-def _substitute_factors(fac, split):
-    """The factor count `fac` with each split key replaced by its two
-    parts; a part that is a constant is one."""
-    out = {}
-    for k, m in fac.items():
-        for part in split.get(k, (_p_unsorted(k),)):
-            if not _is_const(part):
-                pk = _p_sorted(part)
-                out[pk] = out.get(pk, 0) + m
-    return out
+        powers = {}
+        if not _is_const(p):
+            b = Expr._make(e.vars, p, _ONE, e.kernels)
+            powers[base.setdefault(b, b)] = 1
+        factored.append((Fraction(c, e.den[0]), powers))
+    return sorted(base, key=Expr.key), factored

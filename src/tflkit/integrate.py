@@ -47,7 +47,6 @@ class SmoothMapAdapted:
 
     components: list
     vanish_count: int
-    k: int
     ideal: PfaffianIdeal
 
     def vanishing(self):
@@ -366,7 +365,7 @@ def _integrating_factor_candidate(gen: KForm, dg: KForm):
 
 
 def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
-                        hints=(), k=None, combo_degree=1,
+                        hints=(), combo_degree=1,
                         warnings=None) -> SmoothMapAdapted:
     """Map components whose differentials span the (differential) ideal.
 
@@ -477,15 +476,14 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
                      if not form.is_structural_zero()]
         raise IntegrationFailed(
             f"integrated {len(found)} of {target} directions; residual "
-            f"generators need hints: {residuals}", residual=residuals, k=k)
+            f"generators need hints: {residuals}", residual=residuals)
 
-    k = k if k is not None else -1
     if ls is not None:
-        return _classify_and_order(found, ls, k, ideal)
-    return SmoothMapAdapted(found, 0, k, ideal)
+        return _classify_and_order(found, ls, ideal)
+    return SmoothMapAdapted(found, 0, ideal)
 
 
-def _classify_and_order(comps, ls: LiftedSystem, k, ideal):
+def _classify_and_order(comps, ls: LiftedSystem, ideal):
     """Order components [vanishing-on-L (t last)] ++ [rest]."""
     t_expr = Expr.var_index(ls.vars, 0)
     van, rest = [], []
@@ -501,7 +499,7 @@ def _classify_and_order(comps, ls: LiftedSystem, k, ideal):
             rest.append(c)
     if t_present:
         van.append(t_expr)
-    return SmoothMapAdapted(van + rest, len(van), k, ideal)
+    return SmoothMapAdapted(van + rest, len(van), ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +526,12 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
     if target_vanish > ell:
         raise AdaptationFailed(
             f"target vanish count {target_vanish} exceeds the component "
-            f"count {ell}", k=F.k)
+            f"count {ell}")
     have = F.vanish_count
     if have > target_vanish:
         raise AdaptationFailed(
             f"{have} components already vanish on L, more than the expected "
-            f"{target_vanish}; the rank data is inconsistent", k=F.k)
+            f"{target_vanish}; the rank data is inconsistent")
     needed = target_vanish - have
     if needed == 0:
         return F
@@ -557,7 +555,7 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
         if samples is None:
             raise AdaptationFailed(
                 "defining functions are not solvable and no samples were "
-                "provided for the sample-nullspace fallback", k=F.k)
+                "provided for the sample-nullspace fallback")
         A = np.array([[float(e.eval(p)) for e in mono_exprs]
                       for p in samples])
         null = [[Fraction(x).limit_denominator(10 ** 6) for x in vec]
@@ -586,7 +584,7 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
         raise AdaptationFailed(
             f"no degree-<={degree} combination closes the vanishing block "
             f"({len(new_comps)} of {needed} found); raise the ansatz degree "
-            "or supply hints", k=F.k)
+            "or supply hints")
     # completion: keep enough old non-vanishing components for full rank
     vanish_block = new_comps + F.vanishing()
     rows = rows[have:] + rows[:have]        # in vanish_block order
@@ -595,8 +593,8 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
     if len(comps) != ell or numlin.rank(np.vstack(rows)) != ell:
         raise AdaptationFailed(
             "adapted map lost rank; the combination consumed more "
-            "directions than it added", k=F.k)
-    return SmoothMapAdapted(comps, target_vanish, F.k, F.ideal)
+            "directions than it added")
+    return SmoothMapAdapted(comps, target_vanish, F.ideal)
 
 
 def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
@@ -614,7 +612,7 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
         if ki <= k:
             raise AdaptationFailed(
                 f"output component with relative degree {ki} cannot be "
-                f"subordinate at level {k}", k=k)
+                f"subordinate at level {k}")
         towers += sys.tower(hi, ki - k)
     # F's differentials span F.ideal, so membership there is in the map span
     for entry in towers:
@@ -622,7 +620,7 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
                 != Membership.MEMBER):
             raise AdaptationFailed(
                 f"tower entry '{entry}' has differential outside the map "
-                "span; flag data corrupted", k=k)
+                "span; flag data corrupted")
     t_expr = Expr.var_index(vars0, 0)
     # vanishing non-tower components that stay independent of the towers
     others = [c for c in F.vanishing() if c != t_expr and c not in towers]
@@ -636,6 +634,5 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
         comps.append(F.components[i])
     if len(comps) != len(F.components):
         raise AdaptationFailed(
-            "subordination lost rank while rebuilding the component list",
-            k=k)
-    return SmoothMapAdapted(comps, vanish_count, F.k, F.ideal)
+            "subordination lost rank while rebuilding the component list")
+    return SmoothMapAdapted(comps, vanish_count, F.ideal)

@@ -5,14 +5,17 @@ reduced echelon order.  All linear algebra over the coefficient function
 field goes through `zeroness`-certified pivots, with numeric cross-checks at
 the base point and at perturbed sample points so that a failure of the
 regularity assumption surfaces as RegularityViolation instead of a silently
-wrong flag.  The derived flag first asks one exact perturbed point whether a
-step empties its ideal, and assembles the step's symbolic conditions only
-where that point cannot tell (`_empties_at_a_point`).  Each condition row
-of a derived step is made primitive once, when it is built.  No derived
-step makes a membership call: each new generator is a combination of its
-parent's.  A step that keeps some of its parent's rows as they stand takes
-their echelon rows, differentials and substitutions instead of rebuilding
-them (`_kept_rows`); any other step takes the general route.
+wrong flag.  Each ideal is echelonized once, by one eager fraction-free
+(Bareiss) pass.  Substitution denominators are kept over the primitive
+parts of the pivot entries, with no gcd taken.  The derived flag first
+asks one exact perturbed point whether a step empties its ideal, and
+assembles the step's symbolic conditions only where that point cannot
+tell (`_empties_at_a_point`).  Each condition row of a derived step is
+made primitive once, when it is built.  No derived step makes a
+membership call: each new generator is a combination of its parent's.  A
+step that keeps some of its parent's rows as they stand takes their
+echelon rows, differentials and substitutions instead of rebuilding them
+(`_kept_rows`); any other step takes the general route.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, InconclusiveZeroTest, RegularityViolation
-from .expr import (Expr, Point, Zeroness, coprime_factor_base,
-                   denominator_lcm, divide_by_factors, divide_by_gcd,
-                   exact_quotient, float_at, signed_content)
+from .expr import (Expr, Point, Zeroness, denominator_lcm,
+                   divide_by_factors, divide_by_gcd, exact_quotient,
+                   float_at, primitive_factor_base, signed_content)
 from .forms import KForm, coordinate_form, exterior_derivative, wedge
 from . import numlin
 
@@ -180,90 +183,49 @@ def rref_function_field(rows, p0):
     at the base point, then the remaining rows are pivoted symbolically
     without the p0 requirement, so the basis stays pointwise regular at p0
     whenever the row module is; the first pass's rows are then completed
-    fraction-free.  Returns (rows, pivot_columns) in pivot assignment
-    order: every row has zeros at all pivot columns assigned before it,
-    which is what the back substitutions in nullspace_function_field and
-    _complement_substitution rely on.
+    fraction-free.  Each step scales every row below its pivot once, and
+    each row is normalized once at the end, divided first by the Bareiss
+    and completing pivots, its known factors (`_normalize_row`).  Returns
+    (rows, pivot_columns) in pivot assignment order: every row has zeros
+    at all pivot columns assigned before it, which is what the back
+    substitutions in nullspace_function_field and _complement_substitution
+    rely on.
     """
     rows = [_clear_denominators_row(list(r)) for r in rows]
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    r = 0
     pivots = []
-    # Bareiss pivots in order.  Step k rescales a row whose entry in the
-    # pivot column is structurally zero by p_k / p_(k-1); the factors
-    # telescope, so such a row is left alone and caught up, by p_k / p_j
-    # from the step j it last saw, just before it is read: as a pivot
-    # candidate (every row a pivot eliminates was one) or at the end.  The
-    # values are those of the eager elimination, and forms are canonical.
-    bareiss = []
-    seen = [0] * len(rows)  # row i is current as of step seen[i]
+    bareiss = []  # the Bareiss pivots, in order
 
-    def catch_up(i):
-        j, k = seen[i], len(bareiss)
-        if j < k:
-            pk = bareiss[-1]
-            if j:
-                pj = bareiss[j - 1]
-                rows[i] = [a if a.is_structural_zero()
-                           else exact_quotient(a * pk, pj) for a in rows[i]]
-            else:
-                rows[i] = [a * pk for a in rows[i]]
-            seen[i] = k
-
-    def pivot_in_column(col, start, require_p0):
-        for i in range(start, len(rows)):
-            if not rows[i][col].is_structural_zero():
-                catch_up(i)
-        return _pivot_in_column(rows, col, start, p0, require_p0)
-
-    def swap(a, b):
-        rows[a], rows[b] = rows[b], rows[a]
-        seen[a], seen[b] = seen[b], seen[a]
-
-    def eliminate_below(r, col):
+    def place(col, require_p0):
+        """Pivot `col` in the next row, if a row left can hold it, and
+        eliminate it from every row below: (pc * row - ci * pivot row) /
+        previous pivot, each row scaled once per step."""
+        r = len(pivots)
+        piv = _pivot_in_column(rows, col, r, p0, require_p0)
+        if piv is None:
+            return False
+        rows[r], rows[piv] = rows[piv], rows[r]
         pc = rows[r][col]
         prev = bareiss[-1] if bareiss else None
         for i in range(r + 1, len(rows)):
-            ci = rows[i][col]   # a candidate for col, so caught up
-            if ci.is_structural_zero():
-                continue
+            ci = rows[i][col]
             new = [pc * a - ci * b for a, b in zip(rows[i], rows[r])]
             if prev is not None:
                 new = [exact_quotient(x, prev) for x in new]
             rows[i] = new
-            seen[i] = len(bareiss) + 1
         bareiss.append(pc)
-
-    deferred = []
-    for col in range(ncols):
-        piv = pivot_in_column(col, r, require_p0=True)
-        if piv is None:
-            deferred.append(col)
-            continue
-        swap(r, piv)
-        eliminate_below(r, col)
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    np1 = r  # pivots so far do not vanish at p0
-    if r < len(rows):
-        for col in deferred:
-            piv = pivot_in_column(col, r, require_p0=False)
-            if piv is None:
-                continue
-            swap(r, piv)
-            eliminate_below(r, col)
-            pivots.append(col)
-            r += 1
-            if r == len(rows):
-                break
+        return True
+
+    deferred = [col for col in range(len(rows[0])) if not place(col, True)]
+    np1 = len(pivots)  # pivots so far do not vanish at p0
+    for col in deferred:
+        place(col, False)
+    r = len(pivots)
     # leftover rows must be structurally zero; NonZero leftovers mean the
     # zero tests could not support a pivot anywhere in them
     for i in range(r, len(rows)):
-        catch_up(i)
         for c in rows[i]:
             if c.zeroness() == Zeroness.INCONCLUSIVE:
                 raise InconclusiveZeroTest(
@@ -533,18 +495,19 @@ def _complement_substitution(ideal: PfaffianIdeal):
     """For each pivot coordinate of the echelon generators, a fraction-free
     replacement dv_pivot === form/den mod I with the numerator form supported
     on complement coordinates only.  Denominators are kept as factor
-    multisets (Counters) over one pairwise coprime base of the pivot
-    entries, so associated pivots share their factors, the maximum of two
-    multisets is their least common multiple, and later products never need
-    polynomial division or gcd.  Pivots are solved in reverse assignment
-    order.  Built once per ideal: its derived step and every 2-form
-    membership in it read the same substitution."""
+    multisets (Counters) over the primitive parts of the pivot entries
+    (`primitive_factor_base`), so associated pivots share one factor, the
+    maximum of two multisets is a common multiple of their products (not
+    always the least: x1*f and f are two factors), and later products
+    never need polynomial division or gcd.  Pivots are solved in reverse
+    assignment order.  Built once per ideal: its derived step and every
+    2-form membership in it read the same substitution."""
     if ideal._subs is not None:
         return ideal._subs
     rows, pivots = ideal.rows()
     vars0 = ideal.vars
-    _, factored = coprime_factor_base(row[pc]
-                                      for row, pc in zip(rows, pivots))
+    _, factored = primitive_factor_base(row[pc]
+                                        for row, pc in zip(rows, pivots))
     subs = {}  # pivot col -> (KForm numerator, factor multiset)
     for row, pc, (unit, powers) in reversed(list(zip(rows, pivots,
                                                      factored))):

@@ -1,7 +1,7 @@
 """The two size metrics of the package, from the standard library only:
-the line count of src/tflkit (as `wc -l src/tflkit/*.py` totals it) and
-the number of defaulted parameters over every `def` and `lambda` there
-(positional and keyword-only defaults alike).
+the line count of src/tflkit (as `wc -l src/tflkit/*.py` totals it, and
+file by file) and the number of defaulted parameters over every `def` and
+`lambda` there (positional and keyword-only defaults alike).
 
     python tests/size_metrics.py
 
@@ -39,6 +39,8 @@ def metrics(src=SRC):
         "defaulted parameters (def and lambda)": sum(
             defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
             for path in paths),
+        **{f"src/tflkit/{path.name} lines": line_count([path])
+           for path in paths},
     }
 
 

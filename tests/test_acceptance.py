@@ -280,7 +280,7 @@ class TestCriterion7:
         bad = 0
         cases = 0
         for k, vanish in ((2, 2), (1, 4)):
-            F = frobenius_integrate(sec5_closures[k], ls, k=k)
+            F = frobenius_integrate(sec5_closures[k], ls)
             F = adapt_to_L(F, ls, target_vanish=vanish)
             ell = len(F.components)
             rows_of = lambda p: np.array(

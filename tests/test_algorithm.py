@@ -172,19 +172,21 @@ class TestRunTfl:
 
     def test_integration_only_at_distinct_indices(self, chain3, monkeypatch):
         """With rho = (1,1,1) the loop levels k=2,1 are skipped: exactly one
-        closure is integrated."""
+        closure is integrated, that of I^(2), the only closure with 2
+        generators (the closures hold 4, 3, 2 and 1)."""
         import tflkit.algorithm as algorithm
         calls = []
         original = algorithm.frobenius_integrate
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("k"))
-            return original(*args, **kwargs)
+        def counting(ideal, *args, **kwargs):
+            calls.append(len(ideal))
+            return original(ideal, *args, **kwargs)
 
         monkeypatch.setattr(algorithm, "frobenius_integrate", counting)
         rep = run_tfl(chain3)
         assert rep.success
-        assert calls == [2]
+        assert rep.closure_counts == (4, 3, 2, 1)
+        assert calls == [rep.closure_counts[2]]
 
     @staticmethod
     def _augment_and_closure_spy(monkeypatch):

@@ -1,7 +1,7 @@
 """The integer polynomial gcd and exact division behind canonical forms:
 heuristic gcd against sympy, its sign convention, heap-ordered exact
 division, fraction reduction past sizes the old PRS gave up on, and the
-coprime factor base built from the gcd."""
+pivot factor base, which takes no gcd."""
 
 import random
 from fractions import Fraction
@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 import tflkit.expr as expr
-from tflkit.expr import Expr, VariableSpace, coprime_factor_base, \
-    divide_by_gcd, exact_quotient, parse_expr
+from tflkit.expr import Expr, VariableSpace, divide_by_gcd, \
+    exact_quotient, parse_expr, primitive_factor_base
 from tflkit.lift import lift_system
 from tflkit.pfaffian import derived_flag
 from conftest import decode, encode, make_sec5_system, random_polynomial, \
@@ -365,29 +365,31 @@ class TestNoSecondDivision:
 
 
 class TestCoprimeFactorBase:
-    """Factor refinement: every input is its unit times a product of base
-    powers, and the base is pairwise coprime, content-free, has positive
-    leading coefficients and an order fixed by the inputs' values alone."""
+    """The pivot factor base, `primitive_factor_base`, which took the place
+    of the coprime factor base: every input is its unit times its primitive
+    part, associates share one base element, constants have none, the base
+    is content-free with positive leading coefficients and an order fixed
+    by the inputs' values alone, and no gcd is taken, so the base need not
+    be coprime."""
 
     F = "x1*x5 + x4^2 + 2"
 
     def _check(self, inputs):
-        base, factored = coprime_factor_base(inputs)
+        base, factored = primitive_factor_base(inputs)
         assert len(factored) == len(inputs)
         for e, (unit, powers) in zip(inputs, factored):
             assert isinstance(unit, Fraction) and unit != 0
+            assert len(powers) <= 1 and set(powers.values()) <= {1}
             product = Expr.rational(VS, unit)
-            for b, m in powers.items():
-                assert m >= 1 and any(b is x for x in base)
-                product = product * b ** m
+            for b in powers:
+                assert any(b is x for x in base)
+                product = product * b
             assert product == e
         for b in base:
             assert expr._is_unit(b.den) and not expr._is_const(b.num)
             assert expr._int_content(b.num) == 1
             assert b.num[expr._p_leading(b.num)] > 0
-        for i, a in enumerate(base):
-            for b in base[i + 1:]:
-                assert decode(_gcd(a.num, b.num)) == {(): 1}
+        assert len(set(base)) == len(base)
         return base, factored
 
     def _powers(self, factored):
@@ -402,13 +404,14 @@ class TestCoprimeFactorBase:
             (u, {self.F: 1}) for u in (1, -1, 3, Fraction(1, 2),
                                        Fraction(-2, 3))]
 
-    def test_nested_factors_split(self):
+    def test_nested_factors_stay_whole(self):
         f = E(self.F)
-        base, factored = self._check([E("x1") * f, -f, E("x1^2") * f ** 3])
-        assert sorted(map(str, base)) == sorted(["x1", self.F])
-        assert self._powers(factored) == [
-            (1, {"x1": 1, self.F: 1}), (-1, {self.F: 1}),
-            (1, {"x1": 2, self.F: 3})]
+        inputs = [E("x1") * f, -f, E("x1^2") * f ** 3, E("-2*x1") * f]
+        base, factored = self._check(inputs)
+        assert sorted(map(str, base)) == sorted(
+            map(str, (E("x1") * f, f, E("x1^2") * f ** 3)))
+        assert [u for u, _ in factored] == [1, -1, 1, -2]
+        assert factored[0][1] == factored[3][1]
 
     def test_constants_are_units(self):
         f = E(self.F)
@@ -416,16 +419,20 @@ class TestCoprimeFactorBase:
         assert base == [f]
         assert self._powers(factored) == [
             (-1, {}), (2, {}), (Fraction(1, 3), {}), (-2, {self.F: 1})]
-        assert coprime_factor_base([E("-1"), E("7")]) == (
+        assert primitive_factor_base([E("-1"), E("7")]) == (
             [], [(-1, {}), (7, {})])
 
     def test_kernel_atoms(self):
         f, h = E(self.F), E("exp(x3) + x1")
-        base, factored = self._check([
-            E("sin(x1)") * f, E("-cos(x2)*sin(x1)"), h ** 2 * f, 2 * h])
+        inputs = [E("sin(x1)") * f, E("-cos(x2)*sin(x1)"), h ** 2 * f, 2 * h,
+                  E("-3*sin(x1)") * f]
+        base, factored = self._check(inputs)
         assert sorted(map(str, base)) == sorted(
-            ["sin(x1)", "cos(x2)", str(h), self.F])
+            map(str, (E("sin(x1)") * f, E("cos(x2)*sin(x1)"), h ** 2 * f,
+                      h)))
+        assert self._powers(factored)[1] == (-1, {"cos(x2)*sin(x1)": 1})
         assert self._powers(factored)[3] == (2, {str(h): 1})
+        assert factored[4] == (-3, factored[0][1])
 
     def test_seeded_products(self):
         rng = random.Random(9)
@@ -441,28 +448,24 @@ class TestCoprimeFactorBase:
                 inputs.append(e)
             self._check(inputs)
 
-    def test_coprime_under_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        rng = random.Random(10)
-        f, h = E(self.F), E("exp(x3) + x1")
-        cases = [[E("sin(x1)") * f, E("-cos(x2)*sin(x1)"), h ** 2 * f, 2 * h]]
-        for _ in range(6):
-            A, B = _planted(rng, VAR_ATOMS, 3, 2)
-            cases.append([Expr._make(VS, P, ONE, {}) for P in (A, B)
-                          if not expr._is_const(P)])
-        for inputs in cases:
-            base, _ = self._check(inputs)
-            assert len(base) >= 2
-            for i, a in enumerate(base):
-                for b in base[i + 1:]:
-                    assert decode(_sympy_gcd(sympy, a.num, b.num)) \
-                        == {(): 1}
+    def test_takes_no_gcd(self, monkeypatch):
+        f, g = E(self.F), E("x2 - x3 + 1")
+        inputs = [E("x1") * f, g * f ** 2, -g, E("sin(x1)") * g, 3 * g,
+                  E("3")]
+
+        def no_gcd(A, B):
+            raise AssertionError("the factor base took a gcd")
+
+        monkeypatch.setattr(expr, "_ip_cofactors", no_gcd)
+        base, factored = self._check(inputs)
+        assert len(base) == 4
+        assert factored[2][1] == factored[4][1]
 
     def test_order_is_deterministic(self):
         rng = random.Random(11)
         f, g = E(self.F), E("x2 - x3 + 1")
         inputs = [E("x1") * f, g * f ** 2, -g, E("sin(x1)") * g, E("3")]
-        first, _ = coprime_factor_base(inputs)
+        first, _ = primitive_factor_base(inputs)
         assert len(first) == 4
         for _ in range(5):
             rng.shuffle(inputs)
@@ -475,7 +478,7 @@ class TestCoprimeFactorBase:
         f = E(self.F)
         monkeypatch.setattr(expr, "_heu_gcd", lambda A, B: None)
         inputs = [E("x1") * f, -f, 3 * f]
-        base, factored = coprime_factor_base(inputs)
+        base, factored = primitive_factor_base(inputs)
         for e, (unit, powers) in zip(inputs, factored):
             product = Expr.rational(VS, unit)
             for b, m in powers.items():
@@ -484,9 +487,9 @@ class TestCoprimeFactorBase:
 
     def test_rejects_zero_and_quotients(self):
         with pytest.raises(ValueError):
-            coprime_factor_base([E("x1"), E("0")])
+            primitive_factor_base([E("x1"), E("0")])
         with pytest.raises(ValueError):
-            coprime_factor_base([E("x1/x2")])
+            primitive_factor_base([E("x1/x2")])
 
 
 def _to_sympy(sympy, e, names):

@@ -106,13 +106,13 @@ def _p0():
 
 class TestFrobenius:
     def test_worked_k2_closure(self, sec5_lifted, sec5_closures):
-        F = frobenius_integrate(sec5_closures[2], sec5_lifted, k=2)
+        F = frobenius_integrate(sec5_closures[2], sec5_lifted)
         comps = set(str(c) for c in F.components)
         assert comps == {"x5 + x7", "t"}
         assert F.vanish_count == 2
 
     def test_worked_k1_closure_span(self, sec5_lifted, sec5_closures):
-        F = frobenius_integrate(sec5_closures[1], sec5_lifted, k=1)
+        F = frobenius_integrate(sec5_closures[1], sec5_lifted)
         assert len(F.components) == 6
         assert rank_at(F, sec5_lifted.p0) == 6
         # span equality with the printed components of the construction
@@ -131,7 +131,7 @@ class TestFrobenius:
         assert diffs == {"(1) dx1", "(1) dx2", "(1) dt"}
 
     def test_components_anchored_at_p0(self, sec5_lifted, sec5_closures):
-        F = frobenius_integrate(sec5_closures[1], sec5_lifted, k=1)
+        F = frobenius_integrate(sec5_closures[1], sec5_lifted)
         for c in F.components:
             assert abs(float(c.eval(sec5_lifted.p0))) < 1e-12
 
@@ -140,7 +140,7 @@ class TestFrobenius:
         gen = DX("x1") - DX("x2").scale(E("x3*exp(x2^2)"))
         ideal = PfaffianIdeal([gen, DX("x3")], sec5_lifted.p0)
         with pytest.raises(IntegrationFailed) as err:
-            frobenius_integrate(ideal, sec5_lifted, k=0)
+            frobenius_integrate(ideal, sec5_lifted)
         assert err.value.residual
 
     def test_hint_completes_the_span(self, sec5_lifted):
@@ -294,7 +294,7 @@ class TestIndependenceBeforePotential:
 
 class TestAdaptToL:
     def test_worked_combination(self, sec5_lifted, sec5_closures):
-        F = frobenius_integrate(sec5_closures[1], sec5_lifted, k=1)
+        F = frobenius_integrate(sec5_closures[1], sec5_lifted)
         out = adapt_to_L(F, sec5_lifted, target_vanish=4, degree=2)
         assert out.vanish_count == 4
         sys = sec5_lifted.base
@@ -305,13 +305,13 @@ class TestAdaptToL:
         assert any(c == E("t") for c in out.vanishing())
 
     def test_identity_when_already_adapted(self, sec5_lifted, sec5_closures):
-        F = frobenius_integrate(sec5_closures[2], sec5_lifted, k=2)
+        F = frobenius_integrate(sec5_closures[2], sec5_lifted)
         out = adapt_to_L(F, sec5_lifted, target_vanish=2)
         assert [str(c) for c in out.components] \
             == [str(c) for c in F.components]
 
     def test_overfull_block_rejected(self, sec5_lifted, sec5_closures):
-        F = frobenius_integrate(sec5_closures[2], sec5_lifted, k=2)
+        F = frobenius_integrate(sec5_closures[2], sec5_lifted)
         with pytest.raises(AdaptationFailed):
             adapt_to_L(F, sec5_lifted, target_vanish=1)
 
@@ -319,7 +319,7 @@ class TestAdaptToL:
         """rank(F_k restricted to L) = l_k - (1 + sum rho_i for i >= k)."""
         expectations = {2: (2, 2), 1: (6, 4)}
         for k, (ell, vanish) in expectations.items():
-            F = frobenius_integrate(sec5_closures[k], sec5_lifted, k=k)
+            F = frobenius_integrate(sec5_closures[k], sec5_lifted)
             F = adapt_to_L(F, sec5_lifted, target_vanish=vanish)
             assert len(F.components) == ell
             assert restricted_rank_on_L(F, sec5_lifted) == ell - vanish
@@ -327,7 +327,7 @@ class TestAdaptToL:
 
 class TestAdaptSubordinate:
     def test_worked_towers_appear_verbatim(self, sec5_lifted, sec5_closures):
-        F = frobenius_integrate(sec5_closures[1], sec5_lifted, k=1)
+        F = frobenius_integrate(sec5_closures[1], sec5_lifted)
         out = adapt_subordinate(F, [E("x5 + x7")], [3], sec5_lifted, 1)
         comps = [str(c) for c in out.components]
         assert "x5 + x7" in comps and "x5 + x6" in comps
@@ -335,14 +335,14 @@ class TestAdaptSubordinate:
         assert rank_at(out, sec5_lifted.p0) == 6
 
     def test_tower_outside_the_map_span(self, sec5_lifted, sec5_closures):
-        F = frobenius_integrate(sec5_closures[2], sec5_lifted, k=2)
+        F = frobenius_integrate(sec5_closures[2], sec5_lifted)
         assert {str(c) for c in F.components} == {"x5 + x7", "t"}
         with pytest.raises(AdaptationFailed, match="tower entry 'x1' has "
                            "differential outside the map span"):
             adapt_subordinate(F, [E("x1")], [3], sec5_lifted, 2)
 
     def test_empty_output_is_identity(self, sec5_lifted, sec5_closures):
-        F = frobenius_integrate(sec5_closures[2], sec5_lifted, k=2)
+        F = frobenius_integrate(sec5_closures[2], sec5_lifted)
         assert adapt_subordinate(F, [], [], sec5_lifted, 2) is F
 
     def test_chain_towers(self, chain3):
@@ -353,7 +353,7 @@ class TestAdaptSubordinate:
             differential_closure
         flag = derived_flag(ls.I0)
         closure0 = differential_closure(augment_with_dt(flag.entry(0)))
-        F0 = frobenius_integrate(closure0, ls, k=0)
+        F0 = frobenius_integrate(closure0, ls)
         out = adapt_subordinate(F0, [Ep("x1")], [3], ls, 1)
         comps = [str(c) for c in out.components]
         assert "x1" in comps and "x2" in comps

@@ -126,14 +126,25 @@ def test_the_primal_check_sees_each_pattern():
         (3, "VectorField")]
 
 
-def test_the_size_metrics_count_each_pattern():
-    from size_metrics import defaulted_parameters
+def test_the_size_metrics_count_each_pattern(tmp_path):
+    from size_metrics import defaulted_parameters, metrics
     code = ("def f(a, b=1, *args, c, d=2, **kw):\n"
             "    g = lambda x, y=3: x\n"
             "class A:\n"
             "    async def h(self, z=None):\n"
             "        pass\n")
     assert defaulted_parameters(ast.parse(code)) == 4
+    # the total and each file's line count, as `wc -l` gives them; a last
+    # line without a newline is not counted
+    (tmp_path / "b.py").write_text(code)
+    (tmp_path / "a.py").write_text("x = 1\ny = 2")
+    (tmp_path / "notes.txt").write_text("not\ncounted\n")
+    assert metrics(tmp_path) == {
+        "src/tflkit lines (wc -l)": 6,
+        "defaulted parameters (def and lambda)": 4,
+        "src/tflkit/a.py lines": 1,
+        "src/tflkit/b.py lines": 5,
+    }
 
 
 def test_components_classified_once():

@@ -465,16 +465,17 @@ class TestPrimitiveConditionRows:
 class TestCoprimeDenominators:
     def test_sec5_last_step(self, monkeypatch, sec5_flag):
         """The pivot entries of sec5's last derived step are associates of
-        one 7-term f and of x1*f.  Keyed by a coprime base, the shared
-        denominator of the conditions is x1*f^2, and the cleared rows stay
-        within about 4.5x of their primitive parts (455 terms)."""
-        import tflkit.expr as expr
+        one 7-term f and of x1*f.  Each primitive part is a base element of
+        its own, so the shared denominator of the conditions is f^2 times
+        x1*f, and derived_system(entry(2)) returns no generators from 10
+        primitive rows of 455 terms.  Inside derived_flag(I0) that step is
+        decided at a point: it runs no derived_system and assembles no
+        pieces."""
         import tflkit.pfaffian as pfaffian
 
         assemble = pfaffian._assemble_pieces
         sample_ranks = pfaffian._sample_ranks
-        divide = pfaffian.divide_by_factors
-        needs, matrices, cleared = [], [], []
+        needs, matrices = [], []
 
         def assemble_spy(vars0, pieces, need):
             needs.append(need)
@@ -484,28 +485,47 @@ class TestCoprimeDenominators:
             matrices.append(matrix)
             yield from sample_ranks(matrix, p0, exact)
 
-        def divide_spy(row, factors):
-            cleared.append(row)
-            return divide(row, factors)
-
         monkeypatch.setattr(pfaffian, "_assemble_pieces", assemble_spy)
         monkeypatch.setattr(pfaffian, "_sample_ranks", ranks_spy)
-        monkeypatch.setattr(pfaffian, "divide_by_factors", divide_spy)
         ideal = sec5_flag.entry(2)
         assert len(derived_system(ideal)) == 0
         need = needs[0]
         assert all(n == need for n in needs)
-        (x1, one), (f, two) = sorted(need.items(), key=lambda kv: kv[1])
-        assert (x1, one, two) == (E("x1"), 1, 2)
-        assert len(f.num) == 7
-        assert decode(expr._ip_cofactors(x1.num, f.num)[0]) == {(): 1}
+        (x1f, one), (f, two) = sorted(need.items(), key=lambda kv: kv[1])
+        assert (one, two) == (1, 2)
+        assert len(f.num) == 7 and x1f == E("x1") * f
         rows, pivots = ideal.rows()
         assert {row[pc] / f for row, pc in zip(rows, pivots)} \
             <= {E("1"), E("-1"), E("x1"), E("-x1")}
         (matrix,) = matrices
-        assert len(matrix) == len(cleared) == 10
+        assert len(matrix) == 10
+        assert all(divide_by_gcd(row) is row for row in matrix)
         assert sum(len(c.num) for row in matrix for c in row) == 455
-        assert sum(len(c.num) for row in cleared for c in row) <= 2100
+
+        # the same step inside the flag: each step starts with the point
+        # test, so assemblies are charged to the entry it was last asked
+        empties, derive = pfaffian._empties_at_a_point, pfaffian.derived_system
+        step, assembled, derived = [None], [], []
+
+        def empties_spy(entry):
+            step[0] = len(entry)
+            return empties(entry)
+
+        def derived_spy(entry):
+            derived.append(len(entry))
+            return derive(entry)
+
+        def counting_spy(vars0, pieces, need):
+            assembled.append(step[0])
+            return assemble(vars0, pieces, need)
+
+        monkeypatch.setattr(pfaffian, "_empties_at_a_point", empties_spy)
+        monkeypatch.setattr(pfaffian, "derived_system", derived_spy)
+        monkeypatch.setattr(pfaffian, "_assemble_pieces", counting_spy)
+        flag = derived_flag(sec5_flag.entry(0))
+        assert flag.generator_counts() == sec5_flag.generator_counts()
+        assert len(sec5_flag.entry(2)) == 3
+        assert derived == [7, 5] and set(assembled) == {7, 5}
 
 
 class TestKnownFactors:
@@ -514,10 +534,10 @@ class TestKnownFactors:
     Bareiss pivots."""
 
     def test_sec5_last_step_rows(self, monkeypatch, sec5_flag):
-        """On sec5's last derived step the shared denominator x1*f^2
-        over-clears every condition row by f.  Divided by x1 and f where
-        they divide, no base element divides a whole row that reaches the
-        rank step, the rows hold 476 terms (2049 cleared) and their
+        """On sec5's last derived step the shared denominator f^2 times
+        x1*f over-clears every condition row by f^2.  Divided by f and x1*f
+        where they divide, no base element divides a whole row that reaches
+        the rank step, the rows hold 476 terms (5945 cleared) and their
         primitive rows are those of the cleared rows."""
         import tflkit.expr as expr
         import tflkit.pfaffian as pfaffian
@@ -541,7 +561,7 @@ class TestKnownFactors:
         (matrix,) = matrices
         assert len(matrix) == len(divided) == 10
         for row, (out, before, factors) in zip(matrix, divided):
-            assert sorted(len(b.num) for b in factors) == [1, 7]
+            assert sorted(len(b.num) for b in factors) == [7, 7]
             # the rank step reads the primitive row of the divided row
             assert row == divide_by_gcd(out) == divide_by_gcd(before)
             for b in factors:
@@ -593,26 +613,27 @@ class TestKnownFactors:
 
 class TestTwoFormMembershipAssociates:
     """two_form_membership, the closure check of frobenius_integrate, keys
-    its denominators by the same coprime base.  The pivot entries of this
+    its denominators by the same factor base.  The pivot entries of this
     ideal over (t, u1, x1..x5), p0 at x1 = 1, are -2, -2f, 2f and 2*x1*f
     for f = x1*x5 + x4^2 + 2: one elimination, whose Bareiss factor 2 comes
-    from the first pivot -2.  The verdicts were recorded while each pivot
-    entry was still a factor of its own."""
+    from the first pivot -2.  Each pivot entry's primitive part is a factor
+    of its own (f and x1*f), as when the verdicts were first recorded."""
 
     VS5 = VariableSpace.canonical(5, 1)
     F = "x1*x5 + x4^2 + 2"
+    X1F = "x1^2*x5 + x1*x4^2 + 2*x1"
     # name -> (verdict, shared denominator as {printed factor: multiplicity})
     EXPECTED = {
         "dw0": ("non-member", {F: 1}),
         "dw1": ("non-member", {F: 1}),
         "dw2": ("non-member", {F: 2}),
-        "dw3": ("non-member", {"x1": 1, F: 2}),
+        "dw3": ("non-member", {F: 1, X1F: 1}),
         "w1^w2": ("member", {F: 2}),
         "w2^dx4": ("member", {F: 1}),
-        "w1^x2dx5 + w3^dt": ("member", {"x1": 1, F: 1}),
+        "w1^x2dx5 + w3^dt": ("member", {F: 1, X1F: 1}),
         "w0^dx1": ("member", {F: 1}),
         "dx1^dx2": ("member", {F: 2}),
-        "dx1^dx3": ("non-member", {"x1": 1, F: 2}),
+        "dx1^dx3": ("non-member", {F: 1, X1F: 1}),
         "dx4^dx5": ("non-member", {}),
         "du1^dx2": ("non-member", {F: 1}),
         "du1^dx5": ("non-member", {}),
@@ -969,9 +990,10 @@ class TestNoRepeatedWork:
             augment_with_dt(entry)
             counts.append((len(entry) + 1, len(calls)))
         assert [rows for rows, _ in counts] == list(range(9, 0, -1))
-        # eager Bareiss scaling rescales every row below each pivot, about
-        # rows^2 * columns / 2 quotients; caught up lazily, each row of the
-        # echelon is divided at most once
+        # a Bareiss elimination of the augmented rows would rescale every
+        # row below each pivot, about rows^2 * columns / 2 quotients;
+        # <I, dt> is built from I's echelon instead, with at most one
+        # quotient per row (none on chain8)
         for rows, n in counts:
             assert n <= rows
 
