@@ -15,8 +15,9 @@ takes Newton projection.
 A point table (`_PointTable`) holds these dimensions, at p0 and
 at each distinct sample (on a point target every sample is the point the
 reduction binds, so the samples share one point; p0 keeps its own).
-Ann(T_pL) is built on a point's first read, and each (ideal, point)
-dimension is decided once by `numlin.intersection_dim`.
+Each point is decided by one batched call, `numlin.intersection_dims`:
+Ann(T_pL), built once per point, against the span of every ideal the run
+reads, with Ann's own rank checked from the same call.
 `evaluate_conditions` builds one table per run and reads (Con), (Inv),
 (Dim) and the indices from it.  Most levels are closed (the derived step
 of I^(k) found <I^(k), dt> differential, see `Flag`), so span{I^(k)_p,
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, SamplingFailed
+from .errors import DomainError, RankDeficientN, SamplingFailed
 from .expr import Point
 from .lift import ControlSystem, LiftedSystem, ann_tangent_L
 from .pfaffian import Flag, _span_with_dt
@@ -183,9 +184,13 @@ class _PointTable:
     decides nothing new and no tolerance is involved; p0 is never merged
     with a sample, even an exact one with its values.  At a rational
     point each kernel-free entry is evaluated on `Point.integer_form`'s
-    integer path.  Ideals are keyed by identity."""
+    integer path.  Ideals are keyed by identity.
 
-    def __init__(self, ls: LiftedSystem, samples):
+    Every point is decided on construction for each of `spans`, one batch
+    per point, so a batch holds one point's matrices whatever the sample
+    count; a pair read later is decided as a batch of one."""
+
+    def __init__(self, ls: LiftedSystem, samples, spans):
         self.ls = ls
         self.nn = ls.vars.n - ls.base.n_star
         self.points = [ls.p0]
@@ -197,14 +202,29 @@ class _PointTable:
                 self.points.append(p)
             self.sample_points.append(first[p.values])
         self._anns, self._dims = {}, {}
+        if spans:
+            for i in range(len(self.points)):
+                self._decide(i, spans)
+
+    def _decide(self, i, ideals):
+        """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} ) at point i for
+        each of `ideals`, in one batched SVD: the on_L check and Ann's rows
+        (on the point's first decision), then each ideal's span in order,
+        then the ranks, which must give Ann full rank."""
+        p = self.points[i]
+        if i not in self._anns:
+            self._anns[i] = ann_tangent_L(self.ls, p)
+        ann = self._anns[i]
+        rank, dims = numlin.intersection_dims(
+            ann, [_span_with_dt(ideal, p) for ideal in ideals])
+        if rank != len(ann):
+            raise RankDeficientN("Ann(T_pL) rows drop rank at the point")
+        self._dims.update(((ideal, i), d) for ideal, d in zip(ideals, dims))
 
     def dim(self, ideal, i):
         """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} ) at point i."""
         if (ideal, i) not in self._dims:
-            if i not in self._anns:
-                self._anns[i] = ann_tangent_L(self.ls, self.points[i])
-            self._dims[ideal, i] = numlin.intersection_dim(
-                self._anns[i], _span_with_dt(ideal, self.points[i]))
+            self._decide(i, [ideal])
         return self._dims[ideal, i]
 
     def row(self, span, i):
@@ -262,10 +282,12 @@ def evaluate_conditions(ls: LiftedSystem, flag: Flag, n_samples: int = 8,
     # every level is read before sampling, in order, as augmenting each one
     # was: a dt dependent on I^(k) at p0, or a closure that fails, is the
     # error a run reports
-    for k in range(nn + 1):
-        _closure_span(flag, k)
+    closures = [_closure_span(flag, k) for k in range(nn + 1)]
+    # the distinct spans the conditions read, in level order
+    spans = list(dict.fromkeys(span for k in range(nn + 1)
+                               for span in (flag.with_dt(k), closures[k])))
     samples = sample_on_N(ls.base, n_samples, seed=seed)
-    table = _PointTable(ls, samples)
+    table = _PointTable(ls, samples, spans)
     warnings = []
     con = table.con(flag)
     inv_detail = table.inv(flag)

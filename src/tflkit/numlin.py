@@ -16,11 +16,14 @@ differ by a nullspace vector that vanishes on every free column, and the
 pivot columns are independent.
 
 Float otherwise: singular values below RANK_TOL times max(largest singular
-value, 1) are treated as zero (`_sv_cut`).  `rank`, `null_basis`,
-`extends_span` and `intersection_dim` all decide rank that way, and they
-are the only place in the package that takes an SVD: one SVD call per
-intersection, whose three ranks are cut per matrix.  `extend_basis` is
-the package's one keep-if-independent step.
+value, 1) are treated as zero (`_sv_rank`).  `rank`, `null_basis`,
+`extends_span` and `intersection_dims` all decide rank that way, and they
+are the only place in the package that takes an SVD.  `intersection_dims`
+intersects one row space with several in one batched SVD call, each rank
+cut per matrix: the conditions' point table decides all of a point's
+dimensions, and the rank of Ann(T_pL) itself, with one call per point.
+`intersection_dim` is its one-pair face.  `extend_basis` is the package's
+one keep-if-independent step.
 """
 
 import math
@@ -38,14 +41,15 @@ __all__ = [
     "extend_basis",
     "exact_rank",
     "rational_nullspace",
+    "intersection_dims",
     "intersection_dim",
 ]
 
 
-def _sv_cut(s):
-    if len(s) == 0:
-        return 0.0
-    return RANK_TOL * max(s[0], 1.0)
+def _sv_rank(s):
+    """The rank of each matrix whose singular values, in descending order,
+    run along the last axis of s."""
+    return (s > RANK_TOL * np.maximum(s[..., :1], 1.0)).sum(axis=-1)
 
 
 def rank(A):
@@ -53,14 +57,14 @@ def rank(A):
     if A.size == 0 or A.shape[0] == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > _sv_cut(s)))
+    return int(_sv_rank(s))
 
 
 def null_basis(A):
     """Orthonormal rows spanning {x : A x = 0}."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     _, s, vh = np.linalg.svd(A)
-    return vh[int(np.sum(s > _sv_cut(s))):]
+    return vh[int(_sv_rank(s)):]
 
 
 def extends_span(rows, row):
@@ -163,22 +167,32 @@ def rational_nullspace(rows, ncols):
     return basis
 
 
-def intersection_dim(A, B):
-    """dim(rowspace(A) ∩ rowspace(B)) = rank A + rank B − rank [A; B],
-    with the three ranks from one SVD call: A and B are zero-padded to the
-    shape of [A; B], which only adds zero singular values, and each matrix
-    keeps its own cut."""
+def intersection_dims(A, Bs):
+    """rank A, and dim(rowspace(A) ∩ rowspace(B)) = rank A + rank B −
+    rank [A; B] for each B in `Bs`, all from one SVD call.  The batch holds
+    A, then each B and each [A; B], zero-padded to one shape, which only
+    adds zero singular values; each matrix keeps its own cut.  An empty
+    matrix has no rows."""
+    A = _float_rows(A)
+    Bs = [_float_rows(B) for B in Bs]
+    cols = max(M.shape[1] for M in [A, *Bs])
+    batch = np.zeros((1 + 2 * len(Bs),
+                      len(A) + max((len(B) for B in Bs), default=0), cols))
+    batch[0, :len(A), :A.shape[1]] = A
+    for j, B in enumerate(Bs):
+        batch[1 + 2 * j, :len(B), :B.shape[1]] = B
+        batch[2 + 2 * j, :len(A), :A.shape[1]] = A
+        batch[2 + 2 * j, len(A):len(A) + len(B), :B.shape[1]] = B
+    ra, *rest = _sv_rank(np.linalg.svd(batch, compute_uv=False)).tolist()
+    return ra, [ra + rb - rab if ra and rb else 0
+                for rb, rab in zip(rest[::2], rest[1::2])]
+
+
+def _float_rows(A):
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.size == 0 or B.size == 0:
-        return 0
-    stacked = np.vstack([A, B])
-    batch = np.zeros((3,) + stacked.shape)
-    batch[0, :len(A)] = A
-    batch[1, :len(B)] = B
-    batch[2] = stacked
-    ra, rb, rab = (int(np.sum(s > _sv_cut(s)))
-                   for s in np.linalg.svd(batch, compute_uv=False))
-    if ra == 0 or rb == 0:
-        return 0
-    return ra + rb - rab
+    return A if A.size else A[:0]
+
+
+def intersection_dim(A, B):
+    """dim(rowspace(A) ∩ rowspace(B)): `intersection_dims` on one pair."""
+    return intersection_dims(A, [B])[1][0]

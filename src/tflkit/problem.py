@@ -44,6 +44,10 @@ EXIT_INTEGRATION = 3
 EXIT_ADAPTATION = 4
 EXIT_INTERNAL = 5
 
+# the conditions decide each sample as a point of their table, so the
+# count bounds a run's time and memory
+MAX_SAMPLES = 1000
+
 
 @dataclass
 class ProblemFile:
@@ -311,6 +315,10 @@ def _run(problem: ProblemFile, conditions_only: bool, overrides=None):
     if options["samples"] < 1:
         raise ProblemFormatError(
             f"option 'samples' must be at least 1, got {options['samples']}")
+    if options["samples"] > MAX_SAMPLES:
+        raise ProblemFormatError(
+            f"option 'samples' must be at most {MAX_SAMPLES}, got "
+            f"{options['samples']}")
     for key in ("ansatz_degree", "combo_degree"):
         if options[key] < 0:
             raise ProblemFormatError(

@@ -8,7 +8,7 @@ import pytest
 
 import tflkit.conditions as conditions
 import tflkit.numlin as numlin
-from tflkit.errors import PointNotOnL
+from tflkit.errors import PointNotOnL, RankDeficientN
 from tflkit.expr import Expr, VariableSpace, parse_expr
 from tflkit.lift import ControlSystem, ann_tangent_L, lift_system
 from tflkit.pfaffian import augment_with_dt, derived_flag
@@ -22,6 +22,19 @@ from _checks import (check_con, check_dim, check_inv, dim_table,
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent
                    / "problems").glob("*.tfl"))
+
+
+def spy_batches(monkeypatch):
+    """The number of pairs in each `numlin.intersection_dims` call, as
+    the package makes them."""
+    sizes = []
+    dims = numlin.intersection_dims
+
+    def counted(A, Bs):
+        sizes.append(len(Bs))
+        return dims(A, Bs)
+    monkeypatch.setattr(numlin, "intersection_dims", counted)
+    return sizes
 
 
 def build(vs_dims, f_strs, g_cols, n_strs, x0, ustar_strs):
@@ -225,12 +238,10 @@ class TestCon:
 
     def test_decided_from_one_intersection(self, sec5_lifted, sec5_flag,
                                            monkeypatch):
-        calls = []
-        dim = numlin.intersection_dim
-        monkeypatch.setattr(numlin, "intersection_dim",
-                            lambda *a: calls.append("dim") or dim(*a))
+        # one batch, of one pair
+        calls = spy_batches(monkeypatch)
         assert check_con(sec5_lifted, sec5_flag) is True
-        assert calls == ["dim"]
+        assert calls == [1]
 
     def test_dt_row_on_both_sides(self, sec5_lifted, sec5_closures):
         # the intersection always holds the dt line, so dimension 1 means
@@ -292,12 +303,9 @@ class TestInv:
         # the one non-differential level fails at p0, so the raw ideal and
         # its closure are intersected there and no sample is visited
         ls, flag, _, samples = nonholonomic()
-        calls = []
-        dim = numlin.intersection_dim
-        monkeypatch.setattr(numlin, "intersection_dim",
-                            lambda *a: calls.append("dim") or dim(*a))
+        calls = spy_batches(monkeypatch)
         assert check_inv(ls, flag, samples) is False
-        assert calls == ["dim", "dim"]
+        assert calls == [1, 1]
 
     def test_failing_level_meets_ann_in_fewer_closure_dimensions(self):
         ls, flag, closures, _ = nonholonomic()
@@ -312,14 +320,13 @@ class TestInv:
         # level 2 holds at p0 and at all 8 samples: per point, one
         # Ann(T_pL) and one dimension each for the raw ideal and its closure
         samples = sample_on_N(sec5, 8, seed=0)
-        anns, dims = [], []
-        ann, dim = conditions.ann_tangent_L, numlin.intersection_dim
+        anns = []
+        ann = conditions.ann_tangent_L
         monkeypatch.setattr(conditions, "ann_tangent_L",
                             lambda *a: anns.append(1) or ann(*a))
-        monkeypatch.setattr(numlin, "intersection_dim",
-                            lambda *a: dims.append(1) or dim(*a))
+        dims = spy_batches(monkeypatch)
         assert check_inv(sec5_lifted, sec5_flag, samples) is True
-        assert (len(anns), len(dims)) == (9, 18)
+        assert (len(anns), sum(dims)) == (9, 18)
 
 
 class TestDistinctPoints:
@@ -426,36 +433,115 @@ class TestEvaluateConditions:
 class TestOneTablePerRun:
     """A run builds Ann(T_pL) once per distinct point and decides each
     (ideal, point) intersection dimension once, for all three conditions
-    and the indices together."""
+    and the indices together, in one batch per point."""
 
     @staticmethod
     def spy(monkeypatch):
-        counts = {"ann": 0, "dim": 0}
-        ann, dim = conditions.ann_tangent_L, numlin.intersection_dim
-
-        def count(key, f):
-            def counted(*a):
-                counts[key] += 1
-                return f(*a)
-            return counted
-        monkeypatch.setattr(conditions, "ann_tangent_L", count("ann", ann))
-        monkeypatch.setattr(numlin, "intersection_dim", count("dim", dim))
-        return counts
+        return (TestDistinctPoints.count_anns(monkeypatch),
+                spy_batches(monkeypatch))
 
     def test_worked_run(self, sec5_lifted, sec5_flag, monkeypatch):
         # p0 and 8 distinct samples; at each, the 4 distinct flag entries
         # and the closure of the one level that is not closed
-        counts = self.spy(monkeypatch)
+        anns, batches = self.spy(monkeypatch)
         rep = evaluate_conditions(sec5_lifted, sec5_flag, n_samples=8,
                                   seed=0)
         assert rep.all_hold
-        assert counts == {"ann": 9, "dim": 45}
+        assert len(anns) == 9
+        assert batches == [5] * 9
+
+    def test_one_svd_per_distinct_point(self, sec5_lifted, sec5_flag,
+                                        monkeypatch):
+        # from the table's construction on, the SVDs are the 9 batched
+        # ones, one per point with Ann's rank among its ranks, and reading
+        # the conditions off the table takes none
+        events = []
+        init, svd = conditions._PointTable.__init__, np.linalg.svd
+
+        def marked_init(table, *a):
+            events.append("table")
+            init(table, *a)
+        monkeypatch.setattr(conditions._PointTable, "__init__", marked_init)
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k:
+                            events.append(np.ndim(a)) or svd(a, *r, **k))
+        rep = evaluate_conditions(sec5_lifted, sec5_flag, n_samples=8,
+                                  seed=0)
+        assert rep.all_hold
+        assert events[events.index("table"):] == ["table"] + [3] * 9
 
     def test_point_target_run(self, chain3, monkeypatch):
         # every sample is x0: one point besides p0
         ls = lift_system(chain3)
         flag = derived_flag(ls.I0)
-        counts = self.spy(monkeypatch)
+        anns, batches = self.spy(monkeypatch)
         rep = evaluate_conditions(ls, flag, n_samples=8, seed=0)
         assert rep.all_hold
-        assert counts["ann"] == 2
+        assert len(anns) == 2
+        assert len(batches) == 2
+
+
+def test_ann_rank_checked_from_the_batch(monkeypatch):
+    # N = {x2 (x1 + 1) = 0} is singular at (-1, 0), a point of N and so of
+    # L; the batch that decides the point reads Ann's rank drop, in its one
+    # SVD call
+    sys = build((2, 1), ["0", "0"], [["1", "0"]], ["x1*x2 + x2"], [0, 0],
+                ["0"])
+    ls = lift_system(sys)
+    batches = spy_batches(monkeypatch)
+    with pytest.raises(RankDeficientN) as err:
+        intersection_dimension(ls, ls.I0, ls.p0.replace(x1=-1))
+    assert str(err.value) == "Ann(T_pL) rows drop rank at the point"
+    assert batches == [1]
+
+
+class TestExactRankOracle:
+    """Every dimension of a run's table, at p0 and at each exact sample,
+    is ra + rb − rab with the three ranks taken over Q on the rows
+    evaluated exactly: no rank decision is flipped by the float SVD, by
+    padding or by batching."""
+
+    @staticmethod
+    def run_table(ls, monkeypatch):
+        tables = []
+
+        class Recorded(conditions._PointTable):
+            def __init__(self, *a):
+                super().__init__(*a)
+                tables.append(self)
+        monkeypatch.setattr(conditions, "_PointTable", Recorded)
+        rep = evaluate_conditions(ls, derived_flag(ls.I0), n_samples=8,
+                                  seed=0)
+        assert rep.all_hold
+        [table] = tables
+        return table
+
+    @staticmethod
+    def exact_rows(forms, p, skip_dt):
+        return [{i: c.eval(p) for (i,), c in w.terms.items()
+                 if i or not skip_dt} for w in forms]
+
+    def check(self, table):
+        ls = table.ls
+        for (ideal, i), d in table._dims.items():
+            p = table.points[i]
+            assert all(isinstance(v, Fraction) for v in p.values)
+            ann = self.exact_rows(ls.L_diffs, p, False)
+            span = (self.exact_rows(ideal.generators, p, True)
+                    + [{0: Fraction(1)}])
+            assert d == (numlin.exact_rank(ann) + numlin.exact_rank(span)
+                         - numlin.exact_rank(ann + span))
+        return len(table.points), len(table._dims)
+
+    def test_sec5(self, sec5_lifted, monkeypatch):
+        # p0 and 8 exact samples, each with the 4 distinct flag entries
+        # and the one closure that is not its entry
+        table = self.run_table(sec5_lifted, monkeypatch)
+        assert self.check(table) == (9, 45)
+
+    @pytest.mark.parametrize("make, pairs", [(make_chain3, 8),
+                                             (make_chain8, 18)])
+    def test_chains(self, make, pairs, monkeypatch):
+        # point targets: p0 and the one point every sample is, each with
+        # every flag entry, all levels closed
+        table = self.run_table(lift_system(make()), monkeypatch)
+        assert self.check(table) == (2, pairs)

@@ -317,3 +317,85 @@ class TestIntersectionDim:
         for _ in range(20):
             numlin.intersection_dim(*_integer_pair(rng))
         assert len(calls) == 20
+
+
+def _exact_dim(a, b):
+    return (numlin.exact_rank(a) + numlin.exact_rank(b)
+            - numlin.exact_rank(list(a) + list(b)))
+
+
+def _integer_batch(rng):
+    """(A, Bs): an integer matrix and several of mixed row counts over its
+    column count, sharing random directions with it; a B may have no rows
+    or only zero rows, and A may be all zero."""
+    cols = rng.randint(1, 7)
+
+    def direction():
+        return [rng.randint(-3, 3) for _ in range(cols)]
+
+    common = [direction() for _ in range(rng.randint(0, 3))]
+
+    def side(rows):
+        basis = ([d for d in common if rng.random() < 0.7]
+                 + [direction() for _ in range(rng.randint(0, 2))])
+        if not basis or rng.random() < 0.1:
+            return [[0] * cols for _ in range(rows)]
+        return [[sum(c * b[j] for c, b in zip(coef, basis))
+                 for j in range(cols)]
+                for coef in ([rng.randint(-2, 2) for _ in basis]
+                             for _ in range(rows))]
+
+    a = side(rng.randint(1, 6))
+    bs = [side(rng.choice((0, 1, 2, 3, 5, 8)))
+          for _ in range(rng.randint(1, 6))]
+    return a, bs
+
+
+class TestIntersectionDims:
+    def test_against_exact_ranks(self):
+        rng = random.Random(37)
+        seen = set()
+        for _ in range(300):
+            a, bs = _integer_batch(rng)
+            got = numlin.intersection_dims(
+                a, [b if b else np.zeros((0, len(a[0]))) for b in bs])
+            assert got == (numlin.exact_rank(a),
+                           [_exact_dim(a, b) for b in bs])
+            seen.update({"rank-0 A"} if got[0] == 0 else set())
+            seen.update("empty B" for b in bs if not b)
+            seen.update("zero B" for b in bs
+                        if b and numlin.exact_rank(b) == 0)
+            seen.add(len({len(b) for b in bs}) > 1)
+        assert seen == {"rank-0 A", "empty B", "zero B", True, False}
+
+    def test_empty_and_zero_matrices(self):
+        e = np.eye(3)
+        assert numlin.intersection_dims(e, []) == (3, [])
+        assert numlin.intersection_dims(
+            e, [[], np.zeros((0, 3)), np.zeros((2, 3)), e[1:]]) \
+            == (3, [0, 0, 0, 2])
+        assert numlin.intersection_dims(np.zeros((2, 3)), [e, e[:1]]) \
+            == (0, [0, 0])
+        assert numlin.intersection_dims([], [e]) == (0, [0])
+
+    def test_each_matrix_keeps_its_own_cut(self):
+        # 1e-6 is above A's cut and not [A; B]'s where B holds 1e6, so
+        # the batch takes the exact answer only if every matrix, padded
+        # into one batch, is cut by its own largest singular value
+        a = [[Fraction(1, 10 ** 6), 0]]
+        bs = [[[10 ** 6, 0]], [[0, 1]], [[3, 0], [0, 5]], []]
+        floats = [np.array(b, dtype=float).reshape(-1, 2) for b in bs]
+        assert numlin.intersection_dims([[1e-6, 0.0]], floats) \
+            == (1, [_exact_dim(a, b) for b in bs]) == (1, [1, 0, 1, 0])
+        assert [numlin.intersection_dim([[1e-6, 0.0]], b)
+                for b in floats] == [1, 0, 1, 0]
+
+    def test_one_svd_call(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        rng = random.Random(41)
+        for _ in range(20):
+            numlin.intersection_dims(*_integer_batch(rng))
+        assert len(calls) == 20

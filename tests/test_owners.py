@@ -77,7 +77,7 @@ def test_the_check_sees_each_pattern():
 
 def test_conditions_decides_from_intersection_dimensions():
     assert set(_numlin_names(_tree(SRC / "conditions.py"))) \
-        == {"intersection_dim"}
+        == {"intersection_dims"}
 
 
 def test_one_point_table_in_conditions():
@@ -145,6 +145,18 @@ def test_the_size_metrics_count_each_pattern(tmp_path):
         "src/tflkit/a.py lines": 1,
         "src/tflkit/b.py lines": 5,
     }
+
+
+def test_the_size_metrics_name_numpy_and_its_lapack(monkeypatch):
+    import numpy
+    from size_metrics import numpy_build
+    found = numpy_build()
+    assert found["numpy version"] == numpy.__version__
+    assert found["LAPACK backend"] not in ("", "unknown")
+    # numpy before 1.26 takes no mode
+    monkeypatch.setattr(numpy, "show_config", lambda: None)
+    assert numpy_build() == {"numpy version": numpy.__version__,
+                             "LAPACK backend": "unknown"}
 
 
 def test_components_classified_once():

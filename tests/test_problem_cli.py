@@ -12,10 +12,11 @@ import pytest
 from tflkit.errors import (DimensionMismatch, InvarianceViolation,
                            ProblemFormatError)
 from tflkit.expr import parse_expr
+import tflkit.problem as problem_module
 from tflkit.problem import (EXIT_ADAPTATION, EXIT_CONDITIONS,
-                            EXIT_INTEGRATION, EXIT_OK, cmd_check, cmd_solve,
-                            dumps_report, load_problem, loads_problem,
-                            loads_report)
+                            EXIT_INTEGRATION, EXIT_OK, MAX_SAMPLES,
+                            cmd_check, cmd_solve, dumps_report, load_problem,
+                            loads_problem, loads_report)
 from tflkit.cli import main as cli_main
 from _exprs import point_from_map
 
@@ -453,6 +454,33 @@ class TestCli:
         code, _, err = self.run_cli("solve", str(bad))
         assert code == 1
         assert err.startswith("error: option 'samples' must be at least 1")
+
+    def test_huge_samples_override(self):
+        # the point target's sample list was built before any check
+        code, out, err = self.run_cli("check", str(CHAIN), "--samples",
+                                      "1000000000000000")
+        assert code == 1 and out == ""
+        assert err == ("error: option 'samples' must be at most 1000, got "
+                       "1000000000000000\n")
+
+    def test_huge_samples_option(self, tmp_path):
+        bad = tmp_path / "manysamples.tfl"
+        bad.write_text(SEC5.read_text().replace("samples = 8",
+                                                f"samples = {10 ** 20}"))
+        code, out, err = self.run_cli("solve", str(bad))
+        assert code == 1 and out == ""
+        assert err == ("error: option 'samples' must be at most 1000, got "
+                       f"{10 ** 20}\n")
+
+    def test_most_samples_accepted(self, monkeypatch):
+        # the maximum itself is a valid count, which reaches the run
+        seen = []
+        run = problem_module.run_tfl
+        monkeypatch.setattr(problem_module, "run_tfl", lambda *a, **k:
+                            seen.append(k["n_samples"]) or run(*a, **k))
+        code, _, _ = self.run_cli("check", str(DOUBLE), "--samples",
+                                  str(MAX_SAMPLES))
+        assert (code, seen) == (0, [MAX_SAMPLES])
 
     def test_x0_division_by_zero(self, tmp_path):
         bad = tmp_path / "x0zero.tfl"
