@@ -3,11 +3,12 @@ machinery that makes their leading components vanish on the lifted target
 manifold.
 
 Closed-form quadrature is not decidable in the expression class, so the
-integrator is deliberately layered: closed generators are integrated
-directly, closed polynomial-coefficient combinations of generators are found
-by a finite ansatz, single generators are repaired with an exponential
-integrating factor, and user hints fill whatever remains.  A failure
-surfaces the residual directions so the caller can supply hints and re-run.
+integrator reads one lazy stream of closed one-forms while the span is
+short: closed generators, closed combinations of generators found by a
+finite ansatz with polynomial and then shared-denominator coefficients,
+and generators' residuals repaired with an exponential integrating factor.
+User hints fill whatever remains.  A failure surfaces the residual
+directions so the caller can supply hints and re-run.
 """
 
 from __future__ import annotations
@@ -242,20 +243,13 @@ def _monomials(factors, degree):
     return out
 
 
-def _closed_combinations(ideal: PfaffianIdeal, degree):
-    """Closed combinations with polynomial coefficients, then with the
-    generators' pivot product as a shared denominator (catching rational
-    coefficient functions like 1/x)."""
-    out = _closed_combinations_q(ideal, degree, plain=True)
-    out += _closed_combinations_q(ideal, degree, plain=False)
-    return out
-
-
 def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
     """Closed one-forms (1/Q) sum mu_i gamma_i with polynomial mu of total
     degree <= degree, where Q is 1 (plain) or the product of the generators'
-    non-rational pivot coefficients.  d((1/Q) sigma) = 0 is the polynomial
-    condition Q d(sigma) - dQ ^ sigma = 0, linear in the mu coefficients.
+    non-rational pivot coefficients, yielded one per nullspace vector.
+    d((1/Q) sigma) = 0 is the polynomial condition Q d(sigma) - dQ ^ sigma
+    = 0, linear in the mu coefficients and solved exactly, so each form
+    is closed by construction.
 
     Q dg - dQ ^ g and Q g are built once per generator g.  Multiplying by
     a monomial mu only shifts the packed monomials of the first, and
@@ -280,7 +274,7 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
     dQ = d_of_function(Q)
     q_is_one = Q.as_rational() == 1
     if not plain and q_is_one:
-        return []  # identical to the plain pass
+        return  # identical to the plain pass
     monos = _monomials([Expr.var_index(vars0, i)
                         for i in range(vars0.total)], degree)
     # the partials of each mu, with their negatives for the swapped pairs
@@ -306,20 +300,12 @@ def _closed_combinations_q(ideal: PfaffianIdeal, degree, plain):
     # linear conditions: every coefficient of every 2-form basis pair is 0;
     # everything above is denominator-free
     rows = _collect_linear_system(triples)
-    basis = numlin.rational_nullspace(rows, len(columns))
-    out = []
-    for vec in basis:
+    for vec in numlin.rational_nullspace(rows, len(columns)):
         form = KForm.zero(vars0, 1)
         for coeff, (i, mu) in zip(vec, columns):
             if coeff:
                 form = form + gens[i].scale(mu * coeff)
-        if form.is_structural_zero():
-            continue
-        if not q_is_one:
-            form = form.scale(Expr.one(vars0) / Q)
-        if exterior_derivative(form).is_structural_zero():
-            out.append(form)
-    return out
+        yield form if q_is_one else form.scale(Expr.one(vars0) / Q)
 
 
 def _coordinate_interior(v, w: KForm) -> KForm:
@@ -335,33 +321,59 @@ def _coordinate_interior(v, w: KForm) -> KForm:
 
 
 def _integrating_factor_candidate(gen: KForm, dg: KForm):
-    """exp-integrating-factor repair for gen, given dg = d(gen): find theta
-    with dg = gen ^ theta, a potential T of theta, and return exp(T)*gen."""
-    vars0 = gen.vars
+    """exp-integrating-factor repair for the nonzero gen, given dg =
+    d(gen): find theta with dg = gen ^ theta and a potential T of theta.
+    exp(T)*gen is then closed by construction: its d is exp(T) (theta ^ gen
+    + gen ^ theta) = 0."""
     if dg.is_structural_zero():
         return gen
-    pivot = None
-    for v in range(vars0.total):
-        c = gen.coefficient((v,))
-        if not c.is_structural_zero():
-            pivot = (v, c)
-            break
-    if pivot is None:
-        return None
-    v, c = pivot
-    theta = _coordinate_interior(v, dg).scale(Expr.one(vars0) / c)
+    v = min(gen.terms)[0]
+    theta = _coordinate_interior(v, dg).scale(
+        Expr.one(gen.vars) / gen.terms[(v,)])
     if not (dg - wedge(gen, theta)).is_structural_zero():
         return None
     if not exterior_derivative(theta).is_structural_zero():
         return None
     T = poincare_potential(theta)
-    if T is None:
-        return None
-    mu = Expr.kernel("exp", T)
-    candidate = gen.scale(mu)
-    if not exterior_derivative(candidate).is_structural_zero():
-        return None
-    return candidate
+    return None if T is None else gen.scale(Expr.kernel("exp", T))
+
+
+def _echelon_of(comps, p0: Point):
+    """The function-field echelon of the components' differentials."""
+    rows = [[dc.coefficient((i,)) for i in range(p0.vars.total)]
+            for dc in map(d_of_function, comps)]
+    return rref_function_field(rows, p0)
+
+
+def _residual(g: KForm, echelon):
+    """g reduced against the echelon rows, in primitive form."""
+    rem = reduce_against_rows(
+        [g.coefficient((i,)) for i in range(g.vars.total)], *echelon)
+    rem = _row_primitive(_clear_denominators_row(rem))
+    return KForm(g.vars, 1, {(i,): c for i, c in enumerate(rem)})
+
+
+def _closed_forms(ideal: PfaffianIdeal, combo_degree, found):
+    """The integrator's closed one-forms, in order, each built only when
+    read: the generators that are exact, the closed combinations with
+    polynomial coefficients, then those over the generators' shared pivot
+    denominator, then exponential integrating factors on the generators'
+    residuals against `found`, the components found when that layer is
+    reached.  Each form is closed by construction."""
+    gens, dgs = ideal.generators, _differentials(ideal)
+    yield from (g for g, dg in zip(gens, dgs) if dg.is_structural_zero())
+    yield from _closed_combinations_q(ideal, combo_degree, plain=True)
+    yield from _closed_combinations_q(ideal, combo_degree, plain=False)
+    echelon = _echelon_of(found, ideal.p0) if found else None
+    for g, dg in zip(gens, dgs):
+        if echelon is not None:
+            g = _residual(g, echelon)
+            if g.is_structural_zero():
+                continue
+            dg = exterior_derivative(g)
+        candidate = _integrating_factor_candidate(g, dg)
+        if candidate is not None:
+            yield candidate
 
 
 def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
@@ -369,11 +381,12 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
                         warnings=None) -> SmoothMapAdapted:
     """Map components whose differentials span the (differential) ideal.
 
-    Layers: closed generators, closed polynomial combinations, integrating
-    factors, then checked user hints; fails with the residual directions when
-    the span cannot be completed.  In the first three layers a closed
-    form's row at p0, which is its potential's, is tested for independence
-    first, and only a form that raises the rank is integrated.
+    The closed forms of `_closed_forms` are read one at a time while the
+    span is short.  A closed form's row at p0, which is its potential's, is
+    tested for independence first, and only a form that raises the rank
+    is integrated; a form undefined at p0 cannot give a component anchored
+    there and is skipped.  Checked user hints follow; fails with the
+    residual directions when the span cannot be completed.
     """
     vars0 = ideal.vars
     p0 = ideal.p0
@@ -389,72 +402,18 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
     bindings = _p0_bindings(vars0, p0)
     found = []          # anchored components, in the order found
     found_rows = []     # numeric dF rows at p0
-
-    def try_add(comp: Expr):
-        if not numlin.extend_basis(found_rows, [_row_at(comp, p0)]):
-            return False
-        found.append(_anchor(comp, bindings))
-        return True
-
-    def try_form(form: KForm):
-        """Integrate a closed one-form whose row at p0 raises the rank: a
-        potential F has dF = form exactly, so the form's row is dF's.  A
-        form undefined at p0 is skipped if it has no potential, else F's
-        row raises."""
+    forms = _closed_forms(ideal, combo_degree, found)
+    while len(found) < target and (form := next(forms, None)) is not None:
         try:
             row = form.at(p0)
         except DomainError:
-            F = poincare_potential(form)
-            if F is not None:
-                try_add(F)
-            return
+            continue
         if numlin.extend_basis(found_rows, [row]):
             F = poincare_potential(form)
             if F is None:
                 found_rows.pop()
             else:
                 found.append(_anchor(F, bindings))
-
-    def found_echelon():
-        rows = [[dc.coefficient((i,)) for i in range(vars0.total)]
-                for dc in (d_of_function(c) for c in found)]
-        return rref_function_field(rows, p0)
-
-    def residual(g, echelon):
-        """g reduced against the echelon rows, in primitive form."""
-        target_row = [g.coefficient((i,)) for i in range(vars0.total)]
-        rem = reduce_against_rows(target_row, *echelon)
-        rem = _row_primitive(_clear_denominators_row(rem))
-        return KForm(vars0, 1, {(i,): c for i, c in enumerate(rem)
-                                if not c.is_structural_zero()})
-
-    # layer: generators that are already exact
-    for g, dg in zip(ideal.generators, _differentials(ideal)):
-        if len(found) == target:
-            break
-        if dg.is_structural_zero():
-            try_form(g)
-    # layer: closed polynomial-coefficient combinations
-    if len(found) < target:
-        for form in _closed_combinations(ideal, combo_degree):
-            if len(found) == target:
-                break
-            try_form(form)
-    # layer: integrating factors on the generators' residuals against the
-    # components found before this layer
-    if len(found) < target:
-        echelon = found_echelon() if found else None
-        for g, dg in zip(ideal.generators, _differentials(ideal)):
-            if len(found) == target:
-                break
-            rest = residual(g, echelon) if echelon else g
-            if rest.is_structural_zero():
-                continue
-            drest = exterior_derivative(rest) if echelon else dg
-            candidate = _integrating_factor_candidate(rest, drest)
-            if candidate is not None:
-                try_form(candidate)
-    # layer: user hints
     for hint in hints:
         if len(found) == target:
             warnings.append(f"hint '{hint}' unused: span already complete")
@@ -465,14 +424,15 @@ def frobenius_integrate(ideal: PfaffianIdeal, ls: LiftedSystem = None,
                 f"hint '{hint}' has differential outside the target ideal")
         if m == Membership.INCONCLUSIVE:
             warnings.append(f"hint '{hint}' membership inconclusive; skipped")
-            continue
-        if not try_add(hint):
+        elif numlin.extend_basis(found_rows, [_row_at(hint, p0)]):
+            found.append(_anchor(hint, bindings))
+        else:
             warnings.append(f"hint '{hint}' is rank-redundant; skipped")
 
     if len(found) < target:
-        echelon = found_echelon()
+        echelon = _echelon_of(found, p0)
         residuals = [repr(form) for form in
-                     (residual(g, echelon) for g in ideal.generators)
+                     (_residual(g, echelon) for g in ideal.generators)
                      if not form.is_structural_zero()]
         raise IntegrationFailed(
             f"integrated {len(found)} of {target} directions; residual "
@@ -585,16 +545,9 @@ def adapt_to_L(F: SmoothMapAdapted, ls: LiftedSystem, target_vanish: int,
             f"no degree-<={degree} combination closes the vanishing block "
             f"({len(new_comps)} of {needed} found); raise the ansatz degree "
             "or supply hints")
-    # completion: keep enough old non-vanishing components for full rank
-    vanish_block = new_comps + F.vanishing()
-    rows = rows[have:] + rows[:have]        # in vanish_block order
-    comps = vanish_block + [pool[i] for i in numlin.extend_basis(
-        rows, (_row_at(c, p0) for c in pool))]
-    if len(comps) != ell or numlin.rank(np.vstack(rows)) != ell:
-        raise AdaptationFailed(
-            "adapted map lost rank; the combination consumed more "
-            "directions than it added")
-    return SmoothMapAdapted(comps, target_vanish, F.ideal)
+    return _complete(F, new_comps + F.vanishing(), rows, pool, p0,
+                     "adapted map lost rank; the combination consumed more "
+                     "directions than it added")
 
 
 def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
@@ -625,14 +578,21 @@ def adapt_subordinate(F: SmoothMapAdapted, h, kappa, ls: LiftedSystem,
     # vanishing non-tower components that stay independent of the towers
     others = [c for c in F.vanishing() if c != t_expr and c not in towers]
     rows = [_row_at(c, p0) for c in towers]
-    comps = [others[i] for i in numlin.extend_basis(
+    block = [others[i] for i in numlin.extend_basis(
         rows, (_row_at(c, p0) for c in others))] + towers + [t_expr]
-    vanish_count = len(comps)
-    rows = rows[len(towers):] + rows[:len(towers)] + [_row_at(t_expr, p0)]
-    for i in numlin.extend_basis(rows, (_row_at(c, p0) for c in F.components),
-                                 limit=len(F.components)):
-        comps.append(F.components[i])
-    if len(comps) != len(F.components):
-        raise AdaptationFailed(
-            "subordination lost rank while rebuilding the component list")
-    return SmoothMapAdapted(comps, vanish_count, F.ideal)
+    rows.append(_row_at(t_expr, p0))
+    return _complete(F, block, rows, F.components, p0,
+                     "subordination lost rank while rebuilding the "
+                     "component list")
+
+
+def _complete(F: SmoothMapAdapted, block, rows, pool, p0, message):
+    """The vanishing `block`, whose rows at p0 are the independent `rows`,
+    followed by the components of `pool` that raise their rank, in order,
+    until the map has F's length; fails with `message` short of it."""
+    ell = len(F.components)
+    comps = block + [pool[i] for i in numlin.extend_basis(
+        rows, (_row_at(c, p0) for c in pool), limit=ell)]
+    if len(comps) != ell:
+        raise AdaptationFailed(message)
+    return SmoothMapAdapted(comps, len(block), F.ideal)

@@ -19,9 +19,10 @@ Float otherwise: singular values below RANK_TOL times max(largest singular
 value, 1) are treated as zero (`_sv_rank`).  `rank`, `null_basis`,
 `extends_span` and `intersection_dims` all decide rank that way, and they
 are the only place in the package that takes an SVD.  `intersection_dims`
-intersects one row space with several in one batched SVD call, each rank
-cut per matrix: the conditions' point table decides all of a point's
-dimensions, and the rank of Ann(T_pL) itself, with one call per point.
+intersects one row space with several in one batched SVD call, each row
+scaled to a largest entry of 1 and each rank cut per matrix: the
+conditions' point table decides all of a point's dimensions, and the rank
+of Ann(T_pL) itself, with one call per point.
 `intersection_dim` is its one-pair face.  `extend_basis` is the package's
 one keep-if-independent step.
 """
@@ -170,9 +171,10 @@ def rational_nullspace(rows, ncols):
 def intersection_dims(A, Bs):
     """rank A, and dim(rowspace(A) ∩ rowspace(B)) = rank A + rank B −
     rank [A; B] for each B in `Bs`, all from one SVD call.  The batch holds
-    A, then each B and each [A; B], zero-padded to one shape, which only
-    adds zero singular values; each matrix keeps its own cut.  An empty
-    matrix has no rows."""
+    A, then each B and each [A; B], each row scaled to a largest entry of
+    1 in absolute value and zero-padded to one shape, which only adds zero
+    singular values; each matrix keeps its own cut.  An empty matrix has
+    no rows."""
     A = _float_rows(A)
     Bs = [_float_rows(B) for B in Bs]
     cols = max(M.shape[1] for M in [A, *Bs])
@@ -183,6 +185,11 @@ def intersection_dims(A, Bs):
         batch[1 + 2 * j, :len(B), :B.shape[1]] = B
         batch[2 + 2 * j, :len(A), :A.shape[1]] = A
         batch[2 + 2 * j, len(A):len(A) + len(B), :B.shape[1]] = B
+    # scaling keeps each row space, and puts a small row beside a large
+    # one on its scale, not under the cut of the stack they share; a
+    # largest entry of 1, unlike a unit Euclidean norm, cannot overflow
+    peaks = np.abs(batch).max(axis=-1, keepdims=True)
+    np.divide(batch, peaks, out=batch, where=peaks > 0)
     ra, *rest = _sv_rank(np.linalg.svd(batch, compute_uv=False)).tolist()
     return ra, [ra + rb - rab if ra and rb else 0
                 for rb, rab in zip(rest[::2], rest[1::2])]

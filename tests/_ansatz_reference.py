@@ -13,7 +13,7 @@ from fractions import Fraction
 from tflkit import numlin
 from tflkit.expr import Expr
 from tflkit.forms import d_of_function, exterior_derivative, wedge
-from tflkit.integrate import (_anchor, _closed_combinations, _monomials,
+from tflkit.integrate import (_anchor, _closed_combinations_q, _monomials,
                               _p0_bindings, _row_at, poincare_potential)
 
 
@@ -83,7 +83,8 @@ def potential_first_components(ideal, combo_degree=1):
         for g in ideal.generators:
             if exterior_derivative(g).is_structural_zero():
                 yield g
-        yield from _closed_combinations(ideal, combo_degree)
+        yield from _closed_combinations_q(ideal, combo_degree, True)
+        yield from _closed_combinations_q(ideal, combo_degree, False)
 
     for form in candidates():
         if len(found) == target:

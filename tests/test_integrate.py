@@ -186,6 +186,51 @@ class TestFrobenius:
         span = PfaffianIdeal([dF], p, "span")
         assert ideal_membership(gen, span) == Membership.MEMBER
 
+    def test_form_undefined_at_p0_is_skipped(self):
+        # the shared-denominator pass yields (1/x2)(x2 dx1 + dx2) =
+        # d(x1 + ln(x2)), and the integrating factor gives it again: both
+        # are undefined at x2 = 0, so neither can give a component
+        ideal = _undefined_at_p0_ideal()
+        with pytest.raises(IntegrationFailed) as err:
+            frobenius_integrate(ideal, None)
+        assert err.value.residual == ["(x2) dx1 + (1) dx2"]
+
+    def test_hint_accepted(self):
+        ideal = _undefined_at_p0_ideal()
+        hint = parse_expr("x2*exp(x1)", ideal.vars)
+        warnings = []
+        F = frobenius_integrate(ideal, None, hints=[hint],
+                                warnings=warnings)
+        assert [str(c) for c in F.components] == ["x2*exp(x1)"]
+        assert warnings == []
+
+    def test_rank_redundant_hint_warns(self):
+        # dx3 is exact and fills one direction; the hint 2*x3 repeats it,
+        # and x2*exp(x1) fills the other
+        vs = VariableSpace.canonical(3, 1)
+        Ev = lambda s: parse_expr(s, vs)
+        dx = lambda nm: coordinate_form(vs, nm)
+        ideal = PfaffianIdeal([dx("x1").scale(Ev("x2")) + dx("x2"), dx("x3")],
+                              point_from_map(vs, dict(t=0, u1=0, x1=1, x2=0,
+                                                      x3=0)))
+        warnings = []
+        F = frobenius_integrate(ideal, None,
+                                hints=[Ev("2*x3"), Ev("x2*exp(x1)")],
+                                warnings=warnings)
+        assert [str(c) for c in F.components] == ["x3", "x2*exp(x1)"]
+        assert warnings == ["hint '2*x3' is rank-redundant; skipped"]
+
+
+def _undefined_at_p0_ideal():
+    """<x2 dx1 + dx2> at x1 = 1, x2 = 0 over (t, u1, x1, x2): its first
+    integral x2*exp(x1) is outside every candidate, and its closed
+    multiples by 1/x2 are undefined at p0."""
+    vs = VariableSpace.canonical(2, 1)
+    gen = coordinate_form(vs, "x1").scale(parse_expr("x2", vs)) \
+        + coordinate_form(vs, "x2")
+    return PfaffianIdeal([gen], point_from_map(vs, dict(t=0, u1=0, x1=1,
+                                                        x2=0)))
+
 
 def _row_multiset(rows):
     """The nonzero rows of a dense or sparse matrix, as a sorted list of
@@ -215,7 +260,7 @@ class TestAnsatzRows:
             return seen[-1][2]
 
         monkeypatch.setattr(numlin, "rational_nullspace", spy)
-        integrate._closed_combinations_q(ideal, 1, plain)
+        list(integrate._closed_combinations_q(ideal, 1, plain))
         (rows, ncols, null), = seen
         want_rows, want_ncols = ansatz_rows(ideal, 1, plain)
         assert ncols == want_ncols
@@ -290,6 +335,81 @@ class TestIndependenceBeforePotential:
         F = frobenius_integrate(ideal)
         assert repr(seen[0]) == "(1) dx1" and len(seen) == 3
         assert {str(c) for c in F.components} == {"x1 - 2", "x2"}
+
+
+class TestClosedFormStream:
+    """`frobenius_integrate` reads one lazy stream of closed forms
+    (`_closed_forms`), pulling the next only while the span is short, so
+    no ansatz pass is built once the span is full; each form is closed by
+    construction, and nothing in `integrate` re-checks it."""
+
+    @staticmethod
+    def _passes(monkeypatch):
+        """The `plain` flag of each ansatz pass started, as they start."""
+        passes, real = [], integrate._closed_combinations_q
+
+        def spy(ideal, degree, plain):
+            passes.append(plain)
+            return real(ideal, degree, plain)
+
+        monkeypatch.setattr(integrate, "_closed_combinations_q", spy)
+        return passes
+
+    @staticmethod
+    def _solve(text_or_path):
+        from tflkit.problem import cmd_solve, load_problem, loads_problem
+        problem = (load_problem(text_or_path) if isinstance(text_or_path, Path)
+                   else loads_problem(text_or_path))
+        return cmd_solve(problem)[2]
+
+    def test_every_candidate_is_closed(self, monkeypatch):
+        from conftest import SEC5_FILE
+        seen = []
+        real = integrate._closed_forms
+
+        def stream(*args):
+            for form in real(*args):
+                seen.append(form)
+                yield form
+
+        monkeypatch.setattr(integrate, "_closed_forms", stream)
+        assert self._solve(SEC5_FILE) == 0
+        # x1/x2, through the integrating factor exp(-2 ln(x2))
+        gen = DX("x1").scale(E("x2")) - DX("x2").scale(E("x1"))
+        frobenius_integrate(PfaffianIdeal([gen], _p0().replace(x2=1)))
+        with pytest.raises(IntegrationFailed):
+            frobenius_integrate(_undefined_at_p0_ideal())
+        assert all(exterior_derivative(w).is_structural_zero() for w in seen)
+        # exact generators, both ansatz passes and integrating factors
+        assert any("exp(-x4)" in repr(w) for w in seen)
+        assert any("exp(-2*ln(x2))" in repr(w) for w in seen)
+        assert "(1) dx1 + ((1)/(x2)) dx2" in map(repr, seen)
+
+    def test_sec5_solve_takes_two_derivatives(self, monkeypatch):
+        """The integrating-factor layer takes d of the one residual it
+        repairs and of its theta; no other d is taken in `integrate`."""
+        from conftest import SEC5_FILE
+        taken, real_d = [], integrate.exterior_derivative
+        monkeypatch.setattr(integrate, "exterior_derivative",
+                            lambda w: taken.append(w) or real_d(w))
+        passes = self._passes(monkeypatch)
+        assert self._solve(SEC5_FILE) == 0
+        assert len(taken) == 2
+        assert passes == [True, False]
+
+    def test_chain8_and_small_mix_start_no_ansatz_pass(self, monkeypatch):
+        from check_chain_digests import chain_text
+        from test_kept_rows import CHAIN8
+        from test_problem_cli import UNCONTROLLABLE, UNICYCLE
+        problems = Path(__file__).resolve().parent.parent / "problems"
+        passes = self._passes(monkeypatch)
+        runs = [problems / "double-integrator.tfl",
+                problems / "brunovsky-chain.tfl", UNICYCLE, UNCONTROLLABLE]
+        # chain8, and small-mix's chain4: its first three coefficients
+        for coeffs in CHAIN8.values():
+            runs += [chain_text(coeffs), chain_text(coeffs[:3])]
+        assert [self._solve(run) for run in runs] == [0, 0, 0, 2] + [0] * 4
+        assert passes == []
 
 
 class TestAdaptToL:

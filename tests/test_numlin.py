@@ -379,7 +379,6 @@ class TestIntersectionDims:
         assert numlin.intersection_dims([], [e]) == (0, [0])
 
     def test_each_matrix_keeps_its_own_cut(self):
-        # 1e-6 is above A's cut and not [A; B]'s where B holds 1e6, so
         # the batch takes the exact answer only if every matrix, padded
         # into one batch, is cut by its own largest singular value
         a = [[Fraction(1, 10 ** 6), 0]]
@@ -389,6 +388,20 @@ class TestIntersectionDims:
             == (1, [_exact_dim(a, b) for b in bs]) == (1, [1, 0, 1, 0])
         assert [numlin.intersection_dim([[1e-6, 0.0]], b)
                 for b in floats] == [1, 0, 1, 0]
+
+    def test_rows_on_different_scales(self):
+        # [A; B]'s second singular value is about 1e-12 unscaled, under a
+        # cut of 1e-3 set by the 1e6 row; with each row's largest entry 1
+        # it is about 7e-7
+        a, b = [[Fraction(1, 10 ** 6), 0]], [[10 ** 6, 1]]
+        assert numlin.intersection_dim([[1e-6, 0.0]], [[1e6, 1.0]]) \
+            == _exact_dim(a, b) == 0
+        assert numlin.intersection_dims([[1e-6, 0.0]], [[[1e6, 1.0]]]) \
+            == (1, [0])
+        # rows near the top of the float range do not overflow
+        assert numlin.intersection_dims([[1e300, 1e300]],
+                                        [[[1e300, 0.0]], [[1.0, 1.0]]]) \
+            == (1, [0, 1])
 
     def test_one_svd_call(self, monkeypatch):
         calls = []

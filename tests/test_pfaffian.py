@@ -690,6 +690,35 @@ class TestTwoFormMembershipAssociates:
         assert seen == self.EXPECTED
 
 
+class TestSolvedPivotReference:
+    """The complement substitution solves pivots in reverse order, so a row
+    may refer to a pivot solved before it.  In <dx1 + x3 dx2, x1 dx2> at
+    the origin of (t, u1, x1, x2, x3), x1 vanishes, so x2 becomes a
+    second-pass pivot, and the x1 row refers to it through x3 dx2.  The
+    ideal spans <dx1, dx2> over the function field, and 2-form membership
+    gives the same verdicts in both."""
+
+    def test_verdicts_match_the_coordinate_ideal(self):
+        vs = VariableSpace.canonical(3, 1)
+        E3 = lambda s: parse_expr(s, vs)
+        dx = lambda nm: coordinate_form(vs, nm)
+        p0 = simple_point(vs)
+        ideal = PfaffianIdeal([dx("x1") + dx("x2").scale(E3("x3")),
+                               dx("x2").scale(E3("x1"))], p0,
+                              _validate_raw=False)
+        rows, pivots = ideal.rows()
+        x1, x2 = vs.index("x1"), vs.index("x2")
+        assert pivots == [x1, x2] and str(rows[0][x2]) == "x3"
+        coordinate = PfaffianIdeal([dx("x1"), dx("x2")], p0)
+        cases = [wedge(dx("x1"), dx("x3")), wedge(dx("x3"), dx("t")),
+                 wedge(dx("x2"), dx("x3")).scale(E3("x1 + 1"))]
+        verdicts = [two_form_membership(w, ideal) for w in cases]
+        assert verdicts == [two_form_membership(w, coordinate)
+                            for w in cases]
+        assert verdicts == [Membership.MEMBER, Membership.NON_MEMBER,
+                            Membership.MEMBER]
+
+
 class TestOneEchelonPerIdeal:
     """An ideal is echelonized once, when it is built: `rows()` reads that
     echelon, whose rows are the generators, and an ideal with another's
