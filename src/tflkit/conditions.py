@@ -10,14 +10,14 @@ two are certified at p0 plus a finite sample set, a documented soundness
 gap: pointwise conditions on an open set are not finitely decidable.
 Where `reduction()` solves N, the samples are exact points of N
 (`sample_on_N`); only a reduction with leftovers or a parametrization
-takes Newton projection.
+takes Newton projection, whose iterates evaluate N alone.
 
 A point table (`_PointTable`) holds these dimensions, at p0 and
 at each distinct sample (on a point target every sample is the point the
 reduction binds, so the samples share one point; p0 keeps its own).
-Each point is decided by one batched call, `numlin.intersection_dims`:
-Ann(T_pL), built once per point, against the span of every ideal the run
-reads, with Ann's own rank checked from the same call.
+All points are decided by one batched call, `numlin.intersection_dims`:
+at each point, Ann(T_pL), built once per point, against the span of every
+ideal the run reads, with Ann's own rank checked from the same call.
 `evaluate_conditions` builds one table per run and reads (Con), (Inv),
 (Dim) and the indices from it.  Most levels are closed (the derived step
 of I^(k) found <I^(k), dt> differential, see `Flag`), so span{I^(k)_p,
@@ -34,7 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, RankDeficientN, SamplingFailed
+from .errors import (DomainError, RankDeficientN, SamplingFailed,
+                     TflError)
 from .expr import Point
 from .lift import ControlSystem, LiftedSystem, ann_tangent_L
 from .pfaffian import Flag, _span_with_dt
@@ -91,8 +92,11 @@ def sample_on_N(sys: ControlSystem, count: int, radius: float = 0.1,
     is discarded.  On a point target every sample is the point the
     bindings define, and nothing is drawn.  Elsewhere the points are
     Newton projections of Gaussian perturbations of x0; an attempt that
-    does not drive every defining function below 1e-12 within 50 steps is
-    discarded.  At most `_ATTEMPTS_PER_SAMPLE * count` attempts are made.
+    does not drive every defining function below 1e-12 within 50 steps,
+    or that meets an iterate where a defining function or its gradient
+    is undefined, is discarded.  The iterates evaluate N and its
+    gradients only, and u = u*(x) is evaluated at each accepted point.
+    At most `_ATTEMPTS_PER_SAMPLE * count` attempts are made.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -131,7 +135,9 @@ def sample_on_N(sys: ControlSystem, count: int, radius: float = 0.1,
 
 
 def _newton_samples(sys: ControlSystem, count, radius, rng):
-    """Newton projections onto N of Gaussian perturbations of x0."""
+    """Newton projections onto N of Gaussian perturbations of x0.  An
+    attempt at whose iterate a defining function or its gradient is
+    undefined is discarded; u* is evaluated only at the accepted point."""
     x0 = np.array([float(v) for v in sys.x0])
     grads = [sys.state_grad(phi) for phi in sys.N_defs]
     out = []
@@ -139,19 +145,35 @@ def _newton_samples(sys: ControlSystem, count, radius, rng):
     while len(out) < count and attempts < _ATTEMPTS_PER_SAMPLE * count:
         attempts += 1
         x = x0 + np.array([rng.gauss(0.0, radius) for _ in range(len(x0))])
-        for _ in range(50):
-            p = _state_point(sys, [float(xi) for xi in x])
-            vals = np.array([float(phi.eval(p)) for phi in sys.N_defs])
-            if np.max(np.abs(vals)) <= 1e-12:
-                out.append(p)
-                break
-            J = np.array([[float(g.eval(p)) for g in row] for row in grads])
-            step, *_ = np.linalg.lstsq(J, vals, rcond=None)
-            x = x - step
+        try:
+            xs = _newton_project(sys, grads, x)
+        except DomainError:
+            continue
+        if xs is not None:
+            out.append(_state_point(sys, xs))
     if len(out) < count:
         raise SamplingFailed(
             f"Newton projection produced {len(out)}/{count} points on N")
     return out
+
+
+def _newton_project(sys: ControlSystem, grads, x):
+    """The state values of the first of 50 Newton iterates from x at
+    which every defining function of N is below 1e-12 in absolute value,
+    or None.  The defining functions and their gradients are state-only,
+    so each iterate is evaluated with t and u at 0, and u* is never
+    evaluated."""
+    head = [0.0] * (1 + sys.vars.m)
+    for _ in range(50):
+        xs = [float(xi) for xi in x]
+        p = Point(sys.vars, head + xs)
+        vals = np.array([float(phi.eval(p)) for phi in sys.N_defs])
+        if np.max(np.abs(vals)) <= 1e-12:
+            return xs
+        J = np.array([[float(g.eval(p)) for g in row] for row in grads])
+        step, *_ = np.linalg.lstsq(J, vals, rcond=None)
+        x = x - step
+    return None
 
 
 def _state_point(sys: ControlSystem, x):
@@ -186,9 +208,9 @@ class _PointTable:
     point each kernel-free entry is evaluated on `Point.integer_form`'s
     integer path.  Ideals are keyed by identity.
 
-    Every point is decided on construction for each of `spans`, one batch
-    per point, so a batch holds one point's matrices whatever the sample
-    count; a pair read later is decided as a batch of one."""
+    Every point is decided on construction for each of `spans`, all
+    points in one batch, one SVD call whatever the sample count; a pair
+    read later is decided as a batch of one."""
 
     def __init__(self, ls: LiftedSystem, samples, spans):
         self.ls = ls
@@ -203,28 +225,42 @@ class _PointTable:
             self.sample_points.append(first[p.values])
         self._anns, self._dims = {}, {}
         if spans:
-            for i in range(len(self.points)):
-                self._decide(i, spans)
+            self._decide(range(len(self.points)), spans)
 
-    def _decide(self, i, ideals):
-        """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} ) at point i for
-        each of `ideals`, in one batched SVD: the on_L check and Ann's rows
-        (on the point's first decision), then each ideal's span in order,
-        then the ranks, which must give Ann full rank."""
-        p = self.points[i]
-        if i not in self._anns:
-            self._anns[i] = ann_tangent_L(self.ls, p)
-        ann = self._anns[i]
-        rank, dims = numlin.intersection_dims(
-            ann, [_span_with_dt(ideal, p) for ideal in ideals])
-        if rank != len(ann):
-            raise RankDeficientN("Ann(T_pL) rows drop rank at the point")
-        self._dims.update(((ideal, i), d) for ideal, d in zip(ideals, dims))
+    def _decide(self, points, ideals):
+        """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} ) at each of
+        `points` for each of `ideals`, in one batched SVD.  Point by point:
+        the on_L check and Ann's rows (on the point's first decision), then
+        each ideal's span in order; then the ranks, which must give each
+        point's Ann full rank.  A point whose matrices cannot be built ends
+        the batch, and the points before it are decided first, so that the
+        error reported is the first point's, as deciding the points one by
+        one would report."""
+        anns, spans = {}, {}
+        error = None
+        for i in points:
+            p = self.points[i]
+            try:
+                if i not in self._anns:
+                    self._anns[i] = ann_tangent_L(self.ls, p)
+                spans[i] = [_span_with_dt(ideal, p) for ideal in ideals]
+            except TflError as exc:     # raised once the points before
+                error = exc             # it are decided
+                break
+            anns[i] = self._anns[i]
+        decided = numlin.intersection_dims(anns, spans) if anns else {}
+        for i, (rank, dims) in decided.items():
+            if rank != len(anns[i]):
+                raise RankDeficientN("Ann(T_pL) rows drop rank at the point")
+            self._dims.update(((ideal, i), d)
+                              for ideal, d in zip(ideals, dims))
+        if error is not None:
+            raise error
 
     def dim(self, ideal, i):
         """dim( Ann(T_pL)  intersect  span{ideal_p, dt_p} ) at point i."""
         if (ideal, i) not in self._dims:
-            self._decide(i, [ideal])
+            self._decide([i], [ideal])
         return self._dims[ideal, i]
 
     def row(self, span, i):

@@ -99,6 +99,10 @@ class VariableSpace:
                             for i in range(k))
         self._zero = None  # Expr.zero of this space, built on first use
         self._one = None   # Expr.one of this space, built on first use
+        # the falsifier's points drawn so far, and the generator that
+        # draws the next one
+        self._falsifier_points = []
+        self._falsifier_rng = random.Random(FALSIFIER_SEED)
 
     @classmethod
     def canonical(cls, n, m):
@@ -117,6 +121,24 @@ class VariableSpace:
 
     def state_indices(self):
         return range(1 + self.m, self.total)
+
+    def falsifier_points(self):
+        """The FALSIFIER_SAMPLES points of `Expr.zeroness`'s falsifier, in
+        order: the k-th holds the k-th `total` draws of one
+        random.Random(FALSIFIER_SEED), each coordinate p/q with q in
+        1.._FALSIFIER_DEN and |p/q| <= _FALSIFIER_BOX.  Drawn when first
+        read and kept, so every expression of the space shares them."""
+        points = self._falsifier_points
+        for k in range(FALSIFIER_SAMPLES):
+            if k == len(points):
+                vals = []
+                for _ in range(self.total):
+                    q = self._falsifier_rng.randint(1, _FALSIFIER_DEN)
+                    p = self._falsifier_rng.randint(-_FALSIFIER_BOX * q,
+                                                    _FALSIFIER_BOX * q)
+                    vals.append(Fraction(p, q))
+                points.append(Point(self, vals))
+            yield points[k]
 
     def __eq__(self, other):
         return isinstance(other, VariableSpace) and self.names == other.names
@@ -1248,7 +1270,9 @@ class Expr:
         decided exactly (the rational function field has no zero divisors);
         with kernels present a rational sampling falsifier seeded by
         FALSIFIER_SEED is used, once per expression, and Inconclusive is
-        possible."""
+        possible.  The falsifier reads the variable space's points
+        (`VariableSpace.falsifier_points`) in order and stops at the first
+        nonzero value; a point is drawn only when it is first read."""
         if self._zero is not None:
             return self._zero
         if not self.num:
@@ -1260,19 +1284,11 @@ class Expr:
         return self._zero
 
     def _sample_falsify(self):
-        rng = random.Random(FALSIFIER_SEED)
-        seen_valid = 0
-        for _ in range(FALSIFIER_SAMPLES):
-            vals = []
-            for _ in range(self.vars.total):
-                q = rng.randint(1, _FALSIFIER_DEN)
-                p = rng.randint(-_FALSIFIER_BOX * q, _FALSIFIER_BOX * q)
-                vals.append(Fraction(p, q))
+        for p in self.vars.falsifier_points():
             try:
-                v = self.eval(Point(self.vars, vals))
+                v = self.eval(p)
             except DomainError:
                 continue
-            seen_valid += 1
             if isinstance(v, Fraction):
                 if v != 0:
                     return Zeroness.NONZERO

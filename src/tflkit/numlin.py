@@ -20,9 +20,10 @@ value, 1) are treated as zero (`_sv_rank`).  `rank`, `null_basis`,
 `extends_span` and `intersection_dims` all decide rank that way, and they
 are the only place in the package that takes an SVD.  `intersection_dims`
 intersects one row space with several in one batched SVD call, each row
-scaled to a largest entry of 1 and each rank cut per matrix: the
-conditions' point table decides all of a point's dimensions, and the rank
-of Ann(T_pL) itself, with one call per point.
+scaled to a largest entry of 1 and each rank cut per matrix, and takes
+several such groups in the same call: the conditions' point table decides
+the dimensions at all of its points, and the rank of each point's
+Ann(T_pL), with one call per table.
 `intersection_dim` is its one-pair face.  `extend_basis` is the package's
 one keep-if-independent step.
 """
@@ -170,29 +171,50 @@ def rational_nullspace(rows, ncols):
 
 def intersection_dims(A, Bs):
     """rank A, and dim(rowspace(A) ∩ rowspace(B)) = rank A + rank B −
-    rank [A; B] for each B in `Bs`, all from one SVD call.  The batch holds
-    A, then each B and each [A; B], each row scaled to a largest entry of
-    1 in absolute value and zero-padded to one shape, which only adds zero
-    singular values; each matrix keeps its own cut.  An empty matrix has
-    no rows."""
-    A = _float_rows(A)
-    Bs = [_float_rows(B) for B in Bs]
-    cols = max(M.shape[1] for M in [A, *Bs])
-    batch = np.zeros((1 + 2 * len(Bs),
-                      len(A) + max((len(B) for B in Bs), default=0), cols))
-    batch[0, :len(A), :A.shape[1]] = A
-    for j, B in enumerate(Bs):
-        batch[1 + 2 * j, :len(B), :B.shape[1]] = B
-        batch[2 + 2 * j, :len(A), :A.shape[1]] = A
-        batch[2 + 2 * j, len(A):len(A) + len(B), :B.shape[1]] = B
+    rank [A; B] for each B in `Bs`, all from one SVD call.  For several
+    groups at once, A maps keys to matrices and Bs maps the same keys to
+    lists of matrices; the result maps each key to its (rank A, dims),
+    still from one call.  The batch holds, group by group, A, then each B
+    and each [A; B], each row scaled to a largest entry of 1 in absolute
+    value and zero-padded to one shape, which only adds zero singular
+    values; each matrix keeps its own cut.  An empty matrix has no
+    rows."""
+    if not isinstance(A, dict):
+        return _group_dims([(A, Bs)])[0]
+    return dict(zip(A, _group_dims([(A[k], Bs[k]) for k in A])))
+
+
+def _group_dims(groups):
+    """(rank A, [dim(A ∩ B) for B in Bs]) for each (A, Bs) of `groups`,
+    from one SVD call."""
+    groups = [(_float_rows(A), [_float_rows(B) for B in Bs])
+              for A, Bs in groups]
+    cols = max(M.shape[1] for A, Bs in groups for M in [A, *Bs])
+    rows = max(len(A) + max((len(B) for B in Bs), default=0)
+               for A, Bs in groups)
+    batch = np.zeros((sum(1 + 2 * len(Bs) for _, Bs in groups), rows, cols))
+    k = 0
+    for A, Bs in groups:
+        batch[k, :len(A), :A.shape[1]] = A
+        for j, B in enumerate(Bs):
+            batch[k + 1 + 2 * j, :len(B), :B.shape[1]] = B
+            batch[k + 2 + 2 * j, :len(A), :A.shape[1]] = A
+            batch[k + 2 + 2 * j, len(A):len(A) + len(B), :B.shape[1]] = B
+        k += 1 + 2 * len(Bs)
     # scaling keeps each row space, and puts a small row beside a large
     # one on its scale, not under the cut of the stack they share; a
     # largest entry of 1, unlike a unit Euclidean norm, cannot overflow
     peaks = np.abs(batch).max(axis=-1, keepdims=True)
     np.divide(batch, peaks, out=batch, where=peaks > 0)
-    ra, *rest = _sv_rank(np.linalg.svd(batch, compute_uv=False)).tolist()
-    return ra, [ra + rb - rab if ra and rb else 0
-                for rb, rab in zip(rest[::2], rest[1::2])]
+    ranks = _sv_rank(np.linalg.svd(batch, compute_uv=False)).tolist()
+    out = []
+    k = 0
+    for _, Bs in groups:
+        ra, rest = ranks[k], ranks[k + 1:k + 1 + 2 * len(Bs)]
+        out.append((ra, [ra + rb - rab if ra and rb else 0
+                         for rb, rab in zip(rest[::2], rest[1::2])]))
+        k += 1 + 2 * len(Bs)
+    return out
 
 
 def _float_rows(A):

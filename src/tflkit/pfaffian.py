@@ -755,13 +755,13 @@ def _sample_ranks(matrix, p0, exact):
     """Yield (perturbed, rank) for the primitive conditions matrix at p0 and
     then at `perturbed_points(p0)`, lazily so the caller can stop early.
 
-    Exact ranks are taken over Q.  They stop at the first perturbed point
-    whose rank is min(rows, columns): no point ranks higher, and the
-    symbolic rank is at most that, so both RegularityViolation guards of
-    `derived_system` decide as they would after every point.  Float ranks
-    follow the `numlin` policy, skip p0, where a kernel-bearing coefficient
-    matrix may legitimately drop rank, and take every perturbed point.
-    Points outside the entries' domain are skipped."""
+    Exact ranks are taken over Q; float ranks follow the `numlin` policy
+    and skip p0, where a kernel-bearing coefficient matrix may legitimately
+    drop rank.  Both stop at the first perturbed point whose rank is
+    min(rows, columns): no point ranks higher, and the symbolic rank is at
+    most that, so both RegularityViolation guards of `derived_system`
+    decide as they would after every point.  Points outside the entries'
+    domain are skipped."""
     pts = ([p0] if exact else []) + perturbed_points(p0)
     full = min(len(matrix), len(matrix[0]))
     for p in pts:
@@ -772,7 +772,7 @@ def _sample_ranks(matrix, p0, exact):
         r = numlin.exact_rank(vals) if exact else numlin.rank(
             np.array(vals, dtype=float))
         yield p is not p0, r
-        if exact and r == full and p is not p0:
+        if r == full and p is not p0:
             return
 
 

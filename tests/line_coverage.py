@@ -1,14 +1,15 @@
 """Statements of src/tflkit that no run executes.
 
-Tier-1 and the two pinned-run scripts (check_sec5_edits.py and
-check_chain_digests.py) run in this process under `sys.settrace`, which
-records every line executed in src/tflkit.  Each module's statements that
-none of them reached are then printed as line numbers, runs of adjacent
-lines joined (`412-415`).  A statement is the first line of a statement
-of the module's syntax tree that its compiled code holds an instruction
-on, so docstrings and other statements without code are not counted.
-Code that runs only in a child process counts as not run.  Standard
-library only, besides pytest and what the runs import.
+Tier-1 and the three pinned-run scripts (check_sec5_edits.py,
+check_chain_digests.py and check_sampled_runs.py) run in this process
+under `sys.settrace`, which records every line executed in src/tflkit.
+Each module's statements that none of them reached are then printed as
+line numbers, runs of adjacent lines joined (`412-415`). A statement is
+the first line of a statement of the module's syntax tree that its
+compiled code holds an instruction on, so docstrings and other
+statements without code are not counted. Code that runs only in a child
+process counts as not run. Standard library only, besides pytest and
+what the runs import.
 
     PYTHONPATH=src python tests/line_coverage.py
 
@@ -32,7 +33,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tflkit"
 TESTS = ROOT / "tests"
-PINNED = ("check_sec5_edits", "check_chain_digests")
+PINNED = ("check_sec5_edits", "check_chain_digests", "check_sampled_runs")
 
 
 def statements(path):

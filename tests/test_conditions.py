@@ -26,12 +26,14 @@ FIXTURES = sorted((Path(__file__).resolve().parent.parent
 
 def spy_batches(monkeypatch):
     """The number of pairs in each `numlin.intersection_dims` call, as
-    the package makes them."""
+    the package makes them: a call on several groups counts the pairs of
+    all of them."""
     sizes = []
     dims = numlin.intersection_dims
 
     def counted(A, Bs):
-        sizes.append(len(Bs))
+        sizes.append(sum(map(len, Bs.values())) if isinstance(Bs, dict)
+                     else len(Bs))
         return dims(A, Bs)
     monkeypatch.setattr(numlin, "intersection_dims", counted)
     return sizes
@@ -433,7 +435,7 @@ class TestEvaluateConditions:
 class TestOneTablePerRun:
     """A run builds Ann(T_pL) once per distinct point and decides each
     (ideal, point) intersection dimension once, for all three conditions
-    and the indices together, in one batch per point."""
+    and the indices together, in one batch for every point."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -448,13 +450,13 @@ class TestOneTablePerRun:
                                   seed=0)
         assert rep.all_hold
         assert len(anns) == 9
-        assert batches == [5] * 9
+        assert batches == [45]
 
     def test_one_svd_per_distinct_point(self, sec5_lifted, sec5_flag,
                                         monkeypatch):
-        # from the table's construction on, the SVDs are the 9 batched
-        # ones, one per point with Ann's rank among its ranks, and reading
-        # the conditions off the table takes none
+        # from the table's construction on, the one SVD call is the batch
+        # of all 9 points, with each Ann's rank among its ranks, and
+        # reading the conditions off the table takes none
         events = []
         init, svd = conditions._PointTable.__init__, np.linalg.svd
 
@@ -467,7 +469,7 @@ class TestOneTablePerRun:
         rep = evaluate_conditions(sec5_lifted, sec5_flag, n_samples=8,
                                   seed=0)
         assert rep.all_hold
-        assert events[events.index("table"):] == ["table"] + [3] * 9
+        assert events[events.index("table"):] == ["table", 3]
 
     def test_point_target_run(self, chain3, monkeypatch):
         # every sample is x0: one point besides p0
@@ -477,7 +479,7 @@ class TestOneTablePerRun:
         rep = evaluate_conditions(ls, flag, n_samples=8, seed=0)
         assert rep.all_hold
         assert len(anns) == 2
-        assert len(batches) == 2
+        assert len(batches) == 1
 
 
 def test_ann_rank_checked_from_the_batch(monkeypatch):
@@ -492,6 +494,31 @@ def test_ann_rank_checked_from_the_batch(monkeypatch):
         intersection_dimension(ls, ls.I0, ls.p0.replace(x1=-1))
     assert str(err.value) == "Ann(T_pL) rows drop rank at the point"
     assert batches == [1]
+
+
+class TestErrorOrder:
+    """A table decides its points in one batch, yet reports the error that
+    deciding them one by one would: the first failing point's."""
+
+    @staticmethod
+    def points():
+        # N = {x2 (x1 + 1) = 0}: singular at (-1, 0), and (0, 1) is off N
+        sys = build((2, 1), ["0", "0"], [["1", "0"]], ["x1*x2 + x2"],
+                    [0, 0], ["0"])
+        ls = lift_system(sys)
+        return ls, ls.p0.replace(x1=-1), ls.p0.replace(x2=1)
+
+    @pytest.mark.parametrize("order, error", [
+        ("singular first", RankDeficientN), ("off L first", PointNotOnL)])
+    def test_the_first_failing_point(self, order, error, monkeypatch):
+        ls, singular, off = self.points()
+        samples = [singular, off] if order == "singular first" \
+            else [off, singular]
+        batches = spy_batches(monkeypatch)
+        with pytest.raises(error):
+            conditions._PointTable(ls, samples, [ls.I0])
+        # the points before the one that fails to build, in one batch
+        assert batches == ([2] if error is RankDeficientN else [1])
 
 
 class TestExactRankOracle:

@@ -403,6 +403,25 @@ class TestIntersectionDims:
                                         [[[1e300, 0.0]], [[1.0, 1.0]]]) \
             == (1, [0, 1])
 
+    def test_groups_in_one_call(self, monkeypatch):
+        # keyed groups give each group's answer, in the keys' order, from
+        # one SVD call per call
+        rng = random.Random(43)
+        cases = [{f"g{j}": _integer_batch(rng)
+                  for j in range(rng.randint(1, 4))} for _ in range(50)]
+        want = [{k: numlin.intersection_dims(a, bs)
+                 for k, (a, bs) in groups.items()} for groups in cases]
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        got = [numlin.intersection_dims(
+            {k: a for k, (a, _) in groups.items()},
+            {k: bs for k, (_, bs) in groups.items()}) for groups in cases]
+        assert [list(g.items()) for g in got] \
+            == [list(w.items()) for w in want]
+        assert len(calls) == 50
+
     def test_one_svd_call(self, monkeypatch):
         calls = []
         svd = np.linalg.svd

@@ -843,21 +843,23 @@ class TestDerivedSystemCertification:
         monkeypatch.setattr(numlin, "rank", spy)
         out = derived_system(self._ideal(a="1 - cos(u1)", b="sin(u1)*x1"))
         assert len(out) == 0
-        # float ranks at the eight perturbed points only, never at p0,
-        # where every entry vanishes
-        assert ranked == [2] * 8
+        # a float rank at the first perturbed point only, which is full:
+        # never at p0, where every entry vanishes
+        assert ranked == [2]
 
 
 class TestRankSamplingStops:
-    """On the exact path, `_sample_ranks` stops at the first perturbed
-    point whose rank is min(rows, generators) of the conditions matrix: no
-    other point can rank higher, and that rank is at least the symbolic
-    rank, so both RegularityViolation guards decide as after all 9
-    points."""
+    """`_sample_ranks` stops at the first perturbed point whose rank is
+    min(rows, generators) of the conditions matrix, on the exact path and
+    on the float path alike: no other point can rank higher, and that rank
+    is at least the symbolic rank, so both RegularityViolation guards
+    decide as after every point."""
 
-    def test_chain8_steps(self, monkeypatch):
+    @staticmethod
+    def spy_runs(monkeypatch):
+        """(rows, generators, exact, [(perturbed, rank), ...]) of each
+        `_sample_ranks` run, with the ranks its caller read."""
         import tflkit.pfaffian as pfaffian
-        from tflkit.lift import lift_system
 
         sample_ranks = pfaffian._sample_ranks
         runs = []
@@ -869,6 +871,12 @@ class TestRankSamplingStops:
                 yield perturbed, r
 
         monkeypatch.setattr(pfaffian, "_sample_ranks", ranks_spy)
+        return runs
+
+    def test_chain8_steps(self, monkeypatch):
+        from tflkit.lift import lift_system
+
+        runs = self.spy_runs(monkeypatch)
         assert derived_flag(lift_system(make_chain8()).I0) \
             .generator_counts() == tuple(range(8, -1, -1))
         # one condition row each: p0, then the first perturbed point, which
@@ -879,6 +887,38 @@ class TestRankSamplingStops:
         assert all(ranks == [(False, 1), (True, 1)]
                    for _, _, _, ranks in runs[:-1])
         assert runs[-1][3] == [(False, 1)]
+
+    KERNEL_PAIR = {"a": "1 - cos(u1)", "b": "sin(u1)*x1"}
+
+    def test_kernel_step_stops_at_the_first_full_rank_point(
+            self, monkeypatch):
+        # the float path skips p0, where the kernel-bearing rows
+        # (x1 cos u1, -sin u1), (1, 0), (-sin u1, -x1 cos u1) have rank 1;
+        # the first perturbed point has u1 != 0 and rank 2
+        runs = self.spy_runs(monkeypatch)
+        out = derived_system(TestDerivedSystemCertification()._ideal(
+            **self.KERNEL_PAIR))
+        assert len(out) == 0
+        assert runs == [(3, 2, False, [(True, 2)])]
+
+    def test_kernel_step_never_at_full_rank_raises(self, monkeypatch):
+        # on u1 = x1 = 0 the rows keep rank 1 < 2 = the symbolic rank, so
+        # every perturbed point is ranked and none attains it
+        import tflkit.pfaffian as pfaffian
+
+        vs = TestDerivedSystemCertification.VS3
+
+        def on_degenerate_locus(p0):
+            return [simple_point(vs, t=Fraction(k, 3), x2=k,
+                                 x3=Fraction(-k, 2))
+                    for k in range(1, 9)]
+
+        monkeypatch.setattr(pfaffian, "perturbed_points", on_degenerate_locus)
+        runs = self.spy_runs(monkeypatch)
+        with pytest.raises(RegularityViolation, match="not attained"):
+            derived_system(TestDerivedSystemCertification()._ideal(
+                **self.KERNEL_PAIR))
+        assert runs == [(3, 2, False, [(True, 1)] * 8)]
 
     def _chain8_step_raises(self, monkeypatch, change):
         import tflkit.pfaffian as pfaffian

@@ -523,6 +523,38 @@ class TestCli:
         assert err.startswith("error: u_star is beyond float range near x0: "
                               "its u1 component is '-x1^2'")
 
+    def test_u_star_beyond_float_range_at_newton_samples(self, tmp_path):
+        # the circle has no reduction, so its samples are Newton
+        # projections; u* vanishes on N, but its coefficients are beyond
+        # float range at every accepted point
+        bad = tmp_path / "ustarnewton.tfl"
+        bad.write_text("[system]\nstates = x1 x2\ninputs = u1\n"
+                       "f = -x2, x1\ng1 = x1, x2\n\n[target]\n"
+                       "N = x1^2 + x2^2 - 1\nx0 = 1, 0\n"
+                       "u_star = 10^400*(x1^2 + x2^2 - 1)\n")
+        code, out, err = self.run_cli("check", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: u_star is beyond float range near x0: "
+                              "its u1 component is '1000")
+
+    # x1^2 + ln(20*x2) has no reduction, so its samples are Newton
+    # projections, and the first attempt's iterate leaves the domain of ln
+    LN_TARGET = ("[system]\nstates = x1 x2\ninputs = u1\nf = 0, 0\n"
+                 "g1 = 0, 1\n\n[target]\nN = x1^2 + ln(20*x2)\n"
+                 "x0 = 0, 1/20\nu_star = 0\n")
+
+    def test_newton_attempt_outside_the_domain_of_n_is_discarded(
+            self, tmp_path):
+        path = tmp_path / "lntarget.tfl"
+        path.write_text(self.LN_TARGET)
+        code, out, err = self.run_cli("check", str(path))
+        assert code == EXIT_OK and err == ""
+        for name in ("(Con)", "(Inv)", "(Dim)"):
+            assert f"{name}: holds" in out
+        code, out, err = self.run_cli("solve", str(path))
+        assert code == EXIT_ADAPTATION
+        assert "raise the ansatz degree or supply hints" in out
+
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_n_gradient_beyond_float_range(self, tmp_path, command):
         # x0 is on N, but d/dx2 of x2*(x1^2 + 1) at x0 is 1e400
